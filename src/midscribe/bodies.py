@@ -154,11 +154,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def gauge_eval(body: ConvexBody, x):
-    """(value, gradient, hessian) of the gauge at x."""
-    return body.value(x), body.gradient(x), body.hessian(x)
-
-
 def make_body(descriptor: str) -> ConvexBody:
     """Parse a body descriptor and validate the result.
 

@@ -85,10 +85,6 @@ class PolyhedralComplex:
             out.append(self.edge_index[(v, u)])
         return tuple(out)
 
-    def vertex_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(self.edges[e][0] if self.edges[e][1] == v else self.edges[e][1]
-                     for e in self.edges_of_vertex(v))
-
 
 def _predecessor_in_cycle(cyc: tuple[int, ...], v: int) -> int:
     i = cyc.index(v)

@@ -32,10 +32,6 @@ class Configuration:
                              self.vertices4.copy(), self.tangents.copy(),
                              self.marked_edges, self.marked_points.copy())
 
-    def normalize_vertices(self) -> None:
-        norms = np.linalg.norm(self.vertices4, axis=1, keepdims=True)
-        self.vertices4 /= norms
-
     def affine_vertices(self, eps_inf: float = EPS_INFINITY):
         """(positions (V,3), finite mask); infinite rows are nan."""
         v4 = self.vertices4 / np.linalg.norm(self.vertices4, axis=1, keepdims=True)
@@ -61,12 +57,6 @@ class SolveReport:
     jacobian_condition_estimate: float = float("nan")
     step_history: list = field(default_factory=list)
     rank_deficiency: int = 0
-
-    @property
-    def singular_value_ratio(self) -> float:
-        """smallest/largest singular value of the Jacobian, from the estimate."""
-        c = self.jacobian_condition_estimate
-        return 1.0 / c if c and c == c else float("nan")
 
 
 @dataclass

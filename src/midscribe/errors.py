@@ -53,15 +53,16 @@ class SolverError(MidscribeError):
 
 
 class NonConvergence(SolverError):
-    """The radius iteration did not reach the residual target."""
+    """The radius solve did not reach its residual target.
+
+    Raised when the Newton iteration cap is reached, when a Newton step is
+    not finite, or when the line search finds no decrease; the message names
+    the stage, the iteration count and the residual.
+    """
 
 
 class LayoutInconsistency(SolverError):
     """Planar circle positions disagree with the computed radii."""
-
-
-class HemisphereViolation(SolverError):
-    """A spherical cap degenerates past a hemisphere where a chart needs it bounded."""
 
 
 class RootNotFound(SolverError):

@@ -13,7 +13,13 @@ from conftest import CANONICAL_MARKS, ball_solution, get_seed
 from midscribe import assemble_residual
 from midscribe.bodies import make_body
 from midscribe.mobius import is_infinity, lift_to_sphere, sphere_chart
+from midscribe import packing
+from midscribe.combinatorics import build_complex, select_frame
+from midscribe.errors import NonConvergence
 from midscribe.packing import (
+    TWO_PI,
+    _AngleSums,
+    _box_structure,
     koebe_config,
     layout_circles,
     lift_normalize,
@@ -21,7 +27,7 @@ from midscribe.packing import (
     solve_radii,
     spherical_pattern_residuals,
 )
-from midscribe.seeds import SEED_NAMES
+from midscribe.seeds import SEED_NAMES, faces_from_coordinates
 
 
 def on_circle(c, z):
@@ -196,3 +202,171 @@ def test_solve_radii_deterministic():
     b = solve_radii(P, frame)
     assert a.log_radii == b.log_radii
     assert a.pinned == b.pinned
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Seidel reference: the classical radius iteration (Collins-Stephenson)
+# that the Newton solve replaced, kept unchanged as an oracle.
+
+def _angle_sum(radii, neighbors, u):
+    r = radii[u]
+    return sum(2.0 * math.atan2(radii[w], r) for w in neighbors[u])
+
+
+def _solve_node(radii, neighbors, u, target):
+    """Monotone 1-D solve of the angle-sum equation at u, in log r."""
+    ws = [radii[w] for w in neighbors[u]]
+
+    def val_slope(x):
+        r = math.exp(x)
+        s = 0.0
+        ds = 0.0
+        for w in ws:
+            s += 2.0 * math.atan2(w, r)
+            ds -= 2.0 * w * r / (w * w + r * r)
+        return s - target, ds
+
+    x = math.log(radii[u])
+    g, _ = val_slope(x)
+    if g > 0.0:  # angle too large: grow the radius
+        lo = x
+        hi = x + 1.0
+        while val_slope(hi)[0] > 0.0:
+            lo, hi = hi, hi + 1.0
+    else:
+        hi = x
+        lo = x - 1.0
+        while val_slope(lo)[0] < 0.0:
+            hi, lo = lo, lo - 1.0
+    # bracketed Newton with bisection fallback
+    x = 0.5 * (lo + hi)
+    for _ in range(60):
+        g, dg = val_slope(x)
+        if abs(g) < 1e-15 * (1.0 + target):
+            break
+        if g > 0.0:
+            lo = x
+        else:
+            hi = x
+        step = x - g / dg if dg != 0.0 else None
+        x = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
+        if hi - lo < 1e-17:
+            break
+    radii[u] = math.exp(x)
+
+
+def gauss_seidel_radii(P, frame, tol=1e-13, max_sweeps=20000):
+    """(log radii, pinned node) from Gauss-Seidel sweeps of node solves."""
+    box = _box_structure(P, frame)
+    interior = [u for u in box.nodes if box.targets[u] == TWO_PI]
+    pinned = interior[0] if interior else box.nodes[0]
+
+    radii = {u: 1.0 for u in box.nodes}
+    for sweep in range(max_sweeps):
+        for u in box.nodes:
+            if u != pinned:
+                _solve_node(radii, box.neighbors, u, box.targets[u])
+        worst = max(abs(_angle_sum(radii, box.neighbors, u) - box.targets[u])
+                    for u in box.nodes)
+        if worst < tol:
+            return {u: math.log(radii[u]) for u in box.nodes}, pinned
+    raise AssertionError("Gauss-Seidel stuck at residual %.3e" % worst)
+
+
+def sphere_hull_points(n, seed):
+    """n random points on the unit sphere; their hull is simplicial."""
+    x = np.random.default_rng(seed).normal(size=(n, 3))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def prism_points(n, anti):
+    """A regular n-prism, or with the top ring turned by pi/n an antiprism."""
+    angles = 2.0 * math.pi * np.arange(n) / n
+    twist = math.pi / n if anti else 0.0
+    return np.array([(math.cos(a), math.sin(a), -0.5) for a in angles]
+                    + [(math.cos(a + twist), math.sin(a + twist), 0.5)
+                       for a in angles])
+
+
+GENERATED = {
+    "hull12": lambda: sphere_hull_points(12, 20261012),
+    "hull20": lambda: sphere_hull_points(20, 20261020),
+    "prism8": lambda: prism_points(8, anti=False),
+    "antiprism15": lambda: prism_points(15, anti=True),
+    "hull60": lambda: sphere_hull_points(60, 20261060),
+    "hull120": lambda: sphere_hull_points(120, 20261120),
+}
+
+
+def complex_and_frame(name):
+    if name in SEED_NAMES:
+        P, _, frame = get_seed(name)
+        return P, frame
+    points = GENERATED[name]()
+    P = build_complex(faces_from_coordinates(points), n_vertices=len(points))
+    return P, select_frame(P)
+
+
+def test_angle_sums_derivatives_by_finite_differences():
+    P, _, frame = get_seed("dodecahedron")
+    box = _box_structure(P, frame)
+    sums = _AngleSums(box, solve_radii(P, frame).pinned)
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, len(box.nodes))
+    x[~sums.free] = 0.0
+    F = sums.residual(x)
+    theta = {u: sum(2.0 * math.atan(math.exp(x[box.nodes.index(w)] - x[i]))
+                    for w in box.neighbors[u])
+             for i, u in enumerate(box.nodes)}
+    assert np.allclose(F, [theta[u] - box.targets[u] for u in box.nodes],
+                       rtol=0.0, atol=1e-14)
+    L = sums.laplacian(x).toarray()
+    assert np.allclose(L, L.T, rtol=0.0, atol=0.0)
+    h = 1e-6
+    for j, i in enumerate(np.flatnonzero(sums.free)):
+        e = np.zeros_like(x)
+        e[i] = h
+        grad = (sums.energy(x + e)[0] - sums.energy(x - e)[0]) / (2.0 * h)
+        assert abs(grad + F[i]) < 1e-7
+        dF = (sums.residual(x + e) - sums.residual(x - e)) / (2.0 * h)
+        assert np.allclose(-dF[sums.free], L[:, j], rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "name", SEED_NAMES + ("hull12", "hull20", "prism8", "antiprism15"))
+def test_newton_radii_match_gauss_seidel(name):
+    P, frame = complex_and_frame(name)
+    radii = solve_radii(P, frame)
+    reference, pinned = gauss_seidel_radii(P, frame)
+    assert radii.pinned == pinned
+    assert radii.log_radii.keys() == reference.keys()
+    err = max(abs(radii.log_radii[u] - reference[u]) for u in reference)
+    assert err < 1e-12
+
+
+@pytest.mark.parametrize("name", ["hull60", "hull120"])
+def test_large_complex_radii_lay_out_and_lift(name):
+    # too large for the Gauss-Seidel oracle; the layout's own contact
+    # validation and the lift's residual check stand in for it
+    P, frame = complex_and_frame(name)
+    radii = solve_radii(P, frame)
+    assert radii.residual < 1e-13
+    assert radii.log_radii[radii.pinned] == 0.0
+    pattern = layout_circles(P, frame, radii)
+    lift_normalize(pattern, CANONICAL_MARKS)
+
+
+def test_radius_solve_nonconvergence_is_typed(monkeypatch):
+    P, _, frame = get_seed("dodecahedron")
+    monkeypatch.setattr(packing, "RADIUS_MAX_ITERATIONS", 1)
+    with pytest.raises(NonConvergence,
+                       match=r"radius solve: residual \S+ after 1 iteration"):
+        solve_radii(P, frame)
+
+
+def test_radius_solve_nonfinite_step_is_typed(monkeypatch):
+    P, _, frame = get_seed("cube")
+    monkeypatch.setattr(packing.spla, "spsolve",
+                        lambda A, b: np.full(len(b), np.nan))
+    with pytest.raises(NonConvergence,
+                       match=r"radius solve: non-finite Newton step"):
+        solve_radii(P, frame)
