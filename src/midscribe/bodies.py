@@ -24,10 +24,20 @@ from .errors import (
 )
 
 NORTH_POLE = np.array([0.0, 0.0, 1.0])
+RAY_NEWTON_ITERATIONS = 60
+# A chord bracket [hi/2**k, hi] with hi >= 1 reaches width 1e-14*hi in at
+# most 47 halvings, so the cap only stops a bisection that cannot converge.
+CHART_BISECTION_ITERATIONS = 100
 
 
 class ConvexBody:
-    """Base class; subclasses provide value/gradient/hessian and a descriptor."""
+    """Base class; subclasses provide value/gradient/hessian and a descriptor.
+
+    The batched forms values/gradients/hessians take an (m, 3) array of
+    points and return shapes (m,), (m, 3) and (m, 3, 3). By default they loop
+    over the rows with the scalar methods, so a subclass that defines only
+    those works everywhere; the built-in bodies override them with numpy.
+    """
 
     def value(self, x) -> float:
         raise NotImplementedError
@@ -37,6 +47,18 @@ class ConvexBody:
 
     def hessian(self, x) -> np.ndarray:
         raise NotImplementedError
+
+    def values(self, X) -> np.ndarray:
+        return np.array([self.value(x) for x in np.asarray(X, dtype=float)],
+                        dtype=float)
+
+    def gradients(self, X) -> np.ndarray:
+        return np.array([self.gradient(x) for x in np.asarray(X, dtype=float)],
+                        dtype=float).reshape(-1, 3)
+
+    def hessians(self, X) -> np.ndarray:
+        return np.array([self.hessian(x) for x in np.asarray(X, dtype=float)],
+                        dtype=float).reshape(-1, 3, 3)
 
     @property
     def descriptor(self) -> str:
@@ -59,6 +81,16 @@ class Ball(ConvexBody):
 
     def hessian(self, x):
         return 2.0 * np.eye(3)
+
+    def values(self, X):
+        X = np.asarray(X, dtype=float)
+        return _rowdot(X, X) - 1.0
+
+    def gradients(self, X):
+        return 2.0 * np.asarray(X, dtype=float)
+
+    def hessians(self, X):
+        return np.tile(2.0 * np.eye(3), (len(X), 1, 1))
 
     @property
     def descriptor(self):
@@ -84,6 +116,16 @@ class Ellipsoid(ConvexBody):
 
     def hessian(self, x):
         return np.diag(2.0 * self._m())
+
+    def values(self, X):
+        X = np.asarray(X, dtype=float)
+        return _rowdot(X * X, np.broadcast_to(self._m(), X.shape)) - 1.0
+
+    def gradients(self, X):
+        return 2.0 * self._m() * np.asarray(X, dtype=float)
+
+    def hessians(self, X):
+        return np.tile(np.diag(2.0 * self._m()), (len(X), 1, 1))
 
     @property
     def descriptor(self):
@@ -115,6 +157,23 @@ class Superellipsoid(ConvexBody):
         u = np.asarray(x, dtype=float) / s
         return np.diag(self.p * (self.p - 1) * u ** (self.p - 2) / s ** 2)
 
+    def values(self, X):
+        U = np.asarray(X, dtype=float) / self._scale()
+        return np.sum(U ** self.p, axis=1) - 1.0
+
+    def gradients(self, X):
+        s = self._scale()
+        U = np.asarray(X, dtype=float) / s
+        return self.p * U ** (self.p - 1) / s
+
+    def hessians(self, X):
+        s = self._scale()
+        U = np.asarray(X, dtype=float) / s
+        out = np.zeros((len(U), 3, 3))
+        idx = np.arange(3)
+        out[:, idx, idx] = self.p * (self.p - 1) * U ** (self.p - 2) / s ** 2
+        return out
+
     @property
     def descriptor(self):
         return "superellipsoid:p=%d,a=%s,b=%s" % (self.p, _fmt(self.a), _fmt(self.b))
@@ -141,6 +200,17 @@ class GaugeBlend(ConvexBody):
 
     def hessian(self, x):
         return (1.0 - self.s) * self.body0.hessian(x) + self.s * self.body1.hessian(x)
+
+    def values(self, X):
+        return (1.0 - self.s) * self.body0.values(X) + self.s * self.body1.values(X)
+
+    def gradients(self, X):
+        return ((1.0 - self.s) * self.body0.gradients(X)
+                + self.s * self.body1.gradients(X))
+
+    def hessians(self, X):
+        return ((1.0 - self.s) * self.body0.hessians(X)
+                + self.s * self.body1.hessians(X))
 
     @property
     def descriptor(self):
@@ -245,33 +315,108 @@ def validate_body(body: ConvexBody, n_samples: int = 200) -> None:
                             "got %s" % (g,))
     if body.value(np.zeros(3)) >= 0:
         raise NotStrictlyConvex("origin is not interior to the body")
-    for q in _sample_boundary(body, n_samples):
-        grad = body.gradient(q)
-        norm = np.linalg.norm(grad)
-        if norm < 1e-12:
-            raise NotStrictlyConvex("vanishing gradient at boundary point %s" % q)
-        m = grad / norm
-        t1 = _any_unit_orthogonal(m)
-        t2 = np.cross(m, t1)
-        hess = body.hessian(q)
-        tang = np.array([[t1 @ hess @ t1, t1 @ hess @ t2],
-                         [t1 @ hess @ t2, t2 @ hess @ t2]])
-        if np.linalg.eigvalsh(tang)[0] <= 1e-12:
-            raise NotStrictlyConvex("tangential hessian not positive definite "
-                                    "at %s" % q)
+    dirs = _spiral_directions(n_samples)
+    Q = ray_roots(body, np.zeros(3), dirs)[:, None] * dirs
+    grads = body.gradients(Q)
+    norms = np.linalg.norm(grads, axis=1)
+    flat = norms < 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normals = grads / norms[:, None]
+        T1 = _unit_orthogonals(normals)
+        B = np.stack([T1, np.cross(normals, T1)], axis=2)
+        tang = np.swapaxes(B, 1, 2) @ body.hessians(Q) @ B
+    tang[flat] = np.eye(2)
+    soft = np.linalg.eigvalsh(tang)[:, 0] <= 1e-12
+    bad = np.flatnonzero(flat | soft)
+    if bad.size:
+        k = bad[0]
+        if flat[k]:
+            raise NotStrictlyConvex("vanishing gradient at boundary point %s"
+                                    % Q[k])
+        raise NotStrictlyConvex("tangential hessian not positive definite "
+                                "at %s" % Q[k])
 
 
-def _sample_boundary(body: ConvexBody, n: int):
-    """Boundary points along a generic spiral of directions (axes avoided)."""
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    pts = []
-    for k in range(n):
-        z = -1.0 + (2.0 * k + 1.0) / n
-        r = math.sqrt(max(0.0, 1.0 - z * z))
-        phi = k * golden + 0.73216
-        d = np.array([r * math.cos(phi), r * math.sin(phi), z])
-        pts.append(_radial_boundary_point(body, d))
-    return pts
+def _spiral_directions(n: int) -> np.ndarray:
+    """Unit directions along a generic spiral (axes avoided), shape (n, 3)."""
+    k = np.arange(n)
+    z = -1.0 + (2.0 * k + 1.0) / n
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    phi = k * (math.pi * (3.0 - math.sqrt(5.0))) + 0.73216
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+
+
+def ray_roots(body: ConvexBody, origins, dirs, t0=1.0) -> np.ndarray:
+    """Parameters t > 0 where the rays origins + t*dirs cross the boundary.
+
+    origins is one interior point (3,) or one per ray (m, 3); t0 is a warm
+    start, scalar or per ray. Each ray runs Newton on F(o + t d) from its own
+    start until the step falls below 1e-15 t, or stops shrinking once below
+    1e-9 t (rounding noise near a grazing ray). A ray whose slope is not
+    positive, whose step leaves t > 0, or that has not converged after
+    RAY_NEWTON_ITERATIONS steps is solved by bisection instead. Raises
+    NotStrictlyConvex when a ray never leaves the body.
+    """
+    dirs = np.asarray(dirs, dtype=float)
+    origins = np.broadcast_to(np.asarray(origins, dtype=float), dirs.shape)
+    t = np.array(np.broadcast_to(np.asarray(t0, dtype=float), len(dirs)))
+    t[~(np.isfinite(t) & (t > 0))] = 1.0
+    last = np.full(len(dirs), np.inf)
+    todo = np.arange(len(dirs))
+    fallback = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(RAY_NEWTON_ITERATIONS):
+            if not todo.size:
+                break
+            d, t_old = dirs[todo], t[todo]
+            X = origins[todo] + t_old[:, None] * d
+            slope = _rowdot(body.gradients(X), d)
+            step = body.values(X) / slope
+            size = np.abs(step)
+            failed = ~((slope > 0) & (t_old - step > 0))
+            done = (size < 1e-15 * t_old) | ((size >= last[todo])
+                                             & (size < 1e-9 * t_old))
+            t[todo] = np.where(failed, t_old, t_old - step)
+            last[todo] = size
+            fallback.append(todo[failed])
+            todo = todo[~(failed | done)]
+    fallback.append(todo)
+    bad = np.concatenate(fallback)
+    if bad.size:
+        t[bad] = _bisect_rays(body, origins[bad], dirs[bad])
+    return t
+
+
+def _bisect_rays(body: ConvexBody, origins, dirs) -> np.ndarray:
+    """Ray parameters by doubling, bisection and two Newton polish steps."""
+    hi = np.ones(len(dirs))
+    grow = np.arange(len(dirs))
+    for _ in range(80):
+        X = origins[grow] + hi[grow, None] * dirs[grow]
+        grow = grow[body.values(X) <= 0]
+        if not grow.size:
+            break
+        hi[grow] *= 2.0
+    else:
+        raise NotStrictlyConvex("body appears unbounded along %s"
+                                % dirs[grow[0]])
+    lo = np.zeros(len(dirs))
+    todo = np.arange(len(dirs))
+    for _ in range(100):
+        mid = 0.5 * (lo[todo] + hi[todo])
+        inside = body.values(origins[todo] + mid[:, None] * dirs[todo]) < 0
+        lo[todo] = np.where(inside, mid, lo[todo])
+        hi[todo] = np.where(inside, hi[todo], mid)
+        todo = todo[hi[todo] - lo[todo] >= 1e-14 * np.maximum(1.0, hi[todo])]
+        if not todo.size:
+            break
+    t = 0.5 * (lo + hi)
+    for _ in range(2):
+        X = origins + t[:, None] * dirs
+        slope = _rowdot(body.gradients(X), dirs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(slope != 0, t - body.values(X) / slope, t)
+    return t
 
 
 def _radial_boundary_point(body: ConvexBody, direction) -> np.ndarray:
@@ -306,6 +451,17 @@ def _any_unit_orthogonal(v: np.ndarray) -> np.ndarray:
     e[int(np.argmin(np.abs(v)))] = 1.0
     t = np.cross(v, e)
     return t / np.linalg.norm(t)
+
+
+def _unit_orthogonals(V: np.ndarray) -> np.ndarray:
+    """_any_unit_orthogonal of every row of V."""
+    T = np.cross(V, np.eye(3)[np.argmin(np.abs(V), axis=1)])
+    return T / np.linalg.norm(T, axis=1, keepdims=True)
+
+
+def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis (broadcast), rounded like a @ b."""
+    return (A[..., None, :] @ B[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -350,12 +506,17 @@ class BodyChart:
             lo /= 2.0
         else:
             raise RootNotFound("cannot bracket the chord intersection")
-        while hi - lo > 1e-14 * max(1.0, hi):
+        for _ in range(CHART_BISECTION_ITERATIONS):
+            if not hi - lo > 1e-14 * max(1.0, hi):
+                break
             mid = 0.5 * (lo + hi)
             if g(mid) < 0:
                 lo = mid
             else:
                 hi = mid
+        else:
+            raise RootNotFound("chord bisection did not converge in %d steps"
+                               % CHART_BISECTION_ITERATIONS)
         t = 0.5 * (lo + hi)
         for _ in range(2):
             q = point(t)

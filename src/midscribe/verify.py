@@ -4,7 +4,19 @@ Everything here recomputes geometry from the face planes alone: edge lines
 come from plane intersections, tangency is re-established by minimizing the
 gauge along each full line, and the two disk packings are traced on the body
 surface by root finding. Solver residuals are never consulted, so a
-configuration that merely claims convergence does not pass.
+configuration that merely claims convergence does not pass; the verifier
+shares only the gauge API with the solver.
+
+Line tangency is checked one edge at a time with the scalar gauge methods.
+The disk packings are traced in batches through the (m, 3) gauge API, one
+disk at a time: all boundary samples of a disk are solved together (face
+disks by rays in the face plane, visibility disks by a bisection for the
+horizon over all arcs of the disk at once), the margins of every disk on a
+disk's samples form one array that serves both the coarse contact search
+and the non-degeneracy count, and the golden-section refinement of all
+disk pairs that need it runs in lockstep, one batched boundary solve per
+step. The point-at-a-time tracer this replaced is the reference for tests
+in tests/kdisk_oracle.py.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import (BodyChart, BodyPath, ConvexBody, _any_unit_orthogonal,
-                     _radial_boundary_point, chart_inverse)
+                     _rowdot, chart_inverse, ray_roots)
 from .combinatorics import Frame, PolyhedralComplex
 from .config import EPS_INFINITY, Configuration
 from .errors import DegenerateConfiguration, NotMidscribed, SolverError
@@ -26,6 +38,11 @@ SIDE_TOL = 1e-9
 CONTACT_TOL = 1e-7
 CONTACT_POSITION_TOL = 1e-4
 N_BOUNDARY_SAMPLES = 256
+KDISK_STAGE = "K-disk extraction"
+HORIZON_SCAN = 96
+HORIZON_EXPANSIONS = 30
+HORIZON_BISECTIONS = 55
+GOLDEN_ITERATIONS = 30
 
 
 @dataclass
@@ -251,170 +268,223 @@ def check_convexity(cfg: Configuration, P: PolyhedralComplex,
 
 
 # ---------------------------------------------------------------------------
-# boundary tracing helpers
-
-def _radial_root(body: ConvexBody, dirn: np.ndarray, t0: float) -> float:
-    """Radius where the ray t*dirn crosses the boundary, warm-started at t0."""
-    t = t0 if t0 > 0 and math.isfinite(t0) else 1.0
-    for _ in range(60):
-        val = body.value(t * dirn)
-        sl = float(body.gradient(t * dirn) @ dirn)
-        if sl <= 0:
-            break
-        step = val / sl
-        t_new = t - step
-        if t_new <= 0:
-            break
-        if abs(step) < 1e-15 * t:
-            return t_new
-        t = t_new
-    else:
-        return t
-    return float(np.linalg.norm(_radial_boundary_point(body, dirn)))
-
-
-def _face_circle_point(body, c0, a, b, theta, warm):
-    w = math.cos(theta) * a + math.sin(theta) * b
-
-    def val(r):
-        return body.value(c0 + r * w)
-
-    r = warm if warm and warm > 0 else 1.0
-    for _ in range(60):
-        v = val(r)
-        sl = float(body.gradient(c0 + r * w) @ w)
-        if sl <= 0:
-            break
-        step = v / sl
-        r_new = r - step
-        if r_new <= 0:
-            break
-        if abs(step) < 1e-15 * r:
-            return c0 + r_new * w, r_new
-        r = r_new
-    hi = 1.0
-    for _ in range(80):
-        if val(hi) > 0:
-            break
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if val(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    r = 0.5 * (lo + hi)
-    for _ in range(3):
-        sl = float(body.gradient(c0 + r * w) @ w)
-        if sl > 0:
-            r -= val(r) / sl
-    return c0 + r * w, r
-
-
-def _golden_max(fun, lo, hi, iters=40):
-    """Golden-section maximizer on [lo, hi]; returns (argmax, max)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    t = 0.5 * (a + b)
-    return t, fun(t)
-
-
-# ---------------------------------------------------------------------------
 # K-disk packings
 
-def _face_disk(body, cfg, P, f, n_samples, theta0):
-    n = cfg.normals[f] / np.linalg.norm(cfg.normals[f])
-    d = float(cfg.offsets[f])
-    pts = cfg.tangents[list(P.boundary_edges(f))]
-    c0 = pts.mean(axis=0)
-    c0 = c0 - (float(n @ c0) - d) * n
-    if body.value(c0) >= 0:
-        raise DegenerateConfiguration(
-            "face %d tangent centroid is not interior to the body" % f)
-    a = _any_unit_orthogonal(n)
-    b = np.cross(n, a)
-    samples = np.empty((n_samples, 3))
-    warm = None
-    for k in range(n_samples):
-        theta = theta0 + 2.0 * math.pi * k / n_samples
-        samples[k], warm = _face_circle_point(body, c0, a, b, theta, warm)
-    disk = KDisk(kind="face", owner=f, boundary_samples=samples,
-                 plane=(n, d))
-    return disk, (c0, a, b)
+def _degenerate(kind: str, owner: int, what: str) -> DegenerateConfiguration:
+    return DegenerateConfiguration("%s: %s %d %s" % (KDISK_STAGE, kind, owner,
+                                                     what))
 
 
-def _horizon_gap(body, gfun, w_dir, m_dir, warm):
-    """Root of the visibility function along the arc from w_dir to -w_dir."""
+def _circle(a, b, theta) -> np.ndarray:
+    """Rows cos(theta) a + sin(theta) b; a, b are one vector or one per row."""
+    return np.cos(theta)[:, None] * a + np.sin(theta)[:, None] * b
 
-    def at(alpha):
-        dirn = math.cos(alpha) * w_dir + math.sin(alpha) * m_dir
-        t = _radial_root(body, dirn, at.warm)
-        at.warm = t
-        return gfun(t * dirn), t * dirn
 
-    at.warm = 1.0
-    if warm is None:
-        grid = np.linspace(1e-3, math.pi - 1e-3, 96)
-        prev_alpha, prev_val = grid[0], at(grid[0])[0]
-        lo = hi = None
-        for alpha in grid[1:]:
-            val = at(alpha)[0]
-            if prev_val > 0 >= val:
-                lo, hi = prev_alpha, alpha
+def _visibility(apex, c, X, grads) -> np.ndarray:
+    """Row-wise (apex - c X) . grad F(X): positive where X is visible.
+
+    c is 1 for a finite vertex at apex and 0 for a vertex at infinity in
+    direction apex, whose visible region is where the outward normal has a
+    positive component along apex.
+    """
+    return _rowdot(apex - c[..., None] * X, grads)
+
+
+class _FaceDisks:
+    """The regions the face planes cut from the body.
+
+    Face f's disk lies in its plane around c0, the projection of the mean of
+    its edges' tangent points; its boundary is traced by rays from c0 in the
+    plane, direction cos(theta) a + sin(theta) b.
+    """
+
+    kind = "face"
+
+    def __init__(self, body, cfg, P, theta):
+        self.body = body
+        self.theta0 = theta[0]
+        self.normals = np.array([n / np.linalg.norm(n) for n in cfg.normals])
+        self.offsets = np.asarray(cfg.offsets, dtype=float)
+        self.c0 = np.empty((P.n_faces, 3))
+        for f, n in enumerate(self.normals):
+            c0 = cfg.tangents[list(P.boundary_edges(f))].mean(axis=0)
+            self.c0[f] = c0 - (float(n @ c0) - self.offsets[f]) * n
+            if body.value(self.c0[f]) >= 0:
+                raise _degenerate(self.kind, f, "tangent centroid is not "
+                                  "interior to the body")
+        self.a = np.array([_any_unit_orthogonal(n) for n in self.normals])
+        self.b = np.cross(self.normals, self.a)
+        self.disks = [KDisk(kind=self.kind, owner=f,
+                            boundary_samples=self._points(f, theta),
+                            plane=(self.normals[f], float(self.offsets[f])))
+                      for f in range(P.n_faces)]
+
+    def _points(self, i, theta):
+        w = _circle(self.a[i], self.b[i], theta)
+        return self.c0[i] + ray_roots(self.body, self.c0[i], w)[:, None] * w
+
+    def margins(self, X) -> np.ndarray:
+        """Signed distance of every point to every face plane, (F, m)."""
+        return _rowdot(self.normals[:, None, :], X[None]) - self.offsets[:, None]
+
+    def pair_margins(self, j, X) -> np.ndarray:
+        return _rowdot(self.normals[j], X) - self.offsets[j]
+
+    def boundary_solver(self, i):
+        """Boundary points of disks i at parameters t (angles from theta0)."""
+        return lambda t: self._points(i, self.theta0 + t)
+
+
+class _VertexDisks:
+    """The regions of the body boundary visible from each vertex.
+
+    Vertex v's disk is traced on great-circle arcs from w, the direction of
+    the vertex, towards -w: the boundary point over cos(alpha) w +
+    sin(alpha) m, m = cos(psi) a + sin(psi) b, crosses the visibility
+    horizon at one alpha, found by bisection.
+    """
+
+    kind = "vertex"
+
+    def __init__(self, body, cfg, P, theta):
+        self.body = body
+        self.theta0 = theta[0]
+        positions, finite = cfg.affine_vertices()
+        rows = [_vertex_visibility(cfg, P, v, positions, finite)
+                for v in range(P.n_vertices)]
+        for v, (apex, _, at_inf) in enumerate(rows):
+            if not at_inf and body.value(apex) <= 0:
+                raise _degenerate(self.kind, v, "is not exterior to the body")
+        self.apex = np.array([apex for apex, _, _ in rows])
+        self.c = np.array([0.0 if at_inf else 1.0 for _, _, at_inf in rows])
+        self.w = np.array([w for _, w, _ in rows])
+        self.a = np.array([_any_unit_orthogonal(w) for w in self.w])
+        self.b = np.cross(self.w, self.a)
+        self.alphas = np.empty((P.n_vertices, len(theta)))
+        self.disks = [KDisk(kind=self.kind, owner=v,
+                            boundary_samples=self._trace(v, theta), apex=apex,
+                            at_infinity=at_inf)
+                      for v, (apex, _, at_inf) in enumerate(rows)]
+
+    def _arcs(self, i, m, t):
+        return _Arcs(self.body, i, self.apex[i], self.c[i], self.w[i], m, t)
+
+    def _trace(self, v, theta):
+        """All boundary samples of disk v: sample 0 bracketed by a scan of
+        its arc, the others around sample 0's horizon."""
+        m = _circle(self.a[v], self.b[v], theta)
+        grid = np.linspace(1e-3, math.pi - 1e-3, HORIZON_SCAN)
+        scan = self._arcs(np.full(HORIZON_SCAN, v),
+                          np.broadcast_to(m[0], (HORIZON_SCAN, 3)),
+                          np.ones(HORIZON_SCAN))
+        g = scan.g(np.arange(HORIZON_SCAN), grid)
+        crossing = np.flatnonzero((g[:-1] > 0) & (g[1:] <= 0))
+        if not crossing.size:
+            raise _degenerate(self.kind, v, "has no visibility horizon "
+                              "crossing")
+        k = crossing[0]
+        first = self._arcs(np.full(1, v), m[:1], scan.t[k:k + 1].copy())
+        alpha0, X0 = first.solve(grid[k:k + 1], grid[k + 1:k + 2])
+        rest = self._arcs(np.full(len(m) - 1, v), m[1:],
+                          np.full(len(m) - 1, first.t[0]))
+        alpha, X = rest.solve(*rest.bracket(np.full(len(m) - 1, alpha0[0])))
+        self.alphas[v] = np.concatenate([alpha0, alpha])
+        return np.vstack([X0, X])
+
+    def margins(self, X) -> np.ndarray:
+        """Visibility of every point from every vertex, (V, m)."""
+        return _visibility(self.apex[:, None, :], self.c[:, None], X[None],
+                           self.body.gradients(X)[None])
+
+    def pair_margins(self, j, X) -> np.ndarray:
+        return _visibility(self.apex[j], self.c[j], X, self.body.gradients(X))
+
+    def boundary_solver(self, i):
+        """Horizon points of disks i at parameters t (angles from theta0),
+        bracketed around the horizons of their samples nearest t."""
+        t_warm = np.ones(len(i))
+        n_samples = self.alphas.shape[1]
+
+        def points(t):
+            arcs = self._arcs(i, _circle(self.a[i], self.b[i],
+                                         self.theta0 + t), t_warm)
+            near = np.rint(t / (2.0 * math.pi) * n_samples).astype(int)
+            return arcs.solve(*arcs.bracket(self.alphas[i, near % n_samples]))[1]
+        return points
+
+
+class _Arcs:
+    """Visibility arcs, one per row: the boundary point over cos(alpha) w +
+    sin(alpha) m and the sign of its owner vertex's visibility function.
+
+    t holds each row's last ray parameter, the warm start of its next ray;
+    it is updated in place.
+    """
+
+    def __init__(self, body, owners, apex, c, w, m, t):
+        self.body, self.owners = body, owners
+        self.apex, self.c, self.w, self.m, self.t = apex, c, w, m, t
+
+    def points(self, rows, alpha):
+        dirs = _circle(self.w[rows], self.m[rows], alpha)
+        self.t[rows] = ray_roots(self.body, np.zeros(3), dirs, self.t[rows])
+        return self.t[rows, None] * dirs
+
+    def g(self, rows, alpha):
+        X = self.points(rows, alpha)
+        return _visibility(self.apex[rows], self.c[rows], X,
+                           self.body.gradients(X))
+
+    def bracket(self, warm):
+        """[warm - 0.15, warm + 0.15], each end pushed outward with a
+        doubling step until g > 0 at lo and g <= 0 at hi."""
+        ends = []
+        for sign in (-1.0, 1.0):
+            step = np.full(len(warm), 0.15)
+            edge = np.clip(warm + sign * step, 1e-9, math.pi - 1e-9)
+            todo = np.arange(len(warm))
+            for _ in range(HORIZON_EXPANSIONS):
+                visible = self.g(todo, edge[todo]) > 0
+                todo = todo[visible != (sign < 0)]
+                if not todo.size:
+                    break
+                edge[todo] = np.clip(edge[todo] + sign * step[todo], 1e-9,
+                                     math.pi - 1e-9)
+                step[todo] *= 2.0
+            else:
+                raise _degenerate("vertex", int(self.owners[todo[0]]),
+                                  "has no horizon bracket after %d "
+                                  "expansions" % HORIZON_EXPANSIONS)
+            ends.append(edge)
+        return ends
+
+    def solve(self, lo, hi):
+        """Bisect every bracket down to adjacent floats (at most
+        HORIZON_BISECTIONS halvings); returns (alpha, horizon points)."""
+        lo, hi = lo.copy(), hi.copy()
+        todo = np.arange(len(lo))
+        for _ in range(HORIZON_BISECTIONS):
+            mid = 0.5 * (lo[todo] + hi[todo])
+            split = (mid != lo[todo]) & (mid != hi[todo])
+            todo, mid = todo[split], mid[split]
+            if not todo.size:
                 break
-            prev_alpha, prev_val = alpha, val
-        if lo is None:
-            raise DegenerateConfiguration("no visibility horizon crossing")
-    else:
-        step = 0.15
-        lo = max(warm - step, 1e-9)
-        hi = min(warm + step, math.pi - 1e-9)
-        for _ in range(30):
-            if at(lo)[0] > 0:
-                break
-            lo = max(lo - step, 1e-9)
-            step *= 2.0
-        step = 0.15
-        for _ in range(30):
-            if at(hi)[0] <= 0:
-                break
-            hi = min(hi + step, math.pi - 1e-9)
-            step *= 2.0
-    for _ in range(55):
-        mid = 0.5 * (lo + hi)
-        if at(mid)[0] > 0:
-            lo = mid
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
-    return alpha, at(alpha)[1]
+            visible = self.g(todo, mid) > 0
+            lo[todo] = np.where(visible, mid, lo[todo])
+            hi[todo] = np.where(visible, hi[todo], mid)
+        alpha = 0.5 * (lo + hi)
+        return alpha, self.points(np.arange(len(alpha)), alpha)
 
 
 def _vertex_visibility(cfg, P, v, positions, finite):
-    """Visibility function, reference direction and apex data for vertex v."""
+    """Apex, arc axis w and at-infinity flag of vertex v.
+
+    A vertex at infinity is given by its direction u, oriented along one of
+    its edges (from the finite neighbour towards the tangent point).
+    """
     if finite[v]:
         x = positions[v]
-
-        def gfun_factory(body):
-            def g(p):
-                return float((x - p) @ body.gradient(p))
-            return g
-
-        w_dir = x / np.linalg.norm(x)
-        return gfun_factory, x, w_dir, False
+        return x, x / np.linalg.norm(x), False
     v4 = cfg.vertices4[v] / np.linalg.norm(cfg.vertices4[v])
     u = v4[1:] / np.linalg.norm(v4[1:])
     sign = 0.0
@@ -426,87 +496,86 @@ def _vertex_visibility(cfg, P, v, positions, finite):
             break
     if sign == 0.0:
         sign = 1.0
-    u = sign * u
-
-    def gfun_factory(body):
-        def g(p):
-            return float(u @ body.gradient(p))
-        return g
-
-    return gfun_factory, u, u, True
+    return sign * u, sign * u, True
 
 
-def _vertex_disk(body, cfg, P, v, positions, finite, n_samples, psi0):
-    gfun_factory, apex, w_dir, at_inf = _vertex_visibility(cfg, P, v,
-                                                           positions, finite)
-    if not at_inf and body.value(apex) <= 0:
-        raise DegenerateConfiguration("vertex %d is not exterior to the body" % v)
-    gfun = gfun_factory(body)
-    a = _any_unit_orthogonal(w_dir)
-    b = np.cross(w_dir, a)
-    samples = np.empty((n_samples, 3))
-    alphas = np.empty(n_samples)
-    warm = None
-    for k in range(n_samples):
-        psi = psi0 + 2.0 * math.pi * k / n_samples
-        m_dir = math.cos(psi) * a + math.sin(psi) * b
-        warm, samples[k] = _horizon_gap(body, gfun, w_dir, m_dir, warm)
-        alphas[k] = warm
-    disk = KDisk(kind="vertex", owner=v, boundary_samples=samples,
-                 apex=apex, at_infinity=at_inf)
-    return disk, (gfun, w_dir, a, b, alphas)
+def _golden_max(fun, lo, hi, iters=GOLDEN_ITERATIONS):
+    """Golden-section maximizers on the intervals [lo, hi], in lockstep.
+
+    fun maps an array of parameters to (values, points); returns fun at the
+    midpoints of the final brackets.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo.copy(), hi.copy()
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fun(c)[0], fun(d)[0]
+    for _ in range(iters):
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fx = fun(x)[0]
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    return fun(0.5 * (a + b))
 
 
-def _pair_contacts(disks, aux, margin_of, boundary_point_at, adjacency):
+def _trace_packing(family, adjacency) -> DiskPacking:
     """Check every disk pair: touch at p_e when adjacent, stay clear otherwise.
 
-    margin_of(j, x) is the signed membership function of disk j (>= 0 inside
-    its closure); boundary_point_at(i, t, aux_i) maps a boundary parameter of
-    disk i to a surface point. Margins are maximized along disk i's boundary
-    curve, coarsely over the precomputed samples and then by golden section;
-    pairs whose coarse maximum is already far below contact are not refined.
+    adjacency maps each adjacent owner pair (low, high) to its contact point
+    p_e. family.margins(X) is the signed membership of every disk at the
+    points X (>= 0 inside its closure). Per disk i it is evaluated once on
+    i's samples; that array gives the coarse maximum of every other disk's
+    margin along i's boundary, and the non-degeneracy count (no sample may
+    lie within tolerance of three disk closures). Pairs whose coarse maximum
+    is far below contact are not refined; the others are refined together
+    by golden section around their best sample, one boundary solve per step.
     """
-    n = len(disks)
-    n_samples = len(disks[0].boundary_samples)
-    spacing = 2.0 * math.pi / n_samples
-    max_gap = 0.0
-    worst_pos = 0.0
+    disks = family.disks
+    spacing = 2.0 * math.pi / len(disks[0].boundary_samples)
+    nondegenerate = True
     max_foreign = -math.inf
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            if i == j:
+    pairs, contacts = [], []
+    for i, disk in enumerate(disks):
+        M = family.margins(disk.boundary_samples)
+        M[i] = -math.inf
+        if np.any(np.count_nonzero(M >= -CONTACT_TOL, axis=0) >= 2):
+            nondegenerate = False
+        best = np.argmax(M, axis=1)
+        for j, other in enumerate(disks):
+            if j == i:
                 continue
-            vals = np.array([margin_of(j, p)
-                             for p in disks[i].boundary_samples])
-            k = int(np.argmax(vals))
-            center = spacing * k
-            key = (min(disks[i].owner, disks[j].owner),
-                   max(disks[i].owner, disks[j].owner))
-            adjacent = key in adjacency
-            if not adjacent and vals[k] < -1e-2:
-                max_foreign = max(max_foreign, float(vals[k]))
-                continue
-
-            def fun(t):
-                return margin_of(j, boundary_point_at(i, t, aux[i]))
-
-            t_best, m_best = _golden_max(fun, center - spacing,
-                                         center + spacing, iters=30)
-            x_best = boundary_point_at(i, t_best, aux[i])
-            if adjacent:
-                p_e = adjacency[key]
-                gap = abs(m_best)
-                pos_err = float(np.linalg.norm(x_best - p_e))
-                max_gap = max(max_gap, gap)
-                worst_pos = max(worst_pos, pos_err)
-                if gap > CONTACT_TOL or pos_err > CONTACT_POSITION_TOL:
-                    ok = False
+            p_e = adjacency.get((min(disk.owner, other.owner),
+                                 max(disk.owner, other.owner)))
+            if p_e is None and M[j, best[j]] < -1e-2:
+                max_foreign = max(max_foreign, float(M[j, best[j]]))
             else:
-                max_foreign = max(max_foreign, m_best)
-                if not m_best < -CONTACT_TOL:
-                    ok = False
-    return ok, max_gap, worst_pos, max_foreign
+                pairs.append((i, j, best[j]))
+                contacts.append(p_e)
+    i, j, k = np.array(pairs, dtype=int).reshape(-1, 3).T
+    points = family.boundary_solver(i)
+
+    def fun(t):
+        X = points(t)
+        return family.pair_margins(j, X), X
+
+    m_best, x_best = _golden_max(fun, spacing * k - spacing,
+                                 spacing * k + spacing)
+    adjacent = np.array([p_e is not None for p_e in contacts], dtype=bool)
+    p_e = np.array([p for p in contacts if p is not None]).reshape(-1, 3)
+    gap = np.abs(m_best[adjacent])
+    pos_err = np.linalg.norm(x_best[adjacent] - p_e, axis=1)
+    foreign = m_best[~adjacent]
+    max_foreign = max(max_foreign, float(foreign.max(initial=-math.inf)))
+    ok = bool(np.all(gap <= CONTACT_TOL)
+              and np.all(pos_err <= CONTACT_POSITION_TOL)
+              and np.all(foreign < -CONTACT_TOL))
+    return DiskPacking(disks=disks, contacts_ok=ok,
+                       nondegenerate=nondegenerate,
+                       max_adjacent_gap=float(gap.max(initial=0.0)),
+                       worst_position_error=float(pos_err.max(initial=0.0)),
+                       max_foreign_margin=max_foreign)
 
 
 def extract_kdisk_packings(cfg: Configuration, body: ConvexBody,
@@ -518,7 +587,8 @@ def extract_kdisk_packings(cfg: Configuration, body: ConvexBody,
     contact graph of the face disks must equal face adjacency (the dual
     graph) and that of the visibility disks must equal the edge graph, with
     every contact at the claimed tangent point. Raises NotMidscribed when the
-    configuration fails the midscription precondition.
+    configuration fails the midscription precondition, and
+    DegenerateConfiguration naming the disk when one cannot be traced.
     """
     pre = check_midscription(cfg, body, P, tol=CONTACT_TOL)
     if not pre.midscribed:
@@ -526,82 +596,19 @@ def extract_kdisk_packings(cfg: Configuration, body: ConvexBody,
             "verification precondition failed: tangency %.3e, incidence %.3e"
             % (pre.max_tangency_residual, pre.max_incidence_residual))
 
-    theta0 = 2.0 * math.pi * 0.61803398874989485
-
-    face_disks, face_aux = [], []
-    for f in range(P.n_faces):
-        disk, ax = _face_disk(body, cfg, P, f, n_samples, theta0)
-        face_disks.append(disk)
-        face_aux.append(ax)
-
-    face_adj = {}
-    vert_adj = {}
+    theta = (2.0 * math.pi * 0.61803398874989485
+             + 2.0 * math.pi * np.arange(n_samples) / n_samples)
+    face_adj, vert_adj = {}, {}
     for e in range(P.n_edges):
         f, g = P.faces_of_edge(e)
         face_adj[(min(f, g), max(f, g))] = cfg.tangents[e]
         v, w = P.edge_vertices(e)
         vert_adj[(min(v, w), max(v, w))] = cfg.tangents[e]
-
-    def face_margin(j, x):
-        n, d = face_disks[j].plane
-        return float(n @ x - d)
-
-    def face_point(i, t, ax):
-        c0, a, b = ax
-        return _face_circle_point(body, c0, a, b, theta0 + t, None)[0]
-
-    f_ok, f_gap, f_pos, f_foreign = _pair_contacts(
-        face_disks, face_aux, face_margin, face_point, face_adj)
-
-    positions, finite = cfg.affine_vertices()
-    vertex_disks, vertex_aux = [], []
-    for v in range(P.n_vertices):
-        disk, ax = _vertex_disk(body, cfg, P, v, positions, finite,
-                                n_samples, theta0)
-        vertex_disks.append(disk)
-        vertex_aux.append(ax)
-
-    def vertex_margin(j, point):
-        gfun = vertex_aux[j][0]
-        return gfun(np.asarray(point))
-
-    def vertex_point(i, t, ax):
-        gfun, w_dir, a, b, alphas = ax
-        m_dir = math.cos(theta0 + t) * a + math.sin(theta0 + t) * b
-        k = int(round(t / (2.0 * math.pi) * len(alphas))) % len(alphas)
-        return _horizon_gap(body, gfun, w_dir, m_dir, float(alphas[k]))[1]
-
-    v_ok, v_gap, v_pos, v_foreign = _pair_contacts(
-        vertex_disks, vertex_aux, vertex_margin, vertex_point, vert_adj)
-
-    f_nondeg = _nondegenerate(face_disks, face_margin)
-    v_nondeg = _nondegenerate(vertex_disks, vertex_margin)
-
-    face_packing = DiskPacking(disks=face_disks, contacts_ok=f_ok,
-                               nondegenerate=f_nondeg, max_adjacent_gap=f_gap,
-                               worst_position_error=f_pos,
-                               max_foreign_margin=f_foreign)
-    visibility_packing = DiskPacking(disks=vertex_disks, contacts_ok=v_ok,
-                                     nondegenerate=v_nondeg,
-                                     max_adjacent_gap=v_gap,
-                                     worst_position_error=v_pos,
-                                     max_foreign_margin=v_foreign)
+    face_packing = _trace_packing(_FaceDisks(body, cfg, P, theta), face_adj)
+    visibility_packing = _trace_packing(_VertexDisks(body, cfg, P, theta),
+                                        vert_adj)
     return face_packing, visibility_packing
 
-
-def _nondegenerate(disks, margin_of):
-    """No boundary sample may lie within tolerance of three disk closures."""
-    for i, disk in enumerate(disks):
-        for p in disk.boundary_samples:
-            near = 1
-            for j in range(len(disks)):
-                if j == i:
-                    continue
-                if margin_of(j, p) >= -CONTACT_TOL:
-                    near += 1
-                    if near >= 3:
-                        return False
-    return True
 
 
 def verify_configuration(cfg: Configuration, body: ConvexBody,

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midscribe.bodies import BodyChart, chart_inverse, make_body, make_path, validate_body
-from midscribe.errors import MalformedDescriptor, PoleViolation
+from midscribe import bodies
+from midscribe.bodies import (BodyChart, ConvexBody, chart_inverse, make_body,
+                              make_path, ray_roots, validate_body)
+from midscribe.errors import (MalformedDescriptor, NotStrictlyConvex,
+                              PoleViolation, RootNotFound)
 
 DESCRIPTORS = [
     "ball",
@@ -127,3 +130,90 @@ def test_chart_round_trip_all_bodies(descriptor):
 def test_chart_pole_maps_to_infinity():
     chart = BodyChart(make_body("ball"))
     assert np.isinf(abs(chart.forward(np.array([0.0, 0.0, 1.0]))))
+
+
+class ScalarOnly(ConvexBody):
+    """A body that defines only the scalar gauge methods."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def value(self, x):
+        return self.body.value(x)
+
+    def gradient(self, x):
+        return self.body.gradient(x)
+
+    def hessian(self, x):
+        return self.body.hessian(x)
+
+    @property
+    def descriptor(self):
+        return "scalar-only:" + self.body.descriptor
+
+
+BATCHED = ("values", "value"), ("gradients", "gradient"), ("hessians", "hessian")
+
+
+@pytest.mark.parametrize("body", bodies_under_test()
+                         + [ScalarOnly(make_body("ellipsoid:a=1.2,b=1.0"))],
+                         ids=lambda body: body.descriptor)
+def test_batched_gauges_match_scalar(body):
+    X = np.random.default_rng(11).uniform(-1.5, 1.5, size=(64, 3))
+    for batched, scalar in BATCHED:
+        got = getattr(body, batched)(X)
+        want = np.array([getattr(body, scalar)(x) for x in X])
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        assert getattr(body, batched)(np.empty((0, 3))).shape == (0,) + want.shape[1:]
+
+
+def test_scalar_only_body_validates_and_paths():
+    body = ScalarOnly(make_body("superellipsoid:p=4,a=1.1,b=0.9"))
+    validate_body(body, n_samples=50)
+    make_path(body)
+    dirs = np.array([[0.6, 0.0, 0.8], [0.0, -1.0, 0.0]])
+    t = ray_roots(body, np.zeros(3), dirs)
+    assert np.max(np.abs(body.values(t[:, None] * dirs))) < 1e-14
+
+
+class HalfSpace(ConvexBody):
+    """F = z - 1: through the pole with a horizontal tangent plane there,
+    but unbounded below."""
+
+    def value(self, x):
+        return float(x[2]) - 1.0
+
+    def gradient(self, x):
+        return np.array([0.0, 0.0, 1.0])
+
+    def hessian(self, x):
+        return np.zeros((3, 3))
+
+    @property
+    def descriptor(self):
+        return "half-space"
+
+
+def test_validate_body_rejects_unbounded_body():
+    with pytest.raises(NotStrictlyConvex, match="unbounded"):
+        validate_body(HalfSpace())
+
+
+class FlatBall(ScalarOnly):
+    """The ball's value and gradient with a vanishing hessian."""
+
+    def hessian(self, x):
+        return np.zeros((3, 3))
+
+
+def test_validate_body_rejects_flat_hessian():
+    with pytest.raises(NotStrictlyConvex, match="tangential hessian"):
+        validate_body(FlatBall(make_body("ball")))
+
+
+def test_chart_bisection_is_bounded(monkeypatch):
+    chart = BodyChart(make_body("ellipsoid:a=1.2,b=1.0"))
+    monkeypatch.setattr(bodies, "CHART_BISECTION_ITERATIONS", 5)
+    with pytest.raises(RootNotFound, match="did not converge in 5 steps"):
+        chart.inverse(0.3 - 0.7j)
