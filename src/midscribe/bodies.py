@@ -419,44 +419,11 @@ def _bisect_rays(body: ConvexBody, origins, dirs) -> np.ndarray:
     return t
 
 
-def _radial_boundary_point(body: ConvexBody, direction) -> np.ndarray:
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    hi = 1.0
-    for _ in range(80):
-        if body.value(hi * d) > 0:
-            break
-        hi *= 2.0
-    else:
-        raise NotStrictlyConvex("body appears unbounded along %s" % d)
-    lo = 0.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if body.value(mid * d) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * max(1.0, hi):
-            break
-    t = 0.5 * (lo + hi)
-    for _ in range(2):
-        df = body.gradient(t * d) @ d
-        if df != 0:
-            t -= body.value(t * d) / df
-    return t * d
-
-
-def _any_unit_orthogonal(v: np.ndarray) -> np.ndarray:
-    e = np.zeros(3)
-    e[int(np.argmin(np.abs(v)))] = 1.0
-    t = np.cross(v, e)
-    return t / np.linalg.norm(t)
-
-
 def _unit_orthogonals(V: np.ndarray) -> np.ndarray:
-    """_any_unit_orthogonal of every row of V."""
+    """A unit vector orthogonal to each row of V: the cross product with the
+    coordinate axis along which the row is smallest, normalized."""
     T = np.cross(V, np.eye(3)[np.argmin(np.abs(V), axis=1)])
-    return T / np.linalg.norm(T, axis=1, keepdims=True)
+    return T / np.sqrt(_rowdot(T, T))[:, None]
 
 
 def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -262,6 +262,16 @@ def cmd_sweep(args) -> int:
         raise MalformedSpec("grid box must be X0,X1,Y0,Y1, got %r"
                             % args.grid_box)
     n = args.grid
+    if n < 1:
+        raise MalformedSpec("grid must be a positive integer, got %d" % n)
+    workers = os.cpu_count() or 1
+    cap = os.environ.get("MIDSCRIBE_THREADS")
+    if cap:
+        try:
+            workers = max(1, min(workers, int(cap)))
+        except ValueError:
+            raise MalformedSpec("MIDSCRIBE_THREADS must be an integer, got %r"
+                                % cap)
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, n)
     tasks = []
@@ -270,10 +280,6 @@ def cmd_sweep(args) -> int:
             z3 = complex(xv, yv)
             tasks.append((P.faces, P.n_vertices, (frame.face, frame.edges),
                           args.body, z1, z2, z3, args.tol))
-    workers = os.cpu_count() or 1
-    cap = os.environ.get("MIDSCRIBE_THREADS")
-    if cap:
-        workers = max(1, min(workers, int(cap)))
     if workers == 1:
         rows = [_sweep_worker(t) for t in tasks]
     else:

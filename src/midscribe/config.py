@@ -66,7 +66,5 @@ class ContinuationOptions:
     ds_init: float = 0.1
     ds_min: float = 1e-4
     ds_max: float = 0.25
-    # audit the Jacobian spectrum at every accepted step (dense SVD)
-    check_transversality: bool = True
     min_tangent_separation: float = 1e-6
     min_face_circle_size: float = 1e-6

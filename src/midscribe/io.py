@@ -187,22 +187,22 @@ def write_sweep_csv(path: str, rows) -> None:
 def boundary_mesh(body, n: int = 48):
     """Triangulated boundary surface: (vertices, triangle faces).
 
-    Latitude-longitude sampling of the radial boundary map; deterministic
-    for a given n. Rings have 2n segments, plus pole fans.
+    Latitude-longitude sampling of the radial boundary map, every point
+    solved in one batched bisection along its ray from the origin;
+    deterministic for a given n. Rings have 2n segments, plus pole fans.
     """
-    from .bodies import _radial_boundary_point
+    from .bodies import _bisect_rays, _rowdot
 
     n_seg = 2 * n
-    verts = [_radial_boundary_point(body, np.array([0.0, 0.0, 1.0]))]
-    for i in range(1, n):
-        phi = math.pi * i / n
-        for j in range(n_seg):
-            lam = 2.0 * math.pi * j / n_seg
-            d = np.array([math.sin(phi) * math.cos(lam),
-                          math.sin(phi) * math.sin(lam),
-                          math.cos(phi)])
-            verts.append(_radial_boundary_point(body, d))
-    verts.append(_radial_boundary_point(body, np.array([0.0, 0.0, -1.0])))
+    phi = np.repeat(np.pi * np.arange(1, n) / n, n_seg)
+    lam = np.tile(2.0 * np.pi * np.arange(n_seg) / n_seg, n - 1)
+    dirs = np.vstack([[0.0, 0.0, 1.0],
+                      np.column_stack([np.sin(phi) * np.cos(lam),
+                                       np.sin(phi) * np.sin(lam),
+                                       np.cos(phi)]),
+                      [0.0, 0.0, -1.0]])
+    dirs /= np.sqrt(_rowdot(dirs, dirs))[:, None]
+    verts = _bisect_rays(body, np.zeros_like(dirs), dirs)[:, None] * dirs
 
     def ring(i, j):
         return 1 + (i - 1) * n_seg + (j % n_seg)
@@ -219,4 +219,4 @@ def boundary_mesh(body, n: int = 48):
     south = len(verts) - 1
     for j in range(n_seg):
         tris.append((south, ring(n - 1, j + 1), ring(n - 1, j)))
-    return np.array(verts), tris
+    return verts, tris

@@ -7,19 +7,24 @@ membership plus normal-orthogonality for every edge tangent point, and unit
 vertex 4-vectors. The three marked tangent points are substituted as
 constants, which removes 9 unknowns and 3 boundary equations and makes the
 system exactly square.
+
+Which row and column each of these occupies depends on (P, frame) alone, so
+ConstraintSystem builds that index layout once and evaluates the residual
+and Jacobian as array expressions over it, with one batched gauge call per
+quantity. A continuation builds one system and swaps the body and the
+marked points in at every step.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.spatial.distance import pdist
 
 from . import packing
-from .bodies import BodyChart, BodyPath, ConvexBody
+from .bodies import BodyChart, BodyPath, ConvexBody, _rowdot
 from .combinatorics import Frame, PolyhedralComplex
 from .config import Configuration, ContinuationOptions, SolveReport
 from .errors import (
@@ -33,9 +38,31 @@ from .errors import (
     StepUnderflow,
 )
 
+# The rows of one edge, in row order; "gauge" is left out on a marked edge,
+# whose tangent point is pinned on the body.
+EDGE_ROWS = ("plane_f", "plane_g", "gauge", "tangency")
+
 
 class ConstraintSystem:
-    """Square residual/Jacobian assembly for one (P, frame, marks, body)."""
+    """Square residual/Jacobian of the tangency system for one (P, frame).
+
+    __init__ builds the index layout from (P, frame) alone:
+
+    - unknowns x: [n_f, d_f] per face (4F), the 4-vector X_v per vertex
+      (4V), then the tangent point p_e of each free edge in edge order.
+      free masks the edges outside frame.edges; tangent_cols holds the
+      (n_free, 3) columns of their tangent points.
+    - rows: F face rows |n_f|^2 - 1; one row <n_f, X_v[1:]> - d_f X_v[0]
+      per flag (flag_v[k], flag_f[k]), vertex-major; per edge e, with faces
+      edge_faces[e] = (f, g), the EDGE_ROWS <n_f, p_e> - d_f,
+      <n_g, p_e> - d_g, F(p_e) and <grad F(p_e), n_f x n_g>, numbered by the
+      (E, 4) table edge_rows (-1 in the gauge slot of a marked edge); then
+      V rows |X_v|^2 - 1.
+    - the Jacobian's (row, col) pattern and its CSR order.
+
+    body and marked_points (three points, in frame edge order) are plain
+    attributes; assigning new ones keeps the layout.
+    """
 
     def __init__(self, P: PolyhedralComplex, frame: Frame, marked_points,
                  body: ConvexBody):
@@ -46,24 +73,59 @@ class ConstraintSystem:
         if self.marked_points.shape != (3, 3):
             raise DimensionMismatch("need three marked points, got shape %r"
                                     % (self.marked_points.shape,))
-        self.marked = {e: i for i, e in enumerate(frame.edges)}
 
         F, V, E = P.n_faces, P.n_vertices, P.n_edges
-        self.face_off = 0
         self.vert_off = 4 * F
-        self.edge_off = {}
-        off = 4 * F + 4 * V
-        for e in range(E):
-            if e not in self.marked:
-                self.edge_off[e] = off
-                off += 3
-        self.n_unknowns = off
+        self.free = np.ones(E, dtype=bool)
+        self.free[list(frame.edges)] = False
+        n_free = int(np.count_nonzero(self.free))
+        self.tangent_cols = (4 * F + 4 * V + 3 * np.arange(n_free)[:, None]
+                             + np.arange(3))
+        self.n_unknowns = 4 * F + 4 * V + 3 * n_free
 
-        self.flags = [(v, f) for v in range(V) for f in P.vertex_faces[v]]
-        n_rows = F + len(self.flags) + (4 * E - 3) + V
+        self.flag_v, self.flag_f = np.array(
+            [(v, f) for v in range(V) for f in P.vertex_faces[v]],
+            dtype=int).reshape(-1, 2).T
+        self.edge_faces = np.array([P.faces_of_edge(e) for e in range(E)],
+                                   dtype=int).reshape(E, 2)
+        has_row = np.ones((E, len(EDGE_ROWS)), dtype=bool)
+        has_row[:, EDGE_ROWS.index("gauge")] = self.free
+        self.edge_rows = np.where(has_row, F + len(self.flag_v) - 1
+                                  + np.cumsum(has_row).reshape(has_row.shape),
+                                  -1)
+        n_rows = F + len(self.flag_v) + int(np.count_nonzero(has_row)) + V
         if n_rows != self.n_unknowns:
             raise DimensionMismatch("system is not square: %d rows, %d unknowns"
                                     % (n_rows, self.n_unknowns))
+
+        blocks = [np.broadcast_arrays(r, c) for r, c in self._jacobian_pattern()]
+        rows = np.concatenate([r.ravel() for r, _ in blocks])
+        cols = np.concatenate([c.ravel() for _, c in blocks])
+        self._csr_order = np.lexsort((cols, rows))
+        self._csr_indices = cols[self._csr_order]
+        self._csr_indptr = np.searchsorted(rows[self._csr_order],
+                                           np.arange(self.n_unknowns + 1))
+
+    def _jacobian_pattern(self):
+        """(rows, cols) of each block of nonzeros, in the order jacobian()
+        lists the blocks' values; rows broadcast against cols."""
+        F, V = self.P.n_faces, self.P.n_vertices
+        ncols = 4 * np.arange(F)[:, None] + np.arange(3)
+        dcol = 4 * np.arange(F)[:, None] + 3
+        vcols = self.vert_off + 4 * np.arange(V)[:, None] + np.arange(4)
+        fv, ff = self.flag_v, self.flag_f
+        f, g = self.edge_faces.T
+        plane_f, plane_g, _, tangency = self.edge_rows.T[:, :, None]
+        return [
+            (np.arange(F)[:, None], ncols),
+            (F + np.arange(len(fv))[:, None],
+             np.hstack([ncols[ff], dcol[ff], vcols[fv]])),
+            (plane_f, np.hstack([ncols[f], dcol[f]])),
+            (plane_g, np.hstack([ncols[g], dcol[g]])),
+            (tangency, np.hstack([ncols[f], ncols[g]])),
+            (self.edge_rows[self.free][:, :, None], self.tangent_cols[:, None]),
+            (self.n_unknowns - V + np.arange(V)[:, None], vcols),
+        ]
 
     # -- packing between Configuration and the flat unknown vector ----------
 
@@ -74,153 +136,91 @@ class ConstraintSystem:
                 or cfg.tangents.shape != (P.n_edges, 3)):
             raise DimensionMismatch("configuration does not match the complex")
         x = np.empty(self.n_unknowns)
-        for f in range(P.n_faces):
-            x[4 * f:4 * f + 3] = cfg.normals[f]
-            x[4 * f + 3] = cfg.offsets[f]
-        for v in range(P.n_vertices):
-            x[self.vert_off + 4 * v:self.vert_off + 4 * v + 4] = cfg.vertices4[v]
-        for e, off in self.edge_off.items():
-            x[off:off + 3] = cfg.tangents[e]
+        N, D, X = self._views(x)
+        N[:], D[:], X[:] = cfg.normals, cfg.offsets, cfg.vertices4
+        x[self.tangent_cols] = cfg.tangents[self.free]
         return x
 
     def unpack(self, x: np.ndarray) -> Configuration:
-        P = self.P
-        F, V, E = P.n_faces, P.n_vertices, P.n_edges
-        normals = np.empty((F, 3))
-        offsets = np.empty(F)
-        for f in range(F):
-            normals[f] = x[4 * f:4 * f + 3]
-            offsets[f] = x[4 * f + 3]
-        vertices4 = x[self.vert_off:self.vert_off + 4 * V].reshape(V, 4).copy()
-        tangents = np.empty((E, 3))
-        for e in range(E):
-            if e in self.marked:
-                tangents[e] = self.marked_points[self.marked[e]]
-            else:
-                off = self.edge_off[e]
-                tangents[e] = x[off:off + 3]
-        return Configuration(normals=normals, offsets=offsets,
-                             vertices4=vertices4, tangents=tangents,
+        N, D, X = self._views(x)
+        return Configuration(normals=N.copy(), offsets=D.copy(),
+                             vertices4=X.copy(), tangents=self.tangents(x),
                              marked_edges=self.frame.edges,
                              marked_points=self.marked_points.copy())
 
     def renormalize(self, x: np.ndarray) -> np.ndarray:
         """Scale every vertex 4-vector block back to unit length."""
         x = x.copy()
-        for v in range(self.P.n_vertices):
-            blk = slice(self.vert_off + 4 * v, self.vert_off + 4 * v + 4)
-            x[blk] /= np.linalg.norm(x[blk])
+        X = self._views(x)[2]
+        X /= np.sqrt(_rowdot(X, X))[:, None]
         return x
 
-    # -- residual ------------------------------------------------------------
+    # -- residual and Jacobian -----------------------------------------------
 
     def _views(self, x):
         F, V = self.P.n_faces, self.P.n_vertices
-        N = x[:4 * F].reshape(F, 4)[:, :3]
-        D = x[:4 * F].reshape(F, 4)[:, 3]
+        faces = x[:self.vert_off].reshape(F, 4)
         X = x[self.vert_off:self.vert_off + 4 * V].reshape(V, 4)
-        return N, D, X
+        return faces[:, :3], faces[:, 3], X
 
-    def _tangent(self, x, e):
-        if e in self.marked:
-            return self.marked_points[self.marked[e]]
-        off = self.edge_off[e]
-        return x[off:off + 3]
+    def tangents(self, x: np.ndarray) -> np.ndarray:
+        """(E, 3) tangent points: free ones from x, marked ones pinned."""
+        T = np.empty((self.P.n_edges, 3))
+        T[self.free] = x[self.tangent_cols]
+        T[list(self.frame.edges)] = self.marked_points
+        return T
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        P, body = self.P, self.body
         N, D, X = self._views(x)
-        parts = [np.einsum("ij,ij->i", N, N) - 1.0]
-        flag_rows = np.array([N[f] @ X[v, 1:] - D[f] * X[v, 0]
-                              for v, f in self.flags])
-        parts.append(flag_rows)
-        edge_rows = []
-        for e in range(P.n_edges):
-            f, g = P.faces_of_edge(e)
-            p = self._tangent(x, e)
-            edge_rows.append(N[f] @ p - D[f])
-            edge_rows.append(N[g] @ p - D[g])
-            if e not in self.marked:
-                edge_rows.append(body.value(p))
-            u = np.cross(N[f], N[g])
-            edge_rows.append(body.gradient(p) @ u)
-        parts.append(np.array(edge_rows))
-        parts.append(np.einsum("ij,ij->i", X, X) - 1.0)
-        return np.concatenate(parts)
+        T = self.tangents(x)
+        fv, ff = self.flag_v, self.flag_f
+        f, g = self.edge_faces.T
+        gauge = np.zeros(len(T))
+        gauge[self.free] = self.body.values(T[self.free])
+        edge = np.column_stack([  # one column per EDGE_ROWS entry
+            _rowdot(N[f], T) - D[f],
+            _rowdot(N[g], T) - D[g],
+            gauge,
+            _rowdot(self.body.gradients(T), np.cross(N[f], N[g])),
+        ])
+        return np.concatenate([np.einsum("ij,ij->i", N, N) - 1.0,
+                               _rowdot(N[ff], X[fv, 1:]) - D[ff] * X[fv, 0],
+                               edge[self.edge_rows >= 0],
+                               np.einsum("ij,ij->i", X, X) - 1.0])
 
     def row_labels(self):
         labels = [("face_gauge", f) for f in range(self.P.n_faces)]
-        labels += [("flag", v, f) for v, f in self.flags]
-        for e in range(self.P.n_edges):
-            f, g = self.P.faces_of_edge(e)
-            labels.append(("edge_plane", e, f))
-            labels.append(("edge_plane", e, g))
-            if e not in self.marked:
-                labels.append(("edge_gauge", e))
-            labels.append(("edge_tangency", e))
+        labels += [("flag", v, f) for v, f in zip(self.flag_v.tolist(),
+                                                  self.flag_f.tolist())]
+        for e, (f, g) in enumerate(self.edge_faces.tolist()):
+            edge = (("edge_plane", e, f), ("edge_plane", e, g),
+                    ("edge_gauge", e), ("edge_tangency", e))
+            labels += [label for label, row in zip(edge, self.edge_rows[e])
+                       if row >= 0]
         labels += [("vertex_norm", v) for v in range(self.P.n_vertices)]
         return labels
 
-    # -- Jacobian ------------------------------------------------------------
-
     def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
-        P, body = self.P, self.body
         N, D, X = self._views(x)
-        rows, cols, vals = [], [], []
-
-        def put(r, c, vv):
-            for k, v in zip(c, vv):
-                rows.append(r)
-                cols.append(k)
-                vals.append(float(v))
-
-        def ncols(f):
-            return range(4 * f, 4 * f + 3)
-
-        def dcol(f):
-            return 4 * f + 3
-
-        def vcols(v):
-            return range(self.vert_off + 4 * v, self.vert_off + 4 * v + 4)
-
-        r = 0
-        for f in range(P.n_faces):
-            put(r, ncols(f), 2.0 * N[f])
-            r += 1
-        for v, f in self.flags:
-            put(r, ncols(f), X[v, 1:])
-            put(r, [dcol(f)], [-X[v, 0]])
-            put(r, vcols(v), [-D[f], N[f, 0], N[f, 1], N[f, 2]])
-            r += 1
-        for e in range(P.n_edges):
-            f, g = P.faces_of_edge(e)
-            p = self._tangent(x, e)
-            u = np.cross(N[f], N[g])
-            grad = body.gradient(p)
-            free = e not in self.marked
-            pcols = range(self.edge_off[e], self.edge_off[e] + 3) if free else None
-            put(r, ncols(f), p)
-            put(r, [dcol(f)], [-1.0])
-            if free:
-                put(r, pcols, N[f])
-            r += 1
-            put(r, ncols(g), p)
-            put(r, [dcol(g)], [-1.0])
-            if free:
-                put(r, pcols, N[g])
-            r += 1
-            if free:
-                put(r, pcols, grad)
-                r += 1
-            put(r, ncols(f), np.cross(N[g], grad))
-            put(r, ncols(g), np.cross(grad, N[f]))
-            if free:
-                put(r, pcols, body.hessian(p) @ u)
-            r += 1
-        for v in range(P.n_vertices):
-            put(r, vcols(v), 2.0 * X[v])
-            r += 1
-        return sp.csr_matrix((vals, (rows, cols)),
+        T = self.tangents(x)
+        free = self.free
+        fv, ff = self.flag_v, self.flag_f
+        f, g = self.edge_faces.T
+        G = self.body.gradients(T)
+        U = np.cross(N[f], N[g])
+        HU = (self.body.hessians(T[free]) @ U[free][:, :, None])[:, :, 0]
+        plane = np.hstack([T, np.full((len(T), 1), -1.0)])
+        values = [
+            2.0 * N,
+            np.hstack([X[fv, 1:], -X[fv, :1], -D[ff][:, None], N[ff]]),
+            plane,
+            plane,
+            np.hstack([np.cross(N[g], G), np.cross(G, N[f])]),
+            np.stack([N[f][free], N[g][free], G[free], HU], axis=1),
+            2.0 * X,
+        ]
+        data = np.concatenate([v.ravel() for v in values])[self._csr_order]
+        return sp.csr_matrix((data, self._csr_indices, self._csr_indptr),
                              shape=(self.n_unknowns, self.n_unknowns))
 
     def singular_values(self, x: np.ndarray) -> np.ndarray:
@@ -323,18 +323,13 @@ def _degeneracy_guard(system: ConstraintSystem, x: np.ndarray,
                       opts: ContinuationOptions, s: float):
     """Abort rather than accept collapsing tangencies or face circles."""
     P = system.P
-    T = np.array([system._tangent(x, e) for e in range(P.n_edges)])
-    dmin = math.inf
-    for i in range(len(T)):
-        for j in range(i + 1, len(T)):
-            dmin = min(dmin, float(np.linalg.norm(T[i] - T[j])))
+    T = system.tangents(x)
+    dmin = float(pdist(T).min())
     if dmin <= opts.min_tangent_separation:
         raise DegenerateConfiguration(
             "tangent points %.3e apart at s=%.6f" % (dmin, s))
     for f in range(P.n_faces):
-        pts = T[list(P.boundary_edges(f))]
-        size = max(float(np.linalg.norm(a - b))
-                   for i, a in enumerate(pts) for b in pts[i + 1:])
+        size = float(pdist(T[list(P.boundary_edges(f))]).max())
         if size <= opts.min_face_circle_size:
             raise DegenerateConfiguration(
                 "face %d circle of size %.3e at s=%.6f" % (f, size, s))
@@ -346,7 +341,10 @@ def continue_to_body(P: PolyhedralComplex, frame: Frame, marks_z,
 
     marks_z are three distinct chart coordinates; at every step s the pinned
     tangent points are the chart images on the blended body, so the marks
-    move continuously with s. Returns (Configuration, SolveReport).
+    move continuously with s. One ConstraintSystem serves the whole run; each
+    step swaps its body and marked points. Every accepted solution is audited
+    by a dense SVD of the Jacobian, whose worst condition number and final
+    rank deficiency go in the report. Returns (Configuration, SolveReport).
     """
     opts = opts or ContinuationOptions()
     z = tuple(complex(zi) for zi in marks_z)
@@ -369,8 +367,6 @@ def continue_to_body(P: PolyhedralComplex, frame: Frame, marks_z,
 
     def audit(system, x):
         nonlocal worst_cond, rank_def
-        if not opts.check_transversality:
-            return
         sv = system.singular_values(x)
         worst_cond = max(worst_cond, float(sv[0] / sv[-1]))
         rank_def = int(np.sum(sv < 1e-12 * sv[0]))
@@ -389,8 +385,8 @@ def continue_to_body(P: PolyhedralComplex, frame: Frame, marks_z,
     ds = opts.ds_init
     while s_prev < 1.0 - 1e-15:
         s_try = min(1.0, s_prev + ds)
-        body_s = path.eval(s_try)
-        system = ConstraintSystem(P, frame, marks_at(body_s), body_s)
+        system.body = path.eval(s_try)
+        system.marked_points = marks_at(system.body)
         if s_prev2 is not None and s_prev > s_prev2:
             w = (s_try - s_prev) / (s_prev - s_prev2)
             x0 = x_prev + w * (x_prev - x_prev2)

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import (BodyChart, BodyPath, ConvexBody, _any_unit_orthogonal,
-                     _rowdot, chart_inverse, ray_roots)
+from .bodies import (BodyChart, BodyPath, ConvexBody, _rowdot,
+                     _unit_orthogonals, chart_inverse, ray_roots)
 from .combinatorics import Frame, PolyhedralComplex
 from .config import EPS_INFINITY, Configuration
 from .errors import DegenerateConfiguration, NotMidscribed, SolverError
@@ -228,17 +228,17 @@ def check_midscription(cfg: Configuration, body: ConvexBody,
 # convexity
 
 def check_convexity(cfg: Configuration, P: PolyhedralComplex,
-                    tol_side: float = SIDE_TOL, eps_inf: float = EPS_INFINITY,
                     detailed: bool = False):
     """Classify as convex / nonconvex / projective-degenerate.
 
-    Convex means every vertex not on a face lies strictly on the inner side
-    of that face's plane (signed distance < -tol_side). With detailed=True
-    also returns {min_side_distance, marginal, worst_pair}; marginal flags
-    classifications within 10x tol_side of the convex/nonconvex boundary.
+    Projective-degenerate means some vertex has |x0| <= EPS_INFINITY. Convex
+    means every vertex not on a face lies strictly on the inner side of that
+    face's plane (signed distance < -SIDE_TOL). With detailed=True also
+    returns {min_side_distance, marginal, worst_pair}; marginal flags
+    classifications within 10x SIDE_TOL of the convex/nonconvex boundary.
     """
     v4 = cfg.vertices4 / np.linalg.norm(cfg.vertices4, axis=1, keepdims=True)
-    if np.any(np.abs(v4[:, 0]) <= eps_inf):
+    if np.any(np.abs(v4[:, 0]) <= EPS_INFINITY):
         info = {"min_side_distance": math.nan, "marginal": False,
                 "worst_pair": None}
         return ("projective-degenerate", info) if detailed else "projective-degenerate"
@@ -258,11 +258,11 @@ def check_convexity(cfg: Configuration, P: PolyhedralComplex,
             if margin < min_margin:
                 min_margin = margin
                 worst = (f, v)
-            if not s < -tol_side:
+            if not s < -SIDE_TOL:
                 ok = False
     cls = "convex" if ok else "nonconvex"
     info = {"min_side_distance": min_margin,
-            "marginal": abs(min_margin) <= 10.0 * tol_side,
+            "marginal": abs(min_margin) <= 10.0 * SIDE_TOL,
             "worst_pair": worst}
     return (cls, info) if detailed else cls
 
@@ -312,7 +312,7 @@ class _FaceDisks:
             if body.value(self.c0[f]) >= 0:
                 raise _degenerate(self.kind, f, "tangent centroid is not "
                                   "interior to the body")
-        self.a = np.array([_any_unit_orthogonal(n) for n in self.normals])
+        self.a = _unit_orthogonals(self.normals)
         self.b = np.cross(self.normals, self.a)
         self.disks = [KDisk(kind=self.kind, owner=f,
                             boundary_samples=self._points(f, theta),
@@ -358,7 +358,7 @@ class _VertexDisks:
         self.apex = np.array([apex for apex, _, _ in rows])
         self.c = np.array([0.0 if at_inf else 1.0 for _, _, at_inf in rows])
         self.w = np.array([w for _, w, _ in rows])
-        self.a = np.array([_any_unit_orthogonal(w) for w in self.w])
+        self.a = _unit_orthogonals(self.w)
         self.b = np.cross(self.w, self.a)
         self.alphas = np.empty((P.n_vertices, len(theta)))
         self.disks = [KDisk(kind=self.kind, owner=v,

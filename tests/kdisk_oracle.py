@@ -4,21 +4,57 @@ tested against.
 These are the boundary-tracing routines verify.py used before it traced
 whole disks at once: one boundary point per call, by scalar Newton with a
 bisection fallback, golden-section refinement one disk pair at a time and a
-loop over samples for the non-degeneracy count. They are kept unchanged
-apart from ``scalar_kdisk_packings``, which is the packing part of the old
-``extract_kdisk_packings`` (the midscription precondition is left to the
-caller).
+loop over samples for the non-degeneracy count. The scalar boundary point
+along a ray from the origin and the orthogonal of one vector, which
+``io.boundary_mesh`` and verify.py now compute in batches, are here too.
+They are kept unchanged apart from ``scalar_kdisk_packings``, which is the
+packing part of the old ``extract_kdisk_packings`` (the midscription
+precondition is left to the caller).
 """
 
 import math
 
 import numpy as np
 
-from midscribe.bodies import (ConvexBody, _any_unit_orthogonal,
-                              _radial_boundary_point)
-from midscribe.errors import DegenerateConfiguration
+from midscribe.bodies import ConvexBody
+from midscribe.errors import DegenerateConfiguration, NotStrictlyConvex
 from midscribe.verify import (CONTACT_POSITION_TOL, CONTACT_TOL,
                               N_BOUNDARY_SAMPLES, DiskPacking, KDisk)
+
+
+def _radial_boundary_point(body: ConvexBody, direction) -> np.ndarray:
+    d = np.asarray(direction, dtype=float)
+    d = d / np.linalg.norm(d)
+    hi = 1.0
+    for _ in range(80):
+        if body.value(hi * d) > 0:
+            break
+        hi *= 2.0
+    else:
+        raise NotStrictlyConvex("body appears unbounded along %s" % d)
+    lo = 0.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if body.value(mid * d) < 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-14 * max(1.0, hi):
+            break
+    t = 0.5 * (lo + hi)
+    for _ in range(2):
+        df = body.gradient(t * d) @ d
+        if df != 0:
+            t -= body.value(t * d) / df
+    return t * d
+
+
+def _any_unit_orthogonal(v: np.ndarray) -> np.ndarray:
+    e = np.zeros(3)
+    e[int(np.argmin(np.abs(v)))] = 1.0
+    t = np.cross(v, e)
+    return t / np.linalg.norm(t)
+
 
 def _radial_root(body: ConvexBody, dirn: np.ndarray, t0: float) -> float:
     """Radius where the ray t*dirn crosses the boundary, warm-started at t0."""

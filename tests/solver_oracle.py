@@ -1,0 +1,209 @@
+"""Per-entry reference for the tangency system of ``midscribe.solver``.
+
+This is the assembly the solver used before its index layout was built once
+per (P, frame): every residual row and Jacobian entry is produced one at a
+time, with scalar gauge calls per edge. Tests require the layout-based
+``ConstraintSystem`` to reproduce its residual, its CSR Jacobian, its row
+labels and its packing exactly.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from midscribe.bodies import ConvexBody
+from midscribe.combinatorics import Frame, PolyhedralComplex
+from midscribe.config import Configuration
+from midscribe.errors import DimensionMismatch
+
+
+class ConstraintSystem:
+    """Square residual/Jacobian assembly for one (P, frame, marks, body)."""
+
+    def __init__(self, P: PolyhedralComplex, frame: Frame, marked_points,
+                 body: ConvexBody):
+        self.P = P
+        self.frame = frame
+        self.body = body
+        self.marked_points = np.asarray(marked_points, dtype=float)
+        if self.marked_points.shape != (3, 3):
+            raise DimensionMismatch("need three marked points, got shape %r"
+                                    % (self.marked_points.shape,))
+        self.marked = {e: i for i, e in enumerate(frame.edges)}
+
+        F, V, E = P.n_faces, P.n_vertices, P.n_edges
+        self.face_off = 0
+        self.vert_off = 4 * F
+        self.edge_off = {}
+        off = 4 * F + 4 * V
+        for e in range(E):
+            if e not in self.marked:
+                self.edge_off[e] = off
+                off += 3
+        self.n_unknowns = off
+
+        self.flags = [(v, f) for v in range(V) for f in P.vertex_faces[v]]
+        n_rows = F + len(self.flags) + (4 * E - 3) + V
+        if n_rows != self.n_unknowns:
+            raise DimensionMismatch("system is not square: %d rows, %d unknowns"
+                                    % (n_rows, self.n_unknowns))
+
+    # -- packing between Configuration and the flat unknown vector ----------
+
+    def pack(self, cfg: Configuration) -> np.ndarray:
+        P = self.P
+        if (cfg.normals.shape != (P.n_faces, 3)
+                or cfg.vertices4.shape != (P.n_vertices, 4)
+                or cfg.tangents.shape != (P.n_edges, 3)):
+            raise DimensionMismatch("configuration does not match the complex")
+        x = np.empty(self.n_unknowns)
+        for f in range(P.n_faces):
+            x[4 * f:4 * f + 3] = cfg.normals[f]
+            x[4 * f + 3] = cfg.offsets[f]
+        for v in range(P.n_vertices):
+            x[self.vert_off + 4 * v:self.vert_off + 4 * v + 4] = cfg.vertices4[v]
+        for e, off in self.edge_off.items():
+            x[off:off + 3] = cfg.tangents[e]
+        return x
+
+    def unpack(self, x: np.ndarray) -> Configuration:
+        P = self.P
+        F, V, E = P.n_faces, P.n_vertices, P.n_edges
+        normals = np.empty((F, 3))
+        offsets = np.empty(F)
+        for f in range(F):
+            normals[f] = x[4 * f:4 * f + 3]
+            offsets[f] = x[4 * f + 3]
+        vertices4 = x[self.vert_off:self.vert_off + 4 * V].reshape(V, 4).copy()
+        tangents = np.empty((E, 3))
+        for e in range(E):
+            if e in self.marked:
+                tangents[e] = self.marked_points[self.marked[e]]
+            else:
+                off = self.edge_off[e]
+                tangents[e] = x[off:off + 3]
+        return Configuration(normals=normals, offsets=offsets,
+                             vertices4=vertices4, tangents=tangents,
+                             marked_edges=self.frame.edges,
+                             marked_points=self.marked_points.copy())
+
+    def renormalize(self, x: np.ndarray) -> np.ndarray:
+        """Scale every vertex 4-vector block back to unit length."""
+        x = x.copy()
+        for v in range(self.P.n_vertices):
+            blk = slice(self.vert_off + 4 * v, self.vert_off + 4 * v + 4)
+            x[blk] /= np.linalg.norm(x[blk])
+        return x
+
+    # -- residual ------------------------------------------------------------
+
+    def _views(self, x):
+        F, V = self.P.n_faces, self.P.n_vertices
+        N = x[:4 * F].reshape(F, 4)[:, :3]
+        D = x[:4 * F].reshape(F, 4)[:, 3]
+        X = x[self.vert_off:self.vert_off + 4 * V].reshape(V, 4)
+        return N, D, X
+
+    def _tangent(self, x, e):
+        if e in self.marked:
+            return self.marked_points[self.marked[e]]
+        off = self.edge_off[e]
+        return x[off:off + 3]
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        P, body = self.P, self.body
+        N, D, X = self._views(x)
+        parts = [np.einsum("ij,ij->i", N, N) - 1.0]
+        flag_rows = np.array([N[f] @ X[v, 1:] - D[f] * X[v, 0]
+                              for v, f in self.flags])
+        parts.append(flag_rows)
+        edge_rows = []
+        for e in range(P.n_edges):
+            f, g = P.faces_of_edge(e)
+            p = self._tangent(x, e)
+            edge_rows.append(N[f] @ p - D[f])
+            edge_rows.append(N[g] @ p - D[g])
+            if e not in self.marked:
+                edge_rows.append(body.value(p))
+            u = np.cross(N[f], N[g])
+            edge_rows.append(body.gradient(p) @ u)
+        parts.append(np.array(edge_rows))
+        parts.append(np.einsum("ij,ij->i", X, X) - 1.0)
+        return np.concatenate(parts)
+
+    def row_labels(self):
+        labels = [("face_gauge", f) for f in range(self.P.n_faces)]
+        labels += [("flag", v, f) for v, f in self.flags]
+        for e in range(self.P.n_edges):
+            f, g = self.P.faces_of_edge(e)
+            labels.append(("edge_plane", e, f))
+            labels.append(("edge_plane", e, g))
+            if e not in self.marked:
+                labels.append(("edge_gauge", e))
+            labels.append(("edge_tangency", e))
+        labels += [("vertex_norm", v) for v in range(self.P.n_vertices)]
+        return labels
+
+    # -- Jacobian ------------------------------------------------------------
+
+    def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
+        P, body = self.P, self.body
+        N, D, X = self._views(x)
+        rows, cols, vals = [], [], []
+
+        def put(r, c, vv):
+            for k, v in zip(c, vv):
+                rows.append(r)
+                cols.append(k)
+                vals.append(float(v))
+
+        def ncols(f):
+            return range(4 * f, 4 * f + 3)
+
+        def dcol(f):
+            return 4 * f + 3
+
+        def vcols(v):
+            return range(self.vert_off + 4 * v, self.vert_off + 4 * v + 4)
+
+        r = 0
+        for f in range(P.n_faces):
+            put(r, ncols(f), 2.0 * N[f])
+            r += 1
+        for v, f in self.flags:
+            put(r, ncols(f), X[v, 1:])
+            put(r, [dcol(f)], [-X[v, 0]])
+            put(r, vcols(v), [-D[f], N[f, 0], N[f, 1], N[f, 2]])
+            r += 1
+        for e in range(P.n_edges):
+            f, g = P.faces_of_edge(e)
+            p = self._tangent(x, e)
+            u = np.cross(N[f], N[g])
+            grad = body.gradient(p)
+            free = e not in self.marked
+            pcols = range(self.edge_off[e], self.edge_off[e] + 3) if free else None
+            put(r, ncols(f), p)
+            put(r, [dcol(f)], [-1.0])
+            if free:
+                put(r, pcols, N[f])
+            r += 1
+            put(r, ncols(g), p)
+            put(r, [dcol(g)], [-1.0])
+            if free:
+                put(r, pcols, N[g])
+            r += 1
+            if free:
+                put(r, pcols, grad)
+                r += 1
+            put(r, ncols(f), np.cross(N[g], grad))
+            put(r, ncols(g), np.cross(grad, N[f]))
+            if free:
+                put(r, pcols, body.hessian(p) @ u)
+            r += 1
+        for v in range(P.n_vertices):
+            put(r, vcols(v), 2.0 * X[v])
+            r += 1
+        return sp.csr_matrix((vals, (rows, cols)),
+                             shape=(self.n_unknowns, self.n_unknowns))
+
+    def singular_values(self, x: np.ndarray) -> np.ndarray:
+        return np.linalg.svd(self.jacobian(x).toarray(), compute_uv=False)

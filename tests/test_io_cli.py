@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kdisk_oracle
 from conftest import ball_solution, get_seed
 from midscribe.bodies import make_body
 from midscribe.cli import main, parse_frame_spec, parse_marks
@@ -110,6 +111,28 @@ def test_boundary_mesh_on_body():
     assert all(0 <= i < nv for f in faces for i in f)
 
 
+@pytest.mark.parametrize("desc", [
+    "ball", "ellipsoid:a=1.2,b=1.0", "ellipsoid:a=0.9,b=1.1",
+    "superellipsoid:p=4,a=1,b=1",
+])
+def test_boundary_mesh_matches_scalar_oracle(desc):
+    # the batched mesh equals the point-at-a-time radial solve bit for bit
+    body = make_body(desc)
+    n = 12
+    dirs = [(0.0, 0.0, 1.0)]
+    for i in range(1, n):
+        phi = math.pi * i / n
+        for j in range(2 * n):
+            lam = 2.0 * math.pi * j / (2 * n)
+            dirs.append((math.sin(phi) * math.cos(lam),
+                         math.sin(phi) * math.sin(lam), math.cos(phi)))
+    dirs.append((0.0, 0.0, -1.0))
+    expected = np.array([kdisk_oracle._radial_boundary_point(body, d)
+                         for d in dirs])
+    verts, _ = boundary_mesh(body, n=n)
+    assert np.array_equal(verts, expected)
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -191,6 +214,16 @@ def test_cli_input_errors(tmp_path):
     assert run_cli("pack", "--complex", "cube", "--frame", "junk") == 3
     assert run_cli("pack", "--complex", "cube", "--frame", "0:0,1,9",
                    "--out", str(tmp_path / "p.json")) == 3
+
+
+@pytest.mark.parametrize("grid, threads", [("-1", "1"), ("0", "1"),
+                                           ("2", "abc")])
+def test_cli_sweep_rejects_bad_sizes(tmp_path, monkeypatch, grid, threads):
+    monkeypatch.setenv("MIDSCRIBE_THREADS", threads)
+    out = tmp_path / "grid.csv"
+    assert run_cli("sweep", "--complex", "tetrahedron", "--grid", grid,
+                   "--out", str(out)) == 3
+    assert not out.exists()
 
 
 def test_cli_solver_failure_exit_code(monkeypatch, tmp_path):

@@ -10,7 +10,8 @@ from conftest import ball_solution, get_seed, witness_marks
 from midscribe import (continue_to_body, extract_kdisk_packings, koebe_config,
                        layout_circles, lift_normalize, solve_radii, verify,
                        verify_configuration)
-from midscribe.bodies import ConvexBody, make_body, make_path
+from midscribe.bodies import (ConvexBody, _unit_orthogonals, make_body,
+                              make_path)
 from midscribe.errors import DegenerateConfiguration
 from test_packing import GENERATED, complex_and_frame
 
@@ -53,6 +54,12 @@ def traced_pair(request):
         P, cfg, body = get_seed(name)[0], ball_solution(name), BALL
     return (extract_kdisk_packings(cfg, body, P),
             kdisk_oracle.scalar_kdisk_packings(cfg, body, P), tol)
+
+
+def test_unit_orthogonals_match_scalar_helper():
+    V = np.random.default_rng(3).normal(size=(2000, 3))
+    expected = np.array([kdisk_oracle._any_unit_orthogonal(v) for v in V])
+    assert np.array_equal(_unit_orthogonals(V), expected)
 
 
 def test_batched_tracer_matches_scalar_tracer(traced_pair):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import solver_oracle
 from conftest import ball_solution, closed_form_config, get_seed
 from midscribe import (
     ContinuationOptions,
@@ -20,6 +21,7 @@ from midscribe.errors import (
 )
 from midscribe.seeds import SEED_NAMES
 from midscribe.solver import ConstraintSystem
+from test_packing import complex_and_frame
 
 BODY_CYCLE = (
     "ball",
@@ -88,6 +90,54 @@ def test_jacobian_matches_finite_differences(name):
             fd[:, j] = (system.residual(xp) - system.residual(xm)) / (2 * h)
         scale = max(1.0, np.max(np.abs(fd)))
         assert np.max(np.abs(J - fd)) / scale < 1e-5
+
+
+ORACLE_BODIES = (
+    "ball",
+    "ellipsoid:a=1.2,b=1.0",
+    "ellipsoid:a=0.9,b=1.1",
+    "superellipsoid:p=4,a=1,b=1",
+    "blend",
+)
+
+
+def assert_same_system(system, oracle, x):
+    assert system.n_unknowns == oracle.n_unknowns
+    assert np.array_equal(system.residual(x), oracle.residual(x))
+    J, J_ref = system.jacobian(x), oracle.jacobian(x)
+    assert np.array_equal(J.indptr, J_ref.indptr)
+    assert np.array_equal(J.indices, J_ref.indices)
+    assert np.array_equal(J.data, J_ref.data)
+    assert system.row_labels() == oracle.row_labels()
+    cfg, cfg_ref = system.unpack(x), oracle.unpack(x)
+    for field in ("normals", "offsets", "vertices4", "tangents",
+                  "marked_points"):
+        assert np.array_equal(getattr(cfg, field), getattr(cfg_ref, field))
+    assert cfg.marked_edges == cfg_ref.marked_edges
+    assert np.array_equal(system.pack(cfg_ref), oracle.pack(cfg_ref))
+    assert np.array_equal(system.pack(cfg), x)
+    assert np.array_equal(system.renormalize(x), oracle.renormalize(x))
+
+
+@pytest.mark.parametrize("name", SEED_NAMES + ("hull12", "prism8"))
+def test_system_matches_per_entry_oracle(name):
+    # the layout-based system must reproduce the per-entry assembly exactly,
+    # also after a new body and new marks are swapped into a built system
+    P, frame = complex_and_frame(name)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    swapped = ConstraintSystem(P, frame, rng.normal(size=(3, 3)),
+                               make_body("ball"))
+    for desc in ORACLE_BODIES:
+        if desc == "blend":
+            body = make_path(make_body("ellipsoid:a=1.2,b=1.0")).eval(0.37)
+        else:
+            body = make_body(desc)
+        marks = rng.normal(size=(3, 3))
+        oracle = solver_oracle.ConstraintSystem(P, frame, marks, body)
+        swapped.body, swapped.marked_points = body, marks
+        x = rng.uniform(-1.0, 1.0, oracle.n_unknowns)
+        assert_same_system(ConstraintSystem(P, frame, marks, body), oracle, x)
+        assert_same_system(swapped, oracle, x)
 
 
 def laplace_det4(M):
@@ -208,9 +258,13 @@ def test_continuation_step_underflow_diagnostics():
     assert exc.value.report is not None
 
 
-def test_continuation_degeneracy_guard():
+@pytest.mark.parametrize("option, message", [
+    ("min_face_circle_size", r"face \d+ circle"),
+    ("min_tangent_separation", "tangent points"),
+], ids=["face_circle", "tangent_points"])
+def test_continuation_degeneracy_guard(option, message):
     P, _, frame = get_seed("cube")
-    opts = ContinuationOptions(min_face_circle_size=10.0)
-    with pytest.raises(DegenerateConfiguration):
+    opts = ContinuationOptions(**{option: 10.0})
+    with pytest.raises(DegenerateConfiguration, match=message):
         continue_to_body(P, frame, (0.2 + 0.1j, 1.5 + 0j, -0.3 + 1.2j),
                          make_path(make_body("ellipsoid:a=1.2,b=1.0")), opts)
