@@ -19,12 +19,13 @@ import numpy as np
 
 from . import io as formats
 from . import seeds
-from .bodies import make_body, make_path
-from .combinatorics import load_complex_file, select_frame
+from .bodies import BodyPath, make_body, make_path
+from .combinatorics import (PolyhedralComplex, build_complex,
+                            load_complex_file, select_frame)
 from .config import ContinuationOptions
 from .errors import InputError, MalformedSpec, NotMidscribed, SolverError, StepUnderflow
-from .packing import layout_circles, lift_normalize, solve_radii
-from .solver import continue_to_body
+from .packing import CirclePattern, layout_circles, lift_normalize, solve_radii
+from .solver import continue_from_pattern, continue_to_body
 from .verify import check_convexity, check_midscription, rigidity_probe, verify_configuration
 
 
@@ -230,20 +231,49 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 4
 
 
-def _sweep_worker(task):
-    (faces, n_vertices, frame_spec, body_desc, z1, z2, z3, tol) = task
-    from .combinatorics import build_complex
+@dataclass
+class _SweepSetup:
+    """What every cell of one sweep shares: the complex, the body's path and
+    the planar ball packing. path and planar are None when the body, its
+    path or the packing raised an input or solver error; every cell then
+    fails."""
+
+    P: PolyhedralComplex
+    path: BodyPath | None
+    planar: CirclePattern | None
+
+
+_SWEEP: _SweepSetup | None = None  # this process's sweep, set by _sweep_setup
+
+
+def _sweep_setup(faces, n_vertices, frame_spec, body_desc) -> None:
+    """Build this process's sweep state; the pool's worker initializer."""
+    global _SWEEP
     P = build_complex(faces, n_vertices=n_vertices)
     frame = select_frame(P, frame_spec[0], frame_spec[1])
     try:
-        body = make_body(body_desc)
-        path = make_path(body)
-        cfg, _report = continue_to_body(P, frame, (z1, z2, z3), path,
-                                        ContinuationOptions(tol=tol))
-        cls, info = check_convexity(cfg, P, detailed=True)
+        path = make_path(make_body(body_desc))
+        planar = layout_circles(P, frame, solve_radii(P, frame))
+    except (InputError, SolverError):
+        path = planar = None
+    _SWEEP = _SweepSetup(P, path, planar)
+
+
+def _sweep_worker(task):
+    """One sweep cell: continue from the shared packing to the marks
+    (z1, z2, z3), then classify. Reads the state _sweep_setup left."""
+    z1, z2, z3, tol = task
+    setup = _SWEEP
+    if setup.planar is None:
+        return (z1, z2, z3, "failed", float("nan"))
+    try:
+        cfg, _report = continue_from_pattern(setup.planar, (z1, z2, z3),
+                                             setup.path,
+                                             ContinuationOptions(tol=tol))
+        cls, info = check_convexity(cfg, setup.P, detailed=True)
         if info["marginal"] and cls in ("convex", "nonconvex"):
             cls += "-marginal"
-        check = check_midscription(cfg, body, P)
+        check = check_midscription(cfg, setup.path.end, setup.P)
         residual = max(check.max_tangency_residual,
                        check.max_incidence_residual)
     except (InputError, SolverError):
@@ -252,6 +282,7 @@ def _sweep_worker(task):
 
 
 def cmd_sweep(args) -> int:
+    global _SWEEP
     P = _load_complex(args.complex)
     frame = _get_frame(P, args)
     marks_z = parse_marks(args.marks)
@@ -272,18 +303,19 @@ def cmd_sweep(args) -> int:
         except ValueError:
             raise MalformedSpec("MIDSCRIBE_THREADS must be an integer, got %r"
                                 % cap)
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
-    tasks = []
-    for yv in ys:
-        for xv in xs:
-            z3 = complex(xv, yv)
-            tasks.append((P.faces, P.n_vertices, (frame.face, frame.edges),
-                          args.body, z1, z2, z3, args.tol))
+    tasks = [(z1, z2, complex(xv, yv), args.tol)
+             for yv in np.linspace(y0, y1, n)
+             for xv in np.linspace(x0, x1, n)]
+    setup = (P.faces, P.n_vertices, (frame.face, frame.edges), args.body)
     if workers == 1:
-        rows = [_sweep_worker(t) for t in tasks]
+        _sweep_setup(*setup)
+        try:
+            rows = [_sweep_worker(t) for t in tasks]
+        finally:
+            _SWEEP = None
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_sweep_setup,
+                                 initargs=setup) as pool:
             rows = list(pool.map(_sweep_worker, tasks))
     out = args.out or "sweep.csv"
     formats.write_sweep_csv(out, rows)
@@ -293,6 +325,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export_body(args) -> int:
+    if args.grid < 2:
+        raise MalformedSpec("grid must be at least 2, got %d" % args.grid)
     body = make_body(args.body)
     verts, tris = formats.boundary_mesh(body, n=args.grid)
     out = args.out or "body.off"

@@ -59,6 +59,8 @@ class ConstraintSystem:
       (E, 4) table edge_rows (-1 in the gauge slot of a marked edge); then
       V rows |X_v|^2 - 1.
     - the Jacobian's (row, col) pattern and its CSR order.
+    - face_edges: the (F, k) boundary edges of each face, k the longest
+      boundary, shorter faces padded with their own first edge.
 
     body and marked_points (three points, in frame edge order) are plain
     attributes; assigning new ones keeps the layout.
@@ -97,6 +99,10 @@ class ConstraintSystem:
         if n_rows != self.n_unknowns:
             raise DimensionMismatch("system is not square: %d rows, %d unknowns"
                                     % (n_rows, self.n_unknowns))
+        bounds = [P.boundary_edges(f) for f in range(F)]
+        k = max(len(b) for b in bounds)
+        self.face_edges = np.array([b + b[:1] * (k - len(b)) for b in bounds],
+                                   dtype=int)
 
         blocks = [np.broadcast_arrays(r, c) for r, c in self._jacobian_pattern()]
         rows = np.concatenate([r.ravel() for r, _ in blocks])
@@ -319,27 +325,50 @@ def newton_refine(cfg: Configuration, body: ConvexBody, P: PolyhedralComplex,
     return system.unpack(x), report
 
 
+def _face_circle_sizes(T: np.ndarray, face_edges: np.ndarray) -> np.ndarray:
+    """Largest distance between two tangent points of each face; padding
+    repeats a face's first edge, which adds only zero distances."""
+    B = T[face_edges]
+    D = B[:, :, None, :] - B[:, None, :, :]
+    return np.sqrt(np.sum(D * D, axis=-1)).max(axis=(1, 2))
+
+
 def _degeneracy_guard(system: ConstraintSystem, x: np.ndarray,
                       opts: ContinuationOptions, s: float):
     """Abort rather than accept collapsing tangencies or face circles."""
-    P = system.P
     T = system.tangents(x)
     dmin = float(pdist(T).min())
     if dmin <= opts.min_tangent_separation:
         raise DegenerateConfiguration(
             "tangent points %.3e apart at s=%.6f" % (dmin, s))
-    for f in range(P.n_faces):
-        size = float(pdist(T[list(P.boundary_edges(f))]).max())
-        if size <= opts.min_face_circle_size:
-            raise DegenerateConfiguration(
-                "face %d circle of size %.3e at s=%.6f" % (f, size, s))
+    sizes = _face_circle_sizes(T, system.face_edges)
+    small = np.flatnonzero(sizes <= opts.min_face_circle_size)
+    if small.size:
+        f = int(small[0])
+        raise DegenerateConfiguration(
+            "face %d circle of size %.3e at s=%.6f" % (f, sizes[f], s))
 
 
 def continue_to_body(P: PolyhedralComplex, frame: Frame, marks_z,
                      path: BodyPath, opts: ContinuationOptions | None = None):
     """Track the configuration from the ball packing to the end of the path.
 
-    marks_z are three distinct chart coordinates; at every step s the pinned
+    Solves the radii and lays out the planar packing of (P, frame), then
+    runs continue_from_pattern on it. Returns (Configuration, SolveReport).
+    """
+    planar = packing.layout_circles(P, frame, packing.solve_radii(P, frame))
+    return continue_from_pattern(planar, marks_z, path, opts)
+
+
+def continue_from_pattern(planar: packing.CirclePattern, marks_z,
+                          path: BodyPath,
+                          opts: ContinuationOptions | None = None):
+    """Track the configuration from a planar ball packing to the end of path.
+
+    planar is the laid-out packing of (P, frame) and carries both. The
+    normalized packing is unique up to a Mobius map, so one planar layout
+    serves every choice of marks: marks_z, three distinct chart coordinates,
+    enter only through the lift to the sphere. At every step s the pinned
     tangent points are the chart images on the blended body, so the marks
     move continuously with s. One ConstraintSystem serves the whole run; each
     step swaps its body and marked points. Every accepted solution is audited
@@ -351,10 +380,8 @@ def continue_to_body(P: PolyhedralComplex, frame: Frame, marks_z,
     if len({z[0], z[1], z[2]}) != 3:
         raise DegenerateMarks("marks %r are not distinct" % (z,))
 
-    radii = packing.solve_radii(P, frame)
-    planar = packing.layout_circles(P, frame, radii)
-    spherical = packing.lift_normalize(planar, z)
-    cfg0 = packing.koebe_config(spherical)
+    P, frame = planar.P, planar.frame
+    cfg0 = packing.koebe_config(packing.lift_normalize(planar, z))
 
     def marks_at(body):
         chart = BodyChart(body)

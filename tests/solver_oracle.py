@@ -5,15 +5,20 @@ per (P, frame): every residual row and Jacobian entry is produced one at a
 time, with scalar gauge calls per edge. Tests require the layout-based
 ``ConstraintSystem`` to reproduce its residual, its CSR Jacobian, its row
 labels and its packing exactly.
+
+``degeneracy_guard`` is the continuation's collapse check as a loop over
+faces, one ``pdist`` per face; the solver's padded-table version must give
+the same face sizes and raise the same error.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial.distance import pdist
 
 from midscribe.bodies import ConvexBody
 from midscribe.combinatorics import Frame, PolyhedralComplex
 from midscribe.config import Configuration
-from midscribe.errors import DimensionMismatch
+from midscribe.errors import DegenerateConfiguration, DimensionMismatch
 
 
 class ConstraintSystem:
@@ -207,3 +212,24 @@ class ConstraintSystem:
 
     def singular_values(self, x: np.ndarray) -> np.ndarray:
         return np.linalg.svd(self.jacobian(x).toarray(), compute_uv=False)
+
+
+def face_circle_sizes(P: PolyhedralComplex, T: np.ndarray) -> np.ndarray:
+    """Largest distance between two tangent points of each face."""
+    return np.array([float(pdist(T[list(P.boundary_edges(f))]).max())
+                     for f in range(P.n_faces)])
+
+
+def degeneracy_guard(system, x, opts, s):
+    """Abort rather than accept collapsing tangencies or face circles."""
+    P = system.P
+    T = system.tangents(x)
+    dmin = float(pdist(T).min())
+    if dmin <= opts.min_tangent_separation:
+        raise DegenerateConfiguration(
+            "tangent points %.3e apart at s=%.6f" % (dmin, s))
+    for f in range(P.n_faces):
+        size = float(pdist(T[list(P.boundary_edges(f))]).max())
+        if size <= opts.min_face_circle_size:
+            raise DegenerateConfiguration(
+                "face %d circle of size %.3e at s=%.6f" % (f, size, s))

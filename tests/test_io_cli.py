@@ -205,6 +205,14 @@ def test_cli_export_body(tmp_path):
     assert worst < 1e-9
 
 
+@pytest.mark.parametrize("grid", ["1", "0", "-3"])
+def test_cli_export_body_rejects_small_grid(tmp_path, grid):
+    out = tmp_path / "body.off"
+    assert run_cli("export-body", "--body", "ellipsoid:a=1.2,b=1.0",
+                   "--grid", grid, "--out", str(out)) == 3
+    assert not out.exists()
+
+
 def test_cli_input_errors(tmp_path):
     assert run_cli("midscribe", "--complex", "cube",
                    "--body", "torus:r=2") == 3

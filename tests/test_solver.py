@@ -1,15 +1,21 @@
 """Constraint system assembly, analytic Jacobian, Newton, and continuation."""
+import functools
+
 import numpy as np
 import pytest
 
 import solver_oracle
-from conftest import ball_solution, closed_form_config, get_seed
+from conftest import (CANONICAL_MARKS, ball_solution, closed_form_config,
+                      get_seed)
 from midscribe import (
     ContinuationOptions,
     assemble_residual,
+    continue_from_pattern,
     continue_to_body,
+    layout_circles,
     newton_refine,
     plane_quadruple_det,
+    solve_radii,
 )
 from midscribe.bodies import BodyChart, chart_inverse, make_body, make_path
 from midscribe.errors import (
@@ -20,7 +26,8 @@ from midscribe.errors import (
     StepUnderflow,
 )
 from midscribe.seeds import SEED_NAMES
-from midscribe.solver import ConstraintSystem
+from midscribe.solver import (ConstraintSystem, _degeneracy_guard,
+                              _face_circle_sizes)
 from test_packing import complex_and_frame
 
 BODY_CYCLE = (
@@ -268,3 +275,66 @@ def test_continuation_degeneracy_guard(option, message):
     with pytest.raises(DegenerateConfiguration, match=message):
         continue_to_body(P, frame, (0.2 + 0.1j, 1.5 + 0j, -0.3 + 1.2j),
                          make_path(make_body("ellipsoid:a=1.2,b=1.0")), opts)
+
+
+REUSE_CASES = SEED_NAMES + ("hull12", "prism8")
+
+
+@functools.lru_cache(maxsize=None)
+def _ellipsoid_path():
+    return make_path(make_body("ellipsoid:a=1.2,b=1.0"))
+
+
+@functools.lru_cache(maxsize=None)
+def _ellipsoid_solution(name):
+    P, frame = complex_and_frame(name)
+    cfg, _report = continue_to_body(P, frame, CANONICAL_MARKS,
+                                    _ellipsoid_path())
+    return P, frame, cfg
+
+
+@pytest.mark.parametrize("name", REUSE_CASES)
+def test_continue_from_pattern_matches_continue_to_body(name):
+    """One planar packing serves every choice of marks: continuing from a
+    shared layout, after it has already served other marks, gives the same
+    bits as solving the packing afresh."""
+    P, frame, cfg_a = _ellipsoid_solution(name)
+    _, report_a = continue_to_body(P, frame, CANONICAL_MARKS,
+                                   _ellipsoid_path())
+    planar = layout_circles(P, frame, solve_radii(P, frame))
+    try:
+        continue_from_pattern(planar, (0.4 + 0.3j, 1.6 + 0j, -0.5 + 1.1j),
+                              _ellipsoid_path())
+    except SolverError:
+        pass
+    cfg_b, report_b = continue_from_pattern(planar, CANONICAL_MARKS,
+                                            _ellipsoid_path())
+    for part in ("normals", "offsets", "vertices4", "tangents",
+                 "marked_points"):
+        assert np.array_equal(getattr(cfg_a, part), getattr(cfg_b, part))
+    assert cfg_a.marked_edges == cfg_b.marked_edges
+    assert repr(report_a) == repr(report_b)
+
+
+@pytest.mark.parametrize("name", REUSE_CASES)
+def test_degeneracy_guard_matches_face_loop(name):
+    """The padded face table gives the loop's face sizes bit for bit, and
+    the same first failing face and message at every threshold."""
+    P, frame, cfg = _ellipsoid_solution(name)
+    system = ConstraintSystem(P, frame, cfg.marked_points,
+                              _ellipsoid_path().end)
+    x = system.pack(cfg)
+    T = system.tangents(x)
+    sizes = solver_oracle.face_circle_sizes(P, T)
+    assert np.array_equal(_face_circle_sizes(T, system.face_edges), sizes)
+    for limit in [0.0] + sorted(set(sizes.tolist())):
+        opts = ContinuationOptions(min_face_circle_size=limit)
+        outcomes = []
+        for guard in (_degeneracy_guard, solver_oracle.degeneracy_guard):
+            try:
+                guard(system, x, opts, 0.5)
+                outcomes.append(None)
+            except DegenerateConfiguration as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is None) == (limit < sizes.min())

@@ -1,0 +1,119 @@
+"""``midscribe sweep``: shared per-process state, the pool path, failures.
+
+A sweep builds the complex, the body, its path and the planar ball packing
+once per process and continues every grid cell from that packing. The
+per-cell reference below is the sweep cell as it was before that reuse: it
+rebuilds everything in every cell. The sweep's CSV must match it byte for
+byte.
+"""
+import concurrent.futures
+
+import numpy as np
+import pytest
+
+import midscribe.cli as cli
+from conftest import get_seed
+from midscribe.bodies import make_body, make_path
+from midscribe.cli import main
+from midscribe.combinatorics import build_complex, select_frame
+from midscribe.config import ContinuationOptions
+from midscribe.errors import InputError, SolverError
+from midscribe.io import sweep_csv_text
+from midscribe.solver import continue_to_body
+from midscribe.verify import check_convexity, check_midscription
+
+ELLIPSOID = "ellipsoid:a=1.2,b=1.0"
+
+
+def reference_sweep_worker(task):
+    """One cell, rebuilding the complex, body, path and packing."""
+    (faces, n_vertices, frame_spec, body_desc, z1, z2, z3, tol) = task
+    P = build_complex(faces, n_vertices=n_vertices)
+    frame = select_frame(P, frame_spec[0], frame_spec[1])
+    try:
+        body = make_body(body_desc)
+        path = make_path(body)
+        cfg, _report = continue_to_body(P, frame, (z1, z2, z3), path,
+                                        ContinuationOptions(tol=tol))
+        cls, info = check_convexity(cfg, P, detailed=True)
+        if info["marginal"] and cls in ("convex", "nonconvex"):
+            cls += "-marginal"
+        check = check_midscription(cfg, body, P)
+        residual = max(check.max_tangency_residual,
+                       check.max_incidence_residual)
+    except (InputError, SolverError):
+        return (z1, z2, z3, "failed", float("nan"))
+    return (z1, z2, z3, cls, residual)
+
+
+def reference_csv(body_desc, grid=3, box=(-2.0, 2.0, -2.0, 2.0)):
+    """The cube sweep at marks 0, 1, i over box, one rebuild per cell."""
+    P, _, frame = get_seed("cube")
+    x0, x1, y0, y1 = box
+    rows = [reference_sweep_worker((P.faces, P.n_vertices,
+                                    (frame.face, frame.edges), body_desc,
+                                    0j, 1 + 0j, complex(xv, yv), 1e-11))
+            for yv in np.linspace(y0, y1, grid)
+            for xv in np.linspace(x0, x1, grid)]
+    return sweep_csv_text(rows)
+
+
+def run_sweep(out, body_desc, grid=3):
+    return main(["sweep", "--complex", "cube", "--body", body_desc,
+                 "--marks", "0,1,i", "--grid", str(grid), "--out", str(out)])
+
+
+def counting(monkeypatch, name, counts):
+    original = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(cli, name, counted)
+
+
+def test_in_process_sweep_builds_once_and_matches_reference(tmp_path,
+                                                            monkeypatch):
+    monkeypatch.setenv("MIDSCRIBE_THREADS", "1")
+    counts = {}
+    for name in ("build_complex", "make_path", "solve_radii"):
+        counting(monkeypatch, name, counts)
+    out = tmp_path / "sweep.csv"
+    assert run_sweep(out, ELLIPSOID) == 0
+    assert counts == {"build_complex": 1, "make_path": 1, "solve_radii": 1}
+    assert cli._SWEEP is None
+    assert out.read_text() == reference_csv(ELLIPSOID)
+
+
+def test_pool_sweep_matches_in_process(tmp_path, monkeypatch):
+    """Two workers, each building its own state, write the same bytes."""
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    texts = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MIDSCRIBE_THREADS", threads)
+        out = tmp_path / ("sweep-%s.csv" % threads)
+        assert run_sweep(out, ELLIPSOID) == 0
+        texts[threads] = out.read_bytes()
+    assert pools == [2]
+    assert texts["1"] == texts["2"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_invalid_body_fails_every_cell(tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("MIDSCRIBE_THREADS", threads)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    out = tmp_path / "sweep.csv"
+    assert run_sweep(out, "torus:r=2") == 0
+    text = out.read_text()
+    lines = text.strip().splitlines()
+    assert len(lines) == 1 + 9
+    assert all(line.split(",")[3] == "failed" for line in lines[1:])
+    assert text == reference_csv("torus:r=2")
