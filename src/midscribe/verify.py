@@ -7,16 +7,19 @@ surface by root finding. Solver residuals are never consulted, so a
 configuration that merely claims convergence does not pass; the verifier
 shares only the gauge API with the solver.
 
-Line tangency is checked one edge at a time with the scalar gauge methods.
-The disk packings are traced in batches through the (m, 3) gauge API, one
-disk at a time: all boundary samples of a disk are solved together (face
-disks by rays in the face plane, visibility disks by a bisection for the
-horizon over all arcs of the disk at once), the margins of every disk on a
-disk's samples form one array that serves both the coarse contact search
-and the non-degeneracy count, and the golden-section refinement of all
-disk pairs that need it runs in lockstep, one batched boundary solve per
-step. The point-at-a-time tracer this replaced is the reference for tests
-in tests/kdisk_oracle.py.
+Line tangency is checked one edge at a time with the scalar gauge methods;
+incidence and convexity are array expressions over all face-vertex pairs.
+The disk packings are traced in batches through the (m, 3) gauge API, all
+disks of a family in lockstep: the face disks by one batched ray solve over
+every face's rays in its plane, the visibility disks by one horizon scan
+over every vertex's first arc and then bracketed Newton iterations on the
+horizon angle (safeguarded by bisection) over all arcs of all vertices at
+once. The margins of every disk on a disk's samples form one array that
+serves both the coarse contact search and the non-degeneracy count, and the
+golden-section refinement of all disk pairs that need it runs in lockstep,
+one batched boundary solve per step. The point-at-a-time tracer and the
+bisection horizon solve this replaced are the references for tests in
+tests/kdisk_oracle.py.
 """
 
 from __future__ import annotations
@@ -40,8 +43,18 @@ CONTACT_POSITION_TOL = 1e-4
 N_BOUNDARY_SAMPLES = 256
 KDISK_STAGE = "K-disk extraction"
 HORIZON_SCAN = 96
+HORIZON_MIN = 1e-12
+# The horizon scan: a geometric grid from HORIZON_MIN up to 1e-3 rad, where
+# the linear grid of HORIZON_SCAN points starts. A three-mark normalization
+# is a Moebius map and can shrink a visible cap without bound; the
+# geometric part gives such a cap a crossing and leaves the bracket of
+# every cap of 1e-3 rad or more as the linear grid alone finds it.
+HORIZON_GRID = np.concatenate([np.geomspace(HORIZON_MIN, 1e-3, 28)[:-1],
+                               np.linspace(1e-3, math.pi - 1e-3, HORIZON_SCAN)])
 HORIZON_EXPANSIONS = 30
 HORIZON_BISECTIONS = 55
+HORIZON_XTOL = 2.0 ** -50
+HORIZON_GTOL = 8.0 * np.finfo(float).eps
 GOLDEN_ITERATIONS = 30
 
 
@@ -164,6 +177,14 @@ def _line_minimum(body: ConvexBody, n_f, d_f, n_g, d_g, guess):
     return float(body.value(m)), m
 
 
+def _on_face(P: PolyhedralComplex) -> np.ndarray:
+    """(F, V) mask of the vertices on each face."""
+    on = np.zeros((P.n_faces, P.n_vertices), dtype=bool)
+    for f, cycle in enumerate(P.faces):
+        on[f, list(cycle)] = True
+    return on
+
+
 def check_midscription(cfg: Configuration, body: ConvexBody,
                        P: PolyhedralComplex, tol: float = TANGENCY_TOL) -> VerifyReport:
     """Re-derive tangency and incidence from the planes; fill a report.
@@ -176,28 +197,17 @@ def check_midscription(cfg: Configuration, body: ConvexBody,
     vertices at infinity are checked too.
     """
     v4 = cfg.vertices4 / np.linalg.norm(cfg.vertices4, axis=1, keepdims=True)
-    per_vertex = []
-    max_inc = 0.0
-    comb_ok = True
-    for v in range(P.n_vertices):
-        worst = 0.0
-        for f in P.vertex_faces[v]:
-            r = abs(float(cfg.normals[f] @ v4[v, 1:] - cfg.offsets[f] * v4[v, 0]))
-            worst = max(worst, r)
-        max_inc = max(max_inc, worst)
-        per_vertex.append({
-            "vertex": v,
-            "max_incidence": worst,
-            "finite": bool(abs(v4[v, 0]) > EPS_INFINITY),
-        })
-        for f in range(P.n_faces):
-            if f in P.vertex_faces[v]:
-                continue
-            r = abs(float(cfg.normals[f] @ v4[v, 1:] - cfg.offsets[f] * v4[v, 0]))
-            if r <= tol:
-                comb_ok = False
-    if max_inc >= tol:
-        comb_ok = False
+    on = _on_face(P)
+    R = np.abs(_rowdot(cfg.normals[:, None, :], v4[None, :, 1:])
+               - cfg.offsets[:, None] * v4[None, :, 0])
+    # fmax: a nan residual is skipped, not propagated into the maxima
+    worst = np.fmax.reduce(R, axis=0, where=on, initial=0.0)
+    max_inc = float(np.fmax.reduce(worst, initial=0.0))
+    comb_ok = not np.any(R[~on] <= tol) and max_inc < tol
+    per_vertex = [{"vertex": v,
+                   "max_incidence": float(worst[v]),
+                   "finite": bool(abs(v4[v, 0]) > EPS_INFINITY)}
+                  for v in range(P.n_vertices)]
 
     per_edge = []
     max_tan = 0.0
@@ -243,23 +253,17 @@ def check_convexity(cfg: Configuration, P: PolyhedralComplex,
                 "worst_pair": None}
         return ("projective-degenerate", info) if detailed else "projective-degenerate"
     X = v4[:, 1:] / v4[:, :1]
-    ok = True
-    min_margin = math.inf
-    worst = None
-    for f in range(P.n_faces):
-        face_verts = set(P.faces[f])
-        for v in range(P.n_vertices):
-            s = float(cfg.normals[f] @ X[v] - cfg.offsets[f])
-            if v in face_verts:
-                if abs(s) > 1e-7:
-                    ok = False
-                continue
-            margin = -s
-            if margin < min_margin:
-                min_margin = margin
-                worst = (f, v)
-            if not s < -SIDE_TOL:
-                ok = False
+    on = _on_face(P)
+    S = _rowdot(cfg.normals[:, None, :], X[None]) - cfg.offsets[:, None]
+    ok = not np.any(np.abs(S[on]) > 1e-7) and bool(np.all(S[~on] < -SIDE_TOL))
+    # the first off-face pair in face-major order with the least margin;
+    # nan and +inf never win, as in the strict running minimum
+    margins = np.where(~on & (-S < math.inf), -S, math.inf)
+    k = int(np.argmin(margins))
+    min_margin, worst = math.inf, None
+    if margins.flat[k] < math.inf:
+        min_margin = float(margins.flat[k])
+        worst = divmod(k, P.n_vertices)
     cls = "convex" if ok else "nonconvex"
     info = {"min_side_distance": min_margin,
             "marginal": abs(min_margin) <= 10.0 * SIDE_TOL,
@@ -295,7 +299,8 @@ class _FaceDisks:
 
     Face f's disk lies in its plane around c0, the projection of the mean of
     its edges' tangent points; its boundary is traced by rays from c0 in the
-    plane, direction cos(theta) a + sin(theta) b.
+    plane, direction cos(theta) a + sin(theta) b. The rays of all faces are
+    solved together.
     """
 
     kind = "face"
@@ -314,10 +319,12 @@ class _FaceDisks:
                                   "interior to the body")
         self.a = _unit_orthogonals(self.normals)
         self.b = np.cross(self.normals, self.a)
-        self.disks = [KDisk(kind=self.kind, owner=f,
-                            boundary_samples=self._points(f, theta),
+        n_faces, n = P.n_faces, len(theta)
+        X = self._points(np.repeat(np.arange(n_faces), n),
+                         np.tile(theta, n_faces)).reshape(n_faces, n, 3)
+        self.disks = [KDisk(kind=self.kind, owner=f, boundary_samples=X[f],
                             plane=(self.normals[f], float(self.offsets[f])))
-                      for f in range(P.n_faces)]
+                      for f in range(n_faces)]
 
     def _points(self, i, theta):
         w = _circle(self.a[i], self.b[i], theta)
@@ -341,7 +348,8 @@ class _VertexDisks:
     Vertex v's disk is traced on great-circle arcs from w, the direction of
     the vertex, towards -w: the boundary point over cos(alpha) w +
     sin(alpha) m, m = cos(psi) a + sin(psi) b, crosses the visibility
-    horizon at one alpha, found by bisection.
+    horizon at one alpha, found by bracketed Newton. The arcs of all
+    vertices are solved together.
     """
 
     kind = "vertex"
@@ -360,36 +368,47 @@ class _VertexDisks:
         self.w = np.array([w for _, w, _ in rows])
         self.a = _unit_orthogonals(self.w)
         self.b = np.cross(self.w, self.a)
-        self.alphas = np.empty((P.n_vertices, len(theta)))
-        self.disks = [KDisk(kind=self.kind, owner=v,
-                            boundary_samples=self._trace(v, theta), apex=apex,
-                            at_infinity=at_inf)
+        n_vertices, n = P.n_vertices, len(theta)
+        m = _circle(np.repeat(self.a, n, axis=0), np.repeat(self.b, n, axis=0),
+                    np.tile(theta, n_vertices)).reshape(n_vertices, n, 3)
+        self.alphas, X = self._trace(m)
+        self.disks = [KDisk(kind=self.kind, owner=v, boundary_samples=X[v],
+                            apex=apex, at_infinity=at_inf)
                       for v, (apex, _, at_inf) in enumerate(rows)]
 
     def _arcs(self, i, m, t):
         return _Arcs(self.body, i, self.apex[i], self.c[i], self.w[i], m, t)
 
-    def _trace(self, v, theta):
-        """All boundary samples of disk v: sample 0 bracketed by a scan of
-        its arc, the others around sample 0's horizon."""
-        m = _circle(self.a[v], self.b[v], theta)
-        grid = np.linspace(1e-3, math.pi - 1e-3, HORIZON_SCAN)
-        scan = self._arcs(np.full(HORIZON_SCAN, v),
-                          np.broadcast_to(m[0], (HORIZON_SCAN, 3)),
-                          np.ones(HORIZON_SCAN))
-        g = scan.g(np.arange(HORIZON_SCAN), grid)
-        crossing = np.flatnonzero((g[:-1] > 0) & (g[1:] <= 0))
-        if not crossing.size:
-            raise _degenerate(self.kind, v, "has no visibility horizon "
-                              "crossing")
-        k = crossing[0]
-        first = self._arcs(np.full(1, v), m[:1], scan.t[k:k + 1].copy())
-        alpha0, X0 = first.solve(grid[k:k + 1], grid[k + 1:k + 2])
-        rest = self._arcs(np.full(len(m) - 1, v), m[1:],
-                          np.full(len(m) - 1, first.t[0]))
-        alpha, X = rest.solve(*rest.bracket(np.full(len(m) - 1, alpha0[0])))
-        self.alphas[v] = np.concatenate([alpha0, alpha])
-        return np.vstack([X0, X])
+    def _trace(self, m):
+        """Arc angles (V, n) and boundary samples (V, n, 3) of every disk,
+        on the arcs m (V, n, 3): sample 0 of each disk bracketed by a scan
+        of its arc, the others around sample 0's horizon."""
+        n_vertices, n = m.shape[:2]
+        owners = np.arange(n_vertices)
+        k_scan = len(HORIZON_GRID)
+        scan = self._arcs(np.repeat(owners, k_scan),
+                          np.repeat(m[:, 0], k_scan, axis=0),
+                          np.ones(n_vertices * k_scan))
+        g = scan.g(np.arange(n_vertices * k_scan),
+                   np.tile(HORIZON_GRID, n_vertices)).reshape(n_vertices, k_scan)
+        crossing = (g[:, :-1] > 0) & (g[:, 1:] <= 0)
+        missing = np.flatnonzero(~crossing.any(axis=1))
+        if missing.size:
+            raise _degenerate(self.kind, int(missing[0]), "has no visibility "
+                              "horizon crossing")
+        k = np.argmax(crossing, axis=1)
+        first = self._arcs(owners, m[:, 0],
+                           scan.t.reshape(n_vertices, k_scan)[owners, k])
+        lo, hi = HORIZON_GRID[k], HORIZON_GRID[k + 1]
+        g_lo, g_hi = g[owners, k], g[owners, k + 1]
+        alpha0, X0 = first.solve(lo, hi, lo + g_lo / (g_lo - g_hi) * (hi - lo))
+        rest = self._arcs(np.repeat(owners, n - 1), m[:, 1:].reshape(-1, 3),
+                          np.repeat(first.t, n - 1))
+        warm = np.repeat(alpha0, n - 1)
+        alpha, X = rest.solve(*rest.bracket(warm), warm)
+        return (np.column_stack([alpha0, alpha.reshape(n_vertices, n - 1)]),
+                np.concatenate([X0[:, None], X.reshape(n_vertices, n - 1, 3)],
+                               axis=1))
 
     def margins(self, X) -> np.ndarray:
         """Visibility of every point from every vertex, (V, m)."""
@@ -401,7 +420,8 @@ class _VertexDisks:
 
     def boundary_solver(self, i):
         """Horizon points of disks i at parameters t (angles from theta0),
-        bracketed around the horizons of their samples nearest t."""
+        bracketed around and started from the horizons of their samples
+        nearest t."""
         t_warm = np.ones(len(i))
         n_samples = self.alphas.shape[1]
 
@@ -409,7 +429,8 @@ class _VertexDisks:
             arcs = self._arcs(i, _circle(self.a[i], self.b[i],
                                          self.theta0 + t), t_warm)
             near = np.rint(t / (2.0 * math.pi) * n_samples).astype(int)
-            return arcs.solve(*arcs.bracket(self.alphas[i, near % n_samples]))[1]
+            warm = self.alphas[i, near % n_samples]
+            return arcs.solve(*arcs.bracket(warm), warm)[1]
         return points
 
 
@@ -435,21 +456,45 @@ class _Arcs:
         return _visibility(self.apex[rows], self.c[rows], X,
                            self.body.gradients(X))
 
+    def g_slope(self, rows, alpha):
+        """g, a bound on its rounding error, its derivative in alpha and the
+        boundary points.
+
+        With d = cos(alpha) w + sin(alpha) m and X = t d on the boundary,
+        F(t d) = 0 gives t' = -t (grad F . d') / (grad F . d), and
+        X' = t' d + t d' is tangent to the boundary, so the derivative of
+        (apex - c X) . grad F(X) is (apex - c X) . H(X) X'. The rounding
+        bound is HORIZON_GTOL times the dot product of the magnitudes.
+        """
+        X = self.points(rows, alpha)
+        dirs = _circle(self.w[rows], self.m[rows], alpha)
+        turn = _circle(self.m[rows], -self.w[rows], alpha)
+        t = self.t[rows]
+        grads = self.body.gradients(X)
+        dX = (-t * _rowdot(grads, turn) / _rowdot(grads, dirs))[:, None] * dirs
+        dX += t[:, None] * turn
+        apex, c = self.apex[rows], self.c[rows]
+        slope = _rowdot(apex - c[:, None] * X,
+                        (self.body.hessians(X) @ dX[..., None])[..., 0])
+        size = _rowdot(np.abs(apex) + c[:, None] * np.abs(X), np.abs(grads))
+        return (_visibility(apex, c, X, grads), HORIZON_GTOL * size, slope,
+                X)
+
     def bracket(self, warm):
         """[warm - 0.15, warm + 0.15], each end pushed outward with a
         doubling step until g > 0 at lo and g <= 0 at hi."""
         ends = []
         for sign in (-1.0, 1.0):
             step = np.full(len(warm), 0.15)
-            edge = np.clip(warm + sign * step, 1e-9, math.pi - 1e-9)
+            edge = np.clip(warm + sign * step, HORIZON_MIN, math.pi - 1e-9)
             todo = np.arange(len(warm))
             for _ in range(HORIZON_EXPANSIONS):
                 visible = self.g(todo, edge[todo]) > 0
                 todo = todo[visible != (sign < 0)]
                 if not todo.size:
                     break
-                edge[todo] = np.clip(edge[todo] + sign * step[todo], 1e-9,
-                                     math.pi - 1e-9)
+                edge[todo] = np.clip(edge[todo] + sign * step[todo],
+                                     HORIZON_MIN, math.pi - 1e-9)
                 step[todo] *= 2.0
             else:
                 raise _degenerate("vertex", int(self.owners[todo[0]]),
@@ -458,22 +503,49 @@ class _Arcs:
             ends.append(edge)
         return ends
 
-    def solve(self, lo, hi):
-        """Bisect every bracket down to adjacent floats (at most
-        HORIZON_BISECTIONS halvings); returns (alpha, horizon points)."""
-        lo, hi = lo.copy(), hi.copy()
-        todo = np.arange(len(lo))
+    def solve(self, lo, hi, start):
+        """Horizons in the brackets [lo, hi] (g(lo) > 0 >= g(hi)) by Newton
+        from start; returns (alpha, horizon points).
+
+        A Newton step is taken only when it lands in the closed bracket and
+        is at most half the step before it; otherwise the bracket is
+        bisected (the rtsafe safeguard). A row stops at its last evaluated
+        angle when g is 0, when its bracket or its Newton step is below
+        HORIZON_XTOL relative to the bracket's upper end, or when a finite
+        Newton step fails the safeguard at a g within rounding of 0: from
+        there on the steps are rounding noise, and bisecting the bracket
+        would only cycle back. A row still running after HORIZON_BISECTIONS
+        evaluations raises DegenerateConfiguration.
+        """
+        lo, hi, alpha = lo.copy(), hi.copy(), start.copy()
+        X = np.empty((len(alpha), 3))
+        last = hi - lo
+        todo = np.arange(len(alpha))
         for _ in range(HORIZON_BISECTIONS):
-            mid = 0.5 * (lo[todo] + hi[todo])
-            split = (mid != lo[todo]) & (mid != hi[todo])
-            todo, mid = todo[split], mid[split]
+            at = alpha[todo]
+            g, g_tol, slope, X[todo] = self.g_slope(todo, at)
+            visible = g > 0
+            lo[todo] = np.where(visible, at, lo[todo])
+            hi[todo] = np.where(visible, hi[todo], at)
+            below, above = lo[todo], hi[todo]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = g / slope
+            newton = at - step
+            take = ((newton >= below) & (newton <= above)
+                    & (np.abs(step) <= 0.5 * last[todo]))
+            to = np.where(take, newton, 0.5 * (below + above))
+            tol = HORIZON_XTOL * above
+            done = ((g == 0) | (above - below <= tol)
+                    | np.where(take, np.abs(step) <= tol,
+                               (np.abs(g) <= g_tol) & np.isfinite(step)))
+            last[todo] = np.abs(to - at)
+            alpha[todo] = np.where(done, at, to)
+            todo = todo[~done]
             if not todo.size:
-                break
-            visible = self.g(todo, mid) > 0
-            lo[todo] = np.where(visible, mid, lo[todo])
-            hi[todo] = np.where(visible, hi[todo], mid)
-        alpha = 0.5 * (lo + hi)
-        return alpha, self.points(np.arange(len(alpha)), alpha)
+                return alpha, X
+        raise _degenerate("vertex", int(self.owners[todo[0]]),
+                          "has no converged horizon after %d evaluations"
+                          % HORIZON_BISECTIONS)
 
 
 def _vertex_visibility(cfg, P, v, positions, finite):

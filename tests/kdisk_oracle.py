@@ -10,6 +10,11 @@ along a ray from the origin and the orthogonal of one vector, which
 They are kept unchanged apart from ``scalar_kdisk_packings``, which is the
 packing part of the old ``extract_kdisk_packings`` (the midscription
 precondition is left to the caller).
+
+Two routines of the batched tracer that traced one vertex disk at a time
+with a bisection horizon solve are kept as well: ``bisection_solve``, the
+old ``verify._Arcs.solve``, and ``per_disk_trace``, the old
+``verify._VertexDisks._trace``.
 """
 
 import math
@@ -19,7 +24,9 @@ import numpy as np
 from midscribe.bodies import ConvexBody
 from midscribe.errors import DegenerateConfiguration, NotStrictlyConvex
 from midscribe.verify import (CONTACT_POSITION_TOL, CONTACT_TOL,
-                              N_BOUNDARY_SAMPLES, DiskPacking, KDisk)
+                              HORIZON_BISECTIONS, HORIZON_SCAN,
+                              N_BOUNDARY_SAMPLES, DiskPacking, KDisk, _circle,
+                              _degenerate)
 
 
 def _radial_boundary_point(body: ConvexBody, direction) -> np.ndarray:
@@ -394,3 +401,47 @@ def _nondegenerate(disks, margin_of):
                         return False
     return True
 
+
+# ---------------------------------------------------------------------------
+# one vertex disk at a time, horizons by bisection
+
+def bisection_solve(self, lo, hi):
+    """Bisect every bracket down to adjacent floats (at most
+    HORIZON_BISECTIONS halvings); returns (alpha, horizon points)."""
+    lo, hi = lo.copy(), hi.copy()
+    todo = np.arange(len(lo))
+    for _ in range(HORIZON_BISECTIONS):
+        mid = 0.5 * (lo[todo] + hi[todo])
+        split = (mid != lo[todo]) & (mid != hi[todo])
+        todo, mid = todo[split], mid[split]
+        if not todo.size:
+            break
+        visible = self.g(todo, mid) > 0
+        lo[todo] = np.where(visible, mid, lo[todo])
+        hi[todo] = np.where(visible, hi[todo], mid)
+    alpha = 0.5 * (lo + hi)
+    return alpha, self.points(np.arange(len(alpha)), alpha)
+
+
+def per_disk_trace(self, v, theta):
+    """All boundary samples of disk v of a verify._VertexDisks and their
+    arc angles: sample 0 bracketed by a scan of its arc, the others around
+    sample 0's horizon."""
+    m = _circle(self.a[v], self.b[v], theta)
+    grid = np.linspace(1e-3, math.pi - 1e-3, HORIZON_SCAN)
+    scan = self._arcs(np.full(HORIZON_SCAN, v),
+                      np.broadcast_to(m[0], (HORIZON_SCAN, 3)),
+                      np.ones(HORIZON_SCAN))
+    g = scan.g(np.arange(HORIZON_SCAN), grid)
+    crossing = np.flatnonzero((g[:-1] > 0) & (g[1:] <= 0))
+    if not crossing.size:
+        raise _degenerate(self.kind, v, "has no visibility horizon "
+                          "crossing")
+    k = crossing[0]
+    first = self._arcs(np.full(1, v), m[:1], scan.t[k:k + 1].copy())
+    alpha0, X0 = bisection_solve(first, grid[k:k + 1], grid[k + 1:k + 2])
+    rest = self._arcs(np.full(len(m) - 1, v), m[1:],
+                      np.full(len(m) - 1, first.t[0]))
+    alpha, X = bisection_solve(rest,
+                               *rest.bracket(np.full(len(m) - 1, alpha0[0])))
+    return np.concatenate([alpha0, alpha]), np.vstack([X0, X])

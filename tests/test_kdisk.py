@@ -31,7 +31,20 @@ def _cube_on_ellipsoid():
 
 @pytest.fixture(scope="module", params=["tetrahedron/ball", "cube/ball",
                                         "cube/ellipsoid", "p4_box"])
-def traced_pair(request):
+def kdisk_case(request):
+    """(name, P, cfg, body) of one configuration the tracers are compared
+    on."""
+    if request.param == "p4_box":
+        inst = request.getfixturevalue("p4_box_instance")
+        return request.param, inst["P"], inst["cfg"], inst["body"]
+    if request.param == "cube/ellipsoid":
+        return (request.param, *_cube_on_ellipsoid())
+    name = request.param.split("/")[0]
+    return request.param, get_seed(name)[0], ball_solution(name), BALL
+
+
+@pytest.fixture(scope="module")
+def traced_pair(kdisk_case):
     """(batched, scalar) packings of one configuration, and the tolerance
     on their worst contact position errors.
 
@@ -42,18 +55,14 @@ def traced_pair(request):
     of the traced points: both tracers put the visibility contacts about
     1.4e-4 from the tangent points, 5e-7 apart.
     """
-    tol = 1e-7
-    if request.param == "p4_box":
-        inst = request.getfixturevalue("p4_box_instance")
-        P, cfg, body = inst["P"], inst["cfg"], inst["body"]
-        tol = 1e-5
-    elif request.param == "cube/ellipsoid":
-        P, cfg, body = _cube_on_ellipsoid()
-    else:
-        name = request.param.split("/")[0]
-        P, cfg, body = get_seed(name)[0], ball_solution(name), BALL
+    name, P, cfg, body = kdisk_case
+    tol = 1e-5 if name == "p4_box" else 1e-7
     return (extract_kdisk_packings(cfg, body, P),
             kdisk_oracle.scalar_kdisk_packings(cfg, body, P), tol)
+
+
+def _bisection(arcs, lo, hi, start):
+    return kdisk_oracle.bisection_solve(arcs, lo, hi)
 
 
 def test_unit_orthogonals_match_scalar_helper():
@@ -78,6 +87,131 @@ def test_batched_tracer_matches_scalar_tracer(traced_pair):
             assert abs(new.max_foreign_margin - old.max_foreign_margin) < 1e-12
         assert (abs(new.worst_position_error - old.worst_position_error)
                 < position_tol)
+
+
+def test_all_disks_trace_matches_per_disk_trace(kdisk_case, monkeypatch):
+    # driven by the bisection horizon solve, tracing all disks in lockstep
+    # does each row's arithmetic exactly as tracing one disk at a time
+    _, P, cfg, body = kdisk_case
+    faces = verify._FaceDisks(body, cfg, P, THETA)
+    for f, disk in enumerate(faces.disks):
+        assert np.array_equal(disk.boundary_samples, faces._points(f, THETA))
+    monkeypatch.setattr(verify._Arcs, "solve", _bisection)
+    vertices = verify._VertexDisks(body, cfg, P, THETA)
+    for v, disk in enumerate(vertices.disks):
+        alphas, samples = kdisk_oracle.per_disk_trace(vertices, v, THETA)
+        assert np.array_equal(vertices.alphas[v], alphas)
+        assert np.array_equal(disk.boundary_samples, samples)
+
+
+def _unresolved_width(disks):
+    """Per sample, g's rounding bound over |g'| at the traced horizon: the
+    width in alpha over which rounding can flip the sign of g."""
+    n_vertices, n = disks.alphas.shape
+    owners = np.repeat(np.arange(n_vertices), n)
+    m = verify._circle(np.repeat(disks.a, n, axis=0),
+                       np.repeat(disks.b, n, axis=0), np.tile(THETA, n_vertices))
+    arcs = disks._arcs(owners, m, np.ones(len(owners)))
+    _, g_tol, slope, _ = arcs.g_slope(np.arange(len(owners)),
+                                      disks.alphas.ravel())
+    return (g_tol / np.abs(slope)).reshape(disks.alphas.shape)
+
+
+def test_newton_horizons_match_bisection(kdisk_case, monkeypatch):
+    # Both solves end where g is 0 to rounding. On the quartic box some
+    # horizons are flat (|g'| down to 3.4e-3) and the computed g changes
+    # sign hundreds of times within 600 ulps of the root; there they agree
+    # to the unresolved width instead of 1e-14.
+    _, P, cfg, body = kdisk_case
+    newton = verify._VertexDisks(body, cfg, P, THETA)
+    packings = extract_kdisk_packings(cfg, body, P)
+    monkeypatch.setattr(verify._Arcs, "solve", _bisection)
+    bisection = verify._VertexDisks(body, cfg, P, THETA)
+    assert np.all(np.abs(newton.alphas - bisection.alphas)
+                  <= 1e-14 + _unresolved_width(newton))
+    for new, old in zip(packings, extract_kdisk_packings(cfg, body, P)):
+        assert new.contacts_ok == old.contacts_ok
+        assert new.nondegenerate == old.nondegenerate
+
+
+class _BallWithHessian(ConvexBody):
+    """The unit ball with every Hessian filled with one value: the horizon
+    slope is nan for a nan fill and 0 for a zero fill."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def value(self, x):
+        return BALL.value(x)
+
+    def gradient(self, x):
+        return BALL.gradient(x)
+
+    def hessian(self, x):
+        return np.full((3, 3), self.fill)
+
+    def values(self, X):
+        return BALL.values(X)
+
+    def gradients(self, X):
+        return BALL.gradients(X)
+
+    def hessians(self, X):
+        return np.full((len(X), 3, 3), self.fill)
+
+    @property
+    def descriptor(self):
+        return "ball"
+
+
+@pytest.mark.parametrize("fill", [math.nan, 0.0])
+def test_unusable_slope_falls_back_to_bisection(fill, monkeypatch):
+    P, _, _ = get_seed("cube")
+    cfg = ball_solution("cube")
+    fallback = verify._VertexDisks(_BallWithHessian(fill), cfg, P, THETA)
+    monkeypatch.setattr(verify._Arcs, "solve", _bisection)
+    bisection = verify._VertexDisks(BALL, cfg, P, THETA)
+    assert np.max(np.abs(fallback.alphas - bisection.alphas)) < 1e-14
+
+
+def test_unconverged_horizon_names_vertex(monkeypatch):
+    P, _, _ = get_seed("cube")
+    monkeypatch.setattr(verify, "HORIZON_BISECTIONS", 1)
+    with pytest.raises(DegenerateConfiguration,
+                       match="^K-disk extraction: vertex 0 has no converged "
+                             "horizon after 1 evaluations"):
+        verify._VertexDisks(BALL, ball_solution("cube"), P, THETA)
+
+
+def test_ray_solves_per_verification_stay_bounded(monkeypatch):
+    # a clock-free guard on the lockstep tracer: 214 batched ray solves
+    # verify cube/ball, where tracing one disk at a time with bisected
+    # horizons took 2,790
+    calls = []
+    ray_roots = verify.ray_roots
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return ray_roots(*args, **kwargs)
+    monkeypatch.setattr(verify, "ray_roots", counted)
+    P, _, _ = get_seed("cube")
+    assert verify_configuration(ball_solution("cube"), BALL, P).passed
+    assert len(calls) <= 600
+
+
+def test_small_visible_cap_is_traced():
+    # vertex 49 sees a cap narrower than the linear horizon scan's first
+    # angle, 1e-3 rad
+    P, frame = complex_and_frame("hull60")
+    radii = solve_radii(P, frame)
+    cfg = koebe_config(lift_normalize(layout_circles(P, frame, radii),
+                                      (0j, 1 + 0j, 1j)))
+    positions, _ = cfg.affine_vertices()
+    assert math.acos(1.0 / np.linalg.norm(positions[49])) < 1e-3
+    report = verify_configuration(cfg, BALL, P)
+    assert report.contact_graph_primal_ok is True
+    assert report.contact_graph_dual_ok is True
+    assert report.passed
 
 
 @pytest.mark.parametrize("name", ["hull12", "prism8"])

@@ -3,6 +3,7 @@ rigidity probing."""
 import numpy as np
 import pytest
 
+import check_oracle
 from conftest import ball_solution, closed_form_config, get_seed
 from midscribe import (
     check_convexity,
@@ -13,6 +14,7 @@ from midscribe import (
 )
 from midscribe.bodies import make_body, make_path
 from midscribe.errors import NotMidscribed
+from midscribe.seeds import SEED_NAMES
 from midscribe.verify import CONTACT_TOL, N_BOUNDARY_SAMPLES, TANGENCY_TOL
 
 BALL = make_body("ball")
@@ -89,6 +91,37 @@ def test_convexity_classifications():
     at_inf = cfg.copy()
     at_inf.vertices4[2] = np.array([0.0, 0.0, 1.0, 0.0])
     assert check_convexity(at_inf, P) == "projective-degenerate"
+
+
+@pytest.mark.parametrize("name", SEED_NAMES)
+def test_array_checks_match_loop_checks(name, nonconvex_instance):
+    P, _, exact = closed_form_config(name)
+    variants = [exact, ball_solution(name),
+                closed_form_config(name, scale=2.0)[2],
+                closed_form_config(name, stretch=(1.3, 1.0, 0.8))[2]]
+    flipped = exact.copy()
+    flipped.normals[0] *= -1.0
+    flipped.offsets[0] *= -1.0
+    at_inf = exact.copy()
+    at_inf.vertices4[2] = np.array([0.0, 0.0, 1.0, 0.0])
+    collapsed = exact.copy()
+    collapsed.vertices4[1] = exact.vertices4[0]
+    jittered = exact.copy()
+    jittered.vertices4 += np.random.default_rng(len(name)).normal(
+        scale=1e-8, size=exact.vertices4.shape)
+    undefined = exact.copy()
+    undefined.vertices4[3] = np.nan
+    variants += [flipped, at_inf, collapsed, jittered, undefined]
+    cases = [(P, cfg) for cfg in variants]
+    if name == "cube":
+        cases.append((nonconvex_instance[0], nonconvex_instance[4]))
+    for P, cfg in cases:
+        assert (repr(check_convexity(cfg, P, detailed=True))
+                == repr(check_oracle.check_convexity(cfg, P, detailed=True)))
+        report = check_midscription(cfg, BALL, P)
+        assert (repr((report.per_vertex, report.max_incidence_residual,
+                      report.combinatorics_ok))
+                == repr(check_oracle.incidence(cfg, P)))
 
 
 def test_extracted_packings_on_ball_cube():
