@@ -31,12 +31,14 @@ CHART_BISECTION_ITERATIONS = 100
 
 
 class ConvexBody:
-    """Base class; subclasses provide value/gradient/hessian and a descriptor.
+    """Base class for a gauge F, which must be convex on all of R^3.
 
-    The batched forms values/gradients/hessians take an (m, 3) array of
-    points and return shapes (m,), (m, 3) and (m, 3, 3). By default they loop
-    over the rows with the scalar methods, so a subclass that defines only
-    those works everywhere; the built-in bodies override them with numpy.
+    make_path relies on it; the built-in gauges are sums of even powers of
+    linear forms. Subclasses provide value/gradient/hessian and a descriptor.
+    The batched values/gradients/hessians take an (m, 3) array of points and
+    return shapes (m,), (m, 3) and (m, 3, 3). By default they loop over the
+    rows with the scalar methods, so a subclass that defines only those
+    works everywhere; the built-in bodies override them with numpy.
     """
 
     def value(self, x) -> float:
@@ -181,11 +183,10 @@ class Superellipsoid(ConvexBody):
 
 @dataclass(frozen=True)
 class GaugeBlend(ConvexBody):
-    """Convex combination (1-s) F0 + s F1 of two gauges.
+    """Convex combination (1-s) F0 + s F1 of two gauges, itself convex.
 
-    A convex combination of convex functions is convex, so blending gauges
-    (rather than boundary parametrizations) keeps every intermediate body
-    strictly convex for free.
+    Blending gauges rather than boundary parametrizations keeps every
+    intermediate body convex; make_path shows it strictly convex.
     """
 
     body0: ConvexBody
@@ -520,12 +521,15 @@ class BodyPath:
 
 
 def make_path(end: ConvexBody) -> BodyPath:
-    """Build the ball-to-end path, certifying convexity on a coarse s grid."""
-    path = BodyPath(start=Ball(), end=end)
-    for k in range(11):
-        s = k / 10.0
-        try:
-            validate_body(path.eval(s), n_samples=100)
-        except (NotStrictlyConvex, PoleViolation) as exc:
-            raise PathConvexityFailure("body path invalid at s=%.1f: %s" % (s, exc))
-    return path
+    """Build the ball-to-end path, certified by validating the end body.
+
+    F_s = (1-s)(|x|^2 - 1) + s F_end with F_end convex, so for s < 1 its
+    Hessian is at least 2(1-s) I: {F_s <= 0} is bounded and strictly convex.
+    As for both gauges, F_s(N) = 0, grad F_s(N) points along +z and
+    F_s(0) < 0. So only s = 1 can fail.
+    """
+    try:
+        validate_body(end, n_samples=100)
+    except (NotStrictlyConvex, PoleViolation) as exc:
+        raise PathConvexityFailure("body path invalid at s=1.0: %s" % exc)
+    return BodyPath(start=Ball(), end=end)

@@ -11,11 +11,9 @@ dart; every edge carries exactly two opposite darts, one per adjacent face.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
-    DimensionMismatch,
     MalformedSpec,
     NonPolyhedral,
     NotIncident,
@@ -149,67 +147,73 @@ def build_complex(face_lists, n_vertices: int | None = None) -> PolyhedralComple
         raise NonPolyhedral("Euler relation fails: V-E+F = %d" %
                             (n_vertices - len(edges) + len(faces)))
 
-    vertex_faces = tuple(_face_cycle(faces, face_of_dart, v, n_vertices)
+    incident = [[] for _ in range(n_vertices)]
+    for fid, cyc in enumerate(faces):
+        for v in cyc:
+            incident[v].append(fid)
+    vertex_faces = tuple(_face_cycle(faces, face_of_dart, v, incident[v])
                          for v in range(n_vertices))
-    for v in range(n_vertices):
-        if len(vertex_faces[v]) < 3:
-            raise NonPolyhedral("vertex %d has degree %d < 3"
-                                % (v, len(vertex_faces[v])))
+    for v, ring in enumerate(vertex_faces):
+        if len(ring) < 3:
+            raise NonPolyhedral("vertex %d has degree %d < 3" % (v, len(ring)))
 
-    _check_three_connected(n_vertices, edges)
+    _check_three_connected(faces, face_of_dart, vertex_faces)
 
     return PolyhedralComplex(faces=faces, n_vertices=n_vertices, edges=edges,
                              face_of_dart=face_of_dart, edge_index=edge_index,
                              edge_faces=edge_faces, vertex_faces=vertex_faces)
 
 
-def _face_cycle(faces, face_of_dart, v, n_vertices):
+def _face_cycle(faces, face_of_dart, v, incident):
     """Faces around v in counterclockwise order seen from outside.
 
-    Starting from any incident face f, the next face counterclockwise is the
-    one across the edge (v, u) where u precedes v on f's boundary.
+    Starting from the first face in incident (the faces containing v, by
+    id), the face after f is the one across the edge (v, u) where u
+    precedes v on f; each dart lies on one face, so this step permutes the
+    incident faces and the walk closes.
     """
-    incident = [fid for fid, cyc in enumerate(faces) if v in cyc]
-    if not incident:
-        raise MalformedSpec("vertex %d unused" % v)
-    start = min(incident)
-    cycle = [start]
-    f = start
-    while True:
-        u = _predecessor_in_cycle(faces[f], v)
-        f = face_of_dart[(v, u)]
-        if f == start:
-            break
-        if f in cycle or len(cycle) > len(incident):
-            raise NonPolyhedral("faces at vertex %d do not form a single cycle" % v)
+    cycle = [incident[0]]
+    f = face_of_dart[(v, _predecessor_in_cycle(faces[cycle[0]], v))]
+    while f != cycle[0]:
         cycle.append(f)
+        f = face_of_dart[(v, _predecessor_in_cycle(faces[f], v))]
     if len(cycle) != len(incident):
         raise NonPolyhedral("vertex %d has a split umbrella" % v)
     return tuple(cycle)
 
 
-def _check_three_connected(n_vertices, edges):
-    if n_vertices < 4:
-        raise NonPolyhedral("fewer than 4 vertices")
-    adj = [[] for _ in range(n_vertices)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    # brute-force: removing any vertex pair must leave the rest connected
-    for x in range(n_vertices):
-        for y in range(x + 1, n_vertices):
-            rest = [v for v in range(n_vertices) if v != x and v != y]
-            seen = {rest[0]}
-            queue = deque([rest[0]])
-            while queue:
-                v = queue.popleft()
-                for w in adj[v]:
-                    if w != x and w != y and w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            if len(seen) != len(rest):
-                raise NonPolyhedral("graph separates after removing vertices "
-                                    "%d and %d (not 3-connected)" % (x, y))
+def _check_three_connected(faces, face_of_dart, vertex_faces):
+    """Raise NonPolyhedral unless the edge graph is 3-connected.
+
+    build_complex has checked a closed oriented surface with V - E + F = 2,
+    simple face cycles and a simple graph of degree >= 3, so V >= 4 and a
+    disconnected graph has components of >= 4 vertices: removing 0 and 1
+    separates it. A connected one is a 2-connected plane graph, 3-connected
+    iff any two faces meet in nothing, a vertex or an edge (Mohar-Thomassen,
+    Graphs on Surfaces, 2001). Shared vertices x, y of faces f, g other than
+    their common edge are not consecutive on f or on g, so a closed curve
+    through f and g meeting the graph at x and y only has vertices on both
+    sides. Conversely, if {x, y} separates, faces at x between edges into
+    different parts contain y: the least pair found is the least separating.
+    """
+    seen, todo = {0}, [0]
+    while todo:  # the vertices of a face are joined along its edges
+        fresh = {w for f in vertex_faces[todo.pop()] for w in faces[f]} - seen
+        seen |= fresh
+        todo.extend(fresh)
+    meets = {}  # face pair -> its shared vertices, in increasing order
+    for v, ring in enumerate(vertex_faces):
+        for i, f in enumerate(ring):
+            for g in ring[i + 1:]:
+                meets.setdefault((min(f, g), max(f, g)), []).append(v)
+    splits = [(x, y) for fg, shared in meets.items()
+              for i, x in enumerate(shared) for y in shared[i + 1:]
+              if {face_of_dart.get((x, y)), face_of_dart.get((y, x))} != set(fg)]
+    if len(seen) < len(vertex_faces):
+        splits = [(0, 1)]
+    if splits:
+        raise NonPolyhedral("graph separates after removing vertices "
+                            "%d and %d (not 3-connected)" % min(splits))
 
 
 def dual_complex(P: PolyhedralComplex) -> PolyhedralComplex:
@@ -279,22 +283,13 @@ class DimensionReport:
     concurrency_conditions: int
     flag_count: int
 
-    def balance_ok(self) -> bool:
-        return self.concurrency_conditions + self.realization_dof == self.plane_dof
-
 
 def dimension_audit(P: PolyhedralComplex) -> DimensionReport:
     V, E, F = P.n_vertices, P.n_edges, P.n_faces
-    report = DimensionReport(plane_dof=3 * F,
-                             realization_dof=E + 6,
-                             concurrency_conditions=2 * E - 3 * V,
-                             flag_count=2 * E)
-    if not report.balance_ok():
-        # equivalent to the Euler relation, so build_complex should have caught it
-        raise DimensionMismatch("dimension balance violated: %r" % (report,))
-    if report.flag_count != sum(P.degree(v) for v in range(V)):
-        raise DimensionMismatch("flag count mismatch")
-    return report
+    return DimensionReport(plane_dof=3 * F,
+                           realization_dof=E + 6,
+                           concurrency_conditions=2 * E - 3 * V,
+                           flag_count=2 * E)
 
 
 def parse_off(text: str):

@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midscribe import bodies
-from midscribe.bodies import (BodyChart, ConvexBody, chart_inverse, make_body,
-                              make_path, ray_roots, validate_body)
+from midscribe.bodies import (Ball, BodyChart, BodyPath, ConvexBody,
+                              chart_inverse, make_body, make_path, ray_roots,
+                              validate_body)
 from midscribe.errors import (MalformedDescriptor, NotStrictlyConvex,
-                              PoleViolation, RootNotFound)
+                              PathConvexityFailure, PoleViolation,
+                              RootNotFound)
 
 DESCRIPTORS = [
     "ball",
@@ -210,6 +212,41 @@ class FlatBall(ScalarOnly):
 def test_validate_body_rejects_flat_hessian():
     with pytest.raises(NotStrictlyConvex, match="tangential hessian"):
         validate_body(FlatBall(make_body("ball")))
+
+
+def sampled_path(end):
+    """The path check make_path ran before: validate 11 blends from the ball."""
+    path = BodyPath(start=Ball(), end=end)
+    for k in range(11):
+        s = k / 10.0
+        try:
+            validate_body(path.eval(s), n_samples=100)
+        except (NotStrictlyConvex, PoleViolation) as exc:
+            raise PathConvexityFailure("body path invalid at s=%.1f: %s" % (s, exc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "end", [make_body(d) for d in DESCRIPTORS]
+    + [ScalarOnly(make_body("superellipsoid:p=4,a=1.1,b=0.9"))],
+    ids=lambda body: body.descriptor)
+def test_make_path_validates_end_only(end, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bodies, "validate_body",
+                        lambda body, n_samples: calls.append(body)
+                        or validate_body(body, n_samples))
+    assert make_path(end) == sampled_path(end)
+    assert calls == [end]
+
+
+@pytest.mark.parametrize("end", [FlatBall(make_body("ball")), HalfSpace()],
+                         ids=lambda body: body.descriptor)
+def test_make_path_rejects_invalid_end(end):
+    with pytest.raises(PathConvexityFailure, match=r"invalid at s=1\.0") as new:
+        make_path(end)
+    with pytest.raises(PathConvexityFailure) as old:
+        sampled_path(end)
+    assert str(new.value) == str(old.value)
 
 
 def test_chart_bisection_is_bounded(monkeypatch):
