@@ -11,20 +11,19 @@ __version__ = "0.1.0"
 
 from . import errors
 from .bodies import (Ball, BodyChart, BodyPath, ConvexBody, Ellipsoid,
-                     GaugeBlend, Superellipsoid, chart_inverse, make_body,
-                     make_path, validate_body)
+                     GaugeBlend, Superellipsoid, make_body, make_path,
+                     validate_body)
 from .combinatorics import (DimensionReport, Frame, PolyhedralComplex,
                             build_complex, dimension_audit, dual_complex,
                             load_complex_file, parse_complex_json, parse_off,
                             select_frame)
-from .config import (EPS_INFINITY, Configuration, ContinuationOptions,
-                     SolveReport)
+from .config import EPS_INFINITY, Configuration, SolveReport
 from .packing import (Cap, Circle, CirclePattern, SphericalPattern,
                       koebe_config, layout_circles, lift_normalize,
                       planar_pattern_residuals, solve_radii,
                       spherical_pattern_residuals)
 from .seeds import SEED_NAMES, seed_complex, seed_coordinates
-from .solver import (ConstraintSystem, assemble_jacobian, assemble_residual,
+from .solver import (ConstraintSystem, assemble_residual,
                      continue_from_pattern, continue_to_body, newton_refine,
                      plane_quadruple_det)
 from .verify import (DiskPacking, KDisk, RigidityReport, VerifyReport,
@@ -34,17 +33,16 @@ from .verify import (DiskPacking, KDisk, RigidityReport, VerifyReport,
 
 __all__ = [
     "Ball", "BodyChart", "BodyPath", "Cap", "Circle", "CirclePattern",
-    "Configuration", "ConstraintSystem", "ContinuationOptions", "ConvexBody",
-    "DimensionReport", "DiskPacking", "EPS_INFINITY", "Ellipsoid", "Frame",
-    "GaugeBlend", "KDisk", "PolyhedralComplex", "RigidityReport", "SEED_NAMES",
-    "SolveReport", "SphericalPattern", "Superellipsoid", "VerifyReport",
-    "assemble_jacobian", "assemble_residual", "build_complex", "chart_inverse",
-    "check_convexity", "check_midscription", "continue_from_pattern",
-    "continue_to_body", "dimension_audit", "dual_complex", "errors",
-    "extract_kdisk_packings", "koebe_config", "layout_circles",
-    "lift_normalize", "load_complex_file", "make_body", "make_path",
-    "newton_refine", "parse_complex_json", "parse_off", "plane_quadruple_det",
-    "planar_pattern_residuals", "rigidity_probe", "seed_complex",
-    "seed_coordinates", "select_frame", "solve_radii",
+    "Configuration", "ConstraintSystem", "ConvexBody", "DimensionReport",
+    "DiskPacking", "EPS_INFINITY", "Ellipsoid", "Frame", "GaugeBlend", "KDisk",
+    "PolyhedralComplex", "RigidityReport", "SEED_NAMES", "SolveReport",
+    "SphericalPattern", "Superellipsoid", "VerifyReport", "assemble_residual",
+    "build_complex", "check_convexity", "check_midscription",
+    "continue_from_pattern", "continue_to_body", "dimension_audit",
+    "dual_complex", "errors", "extract_kdisk_packings", "koebe_config",
+    "layout_circles", "lift_normalize", "load_complex_file", "make_body",
+    "make_path", "newton_refine", "parse_complex_json", "parse_off",
+    "plane_quadruple_det", "planar_pattern_residuals", "rigidity_probe",
+    "seed_complex", "seed_coordinates", "select_frame", "solve_radii",
     "spherical_pattern_residuals", "validate_body", "verify_configuration",
 ]

@@ -494,10 +494,6 @@ class BodyChart:
         return point(t)
 
 
-def chart_inverse(chart: BodyChart, z: complex) -> np.ndarray:
-    return chart.inverse(z)
-
-
 def _is_extended_infinity(z) -> bool:
     try:
         return cmath.isinf(complex(z))

@@ -7,13 +7,15 @@ failure. Every JSON output embeds a run manifest describing the invocation.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from . import seeds
 from .bodies import BodyPath, make_body, make_path
 from .combinatorics import (PolyhedralComplex, build_complex,
                             load_complex_file, select_frame)
-from .config import ContinuationOptions
 from .errors import InputError, MalformedSpec, NotMidscribed, SolverError, StepUnderflow
 from .packing import CirclePattern, layout_circles, lift_normalize, solve_radii
 from .solver import continue_from_pattern, continue_to_body
@@ -41,18 +42,6 @@ class RunManifest:
     options: dict
     tool_version: str
     wall_time_s: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "body": self.body,
-            "marks": self.marks,
-            "frame": self.frame,
-            "options": self.options,
-            "tool_version": self.tool_version,
-            "wall_time_s": self.wall_time_s,
-        }
 
 
 def _tool_version() -> str:
@@ -81,10 +70,22 @@ def parse_marks(text: str) -> tuple[complex, complex, complex]:
             raise MalformedSpec("empty mark in %r" % text)
         s = _BARE_I.sub("1j", part).replace("i", "j")
         try:
-            out.append(complex(s.replace(" ", "")))
+            z = complex(s.replace(" ", ""))
         except ValueError:
             raise MalformedSpec("cannot parse mark %r" % part)
+        if not cmath.isfinite(z):
+            raise MalformedSpec("mark %r is not finite" % part)
+        out.append(z)
     return tuple(out)
+
+
+def _tolerance(text: str) -> float:
+    """--tol: a finite number greater than zero. argparse passes the
+    MalformedSpec through to main, which exits 3."""
+    tol = float(text)
+    if not 0.0 < tol < math.inf:
+        raise MalformedSpec("tol must be finite and positive, got %r" % text)
+    return tol
 
 
 def parse_frame_spec(text: str):
@@ -142,21 +143,22 @@ def cmd_pack(args) -> int:
     manifest = _manifest(args, "pack")
     manifest.wall_time_s = time.monotonic() - t0
     out = args.out or "pattern.json"
-    formats.dump_json(out, formats.pattern_to_dict(spherical,
-                                                   manifest.to_dict()))
+    formats.dump_json(out, formats.pattern_to_dict(spherical, asdict(manifest)))
     print("wrote %s" % out)
     return 0
 
 
 def cmd_midscribe(args) -> int:
+    if args.starts < 0:
+        raise MalformedSpec("starts must be zero or more, got %d" % args.starts)
     t0 = time.monotonic()
     P = _load_complex(args.complex)
     frame = _get_frame(P, args)
     marks_z = parse_marks(args.marks)
     body = make_body(args.body)
     path = make_path(body)
-    opts = ContinuationOptions(tol=args.tol)
-    cfg, solve_report = continue_to_body(P, frame, marks_z, path, opts)
+    cfg, solve_report = continue_to_body(P, frame, marks_z, path,
+                                         tol=args.tol)
     report = verify_configuration(cfg, body, P, with_packings=False)
 
     rigidity = None
@@ -177,7 +179,7 @@ def cmd_midscribe(args) -> int:
         formats.write_off(out, positions, P.faces)
         print("wrote %s" % out)
 
-    payload = formats.configuration_to_dict(cfg, P, manifest.to_dict())
+    payload = formats.configuration_to_dict(cfg, P, asdict(manifest))
     payload["verify"] = formats.verify_report_to_dict(report)
     payload["solve"] = {
         "converged": solve_report.converged,
@@ -220,7 +222,7 @@ def cmd_verify(args) -> int:
     manifest = _manifest(args, "verify", tol=args.tol)
     manifest.inputs["config"] = args.config
     manifest.wall_time_s = time.monotonic() - t0
-    payload = formats.verify_report_to_dict(report, manifest.to_dict())
+    payload = formats.verify_report_to_dict(report, asdict(manifest))
     if args.report:
         formats.dump_json(args.report, payload)
         print("wrote %s" % args.report)
@@ -268,8 +270,7 @@ def _sweep_worker(task):
         return (z1, z2, z3, "failed", float("nan"))
     try:
         cfg, _report = continue_from_pattern(setup.planar, (z1, z2, z3),
-                                             setup.path,
-                                             ContinuationOptions(tol=tol))
+                                             setup.path, tol=tol)
         cls, info = check_convexity(cfg, setup.P, detailed=True)
         if info["marginal"] and cls in ("convex", "nonconvex"):
             cls += "-marginal"
@@ -288,10 +289,12 @@ def cmd_sweep(args) -> int:
     marks_z = parse_marks(args.marks)
     z1, z2 = marks_z[0], marks_z[1]
     try:
-        x0, x1, y0, y1 = (float(t) for t in args.grid_box.split(","))
+        x0, x1, y0, y1 = box = [float(t) for t in args.grid_box.split(",")]
+        if not all(map(math.isfinite, box)):
+            raise ValueError
     except ValueError:
-        raise MalformedSpec("grid box must be X0,X1,Y0,Y1, got %r"
-                            % args.grid_box)
+        raise MalformedSpec("grid box must be four finite numbers "
+                            "X0,X1,Y0,Y1, got %r" % args.grid_box)
     n = args.grid
     if n < 1:
         raise MalformedSpec("grid must be a positive integer, got %d" % n)
@@ -343,25 +346,26 @@ def build_parser() -> argparse.ArgumentParser:
                                  "realizations over smooth convex bodies.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, body=True, marks=True):
+    def common(p, solve=True):
+        """--complex, --marks, --frame, --out; --body and --tol to solve."""
         p.add_argument("--complex", required=True,
                        help="path to an OFF/JSON complex, or a seed name (%s)"
                             % ", ".join(seeds.SEED_NAMES))
-        if body:
+        if solve:
             p.add_argument("--body", default="ball",
                            help="body descriptor, e.g. ball, "
                                 "ellipsoid:a=1.2,b=1.0, "
                                 "superellipsoid:p=4,a=1,b=1")
-        if marks:
-            p.add_argument("--marks", default="0,1,i",
-                           help="three chart coordinates z1,z2,z3 (a+bi)")
+            p.add_argument("--tol", type=_tolerance, default=1e-11,
+                           help="residual tolerance of the continuation")
+        p.add_argument("--marks", default="0,1,i",
+                       help="three chart coordinates z1,z2,z3 (a+bi)")
         p.add_argument("--frame", default=None,
                        help="FACE:E1,E2,E3 (default: face 0, first three edges)")
-        p.add_argument("--tol", type=float, default=1e-11)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("pack", help="ball packing, normalized to the marks")
-    common(p, body=False)
+    common(p, solve=False)
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("midscribe", help="solve for the midscribed polyhedron")
@@ -377,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--body", default=None,
                    help="body descriptor (default: the one recorded in the "
                         "configuration's manifest, else ball)")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_verify)
 

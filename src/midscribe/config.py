@@ -32,10 +32,10 @@ class Configuration:
                              self.vertices4.copy(), self.tangents.copy(),
                              self.marked_edges, self.marked_points.copy())
 
-    def affine_vertices(self, eps_inf: float = EPS_INFINITY):
+    def affine_vertices(self):
         """(positions (V,3), finite mask); infinite rows are nan."""
         v4 = self.vertices4 / np.linalg.norm(self.vertices4, axis=1, keepdims=True)
-        finite = np.abs(v4[:, 0]) > eps_inf
+        finite = np.abs(v4[:, 0]) > EPS_INFINITY
         pos = np.full((len(v4), 3), np.nan)
         pos[finite] = v4[finite, 1:] / v4[finite, :1]
         return pos, finite
@@ -58,13 +58,3 @@ class SolveReport:
     step_history: list = field(default_factory=list)
     rank_deficiency: int = 0
 
-
-@dataclass
-class ContinuationOptions:
-    tol: float = 1e-11
-    max_iter: int = 30
-    ds_init: float = 0.1
-    ds_min: float = 1e-4
-    ds_max: float = 0.25
-    min_tangent_separation: float = 1e-6
-    min_face_circle_size: float = 1e-6

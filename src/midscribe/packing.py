@@ -118,6 +118,11 @@ class RadiusAssignment:
 # Newton iterations of the radius solve; from the all-ones start it takes
 # five to eight on every complex tried, up to V=240.
 RADIUS_MAX_ITERATIONS = 50
+# convergence of the radius solve's angle sums, and the contact checks of the
+# planar layout (relative to the box size) and of the lift to the sphere
+RADIUS_TOL = 1e-13
+LAYOUT_TOL = 1e-9
+LIFT_TOL = 1e-8
 # halvings of the Newton step before the line search gives up
 _MAX_HALVINGS = 60
 _CATALAN = 0.915965594177219015054603514932384110774
@@ -191,15 +196,14 @@ class _AngleSums:
         return float(np.sum(terms)), float(np.sum(np.abs(terms)))
 
 
-def solve_radii(P: PolyhedralComplex, frame: Frame,
-                tol: float = 1e-13) -> RadiusAssignment:
+def solve_radii(P: PolyhedralComplex, frame: Frame) -> RadiusAssignment:
     """Packing radii for the box normalization of (P, frame).
 
     One node's radius is pinned to 1 to fix scale; its angle equation is then
     implied by the others (the kite angles of any radius assignment sum to
     pi per finite flag, exactly the sum of the targets). The others come
     from damped Newton on the convex functional of _AngleSums, which stops
-    once every angle sum is within tol of its target.
+    once every angle sum is within RADIUS_TOL of its target.
     """
     box = _box_structure(P, frame)
     interior = [u for u in box.nodes if box.targets[u] == TWO_PI]
@@ -210,7 +214,7 @@ def solve_radii(P: PolyhedralComplex, frame: Frame,
     F = sums.residual(x)
     worst = float(np.max(np.abs(F)))
     iterations = 0
-    while not worst < tol:
+    while not worst < RADIUS_TOL:
         if iterations == RADIUS_MAX_ITERATIONS:
             raise NonConvergence("radius solve: residual %.3e after %d "
                                  "iterations" % (worst, iterations))
@@ -315,7 +319,7 @@ class CirclePattern:
 
 
 def layout_circles(P: PolyhedralComplex, frame: Frame,
-                   radii: RadiusAssignment, tol: float = 1e-9) -> CirclePattern:
+                   radii: RadiusAssignment) -> CirclePattern:
     """Place the packing in the box picture and validate every contact."""
     box = _box_structure(P, frame)
     r = {u: radii.radius(u) for u in box.nodes}
@@ -354,7 +358,7 @@ def layout_circles(P: PolyhedralComplex, frame: Frame,
     height_left = _stack_wall(P, box, r, centers, tangency, v_left, 0.0)
     height_right = _stack_wall(P, box, r, centers, tangency, v_right, width)
     scale = max(1.0, width, height_left)
-    if abs(height_left - height_right) > tol * scale:
+    if abs(height_left - height_right) > LAYOUT_TOL * scale:
         raise LayoutInconsistency("wall stacks disagree on the box height: "
                                   "%.17g vs %.17g" % (height_left, height_right))
     height = 0.5 * (height_left + height_right)
@@ -374,7 +378,7 @@ def layout_circles(P: PolyhedralComplex, frame: Frame,
         x -= r[("v", u)]
         prev = u
     tangency[P.edge_index[(prev, v_left)]] = complex(x, height)
-    if abs(x) > tol * scale:
+    if abs(x) > LAYOUT_TOL * scale:
         raise LayoutInconsistency("top row does not close onto the left wall "
                                   "(gap %.3e)" % x)
 
@@ -383,7 +387,7 @@ def layout_circles(P: PolyhedralComplex, frame: Frame,
 
     pattern = _assemble_pattern(P, box, r, centers, tangency, frame,
                                 width, height)
-    _validate_planar(pattern, tol * scale)
+    _validate_planar(pattern, LAYOUT_TOL * scale)
     return pattern
 
 
@@ -607,8 +611,7 @@ def _mapped_cap(circle: Circle, M) -> Cap:
     return Cap(n=n, d=d)
 
 
-def lift_normalize(pattern: CirclePattern, marks_z, tol: float = 1e-8
-                   ) -> SphericalPattern:
+def lift_normalize(pattern: CirclePattern, marks_z) -> SphericalPattern:
     """Lift the planar pattern to the sphere, pinning the frame tangencies.
 
     marks_z are three distinct finite chart coordinates; the Mobius map
@@ -634,9 +637,9 @@ def lift_normalize(pattern: CirclePattern, marks_z, tol: float = 1e-8
                                  marks=marks, marks_z=(z1, z2, z3),
                                  frame=pattern.frame)
     res = spherical_pattern_residuals(spherical)
-    if not (max(res.values()) < tol):
+    if not (max(res.values()) < LIFT_TOL):
         raise LayoutInconsistency("lifted pattern residuals %r exceed %.1e"
-                                  % (res, tol))
+                                  % (res, LIFT_TOL))
     return spherical
 
 

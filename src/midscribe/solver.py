@@ -13,10 +13,14 @@ ConstraintSystem builds that index layout once and evaluates the residual
 and Jacobian as array expressions over it, with one batched gauge call per
 quantity. A continuation builds one system and swaps the body and the
 marked points in at every step.
+
+The residual tolerance tol is a continuation's one setting: the normalized
+solution is unique for given P, K and marks, so the step sizes, the Newton
+cap per step and the degeneracy thresholds below change how it is reached,
+not which. They are module constants, read at call time.
 """
 
 from __future__ import annotations
-
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,7 +30,7 @@ from scipy.spatial.distance import pdist
 from . import packing
 from .bodies import BodyChart, BodyPath, ConvexBody, _rowdot
 from .combinatorics import Frame, PolyhedralComplex
-from .config import Configuration, ContinuationOptions, SolveReport
+from .config import Configuration, SolveReport
 from .errors import (
     DegenerateConfiguration,
     DegenerateMarks,
@@ -41,6 +45,17 @@ from .errors import (
 # The rows of one edge, in row order; "gauge" is left out on a marked edge,
 # whose tangent point is pinned on the body.
 EDGE_ROWS = ("plane_f", "plane_g", "gauge", "tangency")
+
+# Newton iterations allowed per continuation step before the step is halved
+NEWTON_MAX_ITERATIONS = 30
+# continuation step in s: first step, smallest before giving up, largest
+DS_INIT = 0.1
+DS_MIN = 1e-4
+DS_MAX = 0.25
+# an accepted solution with two tangent points this close, or a face whose
+# tangent points all lie this close, aborts the continuation
+MIN_TANGENT_SEPARATION = 1e-6
+MIN_FACE_CIRCLE_SIZE = 1e-6
 
 
 class ConstraintSystem:
@@ -242,12 +257,6 @@ def assemble_residual(cfg: Configuration, body: ConvexBody,
     return sys.residual(sys.pack(cfg))
 
 
-def assemble_jacobian(cfg: Configuration, body: ConvexBody,
-                      P: PolyhedralComplex, frame: Frame, marks) -> sp.csr_matrix:
-    sys = ConstraintSystem(P, frame, marks, body)
-    return sys.jacobian(sys.pack(cfg))
-
-
 def plane_quadruple_det(planes) -> float:
     """det of four stacked plane rows (n, -d); zero iff concurrent planes."""
     A = np.array([[n[0], n[1], n[2], -d] for n, d in planes])
@@ -333,16 +342,15 @@ def _face_circle_sizes(T: np.ndarray, face_edges: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(D * D, axis=-1)).max(axis=(1, 2))
 
 
-def _degeneracy_guard(system: ConstraintSystem, x: np.ndarray,
-                      opts: ContinuationOptions, s: float):
+def _degeneracy_guard(system: ConstraintSystem, x: np.ndarray, s: float):
     """Abort rather than accept collapsing tangencies or face circles."""
     T = system.tangents(x)
     dmin = float(pdist(T).min())
-    if dmin <= opts.min_tangent_separation:
+    if dmin <= MIN_TANGENT_SEPARATION:
         raise DegenerateConfiguration(
             "tangent points %.3e apart at s=%.6f" % (dmin, s))
     sizes = _face_circle_sizes(T, system.face_edges)
-    small = np.flatnonzero(sizes <= opts.min_face_circle_size)
+    small = np.flatnonzero(sizes <= MIN_FACE_CIRCLE_SIZE)
     if small.size:
         f = int(small[0])
         raise DegenerateConfiguration(
@@ -350,19 +358,18 @@ def _degeneracy_guard(system: ConstraintSystem, x: np.ndarray,
 
 
 def continue_to_body(P: PolyhedralComplex, frame: Frame, marks_z,
-                     path: BodyPath, opts: ContinuationOptions | None = None):
+                     path: BodyPath, tol: float = 1e-11):
     """Track the configuration from the ball packing to the end of the path.
 
     Solves the radii and lays out the planar packing of (P, frame), then
     runs continue_from_pattern on it. Returns (Configuration, SolveReport).
     """
     planar = packing.layout_circles(P, frame, packing.solve_radii(P, frame))
-    return continue_from_pattern(planar, marks_z, path, opts)
+    return continue_from_pattern(planar, marks_z, path, tol)
 
 
 def continue_from_pattern(planar: packing.CirclePattern, marks_z,
-                          path: BodyPath,
-                          opts: ContinuationOptions | None = None):
+                          path: BodyPath, tol: float = 1e-11):
     """Track the configuration from a planar ball packing to the end of path.
 
     planar is the laid-out packing of (P, frame) and carries both. The
@@ -373,9 +380,9 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
     move continuously with s. One ConstraintSystem serves the whole run; each
     step swaps its body and marked points. Every accepted solution is audited
     by a dense SVD of the Jacobian, whose worst condition number and final
-    rank deficiency go in the report. Returns (Configuration, SolveReport).
+    rank deficiency go in the report. Every Newton solve stops once the
+    residual's max-norm is below tol. Returns (Configuration, SolveReport).
     """
-    opts = opts or ContinuationOptions()
     z = tuple(complex(zi) for zi in marks_z)
     if len({z[0], z[1], z[2]}) != 3:
         raise DegenerateMarks("marks %r are not distinct" % (z,))
@@ -400,16 +407,16 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
 
     body0 = path.eval(0.0)
     system = ConstraintSystem(P, frame, marks_at(body0), body0)
-    x, iters, res = _newton_core(system, system.pack(cfg0), opts.tol,
-                                 opts.max_iter)
+    x, iters, res = _newton_core(system, system.pack(cfg0), tol,
+                                 NEWTON_MAX_ITERATIONS)
     total_iters += iters
     history.append((0.0, 0.0, iters))
     audit(system, x)
-    _degeneracy_guard(system, x, opts, 0.0)
+    _degeneracy_guard(system, x, 0.0)
 
     s_prev, x_prev = 0.0, x
     s_prev2, x_prev2 = None, None
-    ds = opts.ds_init
+    ds = DS_INIT
     while s_prev < 1.0 - 1e-15:
         s_try = min(1.0, s_prev + ds)
         system.body = path.eval(s_try)
@@ -420,11 +427,11 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
         else:
             x0 = x_prev
         try:
-            x_new, iters, res = _newton_core(system, x0, opts.tol,
-                                             opts.max_iter)
+            x_new, iters, res = _newton_core(system, x0, tol,
+                                             NEWTON_MAX_ITERATIONS)
         except SolverError:
             ds *= 0.5
-            if ds < opts.ds_min:
+            if ds < DS_MIN:
                 report = SolveReport(converged=False, iterations=total_iters,
                                      final_residual=res,
                                      jacobian_condition_estimate=worst_cond
@@ -432,17 +439,17 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
                                      step_history=history,
                                      rank_deficiency=rank_def)
                 raise StepUnderflow("continuation step fell below %.1e at "
-                                    "s=%.6f" % (opts.ds_min, s_prev),
+                                    "s=%.6f" % (DS_MIN, s_prev),
                                     last_good_s=s_prev, report=report)
             continue
         total_iters += iters
         history.append((s_try, ds, iters))
         audit(system, x_new)
-        _degeneracy_guard(system, x_new, opts, s_try)
+        _degeneracy_guard(system, x_new, s_try)
         s_prev2, x_prev2 = s_prev, x_prev
         s_prev, x_prev = s_try, x_new
         if iters <= 3:
-            ds = min(ds * 1.5, opts.ds_max)
+            ds = min(ds * 1.5, DS_MAX)
 
     report = SolveReport(converged=True, iterations=total_iters,
                          final_residual=res,

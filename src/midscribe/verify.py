@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import (BodyChart, BodyPath, ConvexBody, _rowdot,
-                     _unit_orthogonals, chart_inverse, ray_roots)
+                     _unit_orthogonals, ray_roots)
 from .combinatorics import Frame, PolyhedralComplex
 from .config import EPS_INFINITY, Configuration
 from .errors import DegenerateConfiguration, NotMidscribed, SolverError
@@ -571,7 +571,7 @@ def _vertex_visibility(cfg, P, v, positions, finite):
     return sign * u, sign * u, True
 
 
-def _golden_max(fun, lo, hi, iters=GOLDEN_ITERATIONS):
+def _golden_max(fun, lo, hi):
     """Golden-section maximizers on the intervals [lo, hi], in lockstep.
 
     fun maps an array of parameters to (values, points); returns fun at the
@@ -582,7 +582,7 @@ def _golden_max(fun, lo, hi, iters=GOLDEN_ITERATIONS):
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c)[0], fun(d)[0]
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERATIONS):
         left = fc > fd
         a, b = np.where(left, a, c), np.where(left, d, b)
         x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
@@ -651,8 +651,7 @@ def _trace_packing(family, adjacency) -> DiskPacking:
 
 
 def extract_kdisk_packings(cfg: Configuration, body: ConvexBody,
-                           P: PolyhedralComplex,
-                           n_samples: int = N_BOUNDARY_SAMPLES):
+                           P: PolyhedralComplex):
     """Trace the face-disk and visibility-disk packings on the body boundary.
 
     Returns (face_packing, visibility_packing) as DiskPacking values. The
@@ -669,7 +668,8 @@ def extract_kdisk_packings(cfg: Configuration, body: ConvexBody,
             % (pre.max_tangency_residual, pre.max_incidence_residual))
 
     theta = (2.0 * math.pi * 0.61803398874989485
-             + 2.0 * math.pi * np.arange(n_samples) / n_samples)
+             + 2.0 * math.pi * np.arange(N_BOUNDARY_SAMPLES)
+             / N_BOUNDARY_SAMPLES)
     face_adj, vert_adj = {}, {}
     for e in range(P.n_edges):
         f, g = P.faces_of_edge(e)
@@ -732,7 +732,7 @@ def rigidity_probe(P: PolyhedralComplex, frame: Frame, marks_z,
         base_res = math.nan
     body = path.eval(1.0)
     chart = BodyChart(body)
-    marks = np.array([chart_inverse(chart, complex(z)) for z in marks_z])
+    marks = np.array([chart.inverse(complex(z)) for z in marks_z])
     system = ConstraintSystem(P, frame, marks, body)
     x0 = system.pack(base)
     rng = np.random.default_rng(seed)

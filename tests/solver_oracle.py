@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import pdist
 
+from midscribe import solver
 from midscribe.bodies import ConvexBody
 from midscribe.combinatorics import Frame, PolyhedralComplex
 from midscribe.config import Configuration
@@ -220,16 +221,17 @@ def face_circle_sizes(P: PolyhedralComplex, T: np.ndarray) -> np.ndarray:
                      for f in range(P.n_faces)])
 
 
-def degeneracy_guard(system, x, opts, s):
-    """Abort rather than accept collapsing tangencies or face circles."""
+def degeneracy_guard(system, x, s):
+    """Abort rather than accept collapsing tangencies or face circles; the
+    thresholds are read from solver at call time, as the solver reads them."""
     P = system.P
     T = system.tangents(x)
     dmin = float(pdist(T).min())
-    if dmin <= opts.min_tangent_separation:
+    if dmin <= solver.MIN_TANGENT_SEPARATION:
         raise DegenerateConfiguration(
             "tangent points %.3e apart at s=%.6f" % (dmin, s))
     for f in range(P.n_faces):
         size = float(pdist(T[list(P.boundary_edges(f))]).max())
-        if size <= opts.min_face_circle_size:
+        if size <= solver.MIN_FACE_CIRCLE_SIZE:
             raise DegenerateConfiguration(
                 "face %d circle of size %.3e at s=%.6f" % (f, size, s))

@@ -21,7 +21,7 @@ from midscribe.io import (
     sweep_csv_text,
     verify_report_to_dict,
 )
-from midscribe import parse_off, verify_configuration
+from midscribe import parse_off, solver, verify_configuration
 
 REPORT_KEYS = {
     "max_tangency_residual", "max_incidence_residual", "combinatorics_ok",
@@ -232,6 +232,73 @@ def test_cli_sweep_rejects_bad_sizes(tmp_path, monkeypatch, grid, threads):
     assert run_cli("sweep", "--complex", "tetrahedron", "--grid", grid,
                    "--out", str(out)) == 3
     assert not out.exists()
+
+
+BAD_NUMBERS = [
+    ("midscribe", "--tol", "-1"),
+    ("midscribe", "--tol", "0"),
+    ("midscribe", "--tol", "nan"),
+    ("sweep", "--tol", "-1"),
+    ("verify", "--tol", "-1"),
+    ("midscribe", "--starts", "-2"),
+    ("midscribe", "--marks", "nan,1,i"),
+    ("sweep", "--grid-box=nan,1,0,1"),
+]
+
+
+@pytest.mark.parametrize("command, option", [
+    (case[0], case[1:]) for case in BAD_NUMBERS],
+    ids=[" ".join(case) for case in BAD_NUMBERS])
+def test_cli_rejects_bad_numbers(tmp_path, monkeypatch, capsys, command,
+                                 option):
+    """Each is an input error: exit 3, no file written, no body built."""
+    import midscribe.cli as cli_mod
+    monkeypatch.setenv("MIDSCRIBE_THREADS", "1")
+    bodies_built = []
+    monkeypatch.setattr(cli_mod, "make_body", bodies_built.append)
+    config = tmp_path / "config.json"
+    P, _, _ = get_seed("tetrahedron")
+    config.write_text(json.dumps(configuration_to_dict(
+        ball_solution("tetrahedron"), P)))
+    out = str(tmp_path / "out")
+    argv = {"midscribe": ["--complex", "tetrahedron", "--out", out,
+                          "--report", out + ".json"],
+            "sweep": ["--complex", "tetrahedron", "--out", out],
+            "verify": [str(config), "--report", out]}[command]
+    assert run_cli(command, *argv, *option) == 3
+    assert "input error" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
+    assert bodies_built == []
+
+
+def test_cli_pack_has_no_tol(tmp_path):
+    out = tmp_path / "pattern.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("pack", "--complex", "cube", "--tol", "1e-9",
+                "--out", str(out))
+    assert exc.value.code == 3
+    assert not out.exists()
+
+
+def test_cli_reads_step_constants_at_call_time(monkeypatch, tmp_path, capsys):
+    """The step constants reach the CLI's continuation: one Newton
+    iteration per attempt and a smallest step of 0.2 make the first step
+    underflow."""
+    monkeypatch.setattr(solver, "NEWTON_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(solver, "DS_INIT", 0.25)
+    monkeypatch.setattr(solver, "DS_MIN", 0.2)
+    code = run_cli("midscribe", "--complex", "cube",
+                   "--body", "ellipsoid:a=1.2,b=1.0",
+                   "--marks", "0.2+0.1i,1.5,-0.3+1.2i",
+                   "--out", str(tmp_path / "x.off"))
+    assert code == 2
+    assert "2.0e-01" in capsys.readouterr().err
+
+
+def test_public_names_resolve():
+    import midscribe
+    assert [name for name in midscribe.__all__
+            if not hasattr(midscribe, name)] == []
 
 
 def test_cli_solver_failure_exit_code(monkeypatch, tmp_path):

@@ -8,7 +8,6 @@ import solver_oracle
 from conftest import (CANONICAL_MARKS, ball_solution, closed_form_config,
                       get_seed)
 from midscribe import (
-    ContinuationOptions,
     assemble_residual,
     continue_from_pattern,
     continue_to_body,
@@ -17,7 +16,8 @@ from midscribe import (
     plane_quadruple_det,
     solve_radii,
 )
-from midscribe.bodies import BodyChart, chart_inverse, make_body, make_path
+from midscribe import solver
+from midscribe.bodies import BodyChart, make_body, make_path
 from midscribe.errors import (
     DegenerateConfiguration,
     DegenerateMarks,
@@ -241,7 +241,7 @@ def test_continuation_reaches_target_and_pins_marks():
     assert np.isfinite(report.jacobian_condition_estimate)
     chart = BodyChart(body)
     for pt, z in zip(cfg.marked_points, marks):
-        assert np.linalg.norm(pt - chart_inverse(chart, z)) < 1e-8
+        assert np.linalg.norm(pt - chart.inverse(z)) < 1e-8
     # steps walked s from 0 to 1
     s_values = [s for s, _, _ in report.step_history]
     assert s_values and s_values[-1] == pytest.approx(1.0)
@@ -255,26 +255,28 @@ def test_continuation_rejects_coincident_marks():
                          make_path(make_body("ellipsoid:a=1.2,b=1.0")))
 
 
-def test_continuation_step_underflow_diagnostics():
+def test_continuation_step_underflow_diagnostics(monkeypatch):
     P, _, frame = get_seed("cube")
-    opts = ContinuationOptions(max_iter=1, ds_init=0.25, ds_min=0.2)
+    monkeypatch.setattr(solver, "NEWTON_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(solver, "DS_INIT", 0.25)
+    monkeypatch.setattr(solver, "DS_MIN", 0.2)
     with pytest.raises(StepUnderflow) as exc:
         continue_to_body(P, frame, (0.2 + 0.1j, 1.5 + 0j, -0.3 + 1.2j),
-                         make_path(make_body("ellipsoid:a=1.2,b=1.0")), opts)
+                         make_path(make_body("ellipsoid:a=1.2,b=1.0")))
     assert exc.value.last_good_s == pytest.approx(0.0)
     assert exc.value.report is not None
 
 
-@pytest.mark.parametrize("option, message", [
-    ("min_face_circle_size", r"face \d+ circle"),
-    ("min_tangent_separation", "tangent points"),
+@pytest.mark.parametrize("constant, message", [
+    ("MIN_FACE_CIRCLE_SIZE", r"face \d+ circle"),
+    ("MIN_TANGENT_SEPARATION", "tangent points"),
 ], ids=["face_circle", "tangent_points"])
-def test_continuation_degeneracy_guard(option, message):
+def test_continuation_degeneracy_guard(monkeypatch, constant, message):
     P, _, frame = get_seed("cube")
-    opts = ContinuationOptions(**{option: 10.0})
+    monkeypatch.setattr(solver, constant, 10.0)
     with pytest.raises(DegenerateConfiguration, match=message):
         continue_to_body(P, frame, (0.2 + 0.1j, 1.5 + 0j, -0.3 + 1.2j),
-                         make_path(make_body("ellipsoid:a=1.2,b=1.0")), opts)
+                         make_path(make_body("ellipsoid:a=1.2,b=1.0")))
 
 
 REUSE_CASES = SEED_NAMES + ("hull12", "prism8")
@@ -317,7 +319,7 @@ def test_continue_from_pattern_matches_continue_to_body(name):
 
 
 @pytest.mark.parametrize("name", REUSE_CASES)
-def test_degeneracy_guard_matches_face_loop(name):
+def test_degeneracy_guard_matches_face_loop(monkeypatch, name):
     """The padded face table gives the loop's face sizes bit for bit, and
     the same first failing face and message at every threshold."""
     P, frame, cfg = _ellipsoid_solution(name)
@@ -328,11 +330,11 @@ def test_degeneracy_guard_matches_face_loop(name):
     sizes = solver_oracle.face_circle_sizes(P, T)
     assert np.array_equal(_face_circle_sizes(T, system.face_edges), sizes)
     for limit in [0.0] + sorted(set(sizes.tolist())):
-        opts = ContinuationOptions(min_face_circle_size=limit)
+        monkeypatch.setattr(solver, "MIN_FACE_CIRCLE_SIZE", limit)
         outcomes = []
         for guard in (_degeneracy_guard, solver_oracle.degeneracy_guard):
             try:
-                guard(system, x, opts, 0.5)
+                guard(system, x, 0.5)
                 outcomes.append(None)
             except DegenerateConfiguration as exc:
                 outcomes.append(str(exc))

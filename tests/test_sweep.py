@@ -13,10 +13,10 @@ import pytest
 
 import midscribe.cli as cli
 from conftest import get_seed
+from midscribe import solver
 from midscribe.bodies import make_body, make_path
 from midscribe.cli import main
 from midscribe.combinatorics import build_complex, select_frame
-from midscribe.config import ContinuationOptions
 from midscribe.errors import InputError, SolverError
 from midscribe.io import sweep_csv_text
 from midscribe.solver import continue_to_body
@@ -34,7 +34,7 @@ def reference_sweep_worker(task):
         body = make_body(body_desc)
         path = make_path(body)
         cfg, _report = continue_to_body(P, frame, (z1, z2, z3), path,
-                                        ContinuationOptions(tol=tol))
+                                        tol=tol)
         cls, info = check_convexity(cfg, P, detailed=True)
         if info["marginal"] and cls in ("convex", "nonconvex"):
             cls += "-marginal"
@@ -117,3 +117,14 @@ def test_sweep_invalid_body_fails_every_cell(tmp_path, monkeypatch, threads):
     assert len(lines) == 1 + 9
     assert all(line.split(",")[3] == "failed" for line in lines[1:])
     assert text == reference_csv("torus:r=2")
+
+
+def test_sweep_reads_guard_constants_at_call_time(tmp_path, monkeypatch):
+    """A face-circle threshold no face can pass fails every cell."""
+    monkeypatch.setattr(solver, "MIN_FACE_CIRCLE_SIZE", 10.0)
+    monkeypatch.setenv("MIDSCRIBE_THREADS", "1")
+    out = tmp_path / "sweep.csv"
+    assert run_sweep(out, ELLIPSOID, grid=2) == 0
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 1 + 4
+    assert all(line.split(",")[3] == "failed" for line in lines[1:])
