@@ -24,8 +24,12 @@ from .errors import (
 )
 
 NORTH_POLE = np.array([0.0, 0.0, 1.0])
+# N with signed zeros: -0.0 + v == v for every v, so the chord point
+# N + t (x, y, -2) rounds exactly like (t x, t y, 1 - 2 t), zero signs included
+_CHORD_ORIGIN = np.array([-0.0, -0.0, 1.0])
 RAY_NEWTON_ITERATIONS = 60
-# A chord bracket [hi/2**k, hi] with hi >= 1 reaches width 1e-14*hi in at
+# Bisections allowed in _bisect_polish, for chords and rays alike. Their
+# brackets have hi >= 1 and width at most hi, which reaches 1e-14*hi in at
 # most 47 halvings, so the cap only stops a bisection that cannot converge.
 CHART_BISECTION_ITERATIONS = 100
 
@@ -34,33 +38,49 @@ class ConvexBody:
     """Base class for a gauge F, which must be convex on all of R^3.
 
     make_path relies on it; the built-in gauges are sums of even powers of
-    linear forms. Subclasses provide value/gradient/hessian and a descriptor.
-    The batched values/gradients/hessians take an (m, 3) array of points and
-    return shapes (m,), (m, 3) and (m, 3, 3). By default they loop over the
-    rows with the scalar methods, so a subclass that defines only those
-    works everywhere; the built-in bodies override them with numpy.
+    linear forms. A subclass defines a descriptor and one of two method
+    sets. The batched values/gradients/hessians take an (m, 3) array of
+    points and return shapes (m,), (m, 3) and (m, 3, 3); the built-in
+    bodies define only these, with numpy. The scalar value/gradient/hessian
+    take one point and are one-row views of the batched methods, so a
+    subclass may define the scalar set instead: the batched methods then
+    loop over the rows with it. A subclass that defines neither set raises
+    NotImplementedError.
     """
 
     def value(self, x) -> float:
-        raise NotImplementedError
+        self._require("values")
+        return float(self.values(np.asarray(x, dtype=float)[None])[0])
 
     def gradient(self, x) -> np.ndarray:
-        raise NotImplementedError
+        self._require("gradients")
+        return self.gradients(np.asarray(x, dtype=float)[None])[0]
 
     def hessian(self, x) -> np.ndarray:
-        raise NotImplementedError
+        self._require("hessians")
+        return self.hessians(np.asarray(x, dtype=float)[None])[0]
 
     def values(self, X) -> np.ndarray:
+        self._require("value")
         return np.array([self.value(x) for x in np.asarray(X, dtype=float)],
                         dtype=float)
 
     def gradients(self, X) -> np.ndarray:
+        self._require("gradient")
         return np.array([self.gradient(x) for x in np.asarray(X, dtype=float)],
                         dtype=float).reshape(-1, 3)
 
     def hessians(self, X) -> np.ndarray:
+        self._require("hessian")
         return np.array([self.hessian(x) for x in np.asarray(X, dtype=float)],
                         dtype=float).reshape(-1, 3, 3)
+
+    def _require(self, name):
+        """Raise unless the subclass defines the method a default calls."""
+        if getattr(type(self), name) is getattr(ConvexBody, name):
+            scalar = name.rstrip("s")
+            raise NotImplementedError("%s defines neither %s nor %ss"
+                                      % (type(self).__name__, scalar, scalar))
 
     @property
     def descriptor(self) -> str:
@@ -73,16 +93,6 @@ class ConvexBody:
 @dataclass(frozen=True)
 class Ball(ConvexBody):
     """Unit ball, F(x) = |x|^2 - 1."""
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(x @ x) - 1.0
-
-    def gradient(self, x):
-        return 2.0 * np.asarray(x, dtype=float)
-
-    def hessian(self, x):
-        return 2.0 * np.eye(3)
 
     def values(self, X):
         X = np.asarray(X, dtype=float)
@@ -109,19 +119,9 @@ class Ellipsoid(ConvexBody):
     def _m(self):
         return np.array([1.0 / self.a ** 2, 1.0 / self.b ** 2, 1.0])
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(self._m() @ (x * x)) - 1.0
-
-    def gradient(self, x):
-        return 2.0 * self._m() * np.asarray(x, dtype=float)
-
-    def hessian(self, x):
-        return np.diag(2.0 * self._m())
-
     def values(self, X):
         X = np.asarray(X, dtype=float)
-        return _rowdot(X * X, np.broadcast_to(self._m(), X.shape)) - 1.0
+        return _rowdot(X * X, self._m()) - 1.0
 
     def gradients(self, X):
         return 2.0 * self._m() * np.asarray(X, dtype=float)
@@ -144,20 +144,6 @@ class Superellipsoid(ConvexBody):
 
     def _scale(self):
         return np.array([self.a, self.b, 1.0])
-
-    def value(self, x):
-        u = np.asarray(x, dtype=float) / self._scale()
-        return float(np.sum(u ** self.p)) - 1.0
-
-    def gradient(self, x):
-        s = self._scale()
-        u = np.asarray(x, dtype=float) / s
-        return self.p * u ** (self.p - 1) / s
-
-    def hessian(self, x):
-        s = self._scale()
-        u = np.asarray(x, dtype=float) / s
-        return np.diag(self.p * (self.p - 1) * u ** (self.p - 2) / s ** 2)
 
     def values(self, X):
         U = np.asarray(X, dtype=float) / self._scale()
@@ -192,15 +178,6 @@ class GaugeBlend(ConvexBody):
     body0: ConvexBody
     body1: ConvexBody
     s: float
-
-    def value(self, x):
-        return (1.0 - self.s) * self.body0.value(x) + self.s * self.body1.value(x)
-
-    def gradient(self, x):
-        return (1.0 - self.s) * self.body0.gradient(x) + self.s * self.body1.gradient(x)
-
-    def hessian(self, x):
-        return (1.0 - self.s) * self.body0.hessian(x) + self.s * self.body1.hessian(x)
 
     def values(self, X):
         return (1.0 - self.s) * self.body0.values(X) + self.s * self.body1.values(X)
@@ -307,14 +284,15 @@ def validate_body(body: ConvexBody, n_samples: int = 200) -> None:
     horizontal, NotStrictlyConvex if the origin is outside, the body looks
     unbounded, or a sampled tangential hessian is not positive definite.
     """
-    if abs(body.value(NORTH_POLE)) > 1e-10:
+    F = body.values(np.array([NORTH_POLE, np.zeros(3)]))
+    if abs(F[0]) > 1e-10:
         raise PoleViolation("F(0,0,1) = %.3e, boundary must pass through the "
-                            "north pole" % body.value(NORTH_POLE))
-    g = body.gradient(NORTH_POLE)
+                            "north pole" % F[0])
+    g = body.gradients(NORTH_POLE[None])[0]
     if g[2] <= 0 or max(abs(g[0]), abs(g[1])) > 1e-10 * max(1.0, abs(g[2])):
         raise PoleViolation("gradient at the north pole must point along +z, "
                             "got %s" % (g,))
-    if body.value(np.zeros(3)) >= 0:
+    if F[1] >= 0:
         raise NotStrictlyConvex("origin is not interior to the body")
     dirs = _spiral_directions(n_samples)
     Q = ray_roots(body, np.zeros(3), dirs)[:, None] * dirs
@@ -389,7 +367,8 @@ def ray_roots(body: ConvexBody, origins, dirs, t0=1.0) -> np.ndarray:
 
 
 def _bisect_rays(body: ConvexBody, origins, dirs) -> np.ndarray:
-    """Ray parameters by doubling, bisection and two Newton polish steps."""
+    """Ray parameters: double a bracket [0, hi] from hi = 1 until F(o + hi d)
+    > 0, then bisect and polish it with _bisect_polish."""
     hi = np.ones(len(dirs))
     grow = np.arange(len(dirs))
     for _ in range(80):
@@ -401,16 +380,32 @@ def _bisect_rays(body: ConvexBody, origins, dirs) -> np.ndarray:
     else:
         raise NotStrictlyConvex("body appears unbounded along %s"
                                 % dirs[grow[0]])
-    lo = np.zeros(len(dirs))
-    todo = np.arange(len(dirs))
-    for _ in range(100):
-        mid = 0.5 * (lo[todo] + hi[todo])
-        inside = body.values(origins[todo] + mid[:, None] * dirs[todo]) < 0
-        lo[todo] = np.where(inside, mid, lo[todo])
-        hi[todo] = np.where(inside, hi[todo], mid)
-        todo = todo[hi[todo] - lo[todo] >= 1e-14 * np.maximum(1.0, hi[todo])]
-        if not todo.size:
+    return _bisect_polish(body, origins, dirs, np.zeros(len(dirs)), hi)
+
+
+def _bisect_polish(body: ConvexBody, origins, dirs, lo, hi) -> np.ndarray:
+    """Roots t of F(o + t d) in brackets [lo, hi], F < 0 at lo, by bisection
+    and two Newton polish steps, all rows in lockstep.
+
+    origins is one point (3,) or one per row. A row is bisected until
+    hi - lo <= 1e-14 max(1, hi); Newton then starts from the midpoint and
+    skips a step at a zero slope. A narrow row is still evaluated, though no
+    longer updated, until every row is narrow: brackets of width between
+    hi/2 and hi need about the same number of steps. Raises RootNotFound
+    when a row is still not narrow after CHART_BISECTION_ITERATIONS steps.
+    """
+    for _ in range(CHART_BISECTION_ITERATIONS):
+        # a row once narrow keeps its bracket, so it stays narrow
+        wide = hi - lo > 1e-14 * np.maximum(1.0, hi)
+        if not wide.any():
             break
+        mid = 0.5 * (lo + hi)
+        inside = body.values(origins + mid[:, None] * dirs) < 0
+        lo = np.where(wide & inside, mid, lo)
+        hi = np.where(wide & ~inside, mid, hi)
+    else:
+        raise RootNotFound("bisection did not converge in %d steps"
+                           % CHART_BISECTION_ITERATIONS)
     t = 0.5 * (lo + hi)
     for _ in range(2):
         X = origins + t[:, None] * dirs
@@ -449,56 +444,43 @@ class BodyChart:
             return complex(math.inf, 0.0)
         return 2.0 * complex(q[0], q[1]) / (1.0 - q[2])
 
-    def inverse(self, z: complex) -> np.ndarray:
-        if _is_extended_infinity(z):
-            return NORTH_POLE.copy()
-        x, y = z.real, z.imag
+    def inverse(self, zs) -> np.ndarray:
+        """Boundary points over the chart coordinates zs, shape (m, 3).
 
-        def point(t):
-            return np.array([t * x, t * y, 1.0 - 2.0 * t])
-
-        def g(t):
-            return self.body.value(point(t))
-
-        hi = 1.0
+        Infinity maps to N. Each chord N + t (x, y, -2) is bracketed by
+        doubling hi from 1 until F >= 0, then halving lo from hi/2 until
+        F < 0; all chords are then bisected and polished in lockstep.
+        """
+        zs = [complex(z) for z in zs]
+        out = np.tile(NORTH_POLE, (len(zs), 1))
+        rows = [k for k, z in enumerate(zs) if not cmath.isinf(z)]
+        if not rows:
+            return out
+        d = np.array([[zs[k].real, zs[k].imag, -2.0] for k in rows])
+        body = self.body
+        hi = np.ones(len(d))
+        todo = np.arange(len(d))
         for _ in range(200):
-            if g(hi) >= 0:
+            todo = todo[~(body.values(_CHORD_ORIGIN + hi[todo, None] * d[todo])
+                          >= 0)]
+            if not todo.size:
                 break
-            hi *= 2.0
+            hi[todo] *= 2.0
         else:
             raise RootNotFound("chord from the pole never exits the body")
         lo = hi / 2.0
+        todo = np.arange(len(d))
         for _ in range(2000):
-            if g(lo) < 0:
+            todo = todo[~(body.values(_CHORD_ORIGIN + lo[todo, None] * d[todo])
+                          < 0)]
+            if not todo.size:
                 break
-            lo /= 2.0
+            lo[todo] /= 2.0
         else:
             raise RootNotFound("cannot bracket the chord intersection")
-        for _ in range(CHART_BISECTION_ITERATIONS):
-            if not hi - lo > 1e-14 * max(1.0, hi):
-                break
-            mid = 0.5 * (lo + hi)
-            if g(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        else:
-            raise RootNotFound("chord bisection did not converge in %d steps"
-                               % CHART_BISECTION_ITERATIONS)
-        t = 0.5 * (lo + hi)
-        for _ in range(2):
-            q = point(t)
-            dg = self.body.gradient(q) @ np.array([x, y, -2.0])
-            if dg != 0:
-                t -= self.body.value(q) / dg
-        return point(t)
-
-
-def _is_extended_infinity(z) -> bool:
-    try:
-        return cmath.isinf(complex(z))
-    except (TypeError, ValueError):
-        return False
+        t = _bisect_polish(body, _CHORD_ORIGIN, d, lo, hi)
+        out[rows] = _CHORD_ORIGIN + t[:, None] * d
+        return out
 
 
 @dataclass(frozen=True)

@@ -67,28 +67,12 @@ def apply_mobius(M: np.ndarray, z: complex) -> complex:
     return num / den
 
 
-def mobius_pole(M: np.ndarray) -> complex:
-    """The preimage of infinity."""
-    c, d = M[1]
-    if c == 0:
-        return INFINITY
-    return -d / c
-
-
 def lift_to_sphere(z: complex) -> np.ndarray:
     """Point of the unit sphere over z; infinity lifts to the north pole."""
     if is_infinity(z):
         return np.array([0.0, 0.0, 1.0])
     s = z.real * z.real + z.imag * z.imag + 4.0
     return np.array([4.0 * z.real / s, 4.0 * z.imag / s, 1.0 - 8.0 / s])
-
-
-def sphere_chart(q) -> complex:
-    """Inverse of lift_to_sphere on unit vectors."""
-    q = np.asarray(q, dtype=float)
-    if 1.0 - q[2] < 1e-14:
-        return INFINITY
-    return 2.0 * complex(q[0], q[1]) / (1.0 - q[2])
 
 
 def cap_through_points(p1, p2, p3, interior):

@@ -557,10 +557,6 @@ class Cap:
     n: np.ndarray
     d: float
 
-    @property
-    def angular_radius(self) -> float:
-        return math.acos(max(-1.0, min(1.0, self.d)))
-
 
 @dataclass
 class SphericalPattern:

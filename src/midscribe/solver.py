@@ -391,8 +391,7 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
     cfg0 = packing.koebe_config(packing.lift_normalize(planar, z))
 
     def marks_at(body):
-        chart = BodyChart(body)
-        return np.array([chart.inverse(zi) for zi in z])
+        return BodyChart(body).inverse(z)
 
     history = []
     worst_cond = 0.0

@@ -7,8 +7,9 @@ surface by root finding. Solver residuals are never consulted, so a
 configuration that merely claims convergence does not pass; the verifier
 shares only the gauge API with the solver.
 
-Line tangency is checked one edge at a time with the scalar gauge methods;
-incidence and convexity are array expressions over all face-vertex pairs.
+Line tangency is checked on every edge line at once, by a lockstep search
+through the (m, 3) gauge API; incidence and convexity are array expressions
+over all face-vertex pairs.
 The disk packings are traced in batches through the (m, 3) gauge API, all
 disks of a family in lockstep: the face disks by one batched ray solve over
 every face's rays in its plane, the visibility disks by one horizon scan
@@ -125,56 +126,66 @@ class RigidityReport:
 # ---------------------------------------------------------------------------
 # midscription
 
-def _line_minimum(body: ConvexBody, n_f, d_f, n_g, d_g, guess):
-    """Global minimum of the gauge along the intersection line of two planes.
+def _line_minima(body: ConvexBody, n_f, d_f, n_g, d_g, guesses):
+    """Global minima of the gauge along the intersection lines of plane pairs.
 
-    Returns (min value, minimizer). The guess only seeds the bracket; the
-    restriction of a strictly convex coercive gauge to a line is strictly
-    convex, so the minimum is unique and bracketing cannot miss it.
+    Row k is the line where the planes n_f[k] . x = d_f[k] and n_g[k] . x =
+    d_g[k] meet. Returns (min values (m,), minimizers (m, 3)); a row whose
+    planes are parallel or whose bracket cannot be placed gets (inf, nan).
+    The guesses only seed the brackets; the restriction of a strictly convex
+    coercive gauge to a line is strictly convex, so the minimum is unique
+    and bracketing cannot miss it. All lines are searched in lockstep: the
+    slope is bracketed by doubling around the guess, bisected until the
+    bracket is below 1e-14 (1 + |mid|), then polished by two Newton steps
+    where the curvature is positive.
     """
-    u = np.cross(n_f, n_g)
-    nu = float(np.linalg.norm(u))
-    if nu < 1e-12:
-        return math.inf, np.full(3, np.nan)
-    u = u / nu
-    A = np.vstack([n_f, n_g])
-    q = np.linalg.lstsq(A, np.array([d_f, d_g]), rcond=None)[0]
+    U = np.cross(n_f, n_g)
+    nu = np.sqrt(_rowdot(U, U))
+    values = np.full(len(U), math.inf)
+    minimizers = np.full((len(U), 3), np.nan)
+    live = np.flatnonzero(~(nu < 1e-12))
+    U = U[live] / nu[live, None]
+    Q = np.array([np.linalg.lstsq(np.vstack([n_f[k], n_g[k]]),
+                                  np.array([d_f[k], d_g[k]]), rcond=None)[0]
+                  for k in live]).reshape(-1, 3)
 
-    def slope(t):
-        return float(body.gradient(q + t * u) @ u)
+    def slope(rows, t):
+        return _rowdot(body.gradients(Q[rows] + t[:, None] * U[rows]), U[rows])
 
-    t0 = float((np.asarray(guess, dtype=float) - q) @ u)
-    if not math.isfinite(t0):
-        t0 = 0.0
-    lo = t0 - 1.0
-    for _ in range(200):
-        if slope(lo) < 0:
-            break
-        lo = t0 - 2.0 * (t0 - lo)
-    else:
-        return math.inf, np.full(3, np.nan)
-    hi = t0 + 1.0
-    for _ in range(200):
-        if slope(hi) > 0:
-            break
-        hi = t0 + 2.0 * (hi - t0)
-    else:
-        return math.inf, np.full(3, np.nan)
+    t0 = _rowdot(np.asarray(guesses, dtype=float)[live] - Q, U)
+    t0[~np.isfinite(t0)] = 0.0
+    ok = np.ones(len(live), dtype=bool)
+    ends = []
+    for side in (-1.0, 1.0):  # lo, where the slope is < 0, then hi
+        end = t0 + side
+        rows = np.flatnonzero(ok)
+        for _ in range(200):
+            rows = rows[~(side * slope(rows, end[rows]) > 0)]
+            if not rows.size:
+                break
+            end[rows] = t0[rows] + 2.0 * (end[rows] - t0[rows])
+        ok[rows] = False
+        ends.append(end)
+    lo, hi = ends
+    rows = todo = np.flatnonzero(ok)
     for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * (1.0 + abs(mid)):
+        mid = 0.5 * (lo[todo] + hi[todo])
+        below = slope(todo, mid) < 0
+        lo[todo] = np.where(below, mid, lo[todo])
+        hi[todo] = np.where(below, hi[todo], mid)
+        todo = todo[~(hi[todo] - lo[todo] < 1e-14 * (1.0 + np.abs(mid)))]
+        if not todo.size:
             break
-    t = 0.5 * (lo + hi)
+    t = 0.5 * (lo[rows] + hi[rows])
     for _ in range(2):
-        curv = float(u @ body.hessian(q + t * u) @ u)
-        if curv > 0:
-            t -= slope(t) / curv
-    m = q + t * u
-    return float(body.value(m)), m
+        X = Q[rows] + t[:, None] * U[rows]
+        curv = _rowdot((U[rows, None, :] @ body.hessians(X))[:, 0], U[rows])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(curv > 0, t - slope(rows, t) / curv, t)
+    M = Q[rows] + t[:, None] * U[rows]
+    values[live[rows]] = body.values(M)
+    minimizers[live[rows]] = M
+    return values, minimizers
 
 
 def _on_face(P: PolyhedralComplex) -> np.ndarray:
@@ -196,6 +207,13 @@ def check_midscription(cfg: Configuration, body: ConvexBody,
     line. Incidence is evaluated on unit-normalized vertex 4-vectors, so
     vertices at infinity are checked too.
     """
+    return _midscription(cfg, body, P)(tol)
+
+
+def _midscription(cfg, body, P):
+    """The work of check_midscription that does not depend on tol: the
+    incidence residuals, the line minima and the convexity class. Returns
+    the report as a function of tol."""
     v4 = cfg.vertices4 / np.linalg.norm(cfg.vertices4, axis=1, keepdims=True)
     on = _on_face(P)
     R = np.abs(_rowdot(cfg.normals[:, None, :], v4[None, :, 1:])
@@ -203,35 +221,36 @@ def check_midscription(cfg: Configuration, body: ConvexBody,
     # fmax: a nan residual is skipped, not propagated into the maxima
     worst = np.fmax.reduce(R, axis=0, where=on, initial=0.0)
     max_inc = float(np.fmax.reduce(worst, initial=0.0))
-    comb_ok = not np.any(R[~on] <= tol) and max_inc < tol
     per_vertex = [{"vertex": v,
                    "max_incidence": float(worst[v]),
                    "finite": bool(abs(v4[v, 0]) > EPS_INFINITY)}
                   for v in range(P.n_vertices)]
 
-    per_edge = []
-    max_tan = 0.0
-    for e in range(P.n_edges):
-        f, g = P.faces_of_edge(e)
-        val, minimizer = _line_minimum(body, cfg.normals[f], cfg.offsets[f],
-                                       cfg.normals[g], cfg.offsets[g],
-                                       cfg.tangents[e])
-        dist = float(np.linalg.norm(minimizer - cfg.tangents[e]))
-        per_edge.append({
-            "edge": e,
-            "faces": (f, g),
-            "line_min": val,
-            "minimizer_distance": dist,
-        })
-        max_tan = max(max_tan, abs(val))
+    f, g = np.array(P.edge_faces, dtype=int).reshape(-1, 2).T
+    line_min, minimizers = _line_minima(body, cfg.normals[f], cfg.offsets[f],
+                                        cfg.normals[g], cfg.offsets[g],
+                                        cfg.tangents)
+    D = minimizers - cfg.tangents
+    dist = np.sqrt(_rowdot(D, D))
+    per_edge = [{"edge": e,
+                 "faces": P.edge_faces[e],
+                 "line_min": float(line_min[e]),
+                 "minimizer_distance": float(dist[e])}
+                for e in range(P.n_edges)]
+    # fmax: a nan minimum is skipped, as by the running max it replaces
+    max_tan = float(np.fmax.reduce(np.abs(line_min), initial=0.0))
+    convexity = check_convexity(cfg, P)
 
-    return VerifyReport(max_tangency_residual=max_tan,
-                        max_incidence_residual=max_inc,
-                        combinatorics_ok=comb_ok,
-                        convexity=check_convexity(cfg, P),
-                        contact_graph_primal_ok=None,
-                        contact_graph_dual_ok=None,
-                        per_edge=per_edge, per_vertex=per_vertex, tol=tol)
+    def report(tol):
+        return VerifyReport(max_tangency_residual=max_tan,
+                            max_incidence_residual=max_inc,
+                            combinatorics_ok=(not np.any(R[~on] <= tol)
+                                              and max_inc < tol),
+                            convexity=convexity,
+                            contact_graph_primal_ok=None,
+                            contact_graph_dual_ok=None,
+                            per_edge=per_edge, per_vertex=per_vertex, tol=tol)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +333,10 @@ class _FaceDisks:
         for f, n in enumerate(self.normals):
             c0 = cfg.tangents[list(P.boundary_edges(f))].mean(axis=0)
             self.c0[f] = c0 - (float(n @ c0) - self.offsets[f]) * n
-            if body.value(self.c0[f]) >= 0:
-                raise _degenerate(self.kind, f, "tangent centroid is not "
-                                  "interior to the body")
+        outside = np.flatnonzero(body.values(self.c0) >= 0)
+        if outside.size:
+            raise _degenerate(self.kind, int(outside[0]), "tangent centroid "
+                              "is not interior to the body")
         self.a = _unit_orthogonals(self.normals)
         self.b = np.cross(self.normals, self.a)
         n_faces, n = P.n_faces, len(theta)
@@ -360,11 +380,13 @@ class _VertexDisks:
         positions, finite = cfg.affine_vertices()
         rows = [_vertex_visibility(cfg, P, v, positions, finite)
                 for v in range(P.n_vertices)]
-        for v, (apex, _, at_inf) in enumerate(rows):
-            if not at_inf and body.value(apex) <= 0:
-                raise _degenerate(self.kind, v, "is not exterior to the body")
         self.apex = np.array([apex for apex, _, _ in rows])
         self.c = np.array([0.0 if at_inf else 1.0 for _, _, at_inf in rows])
+        inside = np.flatnonzero((self.c == 1.0)
+                                & (body.values(self.apex) <= 0))
+        if inside.size:
+            raise _degenerate(self.kind, int(inside[0]), "is not exterior to "
+                              "the body")
         self.w = np.array([w for _, w, _ in rows])
         self.a = _unit_orthogonals(self.w)
         self.b = np.cross(self.w, self.a)
@@ -661,12 +683,19 @@ def extract_kdisk_packings(cfg: Configuration, body: ConvexBody,
     configuration fails the midscription precondition, and
     DegenerateConfiguration naming the disk when one cannot be traced.
     """
-    pre = check_midscription(cfg, body, P, tol=CONTACT_TOL)
+    _require_midscribed(check_midscription(cfg, body, P, tol=CONTACT_TOL))
+    return _trace_packings(cfg, body, P)
+
+
+def _require_midscribed(pre: VerifyReport) -> None:
     if not pre.midscribed:
         raise NotMidscribed(
             "verification precondition failed: tangency %.3e, incidence %.3e"
             % (pre.max_tangency_residual, pre.max_incidence_residual))
 
+
+def _trace_packings(cfg, body, P):
+    """extract_kdisk_packings past its precondition."""
     theta = (2.0 * math.pi * 0.61803398874989485
              + 2.0 * math.pi * np.arange(N_BOUNDARY_SAMPLES)
              / N_BOUNDARY_SAMPLES)
@@ -682,7 +711,6 @@ def extract_kdisk_packings(cfg: Configuration, body: ConvexBody,
     return face_packing, visibility_packing
 
 
-
 def verify_configuration(cfg: Configuration, body: ConvexBody,
                          P: PolyhedralComplex, tol: float = TANGENCY_TOL,
                          with_packings: bool = True) -> VerifyReport:
@@ -691,12 +719,15 @@ def verify_configuration(cfg: Configuration, body: ConvexBody,
     The disk packings are only extracted for convex realizations; that is
     the regime where the contact graphs are required to match the edge and
     dual graphs. For nonconvex or projective-degenerate configurations the
-    contact flags stay None.
+    contact flags stay None. The line minima are computed once and serve
+    both the report at tol and the extraction's precondition.
     """
-    report = check_midscription(cfg, body, P, tol)
+    midscription = _midscription(cfg, body, P)
+    report = midscription(tol)
     if with_packings and report.convexity == "convex":
         try:
-            face_packing, visibility_packing = extract_kdisk_packings(cfg, body, P)
+            _require_midscribed(midscription(CONTACT_TOL))
+            face_packing, visibility_packing = _trace_packings(cfg, body, P)
         except (NotMidscribed, DegenerateConfiguration):
             report.contact_graph_primal_ok = False
             report.contact_graph_dual_ok = False
@@ -731,8 +762,7 @@ def rigidity_probe(P: PolyhedralComplex, frame: Frame, marks_z,
     else:
         base_res = math.nan
     body = path.eval(1.0)
-    chart = BodyChart(body)
-    marks = np.array([chart.inverse(complex(z)) for z in marks_z])
+    marks = BodyChart(body).inverse(marks_z)
     system = ConstraintSystem(P, frame, marks, body)
     x0 = system.pack(base)
     rng = np.random.default_rng(seed)

@@ -1,0 +1,183 @@
+"""Scalar references for the batched gauge code in midscribe.
+
+The built-in bodies define only batched gauges, and the chart inverse and
+the verifier's line minima solve all their rows in lockstep. This module
+keeps the scalar versions those replaced, with the same arithmetic: the
+per-point gauge formulas of Ball, Ellipsoid, Superellipsoid and GaugeBlend
+(scalar_value, scalar_gradient, scalar_hessian), the point-at-a-time chord
+inverse (chart_inverse) and the per-edge line search (line_minimum, run
+over every edge by tangency). The tests require the batched code to equal
+them bit for bit.
+"""
+
+import cmath
+import math
+
+import numpy as np
+
+from midscribe.bodies import (CHART_BISECTION_ITERATIONS, Ball, Ellipsoid,
+                              GaugeBlend, Superellipsoid)
+from midscribe.errors import RootNotFound
+
+
+def scalar_value(body, x):
+    x = np.asarray(x, dtype=float)
+    if isinstance(body, Ball):
+        return float(x @ x) - 1.0
+    if isinstance(body, Ellipsoid):
+        return float(_ellipsoid_m(body) @ (x * x)) - 1.0
+    if isinstance(body, Superellipsoid):
+        u = x / np.array([body.a, body.b, 1.0])
+        return float(np.sum(u ** body.p)) - 1.0
+    if isinstance(body, GaugeBlend):
+        return ((1.0 - body.s) * scalar_value(body.body0, x)
+                + body.s * scalar_value(body.body1, x))
+    return body.value(x)
+
+
+def scalar_gradient(body, x):
+    x = np.asarray(x, dtype=float)
+    if isinstance(body, Ball):
+        return 2.0 * x
+    if isinstance(body, Ellipsoid):
+        return 2.0 * _ellipsoid_m(body) * x
+    if isinstance(body, Superellipsoid):
+        s = np.array([body.a, body.b, 1.0])
+        u = x / s
+        return body.p * u ** (body.p - 1) / s
+    if isinstance(body, GaugeBlend):
+        return ((1.0 - body.s) * scalar_gradient(body.body0, x)
+                + body.s * scalar_gradient(body.body1, x))
+    return body.gradient(x)
+
+
+def scalar_hessian(body, x):
+    x = np.asarray(x, dtype=float)
+    if isinstance(body, Ball):
+        return 2.0 * np.eye(3)
+    if isinstance(body, Ellipsoid):
+        return np.diag(2.0 * _ellipsoid_m(body))
+    if isinstance(body, Superellipsoid):
+        s = np.array([body.a, body.b, 1.0])
+        u = x / s
+        return np.diag(body.p * (body.p - 1) * u ** (body.p - 2) / s ** 2)
+    if isinstance(body, GaugeBlend):
+        return ((1.0 - body.s) * scalar_hessian(body.body0, x)
+                + body.s * scalar_hessian(body.body1, x))
+    return body.hessian(x)
+
+
+def _ellipsoid_m(body):
+    return np.array([1.0 / body.a ** 2, 1.0 / body.b ** 2, 1.0])
+
+
+def chart_inverse(body, z):
+    """Boundary point over one chart coordinate z, one chord point at a
+    time: double hi, halve lo, bisect, two Newton steps."""
+    if cmath.isinf(z):
+        return np.array([0.0, 0.0, 1.0])
+    x, y = z.real, z.imag
+
+    def point(t):
+        return np.array([t * x, t * y, 1.0 - 2.0 * t])
+
+    def g(t):
+        return scalar_value(body, point(t))
+
+    hi = 1.0
+    for _ in range(200):
+        if g(hi) >= 0:
+            break
+        hi *= 2.0
+    else:
+        raise RootNotFound("chord from the pole never exits the body")
+    lo = hi / 2.0
+    for _ in range(2000):
+        if g(lo) < 0:
+            break
+        lo /= 2.0
+    else:
+        raise RootNotFound("cannot bracket the chord intersection")
+    for _ in range(CHART_BISECTION_ITERATIONS):
+        if not hi - lo > 1e-14 * max(1.0, hi):
+            break
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    else:
+        raise RootNotFound("chord bisection did not converge in %d steps"
+                           % CHART_BISECTION_ITERATIONS)
+    t = 0.5 * (lo + hi)
+    for _ in range(2):
+        q = point(t)
+        dg = scalar_gradient(body, q) @ np.array([x, y, -2.0])
+        if dg != 0:
+            t -= scalar_value(body, q) / dg
+    return point(t)
+
+
+def line_minimum(body, n_f, d_f, n_g, d_g, guess):
+    """(min value, minimizer) of the gauge along the line where two planes
+    meet, for one line: bracket the slope, bisect, two Newton steps."""
+    u = np.cross(n_f, n_g)
+    nu = float(np.linalg.norm(u))
+    if nu < 1e-12:
+        return math.inf, np.full(3, np.nan)
+    u = u / nu
+    A = np.vstack([n_f, n_g])
+    q = np.linalg.lstsq(A, np.array([d_f, d_g]), rcond=None)[0]
+
+    def slope(t):
+        return float(scalar_gradient(body, q + t * u) @ u)
+
+    t0 = float((np.asarray(guess, dtype=float) - q) @ u)
+    if not math.isfinite(t0):
+        t0 = 0.0
+    lo = t0 - 1.0
+    for _ in range(200):
+        if slope(lo) < 0:
+            break
+        lo = t0 - 2.0 * (t0 - lo)
+    else:
+        return math.inf, np.full(3, np.nan)
+    hi = t0 + 1.0
+    for _ in range(200):
+        if slope(hi) > 0:
+            break
+        hi = t0 + 2.0 * (hi - t0)
+    else:
+        return math.inf, np.full(3, np.nan)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if slope(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-14 * (1.0 + abs(mid)):
+            break
+    t = 0.5 * (lo + hi)
+    for _ in range(2):
+        curv = float(u @ scalar_hessian(body, q + t * u) @ u)
+        if curv > 0:
+            t -= slope(t) / curv
+    m = q + t * u
+    return float(scalar_value(body, m)), m
+
+
+def tangency(cfg, body, P):
+    """(per_edge, max tangency residual): the per-edge loop check_midscription
+    ran over line_minimum."""
+    per_edge = []
+    max_tan = 0.0
+    for e in range(P.n_edges):
+        f, g = P.faces_of_edge(e)
+        val, minimizer = line_minimum(body, cfg.normals[f], cfg.offsets[f],
+                                      cfg.normals[g], cfg.offsets[g],
+                                      cfg.tangents[e])
+        dist = float(np.linalg.norm(minimizer - cfg.tangents[e]))
+        per_edge.append({"edge": e, "faces": (f, g), "line_min": val,
+                         "minimizer_distance": dist})
+        max_tan = max(max_tan, abs(val))
+    return per_edge, max_tan

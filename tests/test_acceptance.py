@@ -49,8 +49,8 @@ def test_criterion_1_ball_ground_truth(acceptance):
         report = check_midscription(cfg, BALL, P)
         res = max(report.max_tangency_residual, report.max_incidence_residual)
         mark_err = max(
-            np.linalg.norm(cfg.marked_points[i] - chart.inverse(z))
-            for i, z in enumerate(CANONICAL_MARKS))
+            np.linalg.norm(p - q)
+            for p, q in zip(cfg.marked_points, chart.inverse(CANONICAL_MARKS)))
         worst_res = max(worst_res, res)
         worst_mark = max(worst_mark, mark_err)
         worst_time = max(worst_time, elapsed)

@@ -1,9 +1,15 @@
 """Convex body gauges: descriptors, derivatives, boundary chart, blending."""
+import ast
+import cmath
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gauge_oracle
 from midscribe import bodies
 from midscribe.bodies import (Ball, BodyChart, BodyPath, ConvexBody,
                               make_body, make_path, ray_roots, validate_body)
@@ -113,7 +119,7 @@ def test_chart_round_trip(re, im):
     z = complex(re, im)
     body = make_body("ellipsoid:a=1.2,b=1.0")
     chart = BodyChart(body)
-    q = chart.inverse(z)
+    q = chart.inverse([z])[0]
     assert abs(body.value(q)) < 1e-12
     assert abs(chart.forward(q) - z) < 1e-10 * max(1.0, abs(z) ** 2)
 
@@ -122,10 +128,30 @@ def test_chart_round_trip(re, im):
 def test_chart_round_trip_all_bodies(descriptor):
     body = make_body(descriptor)
     chart = BodyChart(body)
-    for z in (0j, 1 + 0j, 1j, -2.5 + 0.5j, 0.3 - 4j, 8 + 7j):
-        q = chart.inverse(z)
+    zs = (0j, 1 + 0j, 1j, -2.5 + 0.5j, 0.3 - 4j, 8 + 7j)
+    for z, q in zip(zs, chart.inverse(zs)):
         assert abs(body.value(q)) < 1e-12
         assert abs(chart.forward(q) - z) < 1e-10 * max(1.0, abs(z) ** 2)
+
+
+CHART_POINTS = (0j, 1e-9 + 0j, 1e6 + 1e6j, -1 - 0j, complex(-1.0, -0.0),
+                complex(math.inf, 0.0), 0.3 - 1.2j, -2.5 + 0.5j, 8 + 7j)
+
+
+@pytest.mark.parametrize(
+    "body", [make_body(d) for d in DESCRIPTORS]
+    + [make_path(make_body(d)).eval(s) for d in DESCRIPTORS for s in (0.3, 0.77)],
+    ids=lambda body: body.descriptor)
+def test_chart_inverse_matches_scalar_oracle(body):
+    chart = BodyChart(body)
+    got = chart.inverse(CHART_POINTS)
+    want = np.array([gauge_oracle.chart_inverse(body, z) for z in CHART_POINTS])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert chart.inverse([]).shape == (0, 3)
+    assert np.array_equal(chart.inverse([complex(math.inf, 1.0)]),
+                          [[0.0, 0.0, 1.0]])
+    assert cmath.isinf(chart.forward(got[5]))
 
 
 def test_chart_pole_maps_to_infinity():
@@ -160,13 +186,62 @@ BATCHED = ("values", "value"), ("gradients", "gradient"), ("hessians", "hessian"
                          + [ScalarOnly(make_body("ellipsoid:a=1.2,b=1.0"))],
                          ids=lambda body: body.descriptor)
 def test_batched_gauges_match_scalar(body):
+    # the scalar methods, and the scalar formulas the built-in bodies had
+    # before they became one-row views of the batched ones
     X = np.random.default_rng(11).uniform(-1.5, 1.5, size=(64, 3))
     for batched, scalar in BATCHED:
         got = getattr(body, batched)(X)
         want = np.array([getattr(body, scalar)(x) for x in X])
         assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(got, want)
+        oracle = getattr(gauge_oracle, "scalar_" + scalar)
+        np.testing.assert_array_equal(got, [oracle(body, x) for x in X])
         assert getattr(body, batched)(np.empty((0, 3))).shape == (0,) + want.shape[1:]
+
+
+class NoGauge(ConvexBody):
+    """A body that defines neither method set."""
+
+    descriptor = "no-gauge"
+
+
+def test_body_without_gauge_methods_raises():
+    body = NoGauge()
+    for batched, scalar in BATCHED:
+        with pytest.raises(NotImplementedError, match="NoGauge defines "
+                           "neither %s nor %s" % (scalar, batched)):
+            getattr(body, scalar)(np.zeros(3))
+        with pytest.raises(NotImplementedError, match="NoGauge defines "
+                           "neither %s nor %s" % (scalar, batched)):
+            getattr(body, batched)(np.zeros((2, 3)))
+
+
+SCALAR_GAUGE = {"value", "gradient", "hessian"}
+
+
+def test_scalar_gauge_methods_only_in_convex_body():
+    # the built-in bodies and every caller in the package use the batched
+    # gauges; the scalar ones exist only as ConvexBody's one-row views and
+    # row-loop defaults
+    found = []
+    for path in sorted(Path(bodies.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "ConvexBody"
+                  for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in SCALAR_GAUGE):
+                found.append("%s:%d calls .%s()" % (path.name, node.lineno,
+                                                    node.func.attr))
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name in SCALAR_GAUGE):
+                found.append("%s:%d defines %s" % (path.name, node.lineno,
+                                                   node.name))
+    assert found == []
 
 
 def test_scalar_only_body_validates_and_paths():
@@ -252,4 +327,4 @@ def test_chart_bisection_is_bounded(monkeypatch):
     chart = BodyChart(make_body("ellipsoid:a=1.2,b=1.0"))
     monkeypatch.setattr(bodies, "CHART_BISECTION_ITERATIONS", 5)
     with pytest.raises(RootNotFound, match="did not converge in 5 steps"):
-        chart.inverse(0.3 - 0.7j)
+        chart.inverse([0.3 - 0.7j])

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from midscribe.bodies import Ball, BodyChart
 from midscribe.errors import DegenerateMarks
 from midscribe.mobius import (
     INFINITY,
@@ -9,10 +10,10 @@ from midscribe.mobius import (
     cap_through_points,
     is_infinity,
     lift_to_sphere,
-    mobius_pole,
     mobius_through,
-    sphere_chart,
 )
+
+sphere_chart = BodyChart(Ball()).forward
 
 
 def test_three_point_map_closed_form():
@@ -27,8 +28,6 @@ def test_three_point_map_closed_form():
 
 def test_pole_and_infinity_handling():
     M = mobius_through((0, 1, 1j), (1j, -1, 3 + 0j))
-    pole = mobius_pole(M)
-    assert is_infinity(apply_mobius(M, pole))
     w = apply_mobius(M, INFINITY)
     # M(inf) = a/c, finite here, and maps back under the inverse
     assert not is_infinity(w)

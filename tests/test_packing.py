@@ -11,8 +11,8 @@ import pytest
 
 from conftest import CANONICAL_MARKS, ball_solution, get_seed
 from midscribe import assemble_residual
-from midscribe.bodies import make_body
-from midscribe.mobius import is_infinity, lift_to_sphere, sphere_chart
+from midscribe.bodies import BodyChart, make_body
+from midscribe.mobius import is_infinity
 from midscribe import packing
 from midscribe.combinatorics import build_complex, select_frame
 from midscribe.errors import NonConvergence
@@ -135,8 +135,9 @@ def test_spherical_marks_placement(marks):
     P, _, frame = get_seed("cube")
     pat = layout_circles(P, frame, solve_radii(P, frame))
     sph = lift_normalize(pat, marks)
+    chart = BodyChart(make_body("ball"))
     for e, z in zip(frame.edges, marks):
-        assert abs(sphere_chart(sph.tangency[e]) - z) < 1e-8
+        assert abs(chart.forward(sph.tangency[e]) - z) < 1e-8
 
 
 def test_spherical_caps_through_tangency_points():
@@ -175,7 +176,8 @@ def test_mark_changes_are_mobius_related():
         P, _, frame = get_seed("triangular_prism")
         pat = layout_circles(P, frame, solve_radii(P, frame))
         sph = lift_normalize(pat, marks)
-        return [sphere_chart(sph.tangency[e]) for e in range(P.n_edges)]
+        chart = BodyChart(make_body("ball"))
+        return [chart.forward(sph.tangency[e]) for e in range(P.n_edges)]
 
     def cross_ratio(z1, z2, z3, z4):
         return (z1 - z3) * (z2 - z4) / ((z1 - z4) * (z2 - z3))

@@ -240,8 +240,8 @@ def test_continuation_reaches_target_and_pins_marks():
     assert report.rank_deficiency == 0
     assert np.isfinite(report.jacobian_condition_estimate)
     chart = BodyChart(body)
-    for pt, z in zip(cfg.marked_points, marks):
-        assert np.linalg.norm(pt - chart.inverse(z)) < 1e-8
+    for pt, q in zip(cfg.marked_points, chart.inverse(marks)):
+        assert np.linalg.norm(pt - q) < 1e-8
     # steps walked s from 0 to 1
     s_values = [s for s, _, _ in report.step_history]
     assert s_values and s_values[-1] == pytest.approx(1.0)

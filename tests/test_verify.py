@@ -4,18 +4,27 @@ import numpy as np
 import pytest
 
 import check_oracle
-from conftest import ball_solution, closed_form_config, get_seed
+import gauge_oracle
+from conftest import ball_solution, closed_form_config, get_seed, witness_marks
 from midscribe import (
     check_convexity,
     check_midscription,
+    continue_to_body,
     extract_kdisk_packings,
+    koebe_config,
+    layout_circles,
+    lift_normalize,
     rigidity_probe,
+    solve_radii,
+    verify,
     verify_configuration,
 )
 from midscribe.bodies import make_body, make_path
 from midscribe.errors import NotMidscribed
 from midscribe.seeds import SEED_NAMES
 from midscribe.verify import CONTACT_TOL, N_BOUNDARY_SAMPLES, TANGENCY_TOL
+from test_bodies import HalfSpace
+from test_packing import GENERATED, complex_and_frame
 
 BALL = make_body("ball")
 
@@ -122,6 +131,72 @@ def test_array_checks_match_loop_checks(name, nonconvex_instance):
         assert (repr((report.per_vertex, report.max_incidence_residual,
                       report.combinatorics_ok))
                 == repr(check_oracle.incidence(cfg, P)))
+        _assert_tangency_matches_oracle(report, cfg, BALL, P)
+
+
+def _assert_tangency_matches_oracle(report, cfg, body, P):
+    per_edge, max_tan = gauge_oracle.tangency(cfg, body, P)
+    assert repr(report.per_edge) == repr(per_edge)
+    assert repr(report.max_tangency_residual) == repr(max_tan)
+
+
+LINE_MARKS = (0.3 + 0j, -1.2 + 0.5j, 2j)
+
+
+@pytest.mark.parametrize("descriptor", ["ball", "ellipsoid:a=1.2,b=1.0",
+                                        "superellipsoid:p=4,a=1,b=1"])
+@pytest.mark.parametrize("name", SEED_NAMES)
+def test_line_minima_match_scalar_oracle(name, descriptor):
+    P, _, frame = get_seed(name)
+    body = make_body(descriptor)
+    cfg, _ = continue_to_body(P, frame, LINE_MARKS, make_path(body))
+    _assert_tangency_matches_oracle(check_midscription(cfg, body, P), cfg,
+                                    body, P)
+
+
+@pytest.mark.parametrize("name", ["hull12", "prism8"])
+def test_line_minima_match_scalar_oracle_generated(name):
+    P, frame = complex_and_frame(name)
+    planar = layout_circles(P, frame, solve_radii(P, frame))
+    marks = witness_marks(P, frame, GENERATED[name](), BALL)
+    cfg = koebe_config(lift_normalize(planar, marks))
+    _assert_tangency_matches_oracle(check_midscription(cfg, BALL, P), cfg,
+                                    BALL, P)
+    body = make_body("ellipsoid:a=1.2,b=1.0")
+    cfg, _ = continue_to_body(P, frame, marks, make_path(body))
+    _assert_tangency_matches_oracle(check_midscription(cfg, body, P), cfg,
+                                    body, P)
+
+
+def test_line_minima_failures_match_scalar_oracle():
+    P, _, cfg = closed_form_config("cube")
+    f, g = P.faces_of_edge(0)
+    parallel = cfg.copy()
+    parallel.normals[g] = cfg.normals[f]
+    report = check_midscription(parallel, BALL, P)
+    assert report.per_edge[0]["line_min"] == np.inf
+    assert np.isnan(report.per_edge[0]["minimizer_distance"])
+    _assert_tangency_matches_oracle(report, parallel, BALL, P)
+    # F = z - 1 has a constant slope along every line: no bracket exists
+    report = check_midscription(cfg, HalfSpace(), P)
+    assert all(e["line_min"] == np.inf for e in report.per_edge)
+    _assert_tangency_matches_oracle(report, cfg, HalfSpace(), P)
+
+
+def test_verification_minimizes_each_line_once(monkeypatch):
+    calls = []
+    line_minima = verify._line_minima
+
+    def counted(*args):
+        calls.append(None)
+        return line_minima(*args)
+    monkeypatch.setattr(verify, "_line_minima", counted)
+    P, _, _ = get_seed("cube")
+    report = verify_configuration(ball_solution("cube"), BALL, P)
+    assert report.passed and report.contact_graph_primal_ok
+    assert len(calls) == 1
+    extract_kdisk_packings(ball_solution("cube"), BALL, P)
+    assert len(calls) == 2
 
 
 def test_extracted_packings_on_ball_cube():
