@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,18 +117,20 @@ class Ellipsoid(ConvexBody):
     a: float
     b: float
 
+    @cached_property
     def _m(self):
+        """Diagonal of the quadratic form, built once per body."""
         return np.array([1.0 / self.a ** 2, 1.0 / self.b ** 2, 1.0])
 
     def values(self, X):
         X = np.asarray(X, dtype=float)
-        return _rowdot(X * X, self._m()) - 1.0
+        return _rowdot(X * X, self._m) - 1.0
 
     def gradients(self, X):
-        return 2.0 * self._m() * np.asarray(X, dtype=float)
+        return 2.0 * self._m * np.asarray(X, dtype=float)
 
     def hessians(self, X):
-        return np.tile(np.diag(2.0 * self._m()), (len(X), 1, 1))
+        return np.tile(np.diag(2.0 * self._m), (len(X), 1, 1))
 
     @property
     def descriptor(self):
@@ -142,20 +145,22 @@ class Superellipsoid(ConvexBody):
     a: float
     b: float
 
+    @cached_property
     def _scale(self):
+        """Semi-axes, built once per body."""
         return np.array([self.a, self.b, 1.0])
 
     def values(self, X):
-        U = np.asarray(X, dtype=float) / self._scale()
+        U = np.asarray(X, dtype=float) / self._scale
         return np.sum(U ** self.p, axis=1) - 1.0
 
     def gradients(self, X):
-        s = self._scale()
+        s = self._scale
         U = np.asarray(X, dtype=float) / s
         return self.p * U ** (self.p - 1) / s
 
     def hessians(self, X):
-        s = self._scale()
+        s = self._scale
         U = np.asarray(X, dtype=float) / s
         out = np.zeros((len(U), 3, 3))
         idx = np.arange(3)

@@ -48,6 +48,10 @@ class SolveReport:
     jacobian_condition_estimate is the worst (largest) spectral condition
     number seen across accepted solutions; rank_deficiency counts singular
     values below 1e-12 of the largest at the final solution (0 expected).
+    Both come from ConstraintSystem.condition: a dense SVD on systems of up
+    to solver.DENSE_AUDIT_MAX_N unknowns, and above that a Lanczos estimate
+    accurate to about 1e-12 relative, with the dense SVD as its fallback
+    whenever the estimate fails or the Jacobian is near singular.
     step_history rows are (s, ds, newton_iterations).
     """
 

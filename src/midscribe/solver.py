@@ -56,6 +56,14 @@ DS_MAX = 0.25
 # tangent points all lie this close, aborts the continuation
 MIN_TANGENT_SEPARATION = 1e-6
 MIN_FACE_CIRCLE_SIZE = 1e-6
+# the condition audit takes a dense SVD up to this many unknowns, and above
+# it estimates the extreme singular values by Lanczos through sparse LUs:
+# the break-even of the two audits, measured on Jacobians of the corpus
+DENSE_AUDIT_MAX_N = 250
+# a Lanczos estimate with sigma_min / sigma_max at or below this goes back to
+# the dense SVD, which alone counts the rank deficiency (acceptance
+# criterion 5 bounds the same ratio)
+LANCZOS_MIN_RATIO = 1e-8
 
 
 class ConstraintSystem:
@@ -247,6 +255,59 @@ class ConstraintSystem:
     def singular_values(self, x: np.ndarray) -> np.ndarray:
         return np.linalg.svd(self.jacobian(x).toarray(), compute_uv=False)
 
+    def condition(self, x: np.ndarray):
+        """(sigma_max / sigma_min, rank deficiency) of the Jacobian at x.
+
+        The rank deficiency counts singular values below 1e-12 of the
+        largest. Up to DENSE_AUDIT_MAX_N unknowns both come from the dense
+        SVD. Above it the extreme singular values are estimated by Lanczos
+        through sparse LUs (_lanczos_condition); the dense SVD still decides
+        whenever the estimate fails or puts sigma_min / sigma_max at or below
+        LANCZOS_MIN_RATIO, so a near-singular point gets the exact count.
+        """
+        if self.n_unknowns > DENSE_AUDIT_MAX_N:
+            cond = _lanczos_condition(self.jacobian(x))
+            if cond is not None:
+                return cond, 0
+        sv = self.singular_values(x)
+        return float(sv[0] / sv[-1]), int(np.sum(sv < 1e-12 * sv[0]))
+
+
+def _lanczos_condition(J: sp.csr_matrix):
+    """sigma_max / sigma_min of the square J from the largest eigenvalues of
+    J^T J and of its inverse, by implicitly restarted Lanczos (ARPACK
+    eigsh), or None when either factorization or either eigensolve fails,
+    or when sigma_min / sigma_max <= LANCZOS_MIN_RATIO.
+
+    J^T gets an LU of its own, whose CSC arrays are J's CSR arrays, so only
+    an LU's plain solve(rhs) is called (bench/tracing.py wraps splu with
+    exactly that). The start vector is a fixed random one, so the estimate
+    is deterministic; a constant start vector can be orthogonal to the
+    extreme singular vector of a symmetric complex.
+    """
+    n = J.shape[0]
+    Jt = sp.csc_matrix((J.data, J.indices, J.indptr), shape=J.shape)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        lu, lu_t = spla.splu(J.tocsc()), spla.splu(Jt)
+    except RuntimeError:  # a factor is exactly singular
+        return None
+    gram = spla.LinearOperator((n, n), dtype=float,
+                               matvec=lambda u: Jt @ (J @ u))
+    inverse = spla.LinearOperator((n, n), dtype=float,
+                                  matvec=lambda u: lu.solve(lu_t.solve(u)))
+    try:
+        smax2, = spla.eigsh(gram, k=1, which="LA", v0=v0,
+                            return_eigenvectors=False)
+        inv_smin2, = spla.eigsh(inverse, k=1, which="LA", v0=v0,
+                                return_eigenvectors=False)
+    except spla.ArpackError:
+        return None
+    cond2 = float(smax2 * inv_smin2)
+    if not 0.0 < cond2 < LANCZOS_MIN_RATIO ** -2:  # also catches nan and inf
+        return None
+    return float(np.sqrt(cond2))
+
 
 # ---------------------------------------------------------------------------
 # public assembly ops
@@ -322,15 +383,15 @@ def newton_refine(cfg: Configuration, body: ConvexBody, P: PolyhedralComplex,
                   frame: Frame, marks, tol: float = 1e-11, max_iter: int = 50):
     """Damped Newton solve from cfg; returns (Configuration, SolveReport).
 
-    The report carries the spectral condition estimate and rank deficiency of
-    the Jacobian at the solution.
+    The report carries the spectral condition number and rank deficiency of
+    the Jacobian at the solution, from ConstraintSystem.condition.
     """
     system = ConstraintSystem(P, frame, marks, body)
     x, iters, res = _newton_core(system, system.pack(cfg), tol, max_iter)
-    sv = system.singular_values(x)
+    cond, rank_def = system.condition(x)
     report = SolveReport(converged=True, iterations=iters, final_residual=res,
-                         jacobian_condition_estimate=float(sv[0] / sv[-1]),
-                         rank_deficiency=int(np.sum(sv < 1e-12 * sv[0])))
+                         jacobian_condition_estimate=cond,
+                         rank_deficiency=rank_def)
     return system.unpack(x), report
 
 
@@ -379,8 +440,10 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
     tangent points are the chart images on the blended body, so the marks
     move continuously with s. One ConstraintSystem serves the whole run; each
     step swaps its body and marked points. Every accepted solution is audited
-    by a dense SVD of the Jacobian, whose worst condition number and final
-    rank deficiency go in the report. Every Newton solve stops once the
+    by ConstraintSystem.condition, a dense SVD of the Jacobian on small
+    systems and a sparse Lanczos estimate with a dense fallback on large
+    ones; the worst condition number and the final rank deficiency go in the
+    report, and nothing else reads them. Every Newton solve stops once the
     residual's max-norm is below tol. Returns (Configuration, SolveReport).
     """
     z = tuple(complex(zi) for zi in marks_z)
@@ -400,9 +463,8 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
 
     def audit(system, x):
         nonlocal worst_cond, rank_def
-        sv = system.singular_values(x)
-        worst_cond = max(worst_cond, float(sv[0] / sv[-1]))
-        rank_def = int(np.sum(sv < 1e-12 * sv[0]))
+        cond, rank_def = system.condition(x)
+        worst_cond = max(worst_cond, cond)
 
     body0 = path.eval(0.0)
     system = ConstraintSystem(P, frame, marks_at(body0), body0)

@@ -199,6 +199,22 @@ def test_batched_gauges_match_scalar(body):
         assert getattr(body, batched)(np.empty((0, 3))).shape == (0,) + want.shape[1:]
 
 
+@pytest.mark.parametrize("descriptor", ["ellipsoid:a=1.2,b=0.9",
+                                        "superellipsoid:p=4,a=1.1,b=0.9"])
+def test_cached_gauge_constants_keep_body_identity(descriptor):
+    """A body that has cached its per-body constants by evaluating stays
+    equal to, hashes like and reads like a fresh one, and evaluates alike."""
+    used, fresh = make_body(descriptor), make_body(descriptor)
+    X = np.random.default_rng(3).uniform(-1.5, 1.5, size=(8, 3))
+    first = [getattr(used, batched)(X) for batched, _ in BATCHED]
+    assert used == fresh and hash(used) == hash(fresh)
+    assert used.descriptor == fresh.descriptor == descriptor
+    assert repr(used) == repr(fresh)
+    for (batched, _), got in zip(BATCHED, first):
+        np.testing.assert_array_equal(getattr(used, batched)(X), got)
+        np.testing.assert_array_equal(getattr(fresh, batched)(X), got)
+
+
 class NoGauge(ConvexBody):
     """A body that defines neither method set."""
 

@@ -340,3 +340,111 @@ def test_degeneracy_guard_matches_face_loop(monkeypatch, name):
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
         assert (outcomes[0] is None) == (limit < sizes.min())
+
+
+def _count_dense_audits(monkeypatch):
+    """Wrap ConstraintSystem.singular_values; returns the list its calls
+    append their system sizes to."""
+    calls = []
+    dense = ConstraintSystem.singular_values
+
+    def counted(self, x):
+        calls.append(self.n_unknowns)
+        return dense(self, x)
+
+    monkeypatch.setattr(ConstraintSystem, "singular_values", counted)
+    return calls
+
+
+def _dense_condition(system, x):
+    sv = system.singular_values(x)
+    return float(sv[0] / sv[-1]), int(np.sum(sv < 1e-12 * sv[0]))
+
+
+def _ellipsoid_end_system(name):
+    P, frame, cfg = _ellipsoid_solution(name)
+    system = ConstraintSystem(P, frame, cfg.marked_points,
+                              _ellipsoid_path().end)
+    return system, system.pack(cfg)
+
+
+@pytest.mark.parametrize("name", ["hull20", "antiprism15", "hull60"])
+def test_lanczos_audit_matches_dense_svd(monkeypatch, name):
+    """The Lanczos estimate through sparse LUs gives the dense SVD's
+    condition number and rank deficiency without calling it."""
+    system, x = _ellipsoid_end_system(name)
+    want = _dense_condition(system, x)
+    monkeypatch.setattr(solver, "DENSE_AUDIT_MAX_N", 0)
+    calls = _count_dense_audits(monkeypatch)
+    cond, rank_def = system.condition(x)
+    assert calls == []
+    assert cond == pytest.approx(want[0], rel=1e-9, abs=0.0)
+    assert rank_def == want[1] == 0
+
+
+def test_dense_audit_up_to_threshold(monkeypatch):
+    """At DENSE_AUDIT_MAX_N unknowns the audit is the dense SVD, bit for
+    bit; one unknown fewer allowed, it is not."""
+    system, x = _ellipsoid_end_system("prism8")
+    want = _dense_condition(system, x)
+    calls = _count_dense_audits(monkeypatch)
+    monkeypatch.setattr(solver, "DENSE_AUDIT_MAX_N", system.n_unknowns)
+    assert system.condition(x) == want
+    assert calls == [system.n_unknowns]
+    monkeypatch.setattr(solver, "DENSE_AUDIT_MAX_N", system.n_unknowns - 1)
+    assert system.condition(x)[0] == pytest.approx(want[0], rel=1e-9, abs=0.0)
+    assert calls == [system.n_unknowns]
+
+
+def test_rank_deficient_audit_falls_back_to_dense(monkeypatch,
+                                                  p4_box_instance):
+    """With every system on the Lanczos path, the rank-deficient quartic box
+    still reaches the dense SVD, and the report is the dense audit's."""
+    inst = p4_box_instance
+    want = inst["report"]
+    assert want.rank_deficiency > 0
+    monkeypatch.setattr(solver, "DENSE_AUDIT_MAX_N", 0)
+    calls = _count_dense_audits(monkeypatch)
+    _, report = continue_to_body(inst["P"], inst["frame"], inst["marks"],
+                                 inst["path"])
+    assert calls
+    assert report.rank_deficiency == want.rank_deficiency
+    # the rank-deficient end point also holds the worst condition number
+    assert repr(report) == repr(want)
+
+
+def _raise_singular(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def _raise_no_convergence(*args, **kwargs):
+    raise solver.spla.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                          np.empty(0), np.empty((0, 0)))
+
+
+@pytest.mark.parametrize("attribute, failure", [
+    ("splu", _raise_singular),
+    ("eigsh", _raise_no_convergence),
+], ids=["splu", "eigsh"])
+def test_failed_lanczos_audit_falls_back_to_dense(monkeypatch, attribute,
+                                                  failure):
+    system, x = _ellipsoid_end_system("hull20")
+    want = _dense_condition(system, x)
+    monkeypatch.setattr(solver, "DENSE_AUDIT_MAX_N", 0)
+    monkeypatch.setattr(solver.spla, attribute, failure)
+    calls = _count_dense_audits(monkeypatch)
+    assert system.condition(x) == want
+    assert calls == [system.n_unknowns]
+
+
+def test_large_continuation_audits_without_dense_svd(monkeypatch):
+    """hull60 (1217 unknowns) continues to the ellipsoid on the Lanczos
+    audit alone."""
+    P, frame = complex_and_frame("hull60")
+    calls = _count_dense_audits(monkeypatch)
+    _, report = continue_to_body(P, frame, CANONICAL_MARKS, _ellipsoid_path())
+    assert report.converged
+    assert report.step_history[-1][0] == 1.0
+    assert report.rank_deficiency == 0
+    assert np.isfinite(report.jacobian_condition_estimate)
+    assert calls == []
