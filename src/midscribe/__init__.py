@@ -23,9 +23,8 @@ from .packing import (Cap, Circle, CirclePattern, SphericalPattern,
                       planar_pattern_residuals, solve_radii,
                       spherical_pattern_residuals)
 from .seeds import SEED_NAMES, seed_complex, seed_coordinates
-from .solver import (ConstraintSystem, assemble_residual,
-                     continue_from_pattern, continue_to_body, newton_refine,
-                     plane_quadruple_det)
+from .solver import (ConstraintSystem, continue_from_pattern,
+                     continue_to_body, newton_refine)
 from .verify import (DiskPacking, KDisk, RigidityReport, VerifyReport,
                      check_convexity, check_midscription,
                      extract_kdisk_packings, rigidity_probe,
@@ -36,13 +35,13 @@ __all__ = [
     "Configuration", "ConstraintSystem", "ConvexBody", "DimensionReport",
     "DiskPacking", "EPS_INFINITY", "Ellipsoid", "Frame", "GaugeBlend", "KDisk",
     "PolyhedralComplex", "RigidityReport", "SEED_NAMES", "SolveReport",
-    "SphericalPattern", "Superellipsoid", "VerifyReport", "assemble_residual",
-    "build_complex", "check_convexity", "check_midscription",
-    "continue_from_pattern", "continue_to_body", "dimension_audit",
-    "dual_complex", "errors", "extract_kdisk_packings", "koebe_config",
-    "layout_circles", "lift_normalize", "load_complex_file", "make_body",
-    "make_path", "newton_refine", "parse_complex_json", "parse_off",
-    "plane_quadruple_det", "planar_pattern_residuals", "rigidity_probe",
-    "seed_complex", "seed_coordinates", "select_frame", "solve_radii",
+    "SphericalPattern", "Superellipsoid", "VerifyReport", "build_complex",
+    "check_convexity", "check_midscription", "continue_from_pattern",
+    "continue_to_body", "dimension_audit", "dual_complex", "errors",
+    "extract_kdisk_packings", "koebe_config", "layout_circles",
+    "lift_normalize", "load_complex_file", "make_body", "make_path",
+    "newton_refine", "parse_complex_json", "parse_off",
+    "planar_pattern_residuals", "rigidity_probe", "seed_complex",
+    "seed_coordinates", "select_frame", "solve_radii",
     "spherical_pattern_residuals", "validate_body", "verify_configuration",
 ]

@@ -41,6 +41,10 @@ class Configuration:
         return pos, finite
 
 
+# the SolveReport fields a deferred condition audit fills in
+_AUDITED_FIELDS = ("jacobian_condition_estimate", "rank_deficiency")
+
+
 @dataclass
 class SolveReport:
     """Outcome bookkeeping for a Newton solve or a whole continuation run.
@@ -53,12 +57,45 @@ class SolveReport:
     accurate to about 1e-12 relative, with the dense SVD as its fallback
     whenever the estimate fails or the Jacobian is near singular.
     step_history rows are (s, ds, newton_iterations).
+
+    The solver's reports defer that audit (defer_audit): the first read of
+    either field runs condition at every accepted solution in order, and
+    reads solver.DENSE_AUDIT_MAX_N and solver.LANCZOS_MIN_RATIO at that
+    time. The two values are then stored and the solutions dropped. repr,
+    == and pickling read the fields, so they show the audited values.
     """
 
     converged: bool
     iterations: int
     final_residual: float
-    jacobian_condition_estimate: float = float("nan")
+    # default factories leave no class attribute that would answer a read
+    # of an audited field before __getattr__ does
+    jacobian_condition_estimate: float = field(
+        default_factory=lambda: float("nan"))
     step_history: list = field(default_factory=list)
-    rank_deficiency: int = 0
+    rank_deficiency: int = field(default_factory=int)
 
+    def defer_audit(self, audit):
+        """Leave both audited fields to audit.run(), which returns them and
+        runs on the first read of either; until then they are unset."""
+        del self.jacobian_condition_estimate, self.rank_deficiency
+        self._audit = audit
+
+    def __getattr__(self, name):
+        # reached only for a missing attribute: an audited field whose
+        # audit is still deferred, or a name the report does not have
+        if name in _AUDITED_FIELDS and "_audit" in self.__dict__:
+            self._run_audit()
+            return self.__dict__[name]
+        raise AttributeError("%r object has no attribute %r"
+                             % (type(self).__name__, name))
+
+    def __getstate__(self):
+        if "_audit" in self.__dict__:
+            self._run_audit()
+        return self.__dict__
+
+    def _run_audit(self):
+        values = self._audit.run()
+        self.jacobian_condition_estimate, self.rank_deficiency = values
+        del self._audit

@@ -81,7 +81,7 @@ class ConstraintSystem:
       <n_g, p_e> - d_g, F(p_e) and <grad F(p_e), n_f x n_g>, numbered by the
       (E, 4) table edge_rows (-1 in the gauge slot of a marked edge); then
       V rows |X_v|^2 - 1.
-    - the Jacobian's (row, col) pattern and its CSR order.
+    - the Jacobian's (row, col) pattern, and its CSR and CSC orders.
     - face_edges: the (F, k) boundary edges of each face, k the longest
       boundary, shorter faces padded with their own first edge.
 
@@ -134,10 +134,15 @@ class ConstraintSystem:
         self._csr_indices = cols[self._csr_order]
         self._csr_indptr = np.searchsorted(rows[self._csr_order],
                                            np.arange(self.n_unknowns + 1))
+        self._csc_order = np.lexsort((rows, cols))
+        self._csc_indices = rows[self._csc_order]
+        self._csc_indptr = np.searchsorted(cols[self._csc_order],
+                                           np.arange(self.n_unknowns + 1))
 
     def _jacobian_pattern(self):
-        """(rows, cols) of each block of nonzeros, in the order jacobian()
-        lists the blocks' values; rows broadcast against cols."""
+        """(rows, cols) of each block of nonzeros, in the order
+        _jacobian_values lists the blocks' values; rows broadcast against
+        cols."""
         F, V = self.P.n_faces, self.P.n_vertices
         ncols = 4 * np.arange(F)[:, None] + np.arange(3)
         dcol = 4 * np.arange(F)[:, None] + 3
@@ -210,7 +215,7 @@ class ConstraintSystem:
             _rowdot(N[f], T) - D[f],
             _rowdot(N[g], T) - D[g],
             gauge,
-            _rowdot(self.body.gradients(T), np.cross(N[f], N[g])),
+            _rowdot(self.body.gradients(T), _cross(N[f], N[g])),
         ])
         return np.concatenate([np.einsum("ij,ij->i", N, N) - 1.0,
                                _rowdot(N[ff], X[fv, 1:]) - D[ff] * X[fv, 0],
@@ -229,14 +234,15 @@ class ConstraintSystem:
         labels += [("vertex_norm", v) for v in range(self.P.n_vertices)]
         return labels
 
-    def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
+    def _jacobian_values(self, x: np.ndarray) -> np.ndarray:
+        """The Jacobian's nonzeros at x, in _jacobian_pattern order."""
         N, D, X = self._views(x)
         T = self.tangents(x)
         free = self.free
         fv, ff = self.flag_v, self.flag_f
         f, g = self.edge_faces.T
         G = self.body.gradients(T)
-        U = np.cross(N[f], N[g])
+        U = _cross(N[f], N[g])
         HU = (self.body.hessians(T[free]) @ U[free][:, :, None])[:, :, 0]
         plane = np.hstack([T, np.full((len(T), 1), -1.0)])
         values = [
@@ -244,12 +250,22 @@ class ConstraintSystem:
             np.hstack([X[fv, 1:], -X[fv, :1], -D[ff][:, None], N[ff]]),
             plane,
             plane,
-            np.hstack([np.cross(N[g], G), np.cross(G, N[f])]),
+            np.hstack([_cross(N[g], G), _cross(G, N[f])]),
             np.stack([N[f][free], N[g][free], G[free], HU], axis=1),
             2.0 * X,
         ]
-        data = np.concatenate([v.ravel() for v in values])[self._csr_order]
-        return sp.csr_matrix((data, self._csr_indices, self._csr_indptr),
+        return np.concatenate([v.ravel() for v in values])
+
+    def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
+        return sp.csr_matrix((self._jacobian_values(x)[self._csr_order],
+                              self._csr_indices, self._csr_indptr),
+                             shape=(self.n_unknowns, self.n_unknowns))
+
+    def jacobian_csc(self, x: np.ndarray) -> sp.csc_matrix:
+        """The Jacobian at x in the CSC layout that splu factors: the arrays
+        of jacobian(x).tocsc(), permuted straight from the nonzeros."""
+        return sp.csc_matrix((self._jacobian_values(x)[self._csc_order],
+                              self._csc_indices, self._csc_indptr),
                              shape=(self.n_unknowns, self.n_unknowns))
 
     def singular_values(self, x: np.ndarray) -> np.ndarray:
@@ -309,21 +325,42 @@ def _lanczos_condition(J: sp.csr_matrix):
     return float(np.sqrt(cond2))
 
 
-# ---------------------------------------------------------------------------
-# public assembly ops
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of two (n, 3) arrays, bitwise equal to
+    np.cross(a, b): the same products and differences, without np.cross's
+    per-call axis and broadcast handling."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                            a0 * b1 - a1 * b0])
 
-def assemble_residual(cfg: Configuration, body: ConvexBody,
-                      P: PolyhedralComplex, frame: Frame, marks) -> np.ndarray:
-    sys = ConstraintSystem(P, frame, marks, body)
-    return sys.residual(sys.pack(cfg))
 
+class _ConditionAudit:
+    """The condition audit of a solve, run when its SolveReport is read.
 
-def plane_quadruple_det(planes) -> float:
-    """det of four stacked plane rows (n, -d); zero iff concurrent planes."""
-    A = np.array([[n[0], n[1], n[2], -d] for n, d in planes])
-    if A.shape != (4, 4):
-        raise DimensionMismatch("need exactly four planes")
-    return float(np.linalg.det(A))
+    Plain data: the solve's ConstraintSystem and each accepted step's
+    (body, marked_points, x), recorded in order. run() puts every step's
+    body and marks back into the system and calls condition there, so it
+    reads DENSE_AUDIT_MAX_N and LANCZOS_MIN_RATIO when it runs.
+    """
+
+    def __init__(self, system: ConstraintSystem):
+        self.system = system
+        self.steps = []
+
+    def record(self, x: np.ndarray):
+        self.steps.append((self.system.body, self.system.marked_points, x))
+
+    def run(self):
+        """(worst condition number, or nan if none is positive; rank
+        deficiency at the last step)."""
+        system = self.system
+        worst, rank_def = 0.0, 0
+        for body, marked_points, x in self.steps:
+            system.body, system.marked_points = body, marked_points
+            cond, rank_def = system.condition(x)
+            worst = max(worst, cond)
+        return worst or float("nan"), rank_def
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +395,7 @@ def _newton_core(system: ConstraintSystem, x: np.ndarray, tol: float,
     for it in range(max_iter):
         if res < tol:
             return x, it, res
-        J = system.jacobian(x).tocsc()
+        J = system.jacobian_csc(x)
         accepted = None
         try:
             delta = spla.splu(J).solve(-r)
@@ -383,15 +420,16 @@ def newton_refine(cfg: Configuration, body: ConvexBody, P: PolyhedralComplex,
                   frame: Frame, marks, tol: float = 1e-11, max_iter: int = 50):
     """Damped Newton solve from cfg; returns (Configuration, SolveReport).
 
-    The report carries the spectral condition number and rank deficiency of
-    the Jacobian at the solution, from ConstraintSystem.condition.
+    The report's condition number and rank deficiency of the Jacobian at
+    the solution come from ConstraintSystem.condition, run on the first read
+    of either.
     """
     system = ConstraintSystem(P, frame, marks, body)
     x, iters, res = _newton_core(system, system.pack(cfg), tol, max_iter)
-    cond, rank_def = system.condition(x)
-    report = SolveReport(converged=True, iterations=iters, final_residual=res,
-                         jacobian_condition_estimate=cond,
-                         rank_deficiency=rank_def)
+    audit = _ConditionAudit(system)
+    audit.record(x)
+    report = SolveReport(converged=True, iterations=iters, final_residual=res)
+    report.defer_audit(audit)
     return system.unpack(x), report
 
 
@@ -439,12 +477,13 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
     enter only through the lift to the sphere. At every step s the pinned
     tangent points are the chart images on the blended body, so the marks
     move continuously with s. One ConstraintSystem serves the whole run; each
-    step swaps its body and marked points. Every accepted solution is audited
-    by ConstraintSystem.condition, a dense SVD of the Jacobian on small
-    systems and a sparse Lanczos estimate with a dense fallback on large
-    ones; the worst condition number and the final rank deficiency go in the
-    report, and nothing else reads them. Every Newton solve stops once the
-    residual's max-norm is below tol. Returns (Configuration, SolveReport).
+    step swaps its body and marked points. Every accepted solution is
+    recorded for the condition audit, which runs on the first read of the
+    report's jacobian_condition_estimate or rank_deficiency (see
+    SolveReport); nothing in the continuation reads them. Every Newton solve
+    stops once the residual's max-norm is below tol. Returns
+    (Configuration, SolveReport); a StepUnderflow carries a report that
+    defers its audit the same way.
     """
     z = tuple(complex(zi) for zi in marks_z)
     if len({z[0], z[1], z[2]}) != 3:
@@ -457,22 +496,16 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
         return BodyChart(body).inverse(z)
 
     history = []
-    worst_cond = 0.0
-    rank_def = 0
     total_iters = 0
-
-    def audit(system, x):
-        nonlocal worst_cond, rank_def
-        cond, rank_def = system.condition(x)
-        worst_cond = max(worst_cond, cond)
 
     body0 = path.eval(0.0)
     system = ConstraintSystem(P, frame, marks_at(body0), body0)
+    audit = _ConditionAudit(system)
     x, iters, res = _newton_core(system, system.pack(cfg0), tol,
                                  NEWTON_MAX_ITERATIONS)
     total_iters += iters
     history.append((0.0, 0.0, iters))
-    audit(system, x)
+    audit.record(x)
     _degeneracy_guard(system, x, 0.0)
 
     s_prev, x_prev = 0.0, x
@@ -494,18 +527,15 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
             ds *= 0.5
             if ds < DS_MIN:
                 report = SolveReport(converged=False, iterations=total_iters,
-                                     final_residual=res,
-                                     jacobian_condition_estimate=worst_cond
-                                     or float("nan"),
-                                     step_history=history,
-                                     rank_deficiency=rank_def)
+                                     final_residual=res, step_history=history)
+                report.defer_audit(audit)
                 raise StepUnderflow("continuation step fell below %.1e at "
                                     "s=%.6f" % (DS_MIN, s_prev),
                                     last_good_s=s_prev, report=report)
             continue
         total_iters += iters
         history.append((s_try, ds, iters))
-        audit(system, x_new)
+        audit.record(x_new)
         _degeneracy_guard(system, x_new, s_try)
         s_prev2, x_prev2 = s_prev, x_prev
         s_prev, x_prev = s_try, x_new
@@ -513,7 +543,6 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
             ds = min(ds * 1.5, DS_MAX)
 
     report = SolveReport(converged=True, iterations=total_iters,
-                         final_residual=res,
-                         jacobian_condition_estimate=worst_cond or float("nan"),
-                         step_history=history, rank_deficiency=rank_def)
+                         final_residual=res, step_history=history)
+    report.defer_audit(audit)
     return system.unpack(x_prev), report

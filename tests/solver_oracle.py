@@ -9,17 +9,24 @@ labels and its packing exactly.
 ``degeneracy_guard`` is the continuation's collapse check as a loop over
 faces, one ``pdist`` per face; the solver's padded-table version must give
 the same face sizes and raise the same error.
+
+``continue_from_pattern`` and ``newton_refine`` are the solver's entry
+points as they were before the condition audit was deferred to the first
+read of a report: they run ``ConstraintSystem.condition`` at every accepted
+solution as they go. The solver's reports must equal theirs by ``repr`` and
+after pickling.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import pdist
 
-from midscribe import solver
-from midscribe.bodies import ConvexBody
+from midscribe import packing, solver
+from midscribe.bodies import BodyChart, BodyPath, ConvexBody
 from midscribe.combinatorics import Frame, PolyhedralComplex
-from midscribe.config import Configuration
-from midscribe.errors import DegenerateConfiguration, DimensionMismatch
+from midscribe.config import Configuration, SolveReport
+from midscribe.errors import (DegenerateConfiguration, DegenerateMarks,
+                              DimensionMismatch, SolverError, StepUnderflow)
 
 
 class ConstraintSystem:
@@ -235,3 +242,101 @@ def degeneracy_guard(system, x, s):
         if size <= solver.MIN_FACE_CIRCLE_SIZE:
             raise DegenerateConfiguration(
                 "face %d circle of size %.3e at s=%.6f" % (f, size, s))
+
+
+def assemble_residual(cfg: Configuration, body: ConvexBody,
+                      P: PolyhedralComplex, frame: Frame, marks) -> np.ndarray:
+    """The solver's residual at cfg, for (P, frame, marks, body)."""
+    system = solver.ConstraintSystem(P, frame, marks, body)
+    return system.residual(system.pack(cfg))
+
+
+def newton_refine(cfg: Configuration, body: ConvexBody, P: PolyhedralComplex,
+                  frame: Frame, marks, tol: float = 1e-11, max_iter: int = 50):
+    """solver.newton_refine with the condition audit run before returning."""
+    system = solver.ConstraintSystem(P, frame, marks, body)
+    x, iters, res = solver._newton_core(system, system.pack(cfg), tol,
+                                        max_iter)
+    cond, rank_def = system.condition(x)
+    report = SolveReport(converged=True, iterations=iters, final_residual=res,
+                         jacobian_condition_estimate=cond,
+                         rank_deficiency=rank_def)
+    return system.unpack(x), report
+
+
+def continue_from_pattern(planar: packing.CirclePattern, marks_z,
+                          path: BodyPath, tol: float = 1e-11):
+    """solver.continue_from_pattern with the condition audit run at every
+    accepted step, as the step is accepted."""
+    z = tuple(complex(zi) for zi in marks_z)
+    if len({z[0], z[1], z[2]}) != 3:
+        raise DegenerateMarks("marks %r are not distinct" % (z,))
+
+    P, frame = planar.P, planar.frame
+    cfg0 = packing.koebe_config(packing.lift_normalize(planar, z))
+
+    def marks_at(body):
+        return BodyChart(body).inverse(z)
+
+    history = []
+    worst_cond = 0.0
+    rank_def = 0
+    total_iters = 0
+
+    def audit(system, x):
+        nonlocal worst_cond, rank_def
+        cond, rank_def = system.condition(x)
+        worst_cond = max(worst_cond, cond)
+
+    body0 = path.eval(0.0)
+    system = solver.ConstraintSystem(P, frame, marks_at(body0), body0)
+    x, iters, res = solver._newton_core(system, system.pack(cfg0), tol,
+                                        solver.NEWTON_MAX_ITERATIONS)
+    total_iters += iters
+    history.append((0.0, 0.0, iters))
+    audit(system, x)
+    solver._degeneracy_guard(system, x, 0.0)
+
+    s_prev, x_prev = 0.0, x
+    s_prev2, x_prev2 = None, None
+    ds = solver.DS_INIT
+    while s_prev < 1.0 - 1e-15:
+        s_try = min(1.0, s_prev + ds)
+        system.body = path.eval(s_try)
+        system.marked_points = marks_at(system.body)
+        if s_prev2 is not None and s_prev > s_prev2:
+            w = (s_try - s_prev) / (s_prev - s_prev2)
+            x0 = x_prev + w * (x_prev - x_prev2)
+        else:
+            x0 = x_prev
+        try:
+            x_new, iters, res = solver._newton_core(
+                system, x0, tol, solver.NEWTON_MAX_ITERATIONS)
+        except SolverError:
+            ds *= 0.5
+            if ds < solver.DS_MIN:
+                report = SolveReport(converged=False, iterations=total_iters,
+                                     final_residual=res,
+                                     jacobian_condition_estimate=worst_cond
+                                     or float("nan"),
+                                     step_history=history,
+                                     rank_deficiency=rank_def)
+                raise StepUnderflow("continuation step fell below %.1e at "
+                                    "s=%.6f" % (solver.DS_MIN, s_prev),
+                                    last_good_s=s_prev, report=report)
+            continue
+        total_iters += iters
+        history.append((s_try, ds, iters))
+        audit(system, x_new)
+        solver._degeneracy_guard(system, x_new, s_try)
+        s_prev2, x_prev2 = s_prev, x_prev
+        s_prev, x_prev = s_try, x_new
+        if iters <= 3:
+            ds = min(ds * 1.5, solver.DS_MAX)
+
+    report = SolveReport(converged=True, iterations=total_iters,
+                         final_residual=res,
+                         jacobian_condition_estimate=worst_cond
+                         or float("nan"),
+                         step_history=history, rank_deficiency=rank_def)
+    return system.unpack(x_prev), report

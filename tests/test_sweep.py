@@ -21,6 +21,7 @@ from midscribe.errors import InputError, SolverError
 from midscribe.io import sweep_csv_text
 from midscribe.solver import continue_to_body
 from midscribe.verify import check_convexity, check_midscription
+from test_solver import count_condition_calls
 
 ELLIPSOID = "ellipsoid:a=1.2,b=1.0"
 
@@ -128,3 +129,16 @@ def test_sweep_reads_guard_constants_at_call_time(tmp_path, monkeypatch):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 1 + 4
     assert all(line.split(",")[3] == "failed" for line in lines[1:])
+
+
+def test_sweep_runs_no_condition_audit(tmp_path, monkeypatch):
+    """Sweep cells drop their solve reports, so no cell pays for the
+    Jacobian condition audit."""
+    audits = count_condition_calls(monkeypatch)
+    monkeypatch.setenv("MIDSCRIBE_THREADS", "1")
+    out = tmp_path / "sweep.csv"
+    assert run_sweep(out, ELLIPSOID, grid=2) == 0
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 1 + 4
+    assert all(line.split(",")[3] != "failed" for line in lines[1:])
+    assert audits == []
