@@ -16,11 +16,16 @@ every face's rays in its plane, the visibility disks by one horizon scan
 over every vertex's first arc and then bracketed Newton iterations on the
 horizon angle (safeguarded by bisection) over all arcs of all vertices at
 once. The margins of every disk on a disk's samples form one array that
-serves both the coarse contact search and the non-degeneracy count, and the
-golden-section refinement of all disk pairs that need it runs in lockstep,
-one batched boundary solve per step. The point-at-a-time tracer and the
-bisection horizon solve this replaced are the references for tests in
-tests/kdisk_oracle.py.
+serves both the coarse contact search and the non-degeneracy count. Every
+disk pair that needs it is refined in lockstep, one batched boundary solve
+per step: the maximum of one disk's margin along the other's boundary is
+the root of the Lagrange condition grad F . (grad mu_i x grad mu_j),
+bracketed by the samples either side of the best one and found by Brent's
+zeroin. Golden section on the margin itself decides only the pairs the root
+does not: no sign change, no convergence within a fixed number of steps, or
+a contact whose margin is flat to rounding over 1e-7 in space. The
+point-at-a-time tracer and the bisection horizon solve this replaced are the
+references for tests in tests/kdisk_oracle.py.
 """
 
 from __future__ import annotations
@@ -57,6 +62,15 @@ HORIZON_BISECTIONS = 55
 HORIZON_XTOL = 2.0 ** -50
 HORIZON_GTOL = 8.0 * np.finfo(float).eps
 GOLDEN_ITERATIONS = 30
+# The refinement of a disk pair's maximum: Brent's zeroin on the Lagrange
+# condition stops at a bracket ROOT_XTOL wide in the boundary parameter; a
+# row open after ROOT_ITERATIONS evaluations, or whose maximizer is not
+# resolved RESOLUTION_STEP apart in space, goes to golden section.
+# MARGIN_RTOL |grad mu| |X| bounds the rounding of a margin mu at X.
+ROOT_ITERATIONS = 30
+ROOT_XTOL = 1e-12
+RESOLUTION_STEP = 1e-7
+MARGIN_RTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -113,6 +127,10 @@ class DiskPacking:
     max_adjacent_gap: float
     worst_position_error: float
     max_foreign_margin: float
+    # disk pairs refined past the sample search, and those of them that
+    # golden section decided; counts only, never serialized
+    refined_pairs: int = 0
+    golden_fallbacks: int = 0
 
 
 @dataclass
@@ -357,9 +375,14 @@ class _FaceDisks:
     def pair_margins(self, j, X) -> np.ndarray:
         return _rowdot(self.normals[j], X) - self.offsets[j]
 
+    def pair_gradients(self, j, X) -> np.ndarray:
+        """Gradients of the margins of disks j at the points X, (m, 3)."""
+        return self.normals[j]
+
     def boundary_solver(self, i):
-        """Boundary points of disks i at parameters t (angles from theta0)."""
-        return lambda t: self._points(i, self.theta0 + t)
+        """Boundary points of disks i[rows] at parameters t (angles from
+        theta0)."""
+        return lambda rows, t: self._points(i[rows], self.theta0 + t)
 
 
 class _VertexDisks:
@@ -440,19 +463,31 @@ class _VertexDisks:
     def pair_margins(self, j, X) -> np.ndarray:
         return _visibility(self.apex[j], self.c[j], X, self.body.gradients(X))
 
+    def pair_gradients(self, j, X) -> np.ndarray:
+        """Gradients of the visibilities of vertices j at the points X,
+        -c grad F(X) + H(X) (apex - c X), (m, 3)."""
+        c = self.c[j][:, None]
+        return (-c * self.body.gradients(X)
+                + (self.body.hessians(X)
+                   @ (self.apex[j] - c * X)[..., None])[..., 0])
+
     def boundary_solver(self, i):
-        """Horizon points of disks i at parameters t (angles from theta0),
-        bracketed around and started from the horizons of their samples
-        nearest t."""
+        """Horizon points of disks i[rows] at parameters t (angles from
+        theta0), bracketed around and started from the horizons of their
+        samples nearest t. Each row's ray solves start from its last ray
+        parameter."""
         t_warm = np.ones(len(i))
         n_samples = self.alphas.shape[1]
 
-        def points(t):
-            arcs = self._arcs(i, _circle(self.a[i], self.b[i],
-                                         self.theta0 + t), t_warm)
+        def points(rows, t):
+            owners = i[rows]
+            arcs = self._arcs(owners, _circle(self.a[owners], self.b[owners],
+                                              self.theta0 + t), t_warm[rows])
             near = np.rint(t / (2.0 * math.pi) * n_samples).astype(int)
-            warm = self.alphas[i, near % n_samples]
-            return arcs.solve(*arcs.bracket(warm), warm)[1]
+            warm = self.alphas[owners, near % n_samples]
+            X = arcs.solve(*arcs.bracket(warm), warm)[1]
+            t_warm[rows] = arcs.t
+            return X
         return points
 
 
@@ -614,6 +649,151 @@ def _golden_max(fun, lo, hi):
     return fun(0.5 * (a + b))
 
 
+def _golden_pairs(family, i, j, k):
+    """Golden-section maxima of the margins of disks j along the boundaries
+    of disks i, each on the bracket one sample spacing either side of
+    sample k: (margins, points)."""
+    spacing = 2.0 * math.pi / len(family.disks[0].boundary_samples)
+    points = family.boundary_solver(i)
+    rows = np.arange(len(i))
+
+    def fun(t):
+        X = points(rows, t)
+        return family.pair_margins(j, X), X
+
+    return _golden_max(fun, spacing * k - spacing, spacing * k + spacing)
+
+
+def _lagrange(family, i, j, X):
+    """The Lagrange condition h of the margins of disks j along the
+    boundaries of disks i, at the points X on them.
+
+    Disk i's boundary is the curve F = 0, mu_i = 0, tangent to grad F x
+    grad mu_i, so h = grad F . (grad mu_i x grad mu_j) is the derivative of
+    mu_j along it times a factor of one sign along the curve: mu_j is
+    extremal where h changes sign.
+    """
+    return _rowdot(family.body.gradients(X),
+                   np.cross(family.pair_gradients(i, X),
+                            family.pair_gradients(j, X)))
+
+
+def _zeroin(fun, a, b, fa, fb, pa, pb):
+    """Roots in the brackets [a, b], fa fb < 0, by Brent's zeroin (inverse
+    quadratic and secant steps safeguarded by bisection), all rows in
+    lockstep.
+
+    fun(rows, t) returns the function at the parameters t of the given rows
+    and a payload per row; pa and pb are the payloads at the ends. A row
+    stops when its bracket is at most ROOT_XTOL (plus 4 eps |t|) wide or
+    its function is exactly 0, at the end where the function is least.
+    Returns (roots, their payloads, done); done is False for the rows still
+    open after ROOT_ITERATIONS evaluations or whose function is not finite.
+    """
+    eps = np.finfo(float).eps
+    a, fa, pa = a.copy(), fa.copy(), pa.copy()
+    b, fb, pb = b.copy(), fb.copy(), pb.copy()
+    c, fc, pc = a.copy(), fa.copy(), pa.copy()
+    d = b - a
+    e = d.copy()
+    done = np.zeros(len(b), dtype=bool)
+    todo = np.arange(len(b))
+    for evaluations in range(ROOT_ITERATIONS + 1):
+        # b is the end with the least |f|, c the other end of the bracket
+        r = todo[np.abs(fc[todo]) < np.abs(fb[todo])]
+        a[r], fa[r], pa[r] = b[r], fb[r], pb[r]
+        b[r], fb[r], pb[r] = c[r], fc[r], pc[r]
+        c[r], fc[r], pc[r] = a[r], fa[r], pa[r]
+        r = todo
+        tol = 2.0 * eps * np.abs(b[r]) + 0.5 * ROOT_XTOL
+        xm = 0.5 * (c[r] - b[r])
+        stop = ((np.abs(xm) <= tol) & np.isfinite(fb[r])) | (fb[r] == 0)
+        done[r[stop]] = True
+        r, tol, xm = r[~stop], tol[~stop], xm[~stop]
+        if not r.size or evaluations == ROOT_ITERATIONS:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = fb[r] / fa[r]
+            q, u = fa[r] / fc[r], fb[r] / fc[r]
+            secant = a[r] == c[r]
+            p = np.where(secant, 2.0 * xm * s,
+                         s * (2.0 * xm * q * (q - u)
+                              - (b[r] - a[r]) * (u - 1.0)))
+            q = np.where(secant, 1.0 - s, (q - 1.0) * (u - 1.0) * (s - 1.0))
+            q = np.where(p > 0, -q, q)
+            p = np.abs(p)
+            step = ((np.abs(e[r]) >= tol) & (np.abs(fa[r]) > np.abs(fb[r]))
+                    & (2.0 * p < 3.0 * xm * q - np.abs(tol * q))
+                    & (p < np.abs(0.5 * e[r] * q)))
+            e[r] = np.where(step, d[r], xm)
+            d[r] = np.where(step, p / q, xm)
+        a[r], fa[r], pa[r] = b[r], fb[r], pb[r]
+        b[r] += np.where(np.abs(d[r]) > tol, d[r], np.copysign(tol, xm))
+        fb[r], pb[r] = fun(r, b[r])
+        # a new b on c's side: the bracket is [a, b], restart its steps
+        restart = r[fb[r] * np.sign(fc[r]) > 0]
+        c[restart], fc[restart], pc[restart] = (a[restart], fa[restart],
+                                                pa[restart])
+        d[restart] = e[restart] = b[restart] - a[restart]
+        todo = r
+    return b, pb, done
+
+
+def _refine_pairs(family, i, j, k, adjacent):
+    """Maxima of the margins of disks j along the boundaries of disks i,
+    each between the samples either side of sample k: (margins, points,
+    golden), golden flagging the rows that golden section decided.
+
+    A row's maximum is the root of the Lagrange condition h (_lagrange) in
+    that bracket, by Brent's zeroin from the h of the two stored samples, so
+    its ends cost no boundary solve. Golden section (_golden_pairs) decides
+    a row instead when h does not change sign over its bracket, when the
+    root stays open, or, for an adjacent pair, when the maximizer is not
+    resolved in space: mu_j at the root exceeds mu_j RESOLUTION_STEP away
+    either side along the boundary by no more than its rounding bound,
+    MARGIN_RTOL |grad mu_j| |X|, so the margin does not fix the contact's
+    position. A non-adjacent pair is judged by its maximum alone.
+    """
+    samples = np.array([disk.boundary_samples for disk in family.disks])
+    n = samples.shape[1]
+    spacing = 2.0 * math.pi / n
+    X_lo, X_hi = samples[i, (k - 1) % n], samples[i, (k + 1) % n]
+    h_lo, h_hi = _lagrange(family, i, j, X_lo), _lagrange(family, i, j, X_hi)
+    rows = np.flatnonzero(h_lo * h_hi < 0)
+    points = family.boundary_solver(i)
+
+    def lagrange(r, t):
+        X = points(rows[r], t)
+        return _lagrange(family, i[rows[r]], j[rows[r]], X), X
+
+    t, X, done = _zeroin(lagrange, spacing * (k[rows] - 1),
+                         spacing * (k[rows] + 1), h_lo[rows], h_hi[rows],
+                         X_lo[rows], X_hi[rows])
+    rows, t, X = rows[done], t[done], X[done]
+    m = family.pair_margins(j[rows], X)
+    keep = np.ones(len(rows), dtype=bool)
+    near = np.flatnonzero(adjacent[rows])
+    if near.size:
+        r = rows[near]
+        dt = (2.0 * spacing * RESOLUTION_STEP
+              / np.linalg.norm(X_hi[r] - X_lo[r], axis=1))
+        sides = [family.pair_margins(j[r], points(r, t[near] + side * dt))
+                 for side in (-1.0, 1.0)]
+        g_j = family.pair_gradients(j[r], X[near])
+        bound = MARGIN_RTOL * np.sqrt(_rowdot(g_j, g_j)
+                                      * _rowdot(X[near], X[near]))
+        keep[near] = m[near] - np.maximum(*sides) > bound
+    margins, maximizers = np.empty(len(i)), np.empty((len(i), 3))
+    margins[rows[keep]], maximizers[rows[keep]] = m[keep], X[keep]
+    golden = np.ones(len(i), dtype=bool)
+    golden[rows[keep]] = False
+    fallback = np.flatnonzero(golden)
+    if fallback.size:
+        margins[fallback], maximizers[fallback] = _golden_pairs(
+            family, i[fallback], j[fallback], k[fallback])
+    return margins, maximizers, golden
+
+
 def _trace_packing(family, adjacency) -> DiskPacking:
     """Check every disk pair: touch at p_e when adjacent, stay clear otherwise.
 
@@ -624,10 +804,10 @@ def _trace_packing(family, adjacency) -> DiskPacking:
     margin along i's boundary, and the non-degeneracy count (no sample may
     lie within tolerance of three disk closures). Pairs whose coarse maximum
     is far below contact are not refined; the others are refined together
-    by golden section around their best sample, one boundary solve per step.
+    around their best sample by _refine_pairs: a root of the Lagrange
+    condition, or golden section where the root does not decide the pair.
     """
     disks = family.disks
-    spacing = 2.0 * math.pi / len(disks[0].boundary_samples)
     nondegenerate = True
     max_foreign = -math.inf
     pairs, contacts = [], []
@@ -648,15 +828,8 @@ def _trace_packing(family, adjacency) -> DiskPacking:
                 pairs.append((i, j, best[j]))
                 contacts.append(p_e)
     i, j, k = np.array(pairs, dtype=int).reshape(-1, 3).T
-    points = family.boundary_solver(i)
-
-    def fun(t):
-        X = points(t)
-        return family.pair_margins(j, X), X
-
-    m_best, x_best = _golden_max(fun, spacing * k - spacing,
-                                 spacing * k + spacing)
     adjacent = np.array([p_e is not None for p_e in contacts], dtype=bool)
+    m_best, x_best, golden = _refine_pairs(family, i, j, k, adjacent)
     p_e = np.array([p for p in contacts if p is not None]).reshape(-1, 3)
     gap = np.abs(m_best[adjacent])
     pos_err = np.linalg.norm(x_best[adjacent] - p_e, axis=1)
@@ -669,7 +842,9 @@ def _trace_packing(family, adjacency) -> DiskPacking:
                        nondegenerate=nondegenerate,
                        max_adjacent_gap=float(gap.max(initial=0.0)),
                        worst_position_error=float(pos_err.max(initial=0.0)),
-                       max_foreign_margin=max_foreign)
+                       max_foreign_margin=max_foreign,
+                       refined_pairs=len(i),
+                       golden_fallbacks=int(np.count_nonzero(golden)))
 
 
 def extract_kdisk_packings(cfg: Configuration, body: ConvexBody,

@@ -1,5 +1,6 @@
 """Batched K-disk tracing: agreement with the scalar tracer, typed failures,
 and full verification of generated complexes."""
+import functools
 import math
 
 import numpy as np
@@ -48,12 +49,14 @@ def traced_pair(kdisk_case):
     """(batched, scalar) packings of one configuration, and the tolerance
     on their worst contact position errors.
 
-    The final golden-section bracket is 2.7e-8 wide in the boundary
-    parameter, so 1e-7 in position is a few bracket widths. On the quartic box
-    each contact is of fourth order, so the margin is flat to rounding over
-    about 1e-4 around it and the maximizer found depends on the last bits
-    of the traced points: both tracers put the visibility contacts about
-    1.4e-4 from the tangent points, 5e-7 apart.
+    The scalar tracer's final golden-section bracket is 2.7e-8 wide in the
+    boundary parameter, so 1e-7 in position is a few bracket widths; the
+    batched tracer's roots of the Lagrange condition lie within a 1e-12
+    bracket of the true maximizers. On the quartic box each contact is of
+    fourth order, so the margin is flat to rounding over about 1e-4 around
+    it and the maximizer found depends on the last bits of the traced
+    points: both tracers put the visibility contacts about 1.4e-4 to 1.5e-4
+    from the tangent points, within 1e-5 of each other.
     """
     name, P, cfg, body = kdisk_case
     tol = 1e-5 if name == "p4_box" else 1e-7
@@ -184,9 +187,9 @@ def test_unconverged_horizon_names_vertex(monkeypatch):
 
 
 def test_ray_solves_per_verification_stay_bounded(monkeypatch):
-    # a clock-free guard on the lockstep tracer: 214 batched ray solves
+    # a clock-free guard on the lockstep tracer: 49 batched ray solves
     # verify cube/ball, where tracing one disk at a time with bisected
-    # horizons took 2,790
+    # horizons took 2,790 and golden-section refinement of every pair 214
     calls = []
     ray_roots = verify.ray_roots
 
@@ -196,7 +199,104 @@ def test_ray_solves_per_verification_stay_bounded(monkeypatch):
     monkeypatch.setattr(verify, "ray_roots", counted)
     P, _, _ = get_seed("cube")
     assert verify_configuration(ball_solution("cube"), BALL, P).passed
-    assert len(calls) <= 600
+    assert len(calls) <= 80
+
+
+@functools.lru_cache(maxsize=None)
+def _refinement_case(name):
+    """(P, cfg, body) of a configuration the refinement is checked on."""
+    if name == "cube/ellipsoid":
+        return _cube_on_ellipsoid()
+    if name.endswith("/ball"):
+        seed = name.split("/")[0]
+        return get_seed(seed)[0], ball_solution(seed), BALL
+    P, frame = complex_and_frame(name)
+    marks = (0j, 1 + 0j, 1j)
+    if name in ("hull12", "prism8"):
+        marks = witness_marks(P, frame, GENERATED[name](), BALL)
+    cfg = koebe_config(lift_normalize(
+        layout_circles(P, frame, solve_radii(P, frame)), marks))
+    return P, cfg, BALL
+
+
+def _refinements(monkeypatch, P, cfg, body):
+    """The packings of a configuration and, per family, the arguments and
+    results of its _refine_pairs call."""
+    calls = []
+    refine = verify._refine_pairs
+
+    def recorded(family, i, j, k, adjacent):
+        result = refine(family, i, j, k, adjacent)
+        calls.append((family, i, j, k, adjacent, result))
+        return result
+    monkeypatch.setattr(verify, "_refine_pairs", recorded)
+    return extract_kdisk_packings(cfg, body, P), calls
+
+
+@pytest.mark.parametrize("name", ["tetrahedron/ball", "cube/ball",
+                                  "cube/ellipsoid", "hull12", "prism8"])
+def test_lagrange_roots_match_golden_section(name, monkeypatch):
+    # on every row the root decides, golden section on the same rows finds
+    # the same maximum; run on a subset of rows it repeats, bit for bit,
+    # what it finds for those rows among all of them
+    packings, calls = _refinements(monkeypatch, *_refinement_case(name))
+    for packing, (family, i, j, k, adjacent, result) in zip(packings, calls):
+        margins, points, golden = result
+        root = ~golden
+        assert np.all(root[adjacent])
+        m, X = verify._golden_pairs(family, i[root], j[root], k[root])
+        assert np.max(np.abs(margins[root] - m)) <= 1e-12
+        assert np.max(np.linalg.norm(points[root] - X, axis=1)) <= 1e-7
+        m_all, X_all = verify._golden_pairs(family, i, j, k)
+        assert np.array_equal(m, m_all[root])
+        assert np.array_equal(X, X_all[root])
+        assert packing.refined_pairs == len(i)
+        assert packing.golden_fallbacks == np.count_nonzero(golden)
+
+
+def test_flat_contacts_fall_back_to_golden_section(p4_box_instance,
+                                                   monkeypatch):
+    # the quartic box's face margins are flat to rounding around every
+    # contact, so golden section decides all 24 adjacent face rows, even
+    # with an iteration cap that lets every root close
+    P, cfg, body = (p4_box_instance[key] for key in ("P", "cfg", "body"))
+    monkeypatch.setattr(verify, "ROOT_ITERATIONS", 200)
+    (faces, _), calls = _refinements(monkeypatch, P, cfg, body)
+    family, i, j, k, adjacent, (margins, points, golden) = calls[0]
+    assert family.kind == "face"
+    assert np.count_nonzero(adjacent) == 24
+    assert np.all(golden[adjacent])
+    m, X = verify._golden_pairs(family, i, j, k)
+    assert np.array_equal(margins[golden], m[golden])
+    assert np.array_equal(points[golden], X[golden])
+    monkeypatch.setattr(verify, "ROOT_ITERATIONS", 0)
+    forced = extract_kdisk_packings(cfg, body, P)[0]
+    assert faces.golden_fallbacks == forced.golden_fallbacks == 24
+    for field in ("contacts_ok", "nondegenerate", "max_adjacent_gap",
+                  "worst_position_error", "max_foreign_margin",
+                  "refined_pairs"):
+        assert getattr(faces, field) == getattr(forced, field)
+
+
+def test_zero_iteration_cap_sends_every_row_to_golden_section(kdisk_case,
+                                                              monkeypatch):
+    _, P, cfg, body = kdisk_case
+    packings = extract_kdisk_packings(cfg, body, P)
+    monkeypatch.setattr(verify, "ROOT_ITERATIONS", 0)
+    for new, golden in zip(packings, extract_kdisk_packings(cfg, body, P)):
+        assert golden.golden_fallbacks == golden.refined_pairs > 0
+        assert golden.refined_pairs == new.refined_pairs
+        assert golden.contacts_ok == new.contacts_ok
+        assert golden.nondegenerate == new.nondegenerate
+
+
+@pytest.mark.parametrize("name", ["cube/ball", "hull60"])
+def test_contacts_are_refined_without_golden_section(name):
+    P, cfg, body = _refinement_case(name)
+    for packing in extract_kdisk_packings(cfg, body, P):
+        assert packing.contacts_ok and packing.nondegenerate
+        assert packing.refined_pairs > 0
+        assert packing.golden_fallbacks == 0
 
 
 def test_small_visible_cap_is_traced():
