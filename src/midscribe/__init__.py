@@ -23,11 +23,10 @@ from .packing import (Cap, Circle, CirclePattern, SphericalPattern,
                       planar_pattern_residuals, solve_radii,
                       spherical_pattern_residuals)
 from .seeds import SEED_NAMES, seed_complex, seed_coordinates
-from .solver import (ConstraintSystem, continue_from_pattern,
-                     continue_to_body, newton_refine)
-from .verify import (DiskPacking, KDisk, RigidityReport, VerifyReport,
-                     check_convexity, check_midscription,
-                     extract_kdisk_packings, rigidity_probe,
+from .solver import (ConstraintSystem, RigidityReport, continue_from_pattern,
+                     continue_to_body, newton_refine, rigidity_probe)
+from .verify import (DiskPacking, KDisk, VerifyReport, check_convexity,
+                     check_midscription, extract_kdisk_packings,
                      verify_configuration)
 
 __all__ = [

@@ -231,9 +231,20 @@ def make_body(descriptor: str) -> ConvexBody:
         if vals["a"] <= 0 or vals["b"] <= 0:
             raise MalformedDescriptor("ellipsoid semi-axes must be positive")
         body = Ellipsoid(a=vals["a"], b=vals["b"])
+        try:
+            finite = bool(np.isfinite(body._m).all())
+        except ArithmeticError:  # 1/a**2 divides by zero or overflows
+            finite = False
+        if not finite:
+            raise MalformedDescriptor("ellipsoid semi-axes a=%g, b=%g give a "
+                                      "gauge that is not finite"
+                                      % (vals["a"], vals["b"]))
     elif name == "superellipsoid":
         vals = _take(params, ("p", "a", "b"))
         p = vals["p"]
+        if p > 2 ** 53:
+            raise MalformedDescriptor("superellipsoid exponent must be at most "
+                                      "2**53, got %r" % (p,))
         if p != int(p) or int(p) < 2 or int(p) % 2 != 0:
             raise MalformedDescriptor("superellipsoid exponent must be an even "
                                       "integer >= 2, got %r" % (p,))
@@ -254,11 +265,14 @@ def _split_descriptor(text: str):
             if "=" not in item:
                 raise MalformedDescriptor("expected key=value, got %r" % item)
             k, v = item.split("=", 1)
+            k = k.strip()
+            if k in params:
+                raise MalformedDescriptor("repeated parameter %r" % k)
             try:
-                params[k.strip()] = float(v)
+                params[k] = float(v)
             except ValueError:
                 raise MalformedDescriptor("bad numeric value %r" % v)
-        return name.strip(), params
+        return name.strip(), _finite(params)
     tokens = text.split()
     name = tokens[0]
     positional = {"ellipsoid": ("a", "b", "c"), "superellipsoid": ("p", "a", "b")}
@@ -267,9 +281,18 @@ def _split_descriptor(text: str):
     if name not in positional or len(tokens) - 1 > len(positional[name]):
         raise MalformedDescriptor("cannot parse descriptor %r" % text)
     try:
-        return name, {k: float(v) for k, v in zip(positional[name], tokens[1:])}
+        params = {k: float(v) for k, v in zip(positional[name], tokens[1:])}
     except ValueError:
         raise MalformedDescriptor("bad numeric value in %r" % text)
+    return name, _finite(params)
+
+
+def _finite(params: dict) -> dict:
+    bad = [k for k, v in params.items() if not math.isfinite(v)]
+    if bad:
+        raise MalformedDescriptor("parameter(s) not finite: %s"
+                                  % ", ".join(bad))
+    return params
 
 
 def _take(params: dict, required, optional=()):

@@ -26,8 +26,8 @@ from .combinatorics import (PolyhedralComplex, build_complex,
                             load_complex_file, select_frame)
 from .errors import InputError, MalformedSpec, NotMidscribed, SolverError, StepUnderflow
 from .packing import CirclePattern, layout_circles, lift_normalize, solve_radii
-from .solver import continue_from_pattern, continue_to_body
-from .verify import check_convexity, check_midscription, rigidity_probe, verify_configuration
+from .solver import continue_from_pattern, continue_to_body, rigidity_probe
+from .verify import check_convexity, check_midscription, verify_configuration
 
 
 @dataclass

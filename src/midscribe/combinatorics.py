@@ -100,7 +100,11 @@ def build_complex(face_lists, n_vertices: int | None = None) -> PolyhedralComple
     """
     faces = []
     for face in face_lists:
-        cyc = tuple(int(v) for v in face)
+        try:
+            cyc = tuple(int(v) for v in face)
+        except (TypeError, ValueError, OverflowError):
+            raise MalformedSpec("face is not a list of vertex indices: %r"
+                                % (face,))
         if len(cyc) < 3:
             raise MalformedSpec("face with fewer than 3 vertices: %r" % (face,))
         if len(set(cyc)) != len(cyc):
@@ -310,13 +314,17 @@ def parse_off(text: str):
         raise MalformedSpec("truncated OFF file")
     coords = []
     for ln in lines[2:2 + nv]:
-        parts = ln.split()
-        if len(parts) < 3:
+        try:
+            x, y, z = (float(t) for t in ln.split()[:3])
+        except ValueError:  # also fewer than three values
             raise MalformedSpec("bad OFF vertex line: %r" % ln)
-        coords.append(tuple(float(t) for t in parts[:3]))
+        coords.append((x, y, z))
     faces = []
     for ln in lines[2 + nv:2 + nv + nf]:
-        parts = [int(t) for t in ln.split()]
+        try:
+            parts = [int(t) for t in ln.split()]
+        except ValueError:
+            parts = []
         if not parts or len(parts) != parts[0] + 1:
             raise MalformedSpec("bad OFF face line: %r" % ln)
         faces.append(tuple(parts[1:]))

@@ -12,15 +12,20 @@ Which row and column each of these occupies depends on (P, frame) alone, so
 ConstraintSystem builds that index layout once and evaluates the residual
 and Jacobian as array expressions over it, with one batched gauge call per
 quantity. A continuation builds one system and swaps the body and the
-marked points in at every step.
+marked points in at every step. newton_refine and the restarts of
+rigidity_probe, the empirical uniqueness check, are Newton solves too.
 
 The residual tolerance tol is a continuation's one setting: the normalized
 solution is unique for given P, K and marks, so the step sizes, the Newton
-cap per step and the degeneracy thresholds below change how it is reached,
-not which. They are module constants, read at call time.
+caps and the degeneracy thresholds below change how it is reached, not
+which; the rigidity probe's noise, seed and restart tolerance only how
+uniqueness is tested. They are module constants, read at call time.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,6 +69,15 @@ DENSE_AUDIT_MAX_N = 250
 # the dense SVD, which alone counts the rank deficiency (acceptance
 # criterion 5 bounds the same ratio)
 LANCZOS_MIN_RATIO = 1e-8
+# Newton iterations newton_refine allows
+REFINE_MAX_ITERATIONS = 50
+# each rigidity_probe restart adds uniform noise of this magnitude to every
+# unknown, drawn from default_rng(RIGIDITY_SEED), and runs Newton to
+# RIGIDITY_TOL within RIGIDITY_MAX_ITERATIONS
+RIGIDITY_PERTURBATION = 1e-3
+RIGIDITY_SEED = 0
+RIGIDITY_TOL = 1e-11
+RIGIDITY_MAX_ITERATIONS = 60
 
 
 class ConstraintSystem:
@@ -81,7 +95,7 @@ class ConstraintSystem:
       <n_g, p_e> - d_g, F(p_e) and <grad F(p_e), n_f x n_g>, numbered by the
       (E, 4) table edge_rows (-1 in the gauge slot of a marked edge); then
       V rows |X_v|^2 - 1.
-    - the Jacobian's (row, col) pattern, and its CSR and CSC orders.
+    - the Jacobian's (row, col) pattern, sorted once into its CSC layout.
     - face_edges: the (F, k) boundary edges of each face, k the longest
       boundary, shorter faces padded with their own first edge.
 
@@ -130,10 +144,6 @@ class ConstraintSystem:
         blocks = [np.broadcast_arrays(r, c) for r, c in self._jacobian_pattern()]
         rows = np.concatenate([r.ravel() for r, _ in blocks])
         cols = np.concatenate([c.ravel() for _, c in blocks])
-        self._csr_order = np.lexsort((cols, rows))
-        self._csr_indices = cols[self._csr_order]
-        self._csr_indptr = np.searchsorted(rows[self._csr_order],
-                                           np.arange(self.n_unknowns + 1))
         self._csc_order = np.lexsort((rows, cols))
         self._csc_indices = rows[self._csc_order]
         self._csc_indptr = np.searchsorted(cols[self._csc_order],
@@ -256,14 +266,9 @@ class ConstraintSystem:
         ]
         return np.concatenate([v.ravel() for v in values])
 
-    def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
-        return sp.csr_matrix((self._jacobian_values(x)[self._csr_order],
-                              self._csr_indices, self._csr_indptr),
-                             shape=(self.n_unknowns, self.n_unknowns))
-
-    def jacobian_csc(self, x: np.ndarray) -> sp.csc_matrix:
-        """The Jacobian at x in the CSC layout that splu factors: the arrays
-        of jacobian(x).tocsc(), permuted straight from the nonzeros."""
+    def jacobian(self, x: np.ndarray) -> sp.csc_matrix:
+        """The Jacobian at x in the CSC layout that splu factors, permuted
+        straight from the nonzeros."""
         return sp.csc_matrix((self._jacobian_values(x)[self._csc_order],
                               self._csc_indices, self._csc_indptr),
                              shape=(self.n_unknowns, self.n_unknowns))
@@ -289,23 +294,23 @@ class ConstraintSystem:
         return float(sv[0] / sv[-1]), int(np.sum(sv < 1e-12 * sv[0]))
 
 
-def _lanczos_condition(J: sp.csr_matrix):
+def _lanczos_condition(J: sp.csc_matrix):
     """sigma_max / sigma_min of the square J from the largest eigenvalues of
     J^T J and of its inverse, by implicitly restarted Lanczos (ARPACK
     eigsh), or None when either factorization or either eigensolve fails,
     or when sigma_min / sigma_max <= LANCZOS_MIN_RATIO.
 
-    J^T gets an LU of its own, whose CSC arrays are J's CSR arrays, so only
-    an LU's plain solve(rhs) is called (bench/tracing.py wraps splu with
-    exactly that). The start vector is a fixed random one, so the estimate
-    is deterministic; a constant start vector can be orthogonal to the
-    extreme singular vector of a symmetric complex.
+    J and J.T.tocsc() get an LU each, so only an LU's plain solve(rhs) is
+    called (bench/tracing.py wraps splu with exactly that; one LU solved
+    with trans="T" would round differently). The start vector is a fixed
+    random one, so the estimate is deterministic; a constant start vector
+    can be orthogonal to the extreme singular vector of a symmetric complex.
     """
     n = J.shape[0]
-    Jt = sp.csc_matrix((J.data, J.indices, J.indptr), shape=J.shape)
+    Jt = J.T.tocsc()
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        lu, lu_t = spla.splu(J.tocsc()), spla.splu(Jt)
+        lu, lu_t = spla.splu(J), spla.splu(Jt)
     except RuntimeError:  # a factor is exactly singular
         return None
     gram = spla.LinearOperator((n, n), dtype=float,
@@ -395,7 +400,7 @@ def _newton_core(system: ConstraintSystem, x: np.ndarray, tol: float,
     for it in range(max_iter):
         if res < tol:
             return x, it, res
-        J = system.jacobian_csc(x)
+        J = system.jacobian(x)
         accepted = None
         try:
             delta = spla.splu(J).solve(-r)
@@ -417,15 +422,17 @@ def _newton_core(system: ConstraintSystem, x: np.ndarray, tol: float,
 
 
 def newton_refine(cfg: Configuration, body: ConvexBody, P: PolyhedralComplex,
-                  frame: Frame, marks, tol: float = 1e-11, max_iter: int = 50):
-    """Damped Newton solve from cfg; returns (Configuration, SolveReport).
+                  frame: Frame, marks, tol: float = 1e-11):
+    """Damped Newton solve from cfg, within REFINE_MAX_ITERATIONS; returns
+    (Configuration, SolveReport).
 
     The report's condition number and rank deficiency of the Jacobian at
     the solution come from ConstraintSystem.condition, run on the first read
     of either.
     """
     system = ConstraintSystem(P, frame, marks, body)
-    x, iters, res = _newton_core(system, system.pack(cfg), tol, max_iter)
+    x, iters, res = _newton_core(system, system.pack(cfg), tol,
+                                 REFINE_MAX_ITERATIONS)
     audit = _ConditionAudit(system)
     audit.record(x)
     report = SolveReport(converged=True, iterations=iters, final_residual=res)
@@ -546,3 +553,69 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
                          final_residual=res, step_history=history)
     report.defer_audit(audit)
     return system.unpack(x_prev), report
+
+
+# ---------------------------------------------------------------------------
+# rigidity
+
+@dataclass
+class RigidityReport:
+    n_starts: int
+    n_converged: int
+    max_pairwise_distance: float
+    base_residual: float
+
+
+def rigidity_probe(P: PolyhedralComplex, frame: Frame, marks_z,
+                   path: BodyPath, n_starts: int = 10,
+                   base: Configuration | None = None) -> RigidityReport:
+    """Re-solve from perturbed starts at the end of the path.
+
+    Runs the continuation once (or reuses base), then restarts the corrector
+    n_starts times from the solution with uniform noise of magnitude
+    RIGIDITY_PERTURBATION on every unknown. Reports the max pairwise
+    distance between the vertex sets of converged runs; a tiny value is the
+    empirical uniqueness witness. Restarts that fail to converge are
+    counted, not propagated; a restart that converges to a
+    projective-degenerate configuration yields an infinite distance.
+    """
+    if base is None:
+        base, base_report = continue_to_body(P, frame, marks_z, path)
+        base_res = base_report.final_residual
+    else:
+        base_res = math.nan
+    body = path.eval(1.0)
+    marks = BodyChart(body).inverse(marks_z)
+    system = ConstraintSystem(P, frame, marks, body)
+    x0 = system.pack(base)
+    rng = np.random.default_rng(RIGIDITY_SEED)
+    vertex_sets = []
+    pos0, fin0 = base.affine_vertices()
+    if fin0.all():
+        vertex_sets.append(pos0)
+    degenerate = not fin0.all()
+    n_conv = 0
+    for _ in range(n_starts):
+        xp = x0 + rng.uniform(-RIGIDITY_PERTURBATION, RIGIDITY_PERTURBATION,
+                              x0.shape)
+        try:
+            x, _, _ = _newton_core(system, xp, RIGIDITY_TOL,
+                                   RIGIDITY_MAX_ITERATIONS)
+        except SolverError:
+            continue
+        n_conv += 1
+        pos, fin = system.unpack(x).affine_vertices()
+        if fin.all():
+            vertex_sets.append(pos)
+        else:
+            degenerate = True
+    dmax = 0.0
+    for i in range(len(vertex_sets)):
+        for j in range(i + 1, len(vertex_sets)):
+            d = float(np.max(np.linalg.norm(vertex_sets[i] - vertex_sets[j],
+                                            axis=1)))
+            dmax = max(dmax, d)
+    if degenerate:
+        dmax = math.inf
+    return RigidityReport(n_starts=n_starts, n_converged=n_conv,
+                          max_pairwise_distance=dmax, base_residual=base_res)

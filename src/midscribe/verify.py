@@ -4,8 +4,9 @@ Everything here recomputes geometry from the face planes alone: edge lines
 come from plane intersections, tangency is re-established by minimizing the
 gauge along each full line, and the two disk packings are traced on the body
 surface by root finding. Solver residuals are never consulted, so a
-configuration that merely claims convergence does not pass; the verifier
-shares only the gauge API with the solver.
+configuration that merely claims convergence does not pass. The verifier
+imports nothing from the solver and shares only the gauge API with it; the
+rigidity probe, which re-solves with Newton, lives in solver.
 
 Line tangency is checked on every edge line at once, by a lockstep search
 through the (m, 3) gauge API; incidence and convexity are array expressions
@@ -31,16 +32,14 @@ references for tests in tests/kdisk_oracle.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import (BodyChart, BodyPath, ConvexBody, _rowdot,
-                     _unit_orthogonals, ray_roots)
-from .combinatorics import Frame, PolyhedralComplex
+from .bodies import ConvexBody, _rowdot, _unit_orthogonals, ray_roots
+from .combinatorics import PolyhedralComplex
 from .config import EPS_INFINITY, Configuration
-from .errors import DegenerateConfiguration, NotMidscribed, SolverError
-from .solver import ConstraintSystem, _newton_core, continue_to_body
+from .errors import DegenerateConfiguration, NotMidscribed
 
 TANGENCY_TOL = 1e-9
 SIDE_TOL = 1e-9
@@ -131,14 +130,6 @@ class DiskPacking:
     # golden section decided; counts only, never serialized
     refined_pairs: int = 0
     golden_fallbacks: int = 0
-
-
-@dataclass
-class RigidityReport:
-    n_starts: int
-    n_converged: int
-    max_pairwise_distance: float
-    base_residual: float
 
 
 # ---------------------------------------------------------------------------
@@ -913,59 +904,3 @@ def verify_configuration(cfg: Configuration, body: ConvexBody,
                                               and visibility_packing.nondegenerate)
     return report
 
-
-# ---------------------------------------------------------------------------
-# rigidity
-
-def rigidity_probe(P: PolyhedralComplex, frame: Frame, marks_z,
-                   path: BodyPath, n_starts: int = 10,
-                   perturbation: float = 1e-3, seed: int = 0,
-                   base: Configuration | None = None) -> RigidityReport:
-    """Re-solve from perturbed starts at the end of the path.
-
-    Runs the continuation once (or reuses base), then restarts the corrector
-    n_starts times from the solution with uniform noise of the given
-    magnitude on every unknown. Reports the max pairwise distance between
-    the vertex sets of converged runs; a tiny value is the empirical
-    uniqueness witness. Restarts that fail to converge are counted, not
-    propagated; a restart that converges to a projective-degenerate
-    configuration yields an infinite distance.
-    """
-    if base is None:
-        base, base_report = continue_to_body(P, frame, marks_z, path)
-        base_res = base_report.final_residual
-    else:
-        base_res = math.nan
-    body = path.eval(1.0)
-    marks = BodyChart(body).inverse(marks_z)
-    system = ConstraintSystem(P, frame, marks, body)
-    x0 = system.pack(base)
-    rng = np.random.default_rng(seed)
-    vertex_sets = []
-    pos0, fin0 = base.affine_vertices()
-    if fin0.all():
-        vertex_sets.append(pos0)
-    degenerate = not fin0.all()
-    n_conv = 0
-    for _ in range(n_starts):
-        xp = x0 + rng.uniform(-perturbation, perturbation, x0.shape)
-        try:
-            x, _, _ = _newton_core(system, xp, 1e-11, 60)
-        except SolverError:
-            continue
-        n_conv += 1
-        pos, fin = system.unpack(x).affine_vertices()
-        if fin.all():
-            vertex_sets.append(pos)
-        else:
-            degenerate = True
-    dmax = 0.0
-    for i in range(len(vertex_sets)):
-        for j in range(i + 1, len(vertex_sets)):
-            d = float(np.max(np.linalg.norm(vertex_sets[i] - vertex_sets[j],
-                                            axis=1)))
-            dmax = max(dmax, d)
-    if degenerate:
-        dmax = math.inf
-    return RigidityReport(n_starts=n_starts, n_converged=n_conv,
-                          max_pairwise_distance=dmax, base_residual=base_res)

@@ -252,11 +252,11 @@ def assemble_residual(cfg: Configuration, body: ConvexBody,
 
 
 def newton_refine(cfg: Configuration, body: ConvexBody, P: PolyhedralComplex,
-                  frame: Frame, marks, tol: float = 1e-11, max_iter: int = 50):
+                  frame: Frame, marks, tol: float = 1e-11):
     """solver.newton_refine with the condition audit run before returning."""
     system = solver.ConstraintSystem(P, frame, marks, body)
     x, iters, res = solver._newton_core(system, system.pack(cfg), tol,
-                                        max_iter)
+                                        solver.REFINE_MAX_ITERATIONS)
     cond, rank_def = system.condition(x)
     report = SolveReport(converged=True, iterations=iters, final_residual=res,
                          jacobian_condition_estimate=cond,

@@ -20,6 +20,7 @@ from midscribe import (
     lift_normalize,
     rigidity_probe,
     solve_radii,
+    solver,
 )
 from midscribe.bodies import BodyChart, make_body, make_path
 from midscribe.cli import main as cli_main
@@ -168,7 +169,9 @@ def test_criterion_3_generic_marks_existence(acceptance, generic_instances):
            n_underflow, len(failures) - n_underflow))
 
 
-def test_criterion_4_empirical_rigidity(acceptance, generic_instances):
+def test_criterion_4_empirical_rigidity(monkeypatch, acceptance,
+                                        generic_instances):
+    monkeypatch.setattr(solver, "RIGIDITY_PERTURBATION", 1e-3)
     worst = 0.0
     min_converged = 10
     probed = 0
@@ -176,7 +179,7 @@ def test_criterion_4_empirical_rigidity(acceptance, generic_instances):
         if not r["ok"]:
             continue
         report = rigidity_probe(r["P"], r["frame"], r["marks"], r["path"],
-                                n_starts=10, perturbation=1e-3, base=r["cfg"])
+                                n_starts=10, base=r["cfg"])
         worst = max(worst, report.max_pairwise_distance)
         min_converged = min(min_converged, report.n_converged)
         probed += 1

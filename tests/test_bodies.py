@@ -48,6 +48,14 @@ def test_descriptor_grammar():
         make_body("ellipsoid:a=1.2,b=1.0,q=3")
     with pytest.raises(MalformedDescriptor):
         make_body("ellipsoid:a=oops,b=1")
+    # non-finite values, a repeated key, and semi-axes whose 1/a^2 is not a
+    # finite float (underflow to zero, overflow to inf) or raises
+    for bad in ("ellipsoid:a=nan,b=1", "ellipsoid:a=1,b=inf",
+                "ellipsoid 1.2 nan", "ellipsoid:a=1,a=2,b=1",
+                "ellipsoid:a=1e-160,b=1", "ellipsoid:a=1e-200,b=1",
+                "ellipsoid:a=1e300,b=1", "ellipsoid:a=1,b=1e-200"):
+        with pytest.raises(MalformedDescriptor):
+            make_body(bad)
 
 
 def test_pole_must_lie_on_boundary():
@@ -63,6 +71,9 @@ def test_superellipsoid_exponent_validation():
         make_body("superellipsoid:p=4.5,a=1,b=1")
     with pytest.raises(MalformedDescriptor):
         make_body("superellipsoid:p=0,a=1,b=1")
+    for p in ("nan", "inf", "1e300", "%d" % (2 ** 53 + 2)):
+        with pytest.raises(MalformedDescriptor):
+            make_body("superellipsoid:p=%s,a=1,b=1" % p)
 
 
 def test_value_closed_forms():

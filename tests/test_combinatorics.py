@@ -170,8 +170,27 @@ def test_load_complex_file_sniffs_format(tmp_path):
         assert Q.faces == P.faces
 
 
+TETRAHEDRON_OFF = ("OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+                   "3 0 1 3\n3 0 3 2\n3 0 2 1\n3 1 2 3\n")
+
+# Malformed complex files, each paired with its file suffix: a face that is
+# not a list, non-integer vertex ids in JSON, a non-integer id on an OFF face
+# line and a non-numeric OFF coordinate.
+JUNK_COMPLEXES = [
+    ("off", "not a mesh at all\n"),
+    ("json", '{"faces": [1,2,3]}'),
+    ("json", '{"faces": [["a","b","c"]]}'),
+    ("off", TETRAHEDRON_OFF.replace("3 0 1 3\n", "3 0 a 3\n")),
+    ("off", TETRAHEDRON_OFF.replace("1 0 0\n", "1 1 x\n")),
+]
+
+
 def test_load_complex_file_rejects_junk(tmp_path):
-    p = tmp_path / "bad.off"
-    p.write_text("not a mesh at all\n")
-    with pytest.raises(MalformedSpec):
-        load_complex_file(str(p))
+    good = tmp_path / "good.off"
+    good.write_text(TETRAHEDRON_OFF)
+    assert load_complex_file(str(good)).n_faces == 4
+    for k, (suffix, text) in enumerate(JUNK_COMPLEXES):
+        p = tmp_path / ("bad%d.%s" % (k, suffix))
+        p.write_text(text)
+        with pytest.raises(MalformedSpec):
+            load_complex_file(str(p))

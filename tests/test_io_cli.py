@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import kdisk_oracle
 from conftest import ball_solution, get_seed
+from test_combinatorics import JUNK_COMPLEXES
 from midscribe.bodies import make_body
 from midscribe.cli import main, parse_frame_spec, parse_marks
 from midscribe.errors import MalformedSpec, StepUnderflow
@@ -21,7 +22,7 @@ from midscribe.io import (
     sweep_csv_text,
     verify_report_to_dict,
 )
-from midscribe import parse_off, solver, verify_configuration
+from midscribe import packing, parse_off, solver, verify_configuration
 
 REPORT_KEYS = {
     "max_tangency_residual", "max_incidence_residual", "combinatorics_ok",
@@ -311,6 +312,35 @@ def test_cli_solver_failure_exit_code(monkeypatch, tmp_path):
     code = run_cli("midscribe", "--complex", "cube",
                    "--out", str(tmp_path / "x.off"))
     assert code == 2
+
+
+@pytest.mark.parametrize("tolerance", ["LAYOUT_TOL", "LIFT_TOL"])
+def test_cli_pack_layout_inconsistency_exit_code(monkeypatch, capsys,
+                                                 tmp_path, tolerance):
+    monkeypatch.setattr(packing, tolerance, 0.0)
+    assert run_cli("pack", "--complex", "cube",
+                   "--out", str(tmp_path / "p.json")) == 2
+    assert capsys.readouterr().err.startswith("solver failed: ")
+
+
+def test_cli_pack_malformed_complex_exit_code(tmp_path, capsys):
+    for k, (suffix, text) in enumerate(JUNK_COMPLEXES):
+        path = tmp_path / ("bad%d.%s" % (k, suffix))
+        path.write_text(text)
+        assert run_cli("pack", "--complex", str(path),
+                       "--out", str(tmp_path / "p.json")) == 3
+        assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("desc", ["ellipsoid:a=nan,b=1",
+                                  "ellipsoid:a=1e-160,b=1",
+                                  "ellipsoid:a=1,a=2,b=1",
+                                  "superellipsoid:p=1e300,a=1,b=1"])
+def test_cli_export_body_rejects_malformed_descriptor(tmp_path, capsys, desc):
+    out = tmp_path / "body.off"
+    assert run_cli("export-body", "--body", desc, "--out", str(out)) == 3
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not out.exists()
 
 
 def test_cli_sweep(tmp_path, monkeypatch):

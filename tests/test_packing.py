@@ -15,7 +15,7 @@ from midscribe.bodies import BodyChart, make_body
 from midscribe.mobius import is_infinity
 from midscribe import packing
 from midscribe.combinatorics import build_complex, select_frame
-from midscribe.errors import NonConvergence
+from midscribe.errors import LayoutInconsistency, NonConvergence
 from midscribe.packing import (
     TWO_PI,
     _AngleSums,
@@ -372,3 +372,26 @@ def test_radius_solve_nonfinite_step_is_typed(monkeypatch):
     with pytest.raises(NonConvergence,
                        match=r"radius solve: non-finite Newton step"):
         solve_radii(P, frame)
+
+
+def test_layout_check_raises_typed(monkeypatch):
+    """With no slack, the planar contact checks reject every layout."""
+    P, _, frame = get_seed("cube")
+    radii = solve_radii(P, frame)
+    monkeypatch.setattr(packing, "LAYOUT_TOL", 0.0)
+    with pytest.raises(LayoutInconsistency):
+        layout_circles(P, frame, radii)
+
+
+def test_lift_check_raises_typed_with_residual_kinds(monkeypatch):
+    """With no slack, the lift's residual check rejects the lift and names
+    every residual kind it measured."""
+    P, _, frame = get_seed("cube")
+    planar = layout_circles(P, frame, solve_radii(P, frame))
+    kinds = spherical_pattern_residuals(lift_normalize(planar,
+                                                       CANONICAL_MARKS))
+    monkeypatch.setattr(packing, "LIFT_TOL", 0.0)
+    with pytest.raises(LayoutInconsistency,
+                       match="lifted pattern residuals") as info:
+        lift_normalize(planar, CANONICAL_MARKS)
+    assert all(repr(kind) in str(info.value) for kind in kinds)

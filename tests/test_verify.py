@@ -1,5 +1,8 @@
 """Verification: line tangency, convexity classification, disk packings,
 rigidity probing."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from midscribe import (
     lift_normalize,
     rigidity_probe,
     solve_radii,
+    solver,
     verify,
     verify_configuration,
 )
@@ -252,11 +256,24 @@ def test_nonconvex_instance_skips_packings(nonconvex_instance):
     assert report.passed  # a nonconvex realization is still a valid solve
 
 
-def test_rigidity_zero_perturbation_is_exact():
+def test_verify_imports_nothing_from_the_solver():
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported and not any("solver" in name.split(".")
+                                for name in imported)
+
+
+def test_rigidity_zero_perturbation_is_exact(monkeypatch):
     P, _, frame = get_seed("tetrahedron")
     marks = (0.2 + 0.1j, 1.4 + 0j, -0.4 + 1.0j)
-    report = rigidity_probe(P, frame, marks, make_path(BALL),
-                            n_starts=3, perturbation=0.0)
+    monkeypatch.setattr(solver, "RIGIDITY_PERTURBATION", 0.0)
+    report = rigidity_probe(P, frame, marks, make_path(BALL), n_starts=3)
     assert report.n_converged == 3
     assert report.max_pairwise_distance == 0.0
 
@@ -264,18 +281,19 @@ def test_rigidity_zero_perturbation_is_exact():
 def test_rigidity_ball_cube():
     P, _, frame = get_seed("cube")
     marks = (0.2 + 0.1j, 1.4 + 0j, -0.4 + 1.0j)
-    report = rigidity_probe(P, frame, marks, make_path(BALL),
-                            n_starts=5, perturbation=1e-3)
+    assert solver.RIGIDITY_PERTURBATION == 1e-3
+    report = rigidity_probe(P, frame, marks, make_path(BALL), n_starts=5)
     assert report.n_converged == 5
     assert report.max_pairwise_distance < 1e-6
     assert report.base_residual < 1e-11
 
 
-def test_rigidity_symmetric_box_large_perturbation(p4_box_instance):
+def test_rigidity_symmetric_box_large_perturbation(monkeypatch,
+                                                   p4_box_instance):
     inst = p4_box_instance
+    monkeypatch.setattr(solver, "RIGIDITY_PERTURBATION", 1e-2)
     report = rigidity_probe(inst["P"], inst["frame"], inst["marks"],
-                            inst["path"], n_starts=5, perturbation=1e-2,
-                            base=inst["cfg"])
+                            inst["path"], n_starts=5, base=inst["cfg"])
     assert report.n_converged == 5
     assert report.max_pairwise_distance < 1e-6
     positions, finite = inst["cfg"].affine_vertices()
