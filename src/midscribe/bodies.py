@@ -232,12 +232,14 @@ def make_body(descriptor: str) -> ConvexBody:
             raise MalformedDescriptor("ellipsoid semi-axes must be positive")
         body = Ellipsoid(a=vals["a"], b=vals["b"])
         try:
-            finite = bool(np.isfinite(body._m).all())
+            # 2 _m scales the gradients and is the Hessian's diagonal
+            with np.errstate(over="ignore"):
+                finite = bool(np.isfinite(2.0 * body._m).all())
         except ArithmeticError:  # 1/a**2 divides by zero or overflows
             finite = False
         if not finite:
-            raise MalformedDescriptor("ellipsoid semi-axes a=%g, b=%g give a "
-                                      "gauge that is not finite"
+            raise MalformedDescriptor("ellipsoid semi-axes a=%g, b=%g give "
+                                      "gauge derivatives that are not finite"
                                       % (vals["a"], vals["b"]))
     elif name == "superellipsoid":
         vals = _take(params, ("p", "a", "b"))
@@ -251,6 +253,17 @@ def make_body(descriptor: str) -> ConvexBody:
         if vals["a"] <= 0 or vals["b"] <= 0:
             raise MalformedDescriptor("superellipsoid semi-axes must be positive")
         body = Superellipsoid(p=int(p), a=vals["a"], b=vals["b"])
+        # on the body |x_i / s_i| <= 1, so the gradients are at most p / s
+        # and the Hessian diagonal at most p (p - 1) / s**2, divided as in
+        # gradients and hessians
+        s = body._scale
+        with np.errstate(over="ignore", divide="ignore"):
+            finite = (np.isfinite(body.p / s).all()
+                      and np.isfinite(body.p * (body.p - 1) / s ** 2).all())
+        if not finite:
+            raise MalformedDescriptor("superellipsoid p=%d, a=%g, b=%g gives "
+                                      "gauge derivatives that are not finite"
+                                      % (body.p, vals["a"], vals["b"]))
     else:
         raise MalformedDescriptor("unknown body %r" % name)
     validate_body(body)
@@ -413,25 +426,57 @@ def _bisect_rays(body: ConvexBody, origins, dirs) -> np.ndarray:
 
 def _bisect_polish(body: ConvexBody, origins, dirs, lo, hi) -> np.ndarray:
     """Roots t of F(o + t d) in brackets [lo, hi], F < 0 at lo, by bisection
-    and two Newton polish steps, all rows in lockstep.
+    and two Newton polish steps.
 
     origins is one point (3,) or one per row. A row is bisected until
-    hi - lo <= 1e-14 max(1, hi); Newton then starts from the midpoint and
-    skips a step at a zero slope. A narrow row is still evaluated, though no
-    longer updated, until every row is narrow: brackets of width between
-    hi/2 and hi need about the same number of steps. Raises RootNotFound
-    when a row is still not narrow after CHART_BISECTION_ITERATIONS steps.
+    hi - lo <= 1e-14 max(1, hi), and raises RootNotFound when it is still
+    wider after CHART_BISECTION_ITERATIONS - 1 halvings. The halvings are
+    predicted and then verified: each round lists the midpoints a row would
+    visit if every decision agreed with its root estimate, evaluates the
+    gauge on all rows' midpoints in one call, and keeps each row's
+    decisions up to and including the first that the gauge contradicts,
+    whereupon that row's estimate is renewed. Every kept decision is a real
+    gauge sign at a midpoint 0.5 (lo + hi), so the brackets are bit for bit
+    those of halving every row in turn; a poor estimate costs rounds, not
+    bits. Newton then starts from the midpoint and skips a step at a zero
+    slope.
     """
-    for _ in range(CHART_BISECTION_ITERATIONS):
-        # a row once narrow keeps its bracket, so it stays narrow
-        wide = hi - lo > 1e-14 * np.maximum(1.0, hi)
-        if not wide.any():
-            break
-        mid = 0.5 * (lo + hi)
-        inside = body.values(origins + mid[:, None] * dirs) < 0
-        lo = np.where(wide & inside, mid, lo)
-        hi = np.where(wide & ~inside, mid, hi)
-    else:
+    budget = CHART_BISECTION_ITERATIONS - 1
+    origins = np.broadcast_to(origins, dirs.shape)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    used = np.zeros(len(dirs), dtype=int)
+    est = np.full(len(dirs), math.nan)
+    todo = np.flatnonzero(_wide(lo, hi) & (budget > 0))
+    fresh = todo
+    while todo.size:
+        est[fresh] = _root_estimates(body, origins[fresh], dirs[fresh],
+                                     lo[fresh], hi[fresh])
+        l, h, t = lo[todo], hi[todo], est[todo]
+        left = budget - used[todo]
+        # halvings until a row is narrow or its budget is spent, and at most
+        # 2**14 midpoints a round (but one a row) to bound the memory of
+        # many rows; a row the round does not finish carries on in the next
+        need = np.log2(np.max((h - l) / (1e-14 * np.maximum(1.0, l))))
+        n_steps = int(min(left.max(), np.ceil(need) + 1,
+                          max(1, 2 ** 14 // len(todo))))
+        LO, HI, MID = _halvings(l, h, t, n_steps)
+        # halving k counts while the bracket before it is still wide and
+        # the row's budget is not spent
+        live = (np.logical_and.accumulate(_wide(LO[:-1], HI[:-1]), axis=0)
+                & (np.arange(n_steps)[:, None] < left))
+        X = origins[todo] + MID[:, :, None] * dirs[todo]
+        inside = body.values(X.reshape(-1, 3)).reshape(MID.shape) < 0
+        wrong = live & (inside != (MID < t))
+        missed = wrong.any(axis=0)
+        last = np.where(missed, wrong.argmax(axis=0), live.sum(axis=0) - 1)
+        # each row's bracket before its last kept halving, then that halving
+        at = (last, np.arange(len(todo)))
+        lo[todo] = np.where(inside[at], MID[at], LO[at])
+        hi[todo] = np.where(inside[at], HI[at], MID[at])
+        used[todo] += last + 1
+        keep = _wide(lo[todo], hi[todo]) & (used[todo] < budget)
+        todo, fresh = todo[keep], todo[keep & missed]
+    if budget < 0 or _wide(lo, hi).any():
         raise RootNotFound("bisection did not converge in %d steps"
                            % CHART_BISECTION_ITERATIONS)
     t = 0.5 * (lo + hi)
@@ -441,6 +486,64 @@ def _bisect_polish(body: ConvexBody, origins, dirs, lo, hi) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(slope != 0, t - body.values(X) / slope, t)
     return t
+
+
+def _halvings(lo, hi, t, n_steps):
+    """Brackets, shape (n_steps + 1, m), and midpoints, (n_steps, m), of
+    n_steps halvings of each [lo, hi] that keep the half on t's side, by
+    the arithmetic of _bisect_polish: mid = 0.5 (lo + hi), lo = mid where
+    mid < t. A few rows take plain floats, which round alike and cost far
+    less than one numpy call per halving."""
+    if len(t) > 16:
+        LO, HI, MID = [lo], [hi], []
+        for _ in range(n_steps):
+            mid = 0.5 * (lo + hi)
+            below = mid < t
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+            LO.append(lo)
+            HI.append(hi)
+            MID.append(mid)
+        return np.array(LO), np.array(HI), np.array(MID)
+    LO, HI, MID = [], [], []
+    for l, h, c in zip(lo.tolist(), hi.tolist(), t.tolist()):
+        row_lo, row_hi, row_mid = [l], [h], []
+        for _ in range(n_steps):
+            mid = 0.5 * (l + h)
+            if mid < c:
+                l = mid
+            else:
+                h = mid
+            row_lo.append(l)
+            row_hi.append(h)
+            row_mid.append(mid)
+        LO.append(row_lo)
+        HI.append(row_hi)
+        MID.append(row_mid)
+    return np.array(LO).T, np.array(HI).T, np.array(MID).T
+
+
+def _wide(lo, hi):
+    """Brackets still wider than 1e-14 max(1, hi)."""
+    return hi - lo > 1e-14 * np.maximum(1.0, hi)
+
+
+def _root_estimates(body: ConvexBody, origins, dirs, lo, hi) -> np.ndarray:
+    """Estimates of the roots of F(o + t d) in brackets [lo, hi], F >= 0 at
+    hi: at most 8 Newton steps from hi, all rows together, until every step
+    is at most 1e-12 t; a non-finite step keeps t. F is convex along the
+    line, so the iterates fall onto the root from above. The estimates only
+    steer _bisect_polish, which checks each decision they predict.
+    """
+    t = hi
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(8):
+            X = origins + t[:, None] * dirs
+            step = body.values(X) / _rowdot(body.gradients(X), dirs)
+            step = np.where(np.isfinite(step), step, 0.0)
+            t = t - step
+            if np.all(np.abs(step) <= 1e-12 * t):
+                break
+    return np.minimum(np.maximum(t, lo), hi)
 
 
 def _unit_orthogonals(V: np.ndarray) -> np.ndarray:
@@ -477,7 +580,8 @@ class BodyChart:
 
         Infinity maps to N. Each chord N + t (x, y, -2) is bracketed by
         doubling hi from 1 until F >= 0, then halving lo from hi/2 until
-        F < 0; all chords are then bisected and polished in lockstep.
+        F < 0; _bisect_polish then bisects every chord in a few batched
+        rounds of predicted and verified halvings and polishes the roots.
         """
         zs = [complex(z) for z in zs]
         out = np.tile(NORTH_POLE, (len(zs), 1))

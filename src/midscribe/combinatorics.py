@@ -11,6 +11,7 @@ dart; every edge carries exactly two opposite darts, one per adjacent face.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -89,6 +90,14 @@ def _predecessor_in_cycle(cyc: tuple[int, ...], v: int) -> int:
     return cyc[i - 1]
 
 
+def _vertex_id(v) -> int:
+    """v as an int: Python and numpy integers are ids, while bools, floats
+    and strings raise TypeError rather than being truncated or parsed."""
+    if isinstance(v, bool):
+        raise TypeError("a bool is not a vertex id")
+    return operator.index(v)
+
+
 def build_complex(face_lists, n_vertices: int | None = None) -> PolyhedralComplex:
     """Build and validate a complex from faces given as vertex index cycles.
 
@@ -101,9 +110,9 @@ def build_complex(face_lists, n_vertices: int | None = None) -> PolyhedralComple
     faces = []
     for face in face_lists:
         try:
-            cyc = tuple(int(v) for v in face)
-        except (TypeError, ValueError, OverflowError):
-            raise MalformedSpec("face is not a list of vertex indices: %r"
+            cyc = tuple(_vertex_id(v) for v in face)
+        except TypeError:
+            raise MalformedSpec("face is not a list of integer vertex ids: %r"
                                 % (face,))
         if len(cyc) < 3:
             raise MalformedSpec("face with fewer than 3 vertices: %r" % (face,))

@@ -7,7 +7,9 @@ per-point gauge formulas of Ball, Ellipsoid, Superellipsoid and GaugeBlend
 (scalar_value, scalar_gradient, scalar_hessian), the point-at-a-time chord
 inverse (chart_inverse) and the per-edge line search (line_minimum, run
 over every edge by tangency). The tests require the batched code to equal
-them bit for bit.
+them bit for bit. bisect_polish is the lockstep bisection that the
+predicted-and-verified bisection of bodies._bisect_polish replaced, one
+gauge call per halving.
 """
 
 import cmath
@@ -16,7 +18,7 @@ import math
 import numpy as np
 
 from midscribe.bodies import (CHART_BISECTION_ITERATIONS, Ball, Ellipsoid,
-                              GaugeBlend, Superellipsoid)
+                              GaugeBlend, Superellipsoid, _rowdot)
 from midscribe.errors import RootNotFound
 
 
@@ -116,6 +118,38 @@ def chart_inverse(body, z):
         if dg != 0:
             t -= scalar_value(body, q) / dg
     return point(t)
+
+
+def bisect_polish(body, origins, dirs, lo, hi):
+    """Roots t of F(o + t d) in brackets [lo, hi], F < 0 at lo, by bisection
+    and two Newton polish steps, all rows in lockstep.
+
+    origins is one point (3,) or one per row. A row is bisected until
+    hi - lo <= 1e-14 max(1, hi); Newton then starts from the midpoint and
+    skips a step at a zero slope. A narrow row is still evaluated, though no
+    longer updated, until every row is narrow: brackets of width between
+    hi/2 and hi need about the same number of steps. Raises RootNotFound
+    when a row is still not narrow after CHART_BISECTION_ITERATIONS steps.
+    """
+    for _ in range(CHART_BISECTION_ITERATIONS):
+        # a row once narrow keeps its bracket, so it stays narrow
+        wide = hi - lo > 1e-14 * np.maximum(1.0, hi)
+        if not wide.any():
+            break
+        mid = 0.5 * (lo + hi)
+        inside = body.values(origins + mid[:, None] * dirs) < 0
+        lo = np.where(wide & inside, mid, lo)
+        hi = np.where(wide & ~inside, mid, hi)
+    else:
+        raise RootNotFound("bisection did not converge in %d steps"
+                           % CHART_BISECTION_ITERATIONS)
+    t = 0.5 * (lo + hi)
+    for _ in range(2):
+        X = origins + t[:, None] * dirs
+        slope = _rowdot(body.gradients(X), dirs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(slope != 0, t - body.values(X) / slope, t)
+    return t
 
 
 def line_minimum(body, n_f, d_f, n_g, d_g, guess):

@@ -48,12 +48,14 @@ def test_descriptor_grammar():
         make_body("ellipsoid:a=1.2,b=1.0,q=3")
     with pytest.raises(MalformedDescriptor):
         make_body("ellipsoid:a=oops,b=1")
-    # non-finite values, a repeated key, and semi-axes whose 1/a^2 is not a
-    # finite float (underflow to zero, overflow to inf) or raises
+    # non-finite values, a repeated key, semi-axes whose 1/a^2 is not a
+    # finite float (underflow to zero, overflow to inf) or raises, and
+    # semi-axes whose gradient and Hessian scale 2/a^2 overflows
     for bad in ("ellipsoid:a=nan,b=1", "ellipsoid:a=1,b=inf",
                 "ellipsoid 1.2 nan", "ellipsoid:a=1,a=2,b=1",
                 "ellipsoid:a=1e-160,b=1", "ellipsoid:a=1e-200,b=1",
-                "ellipsoid:a=1e300,b=1", "ellipsoid:a=1,b=1e-200"):
+                "ellipsoid:a=1e300,b=1", "ellipsoid:a=1,b=1e-200",
+                "ellipsoid:a=1e-154,b=1", "ellipsoid:a=1,b=1.05e-154"):
         with pytest.raises(MalformedDescriptor):
             make_body(bad)
 
@@ -74,6 +76,11 @@ def test_superellipsoid_exponent_validation():
     for p in ("nan", "inf", "1e300", "%d" % (2 ** 53 + 2)):
         with pytest.raises(MalformedDescriptor):
             make_body("superellipsoid:p=%s,a=1,b=1" % p)
+    # semi-axes whose Hessian scale p (p - 1) / a^2 overflows, or whose
+    # a^2 underflows to zero
+    for axes in ("a=1e-154,b=1", "a=1,b=1e-160", "a=1e-200,b=1"):
+        with pytest.raises(MalformedDescriptor, match="not finite"):
+            make_body("superellipsoid:p=4,%s" % axes)
 
 
 def test_value_closed_forms():
@@ -355,3 +362,121 @@ def test_chart_bisection_is_bounded(monkeypatch):
     monkeypatch.setattr(bodies, "CHART_BISECTION_ITERATIONS", 5)
     with pytest.raises(RootNotFound, match="did not converge in 5 steps"):
         chart.inverse([0.3 - 0.7j])
+
+
+def _seeded_chart_points(n=400, seed=20261014):
+    rng = np.random.default_rng(seed)
+    zs = [complex(x, y) for x, y in rng.normal(scale=2.0, size=(n, 2))]
+    return zs + [1e-9 + 0j, 1e6 + 1e6j, 0j, complex(-0.0, 0.0),
+                 complex(0.0, -0.0), complex(-0.0, -0.0), -1 - 0j,
+                 complex(-1.0, -0.0), complex(0.5, -0.0)]
+
+
+BISECTION_ZS = _seeded_chart_points()
+BLENDS = [make_path(make_body(d)).eval(s)
+          for d in DESCRIPTORS for s in (0.1, 0.37, 0.71, 0.999)]
+
+
+def lockstep_chart_inverse(body, zs, monkeypatch):
+    """BodyChart.inverse with the lockstep bisection it replaced."""
+    with monkeypatch.context() as m:
+        m.setattr(bodies, "_bisect_polish", gauge_oracle.bisect_polish)
+        return BodyChart(body).inverse(zs)
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("body", BLENDS, ids=lambda body: body.descriptor)
+def test_bisect_polish_matches_lockstep_oracle(body, monkeypatch):
+    want = lockstep_chart_inverse(body, BISECTION_ZS, monkeypatch)
+    chart = BodyChart(body)
+    assert_bitwise_equal(chart.inverse(BISECTION_ZS), want)
+    triples = [chart.inverse(BISECTION_ZS[k:k + 3])
+               for k in range(0, len(BISECTION_ZS), 3)]
+    assert_bitwise_equal(np.concatenate(triples), want)
+
+
+class CountingValues(ConvexBody):
+    """Delegates to a body and counts its batched values calls."""
+
+    def __init__(self, body):
+        self.body = body
+        self.values_calls = 0
+
+    def values(self, X):
+        self.values_calls += 1
+        return self.body.values(X)
+
+    def gradients(self, X):
+        return self.body.gradients(X)
+
+    def hessians(self, X):
+        return self.body.hessians(X)
+
+    @property
+    def descriptor(self):
+        return self.body.descriptor
+
+
+@pytest.mark.parametrize("estimate", ["lo", "hi", "nan"])
+def test_bisect_polish_survives_bad_estimates(estimate, monkeypatch):
+    # every kept decision is a real gauge sign, so a useless estimate costs
+    # rounds (one values call each) but neither a bit nor the step cap
+    def bad(body, origins, dirs, lo, hi):
+        return {"lo": lo, "hi": hi, "nan": np.full(len(lo), math.nan)}[estimate]
+
+    bisect = bodies._bisect_polish
+    before = []
+
+    def spy(body, *args):
+        before.append(body.values_calls)
+        return bisect(body, *args)
+
+    for d in ("ellipsoid:a=1.2,b=1.0", "superellipsoid:p=4,a=1.1,b=0.9"):
+        body = make_path(make_body(d)).eval(0.37)
+        want = lockstep_chart_inverse(body, BISECTION_ZS, monkeypatch)
+        with monkeypatch.context() as m:
+            m.setattr(bodies, "_root_estimates", bad)
+            m.setattr(bodies, "_bisect_polish", spy)
+            counted = CountingValues(body)
+            got = BodyChart(counted).inverse(BISECTION_ZS)
+            m.setattr(bodies, "_bisect_polish", bisect)
+            triples = [BodyChart(body).inverse(BISECTION_ZS[k:k + 3])
+                       for k in range(0, 60, 3)]
+        assert_bitwise_equal(got, want)
+        assert_bitwise_equal(np.concatenate(triples), want[:60])
+        rounds = counted.values_calls - before.pop() - 2  # 2 polish steps
+        assert 1 <= rounds <= bodies.CHART_BISECTION_ITERATIONS - 1
+
+
+@pytest.mark.parametrize("body", bodies_under_test(),
+                         ids=lambda body: body.descriptor)
+def test_ray_bisection_matches_lockstep_oracle(body, monkeypatch):
+    dirs = bodies._spiral_directions(150)
+    origins = 0.1 * np.roll(dirs, 1, axis=0)
+    monkeypatch.setattr(bodies, "RAY_NEWTON_ITERATIONS", 0)
+
+    def roots():
+        return [ray_roots(body, np.zeros(3), dirs),
+                ray_roots(body, origins, dirs),
+                ray_roots(body, origins[:5], dirs[:5])]
+
+    got = roots()
+    monkeypatch.setattr(bodies, "_bisect_polish", gauge_oracle.bisect_polish)
+    want = roots()
+    for g, w in zip(got, want):
+        assert_bitwise_equal(g, w)
+
+
+@pytest.mark.parametrize("marks", [(0j, 1 + 0j, 1j), (0.3, -1.2 + 0.5j, 2j)])
+def test_three_mark_inverse_gauge_call_budget(marks):
+    # doubling hi and halving lo (2), the Newton estimate, one verified
+    # round of halvings and the two polish steps; halving one step per call
+    # took about 50
+    counted = CountingValues(make_path(make_body("ellipsoid:a=1.2,b=1.0"))
+                             .eval(0.37))
+    BodyChart(counted).inverse(marks)
+    assert counted.values_calls <= 20

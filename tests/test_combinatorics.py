@@ -72,6 +72,18 @@ def test_build_complex_rejects_degree_two_vertex():
         build_complex([(0, 1, 2), (2, 1, 0)])
 
 
+def test_build_complex_vertex_ids_must_be_integers():
+    faces = [(0, 1, 3), (0, 3, 2), (0, 2, 1), (1, 2, 3)]
+    tetra = build_complex(faces)
+    # numpy integers, as faces_from_coordinates and hull simplices give
+    assert build_complex(np.array(faces, dtype=np.int32)).faces == tetra.faces
+    assert build_complex([tuple(np.int64(v) for v in f)
+                          for f in faces]).faces == tetra.faces
+    for bad in (0.9, 1.0, np.float64(1.0), "1", True, np.True_):
+        with pytest.raises(MalformedSpec, match="integer vertex ids"):
+            build_complex([(0, bad, 3)] + faces[1:])
+
+
 def test_build_complex_rejects_repeated_vertex():
     with pytest.raises(MalformedSpec):
         build_complex([(0, 1, 1), (0, 1, 2), (0, 2, 1)])
@@ -180,6 +192,12 @@ JUNK_COMPLEXES = [
     ("off", "not a mesh at all\n"),
     ("json", '{"faces": [1,2,3]}'),
     ("json", '{"faces": [["a","b","c"]]}'),
+    # ids that are not integers, which int() used to truncate or parse into
+    # the tetrahedron
+    ("json", '{"faces": [[0.9,1.2,3.7],[0,3,2],[0,2.5,1],[1,2,3]]}'),
+    ("json", '{"faces": [["0","1","3"],["0","3","2"],["0","2","1"],'
+             '["1","2","3"]]}'),
+    ("json", '{"faces": [[0,true,3],[0,3,2],[0,2,true],[true,2,3]]}'),
     ("off", TETRAHEDRON_OFF.replace("3 0 1 3\n", "3 0 a 3\n")),
     ("off", TETRAHEDRON_OFF.replace("1 0 0\n", "1 1 x\n")),
 ]

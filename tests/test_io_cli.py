@@ -2,6 +2,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from midscribe.io import (
     sweep_csv_text,
     verify_report_to_dict,
 )
+import midscribe
 from midscribe import packing, parse_off, solver, verify_configuration
 
 REPORT_KEYS = {
@@ -136,6 +140,16 @@ def test_boundary_mesh_matches_scalar_oracle(desc):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_python_m_midscribe_runs_the_cli():
+    src = str(Path(midscribe.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "midscribe", "--help"],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: midscribe")
 
 
 def test_cli_pack_and_determinism(tmp_path):
@@ -334,8 +348,10 @@ def test_cli_pack_malformed_complex_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("desc", ["ellipsoid:a=nan,b=1",
                                   "ellipsoid:a=1e-160,b=1",
+                                  "ellipsoid:a=1e-154,b=1",
                                   "ellipsoid:a=1,a=2,b=1",
-                                  "superellipsoid:p=1e300,a=1,b=1"])
+                                  "superellipsoid:p=1e300,a=1,b=1",
+                                  "superellipsoid:p=4,a=1e-154,b=1"])
 def test_cli_export_body_rejects_malformed_descriptor(tmp_path, capsys, desc):
     out = tmp_path / "body.off"
     assert run_cli("export-body", "--body", desc, "--out", str(out)) == 3
