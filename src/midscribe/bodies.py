@@ -29,7 +29,7 @@ NORTH_POLE = np.array([0.0, 0.0, 1.0])
 # N + t (x, y, -2) rounds exactly like (t x, t y, 1 - 2 t), zero signs included
 _CHORD_ORIGIN = np.array([-0.0, -0.0, 1.0])
 RAY_NEWTON_ITERATIONS = 60
-# Bisections allowed in _bisect_polish, for chords and rays alike. Their
+# Bisections allowed in _bisect_polish and _bisect_chords. Their
 # brackets have hi >= 1 and width at most hi, which reaches 1e-14*hi in at
 # most 47 halvings, so the cap only stops a bisection that cannot converge.
 CHART_BISECTION_ITERATIONS = 100
@@ -231,16 +231,6 @@ def make_body(descriptor: str) -> ConvexBody:
         if vals["a"] <= 0 or vals["b"] <= 0:
             raise MalformedDescriptor("ellipsoid semi-axes must be positive")
         body = Ellipsoid(a=vals["a"], b=vals["b"])
-        try:
-            # 2 _m scales the gradients and is the Hessian's diagonal
-            with np.errstate(over="ignore"):
-                finite = bool(np.isfinite(2.0 * body._m).all())
-        except ArithmeticError:  # 1/a**2 divides by zero or overflows
-            finite = False
-        if not finite:
-            raise MalformedDescriptor("ellipsoid semi-axes a=%g, b=%g give "
-                                      "gauge derivatives that are not finite"
-                                      % (vals["a"], vals["b"]))
     elif name == "superellipsoid":
         vals = _take(params, ("p", "a", "b"))
         p = vals["p"]
@@ -253,20 +243,17 @@ def make_body(descriptor: str) -> ConvexBody:
         if vals["a"] <= 0 or vals["b"] <= 0:
             raise MalformedDescriptor("superellipsoid semi-axes must be positive")
         body = Superellipsoid(p=int(p), a=vals["a"], b=vals["b"])
-        # on the body |x_i / s_i| <= 1, so the gradients are at most p / s
-        # and the Hessian diagonal at most p (p - 1) / s**2, divided as in
-        # gradients and hessians
-        s = body._scale
-        with np.errstate(over="ignore", divide="ignore"):
-            finite = (np.isfinite(body.p / s).all()
-                      and np.isfinite(body.p * (body.p - 1) / s ** 2).all())
-        if not finite:
-            raise MalformedDescriptor("superellipsoid p=%d, a=%g, b=%g gives "
-                                      "gauge derivatives that are not finite"
-                                      % (body.p, vals["a"], vals["b"]))
     else:
         raise MalformedDescriptor("unknown body %r" % name)
-    validate_body(body)
+    # finite parameters can still give a gauge that overflows, or is not
+    # finite, where validation samples it (Ellipsoid's 1/a**2 may also
+    # raise); no such body can be validated, let alone solved
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            validate_body(body)
+    except ArithmeticError as exc:
+        raise MalformedDescriptor("%s gives a gauge that is not finite on the "
+                                  "body (%s)" % (text, exc))
     return body
 
 
@@ -323,7 +310,9 @@ def validate_body(body: ConvexBody, n_samples: int = 200) -> None:
 
     Raises PoleViolation if N is off the boundary or its tangent plane is not
     horizontal, NotStrictlyConvex if the origin is outside, the body looks
-    unbounded, or a sampled tangential hessian is not positive definite.
+    unbounded, or a sampled tangential hessian is not positive definite, and
+    FloatingPointError if the gauge, a gradient or a hessian at N, the
+    origin or a sampled boundary point is not finite.
     """
     F = body.values(np.array([NORTH_POLE, np.zeros(3)]))
     if abs(F[0]) > 1e-10:
@@ -339,12 +328,17 @@ def validate_body(body: ConvexBody, n_samples: int = 200) -> None:
     Q = ray_roots(body, np.zeros(3), dirs)[:, None] * dirs
     grads = body.gradients(Q)
     norms = np.linalg.norm(grads, axis=1)
+    H = body.hessians(Q)
+    # a NaN passes every comparison in this function
+    if not all(np.isfinite(A).all() for A in (F, g, norms, H)):
+        raise FloatingPointError("gauge, gradient or hessian not finite on "
+                                 "the body")
     flat = norms < 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
         normals = grads / norms[:, None]
         T1 = _unit_orthogonals(normals)
         B = np.stack([T1, np.cross(normals, T1)], axis=2)
-        tang = np.swapaxes(B, 1, 2) @ body.hessians(Q) @ B
+        tang = np.swapaxes(B, 1, 2) @ H @ B
     tang[flat] = np.eye(2)
     soft = np.linalg.eigvalsh(tang)[:, 0] <= 1e-12
     bad = np.flatnonzero(flat | soft)
@@ -426,57 +420,27 @@ def _bisect_rays(body: ConvexBody, origins, dirs) -> np.ndarray:
 
 def _bisect_polish(body: ConvexBody, origins, dirs, lo, hi) -> np.ndarray:
     """Roots t of F(o + t d) in brackets [lo, hi], F < 0 at lo, by bisection
-    and two Newton polish steps.
+    and two Newton polish steps, all rows in lockstep: one values call per
+    halving, for many rows such as the rays of a mesh (the few chords of a
+    chart inverse take _bisect_chords).
 
     origins is one point (3,) or one per row. A row is bisected until
-    hi - lo <= 1e-14 max(1, hi), and raises RootNotFound when it is still
-    wider after CHART_BISECTION_ITERATIONS - 1 halvings. The halvings are
-    predicted and then verified: each round lists the midpoints a row would
-    visit if every decision agreed with its root estimate, evaluates the
-    gauge on all rows' midpoints in one call, and keeps each row's
-    decisions up to and including the first that the gauge contradicts,
-    whereupon that row's estimate is renewed. Every kept decision is a real
-    gauge sign at a midpoint 0.5 (lo + hi), so the brackets are bit for bit
-    those of halving every row in turn; a poor estimate costs rounds, not
-    bits. Newton then starts from the midpoint and skips a step at a zero
-    slope.
+    hi - lo <= 1e-14 max(1, hi); Newton then starts from the midpoint and
+    skips a step at a zero slope. A narrow row is still evaluated, though no
+    longer updated, until every row is narrow: brackets of width between
+    hi/2 and hi need about the same number of steps. Raises RootNotFound
+    when a row is still not narrow after CHART_BISECTION_ITERATIONS steps.
     """
-    budget = CHART_BISECTION_ITERATIONS - 1
-    origins = np.broadcast_to(origins, dirs.shape)
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    used = np.zeros(len(dirs), dtype=int)
-    est = np.full(len(dirs), math.nan)
-    todo = np.flatnonzero(_wide(lo, hi) & (budget > 0))
-    fresh = todo
-    while todo.size:
-        est[fresh] = _root_estimates(body, origins[fresh], dirs[fresh],
-                                     lo[fresh], hi[fresh])
-        l, h, t = lo[todo], hi[todo], est[todo]
-        left = budget - used[todo]
-        # halvings until a row is narrow or its budget is spent, and at most
-        # 2**14 midpoints a round (but one a row) to bound the memory of
-        # many rows; a row the round does not finish carries on in the next
-        need = np.log2(np.max((h - l) / (1e-14 * np.maximum(1.0, l))))
-        n_steps = int(min(left.max(), np.ceil(need) + 1,
-                          max(1, 2 ** 14 // len(todo))))
-        LO, HI, MID = _halvings(l, h, t, n_steps)
-        # halving k counts while the bracket before it is still wide and
-        # the row's budget is not spent
-        live = (np.logical_and.accumulate(_wide(LO[:-1], HI[:-1]), axis=0)
-                & (np.arange(n_steps)[:, None] < left))
-        X = origins[todo] + MID[:, :, None] * dirs[todo]
-        inside = body.values(X.reshape(-1, 3)).reshape(MID.shape) < 0
-        wrong = live & (inside != (MID < t))
-        missed = wrong.any(axis=0)
-        last = np.where(missed, wrong.argmax(axis=0), live.sum(axis=0) - 1)
-        # each row's bracket before its last kept halving, then that halving
-        at = (last, np.arange(len(todo)))
-        lo[todo] = np.where(inside[at], MID[at], LO[at])
-        hi[todo] = np.where(inside[at], HI[at], MID[at])
-        used[todo] += last + 1
-        keep = _wide(lo[todo], hi[todo]) & (used[todo] < budget)
-        todo, fresh = todo[keep], todo[keep & missed]
-    if budget < 0 or _wide(lo, hi).any():
+    for _ in range(CHART_BISECTION_ITERATIONS):
+        # a row once narrow keeps its bracket, so it stays narrow
+        wide = _wide(lo, hi)
+        if not wide.any():
+            break
+        mid = 0.5 * (lo + hi)
+        inside = body.values(origins + mid[:, None] * dirs) < 0
+        lo = np.where(wide & inside, mid, lo)
+        hi = np.where(wide & ~inside, mid, hi)
+    else:
         raise RootNotFound("bisection did not converge in %d steps"
                            % CHART_BISECTION_ITERATIONS)
     t = 0.5 * (lo + hi)
@@ -488,38 +452,54 @@ def _bisect_polish(body: ConvexBody, origins, dirs, lo, hi) -> np.ndarray:
     return t
 
 
-def _halvings(lo, hi, t, n_steps):
-    """Brackets, shape (n_steps + 1, m), and midpoints, (n_steps, m), of
-    n_steps halvings of each [lo, hi] that keep the half on t's side, by
-    the arithmetic of _bisect_polish: mid = 0.5 (lo + hi), lo = mid where
-    mid < t. A few rows take plain floats, which round alike and cost far
-    less than one numpy call per halving."""
-    if len(t) > 16:
-        LO, HI, MID = [lo], [hi], []
-        for _ in range(n_steps):
-            mid = 0.5 * (lo + hi)
-            below = mid < t
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-            LO.append(lo)
-            HI.append(hi)
-            MID.append(mid)
-        return np.array(LO), np.array(HI), np.array(MID)
-    LO, HI, MID = [], [], []
-    for l, h, c in zip(lo.tolist(), hi.tolist(), t.tolist()):
-        row_lo, row_hi, row_mid = [l], [h], []
-        for _ in range(n_steps):
-            mid = 0.5 * (l + h)
-            if mid < c:
-                l = mid
-            else:
-                h = mid
-            row_lo.append(l)
-            row_hi.append(h)
-            row_mid.append(mid)
-        LO.append(row_lo)
-        HI.append(row_hi)
-        MID.append(row_mid)
-    return np.array(LO).T, np.array(HI).T, np.array(MID).T
+def _bisect_chords(body: ConvexBody, origins, dirs, lo, hi) -> np.ndarray:
+    """The roots of _bisect_polish, bit for bit, for the few chords of a
+    chart inverse, in a few values calls instead of one per halving.
+
+    Each round estimates every open row's root (_root_estimates), lists the
+    halvings the row's bracket would take if the gauge changed sign at the
+    estimate (_predicted_midpoints), and evaluates the gauge at all rows'
+    midpoints in one call. A row keeps its halvings, with the real signs,
+    up to and including the first that the gauge contradicts; its later
+    midpoints halve a bracket bisection never reaches and are dropped. So
+    every kept halving is the one _bisect_polish makes, and a poor estimate
+    costs rounds, not bits. A row still wide after
+    CHART_BISECTION_ITERATIONS - 1 halvings raises the same RootNotFound.
+    """
+    budget = CHART_BISECTION_ITERATIONS - 1
+    origins = np.broadcast_to(origins, dirs.shape)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    left = np.full(len(dirs), budget)
+    todo = np.flatnonzero(_wide(lo, hi) & (left > 0))
+    while todo.size:
+        est = _root_estimates(body, origins[todo], dirs[todo], lo[todo],
+                              hi[todo]).tolist()
+        brackets = list(zip(lo[todo].tolist(), hi[todo].tolist()))
+        walks = [_predicted_midpoints(l, h, t, n) for (l, h), t, n
+                 in zip(brackets, est, left[todo].tolist())]
+        rows = np.repeat(todo, [len(walk) for walk in walks])
+        mids = np.concatenate(walks)
+        inside = (body.values(origins[rows] + mids[:, None] * dirs[rows])
+                  < 0).tolist()
+        k = 0
+        for row, (l, h), t, walk in zip(todo, brackets, est, walks):
+            signs = inside[k:k + len(walk)]
+            k += len(walk)
+            for kept, (mid, ins) in enumerate(zip(walk, signs), 1):
+                if ins:
+                    l = mid
+                else:
+                    h = mid
+                if ins != (mid < t):
+                    break
+            lo[row], hi[row] = l, h
+            left[row] -= kept
+        todo = todo[_wide(lo[todo], hi[todo]) & (left[todo] > 0)]
+    if _wide(lo, hi).any():
+        raise RootNotFound("bisection did not converge in %d steps"
+                           % CHART_BISECTION_ITERATIONS)
+    # every bracket is narrow, so this only polishes
+    return _bisect_polish(body, origins, dirs, lo, hi)
 
 
 def _wide(lo, hi):
@@ -527,12 +507,28 @@ def _wide(lo, hi):
     return hi - lo > 1e-14 * np.maximum(1.0, hi)
 
 
+def _predicted_midpoints(lo, hi, t, n):
+    """Midpoints of the at most n halvings of the float bracket [lo, hi]
+    while it is wide (the test of _wide), if F < 0 exactly below t: mid =
+    0.5 (lo + hi), then lo = mid if mid < t, else hi = mid. Plain floats
+    round like numpy and cost far less than a numpy call per halving."""
+    mids = []
+    while len(mids) < n and hi - lo > 1e-14 * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        if mid < t:
+            lo = mid
+        else:
+            hi = mid
+    return mids
+
+
 def _root_estimates(body: ConvexBody, origins, dirs, lo, hi) -> np.ndarray:
     """Estimates of the roots of F(o + t d) in brackets [lo, hi], F >= 0 at
     hi: at most 8 Newton steps from hi, all rows together, until every step
     is at most 1e-12 t; a non-finite step keeps t. F is convex along the
     line, so the iterates fall onto the root from above. The estimates only
-    steer _bisect_polish, which checks each decision they predict.
+    steer _bisect_chords, which checks each halving they predict.
     """
     t = hi
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -580,7 +576,7 @@ class BodyChart:
 
         Infinity maps to N. Each chord N + t (x, y, -2) is bracketed by
         doubling hi from 1 until F >= 0, then halving lo from hi/2 until
-        F < 0; _bisect_polish then bisects every chord in a few batched
+        F < 0; _bisect_chords then bisects every chord in a few batched
         rounds of predicted and verified halvings and polishes the roots.
         """
         zs = [complex(z) for z in zs]
@@ -610,7 +606,7 @@ class BodyChart:
             lo[todo] /= 2.0
         else:
             raise RootNotFound("cannot bracket the chord intersection")
-        t = _bisect_polish(body, _CHORD_ORIGIN, d, lo, hi)
+        t = _bisect_chords(body, _CHORD_ORIGIN, d, lo, hi)
         out[rows] = _CHORD_ORIGIN + t[:, None] * d
         return out
 

@@ -7,9 +7,9 @@ per-point gauge formulas of Ball, Ellipsoid, Superellipsoid and GaugeBlend
 (scalar_value, scalar_gradient, scalar_hessian), the point-at-a-time chord
 inverse (chart_inverse) and the per-edge line search (line_minimum, run
 over every edge by tangency). The tests require the batched code to equal
-them bit for bit. bisect_polish is the lockstep bisection that the
-predicted-and-verified bisection of bodies._bisect_polish replaced, one
-gauge call per halving.
+them bit for bit. bisect_polish is the lockstep bisection, one gauge call
+per halving, that the predicted-and-verified bodies._bisect_chords replaced
+in the chart inverse.
 """
 
 import cmath

@@ -2,6 +2,7 @@
 import ast
 import cmath
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -50,14 +51,18 @@ def test_descriptor_grammar():
         make_body("ellipsoid:a=oops,b=1")
     # non-finite values, a repeated key, semi-axes whose 1/a^2 is not a
     # finite float (underflow to zero, overflow to inf) or raises, and
-    # semi-axes whose gradient and Hessian scale 2/a^2 overflows
+    # semi-axes whose gradients, their norms or the Hessians overflow on the
+    # body; all rejected without a floating-point warning
     for bad in ("ellipsoid:a=nan,b=1", "ellipsoid:a=1,b=inf",
                 "ellipsoid 1.2 nan", "ellipsoid:a=1,a=2,b=1",
                 "ellipsoid:a=1e-160,b=1", "ellipsoid:a=1e-200,b=1",
                 "ellipsoid:a=1e300,b=1", "ellipsoid:a=1,b=1e-200",
-                "ellipsoid:a=1e-154,b=1", "ellipsoid:a=1,b=1.05e-154"):
-        with pytest.raises(MalformedDescriptor):
-            make_body(bad)
+                "ellipsoid:a=1e-154,b=1", "ellipsoid:a=1,b=1.05e-154",
+                "ellipsoid:a=1.1e-154,b=1", "ellipsoid:a=1e-90,b=1"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedDescriptor):
+                make_body(bad)
 
 
 def test_pole_must_lie_on_boundary():
@@ -76,11 +81,14 @@ def test_superellipsoid_exponent_validation():
     for p in ("nan", "inf", "1e300", "%d" % (2 ** 53 + 2)):
         with pytest.raises(MalformedDescriptor):
             make_body("superellipsoid:p=%s,a=1,b=1" % p)
-    # semi-axes whose Hessian scale p (p - 1) / a^2 overflows, or whose
-    # a^2 underflows to zero
-    for axes in ("a=1e-154,b=1", "a=1,b=1e-160", "a=1e-200,b=1"):
-        with pytest.raises(MalformedDescriptor, match="not finite"):
-            make_body("superellipsoid:p=4,%s" % axes)
+    # semi-axes whose gauge or its derivatives overflow on the body or on
+    # the rays that find it, rejected without a floating-point warning
+    for axes in ("a=1e-154,b=1", "a=1,b=1e-160", "a=1e-200,b=1",
+                 "a=1e-153,b=1"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedDescriptor, match="not finite"):
+                make_body("superellipsoid:p=4,%s" % axes)
 
 
 def test_value_closed_forms():
@@ -322,6 +330,14 @@ def test_validate_body_rejects_flat_hessian():
         validate_body(FlatBall(make_body("ball")))
 
 
+def test_validate_body_rejects_non_finite_gauge():
+    # 1/a**2 is inf, so the gauge is NaN at the pole and the origin, where
+    # every comparison of the pole and origin checks is False
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(FloatingPointError, match="not finite"):
+            validate_body(bodies.Ellipsoid(a=1e-160, b=1.0))
+
+
 def sampled_path(end):
     """The path check make_path ran before: validate 11 blends from the ball."""
     path = BodyPath(start=Ball(), end=end)
@@ -380,7 +396,7 @@ BLENDS = [make_path(make_body(d)).eval(s)
 def lockstep_chart_inverse(body, zs, monkeypatch):
     """BodyChart.inverse with the lockstep bisection it replaced."""
     with monkeypatch.context() as m:
-        m.setattr(bodies, "_bisect_polish", gauge_oracle.bisect_polish)
+        m.setattr(bodies, "_bisect_chords", gauge_oracle.bisect_polish)
         return BodyChart(body).inverse(zs)
 
 
@@ -390,7 +406,7 @@ def assert_bitwise_equal(got, want):
 
 
 @pytest.mark.parametrize("body", BLENDS, ids=lambda body: body.descriptor)
-def test_bisect_polish_matches_lockstep_oracle(body, monkeypatch):
+def test_bisect_chords_matches_lockstep_oracle(body, monkeypatch):
     want = lockstep_chart_inverse(body, BISECTION_ZS, monkeypatch)
     chart = BodyChart(body)
     assert_bitwise_equal(chart.inverse(BISECTION_ZS), want)
@@ -422,13 +438,13 @@ class CountingValues(ConvexBody):
 
 
 @pytest.mark.parametrize("estimate", ["lo", "hi", "nan"])
-def test_bisect_polish_survives_bad_estimates(estimate, monkeypatch):
+def test_bisect_chords_survives_bad_estimates(estimate, monkeypatch):
     # every kept decision is a real gauge sign, so a useless estimate costs
     # rounds (one values call each) but neither a bit nor the step cap
     def bad(body, origins, dirs, lo, hi):
         return {"lo": lo, "hi": hi, "nan": np.full(len(lo), math.nan)}[estimate]
 
-    bisect = bodies._bisect_polish
+    bisect = bodies._bisect_chords
     before = []
 
     def spy(body, *args):
@@ -440,10 +456,10 @@ def test_bisect_polish_survives_bad_estimates(estimate, monkeypatch):
         want = lockstep_chart_inverse(body, BISECTION_ZS, monkeypatch)
         with monkeypatch.context() as m:
             m.setattr(bodies, "_root_estimates", bad)
-            m.setattr(bodies, "_bisect_polish", spy)
+            m.setattr(bodies, "_bisect_chords", spy)
             counted = CountingValues(body)
             got = BodyChart(counted).inverse(BISECTION_ZS)
-            m.setattr(bodies, "_bisect_polish", bisect)
+            m.setattr(bodies, "_bisect_chords", bisect)
             triples = [BodyChart(body).inverse(BISECTION_ZS[k:k + 3])
                        for k in range(0, 60, 3)]
         assert_bitwise_equal(got, want)

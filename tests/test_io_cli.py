@@ -349,9 +349,11 @@ def test_cli_pack_malformed_complex_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("desc", ["ellipsoid:a=nan,b=1",
                                   "ellipsoid:a=1e-160,b=1",
                                   "ellipsoid:a=1e-154,b=1",
+                                  "ellipsoid:a=1.1e-154,b=1",
                                   "ellipsoid:a=1,a=2,b=1",
                                   "superellipsoid:p=1e300,a=1,b=1",
-                                  "superellipsoid:p=4,a=1e-154,b=1"])
+                                  "superellipsoid:p=4,a=1e-154,b=1",
+                                  "superellipsoid:p=4,a=1e-153,b=1"])
 def test_cli_export_body_rejects_malformed_descriptor(tmp_path, capsys, desc):
     out = tmp_path / "body.off"
     assert run_cli("export-body", "--body", desc, "--out", str(out)) == 3
