@@ -14,13 +14,14 @@ over all face-vertex pairs.
 The disk packings are traced in batches through the (m, 3) gauge API, all
 disks of a family in lockstep: the face disks by one batched ray solve over
 every face's rays in its plane, the visibility disks by one horizon scan
-over every vertex's first arc and then bracketed Newton iterations on the
-horizon angle (safeguarded by bisection) over all arcs of all vertices at
-once. The margins of every disk on a disk's samples form one array that
-serves both the coarse contact search and the non-degeneracy count. Every
-disk pair that needs it is refined in lockstep, one batched boundary solve
-per step: the maximum of one disk's margin along the other's boundary is
-the root of the Lagrange condition grad F . (grad mu_i x grad mu_j),
+over every vertex's first arc and then one Newton solve in (ray parameter,
+arc angle) over all arcs of all vertices at once; the few rows it does not
+settle go to bracketed Newton iterations on the horizon angle (safeguarded
+by bisection). The margins of every disk on a disk's samples form one array
+that serves both the coarse contact search and the non-degeneracy count.
+Every disk pair that needs it is refined in lockstep, one batched boundary
+solve per step: the maximum of one disk's margin along the other's boundary
+is the root of the Lagrange condition grad F . (grad mu_i x grad mu_j),
 bracketed by the samples either side of the best one and found by Brent's
 zeroin. Golden section on the margin itself decides only the pairs the root
 does not: no sign change, no convergence within a fixed number of steps, or
@@ -60,6 +61,9 @@ HORIZON_EXPANSIONS = 30
 HORIZON_BISECTIONS = 55
 HORIZON_XTOL = 2.0 ** -50
 HORIZON_GTOL = 8.0 * np.finfo(float).eps
+# The joint horizon Newton (_Arcs.joint): a row still stepping after
+# HORIZON_NEWTON_ITERATIONS steps goes to the bracketed solve.
+HORIZON_NEWTON_ITERATIONS = 20
 GOLDEN_ITERATIONS = 30
 # The refinement of a disk pair's maximum: Brent's zeroin on the Lagrange
 # condition stops at a bracket ROOT_XTOL wide in the boundary parameter; a
@@ -126,10 +130,12 @@ class DiskPacking:
     max_adjacent_gap: float
     worst_position_error: float
     max_foreign_margin: float
-    # disk pairs refined past the sample search, and those of them that
-    # golden section decided; counts only, never serialized
+    # disk pairs refined past the sample search, those of them that golden
+    # section decided, and the horizon points the joint Newton left to the
+    # bracketed solve (vertex disks only); counts only, never serialized
     refined_pairs: int = 0
     golden_fallbacks: int = 0
+    horizon_fallbacks: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +328,19 @@ def _visibility(apex, c, X, grads) -> np.ndarray:
     return _rowdot(apex - c[..., None] * X, grads)
 
 
+def _visibility_bound(apex, c, X, grads) -> np.ndarray:
+    """A bound on the rounding error of _visibility: HORIZON_GTOL times the
+    dot product of the magnitudes."""
+    return HORIZON_GTOL * _rowdot(np.abs(apex) + c[..., None] * np.abs(X),
+                                  np.abs(grads))
+
+
+def _nearest_sample(t, n_samples):
+    """Index of the sample nearest each boundary parameter t (angles from
+    theta0) of a disk traced at n_samples equally spaced angles."""
+    return np.rint(t / (2.0 * math.pi) * n_samples).astype(int) % n_samples
+
+
 class _FaceDisks:
     """The regions the face planes cut from the body.
 
@@ -332,6 +351,7 @@ class _FaceDisks:
     """
 
     kind = "face"
+    horizon_fallbacks = 0
 
     def __init__(self, body, cfg, P, theta):
         self.body = body
@@ -351,13 +371,16 @@ class _FaceDisks:
         n_faces, n = P.n_faces, len(theta)
         X = self._points(np.repeat(np.arange(n_faces), n),
                          np.tile(theta, n_faces)).reshape(n_faces, n, 3)
+        R = X - self.c0[:, None]
+        self.radii = np.sqrt(_rowdot(R, R))
         self.disks = [KDisk(kind=self.kind, owner=f, boundary_samples=X[f],
                             plane=(self.normals[f], float(self.offsets[f])))
                       for f in range(n_faces)]
 
-    def _points(self, i, theta):
+    def _points(self, i, theta, t0=1.0):
         w = _circle(self.a[i], self.b[i], theta)
-        return self.c0[i] + ray_roots(self.body, self.c0[i], w)[:, None] * w
+        t = ray_roots(self.body, self.c0[i], w, t0)
+        return self.c0[i] + t[:, None] * w
 
     def margins(self, X) -> np.ndarray:
         """Signed distance of every point to every face plane, (F, m)."""
@@ -372,8 +395,16 @@ class _FaceDisks:
 
     def boundary_solver(self, i):
         """Boundary points of disks i[rows] at parameters t (angles from
-        theta0)."""
-        return lambda rows, t: self._points(i[rows], self.theta0 + t)
+        theta0); each ray starts from the ray parameter of its disk's sample
+        nearest t."""
+        n_samples = self.radii.shape[1]
+
+        def points(rows, t):
+            owners = i[rows]
+            near = _nearest_sample(t, n_samples)
+            return self._points(owners, self.theta0 + t,
+                                self.radii[owners, near])
+        return points
 
 
 class _VertexDisks:
@@ -382,8 +413,10 @@ class _VertexDisks:
     Vertex v's disk is traced on great-circle arcs from w, the direction of
     the vertex, towards -w: the boundary point over cos(alpha) w +
     sin(alpha) m, m = cos(psi) a + sin(psi) b, crosses the visibility
-    horizon at one alpha, found by bracketed Newton. The arcs of all
-    vertices are solved together.
+    horizon at one alpha. The arcs of all vertices are solved together, by
+    one Newton solve in (ray parameter, alpha) (_Arcs.joint); the rows it
+    does not settle are bracketed and solved by Newton in alpha alone
+    (_Arcs.bracket, _Arcs.solve) and counted in horizon_fallbacks.
     """
 
     kind = "vertex"
@@ -391,6 +424,7 @@ class _VertexDisks:
     def __init__(self, body, cfg, P, theta):
         self.body = body
         self.theta0 = theta[0]
+        self.horizon_fallbacks = 0
         positions, finite = cfg.affine_vertices()
         rows = [_vertex_visibility(cfg, P, v, positions, finite)
                 for v in range(P.n_vertices)]
@@ -408,6 +442,7 @@ class _VertexDisks:
         m = _circle(np.repeat(self.a, n, axis=0), np.repeat(self.b, n, axis=0),
                     np.tile(theta, n_vertices)).reshape(n_vertices, n, 3)
         self.alphas, X = self._trace(m)
+        self.radii = np.sqrt(_rowdot(X, X))
         self.disks = [KDisk(kind=self.kind, owner=v, boundary_samples=X[v],
                             apex=apex, at_infinity=at_inf)
                       for v, (apex, _, at_inf) in enumerate(rows)]
@@ -415,10 +450,35 @@ class _VertexDisks:
     def _arcs(self, i, m, t):
         return _Arcs(self.body, i, self.apex[i], self.c[i], self.w[i], m, t)
 
+    def _horizons(self, arcs, warm, bracket=None):
+        """Horizon angles and points of every row of arcs, by the joint
+        Newton from the angles warm and the ray parameters arcs.t.
+
+        A row the joint Newton does not settle, or settles outside its
+        bracket (lo, hi) when one is given, is solved by _Arcs.solve from
+        warm, in that bracket or else in one placed by _Arcs.bracket around
+        warm; those rows are added to horizon_fallbacks.
+        """
+        alpha, X, ok = arcs.joint(warm)
+        if bracket is not None:
+            ok &= (bracket[0] <= alpha) & (alpha <= bracket[1])
+        rows = np.flatnonzero(~ok)
+        if rows.size:
+            rest = arcs.take(rows)
+            if bracket is None:
+                lo, hi = rest.bracket(warm[rows])
+            else:
+                lo, hi = bracket[0][rows], bracket[1][rows]
+            alpha[rows], X[rows] = rest.solve(lo, hi, warm[rows])
+            arcs.t[rows] = rest.t
+            self.horizon_fallbacks += rows.size
+        return alpha, X
+
     def _trace(self, m):
         """Arc angles (V, n) and boundary samples (V, n, 3) of every disk,
-        on the arcs m (V, n, 3): sample 0 of each disk bracketed by a scan
-        of its arc, the others around sample 0's horizon."""
+        on the arcs m (V, n, 3): sample 0 of each disk started from the
+        secant point of the bracket a scan of its arc finds, and kept in
+        that bracket; the others started from sample 0's horizon."""
         n_vertices, n = m.shape[:2]
         owners = np.arange(n_vertices)
         k_scan = len(HORIZON_GRID)
@@ -437,11 +497,12 @@ class _VertexDisks:
                            scan.t.reshape(n_vertices, k_scan)[owners, k])
         lo, hi = HORIZON_GRID[k], HORIZON_GRID[k + 1]
         g_lo, g_hi = g[owners, k], g[owners, k + 1]
-        alpha0, X0 = first.solve(lo, hi, lo + g_lo / (g_lo - g_hi) * (hi - lo))
+        alpha0, X0 = self._horizons(first,
+                                    lo + g_lo / (g_lo - g_hi) * (hi - lo),
+                                    (lo, hi))
         rest = self._arcs(np.repeat(owners, n - 1), m[:, 1:].reshape(-1, 3),
                           np.repeat(first.t, n - 1))
-        warm = np.repeat(alpha0, n - 1)
-        alpha, X = rest.solve(*rest.bracket(warm), warm)
+        alpha, X = self._horizons(rest, np.repeat(alpha0, n - 1))
         return (np.column_stack([alpha0, alpha.reshape(n_vertices, n - 1)]),
                 np.concatenate([X0[:, None], X.reshape(n_vertices, n - 1, 3)],
                                axis=1))
@@ -464,21 +525,17 @@ class _VertexDisks:
 
     def boundary_solver(self, i):
         """Horizon points of disks i[rows] at parameters t (angles from
-        theta0), bracketed around and started from the horizons of their
-        samples nearest t. Each row's ray solves start from its last ray
-        parameter."""
-        t_warm = np.ones(len(i))
+        theta0), by _horizons started from the arc angle and the ray
+        parameter of each disk's sample nearest t."""
         n_samples = self.alphas.shape[1]
 
         def points(rows, t):
             owners = i[rows]
+            near = _nearest_sample(t, n_samples)
             arcs = self._arcs(owners, _circle(self.a[owners], self.b[owners],
-                                              self.theta0 + t), t_warm[rows])
-            near = np.rint(t / (2.0 * math.pi) * n_samples).astype(int)
-            warm = self.alphas[owners, near % n_samples]
-            X = arcs.solve(*arcs.bracket(warm), warm)[1]
-            t_warm[rows] = arcs.t
-            return X
+                                              self.theta0 + t),
+                              self.radii[owners, near])
+            return self._horizons(arcs, self.alphas[owners, near])[1]
         return points
 
 
@@ -486,13 +543,20 @@ class _Arcs:
     """Visibility arcs, one per row: the boundary point over cos(alpha) w +
     sin(alpha) m and the sign of its owner vertex's visibility function.
 
-    t holds each row's last ray parameter, the warm start of its next ray;
-    it is updated in place.
+    joint finds the horizons by Newton in the ray parameter and alpha
+    together; bracket and solve find them by Newton in alpha alone, each
+    trial point put on the boundary by a ray solve. t holds each row's last
+    ray parameter, the warm start of its next ray; it is updated in place.
     """
 
     def __init__(self, body, owners, apex, c, w, m, t):
         self.body, self.owners = body, owners
         self.apex, self.c, self.w, self.m, self.t = apex, c, w, m, t
+
+    def take(self, rows):
+        """The arcs of the given rows, with copies of their ray parameters."""
+        return _Arcs(self.body, self.owners[rows], self.apex[rows],
+                     self.c[rows], self.w[rows], self.m[rows], self.t[rows])
 
     def points(self, rows, alpha):
         dirs = _circle(self.w[rows], self.m[rows], alpha)
@@ -512,7 +576,7 @@ class _Arcs:
         F(t d) = 0 gives t' = -t (grad F . d') / (grad F . d), and
         X' = t' d + t d' is tangent to the boundary, so the derivative of
         (apex - c X) . grad F(X) is (apex - c X) . H(X) X'. The rounding
-        bound is HORIZON_GTOL times the dot product of the magnitudes.
+        bound is _visibility_bound.
         """
         X = self.points(rows, alpha)
         dirs = _circle(self.w[rows], self.m[rows], alpha)
@@ -524,9 +588,80 @@ class _Arcs:
         apex, c = self.apex[rows], self.c[rows]
         slope = _rowdot(apex - c[:, None] * X,
                         (self.body.hessians(X) @ dX[..., None])[..., 0])
-        size = _rowdot(np.abs(apex) + c[:, None] * np.abs(X), np.abs(grads))
-        return (_visibility(apex, c, X, grads), HORIZON_GTOL * size, slope,
-                X)
+        return (_visibility(apex, c, X, grads),
+                _visibility_bound(apex, c, X, grads), slope, X)
+
+    def joint(self, alpha):
+        """Horizons by one Newton solve in (r, alpha) per row, from the
+        angles alpha and the ray parameters t; returns (alpha, horizon
+        points, ok).
+
+        The point X = r d, d = cos(alpha) w + sin(alpha) m, solves F(X) = 0
+        and g = q . grad F(X) = 0 with q = apex - c X. With d' = -sin(alpha)
+        w + cos(alpha) m and H the Hessian of F at X, the Jacobian rows are
+        [grad F . d, r grad F . d'] and [-c grad F . d + q . H d,
+        r (-c grad F . d' + q . H d')]; each step makes one values, one
+        gradients and one hessians call over the open rows. A row stops when
+        both steps are below HORIZON_XTOL relative to r and alpha, or once
+        they stop shrinking below 1e-9 (rounding noise). It is ok when it
+        stopped within HORIZON_NEWTON_ITERATIONS steps at a finite r > 0 and
+        an alpha in [HORIZON_MIN, pi - 1e-9], and g at its point put back on
+        the boundary by ray_roots from r is within _visibility_bound of 0.
+        The ok rows' t and points are those on the boundary; the other rows'
+        points are nan, and their t may have moved.
+
+        No bracket is needed to pick the root: the arc lies in the plane
+        through the origin spanned by w and m, which holds the apex (or,
+        for a vertex at infinity, its direction). The projection of grad F
+        on that plane is the normal of the strictly convex section curve,
+        and the apex lies outside the curve, so g vanishes on the curve
+        only at the two tangent points from the apex, one on each side of
+        w (for c = 0, at the two tangents parallel to the apex direction).
+        A root with alpha in (0, pi) is the horizon _Arcs.solve finds.
+        """
+        alpha, r = np.array(alpha, dtype=float), self.t.copy()
+        ok = np.zeros(len(alpha), dtype=bool)
+        last = np.full(len(alpha), np.inf)
+        todo = np.arange(len(alpha))
+        with np.errstate(all="ignore"):
+            for _ in range(HORIZON_NEWTON_ITERATIONS):
+                if not todo.size:
+                    break
+                a, t, c = alpha[todo], r[todo], self.c[todo]
+                dirs = _circle(self.w[todo], self.m[todo], a)
+                turn = _circle(self.m[todo], -self.w[todo], a)
+                X = t[:, None] * dirs
+                grads = self.body.gradients(X)
+                q = self.apex[todo] - c[:, None] * X
+                Hq = (self.body.hessians(X) @ q[..., None])[..., 0]
+                F, g = self.body.values(X), _rowdot(q, grads)
+                Gd, Gt = _rowdot(grads, dirs), _rowdot(grads, turn)
+                j11, j12 = Gd, t * Gt
+                j21 = _rowdot(Hq, dirs) - c * Gd
+                j22 = t * (_rowdot(Hq, turn) - c * Gt)
+                det = j11 * j22 - j12 * j21
+                step_r = (F * j22 - j12 * g) / det
+                step_a = (j11 * g - j21 * F) / det
+                t, a = t - step_r, a - step_a
+                size = np.maximum(np.abs(step_r) / t, np.abs(step_a) / a)
+                r[todo], alpha[todo] = t, a
+                valid = (np.isfinite(size) & (t > 0) & (a >= HORIZON_MIN)
+                         & (a <= math.pi - 1e-9))
+                done = valid & ((size <= HORIZON_XTOL)
+                                | ((size >= last[todo]) & (size < 1e-9)))
+                ok[todo[done]] = True
+                last[todo] = size
+                todo = todo[valid & ~done]
+        X = np.full((len(alpha), 3), np.nan)
+        rows = np.flatnonzero(ok)
+        self.t[rows] = r[rows]
+        X[rows] = self.points(rows, alpha[rows])
+        apex, c = self.apex[rows], self.c[rows]
+        grads = self.body.gradients(X[rows])
+        ok[rows] = (np.abs(_visibility(apex, c, X[rows], grads))
+                    <= _visibility_bound(apex, c, X[rows], grads))
+        X[rows[~ok[rows]]] = np.nan
+        return alpha, X, ok
 
     def bracket(self, warm):
         """[warm - 0.15, warm + 0.15], each end pushed outward with a
@@ -785,45 +920,45 @@ def _refine_pairs(family, i, j, k, adjacent):
     return margins, maximizers, golden
 
 
-def _trace_packing(family, adjacency) -> DiskPacking:
+def _trace_packing(family, ends, contacts) -> DiskPacking:
     """Check every disk pair: touch at p_e when adjacent, stay clear otherwise.
 
-    adjacency maps each adjacent owner pair (low, high) to its contact point
-    p_e. family.margins(X) is the signed membership of every disk at the
-    points X (>= 0 inside its closure). Per disk i it is evaluated once on
-    i's samples; that array gives the coarse maximum of every other disk's
-    margin along i's boundary, and the non-degeneracy count (no sample may
-    lie within tolerance of three disk closures). Pairs whose coarse maximum
-    is far below contact are not refined; the others are refined together
-    around their best sample by _refine_pairs: a root of the Lagrange
-    condition, or golden section where the root does not decide the pair.
+    Edge e joins the disks of the owners ends[e] (disk i is owner i's) and
+    claims their contact at p_e = contacts[e]. family.margins(X) is the
+    signed membership of every disk at the points X (>= 0 inside its
+    closure). Per disk i it is evaluated once on i's samples; that array
+    gives the coarse maximum of every other disk's margin along i's
+    boundary, and the non-degeneracy count (no sample may lie within
+    tolerance of three disk closures). Pairs whose coarse maximum is far
+    below contact are not refined; the others are refined together around
+    their best sample by _refine_pairs: a root of the Lagrange condition, or
+    golden section where the root does not decide the pair.
     """
     disks = family.disks
+    edge = np.full((len(disks), len(disks)), -1)
+    edge[ends[:, 0], ends[:, 1]] = edge[ends[:, 1], ends[:, 0]] = np.arange(
+        len(ends))
+    others = np.arange(len(disks))
     nondegenerate = True
     max_foreign = -math.inf
-    pairs, contacts = [], []
+    pairs = []
     for i, disk in enumerate(disks):
         M = family.margins(disk.boundary_samples)
         M[i] = -math.inf
         if np.any(np.count_nonzero(M >= -CONTACT_TOL, axis=0) >= 2):
             nondegenerate = False
         best = np.argmax(M, axis=1)
-        for j, other in enumerate(disks):
-            if j == i:
-                continue
-            p_e = adjacency.get((min(disk.owner, other.owner),
-                                 max(disk.owner, other.owner)))
-            if p_e is None and M[j, best[j]] < -1e-2:
-                max_foreign = max(max_foreign, float(M[j, best[j]]))
-            else:
-                pairs.append((i, j, best[j]))
-                contacts.append(p_e)
-    i, j, k = np.array(pairs, dtype=int).reshape(-1, 3).T
-    adjacent = np.array([p_e is not None for p_e in contacts], dtype=bool)
+        top = M[others, best]
+        far = (edge[i] < 0) & (top < -1e-2)
+        max_foreign = max(max_foreign, float(top[far].max(initial=-math.inf)))
+        j = np.flatnonzero(~far)
+        pairs.append((np.full(len(j), i), j, best[j]))
+    i, j, k = (np.concatenate(column) for column in zip(*pairs))
+    e = edge[i, j]
+    adjacent = e >= 0
     m_best, x_best, golden = _refine_pairs(family, i, j, k, adjacent)
-    p_e = np.array([p for p in contacts if p is not None]).reshape(-1, 3)
     gap = np.abs(m_best[adjacent])
-    pos_err = np.linalg.norm(x_best[adjacent] - p_e, axis=1)
+    pos_err = np.linalg.norm(x_best[adjacent] - contacts[e[adjacent]], axis=1)
     foreign = m_best[~adjacent]
     max_foreign = max(max_foreign, float(foreign.max(initial=-math.inf)))
     ok = bool(np.all(gap <= CONTACT_TOL)
@@ -835,7 +970,8 @@ def _trace_packing(family, adjacency) -> DiskPacking:
                        worst_position_error=float(pos_err.max(initial=0.0)),
                        max_foreign_margin=max_foreign,
                        refined_pairs=len(i),
-                       golden_fallbacks=int(np.count_nonzero(golden)))
+                       golden_fallbacks=int(np.count_nonzero(golden)),
+                       horizon_fallbacks=family.horizon_fallbacks)
 
 
 def extract_kdisk_packings(cfg: Configuration, body: ConvexBody,
@@ -865,15 +1001,13 @@ def _trace_packings(cfg, body, P):
     theta = (2.0 * math.pi * 0.61803398874989485
              + 2.0 * math.pi * np.arange(N_BOUNDARY_SAMPLES)
              / N_BOUNDARY_SAMPLES)
-    face_adj, vert_adj = {}, {}
-    for e in range(P.n_edges):
-        f, g = P.faces_of_edge(e)
-        face_adj[(min(f, g), max(f, g))] = cfg.tangents[e]
-        v, w = P.edge_vertices(e)
-        vert_adj[(min(v, w), max(v, w))] = cfg.tangents[e]
-    face_packing = _trace_packing(_FaceDisks(body, cfg, P, theta), face_adj)
+    tangents = np.asarray(cfg.tangents, dtype=float)
+    face_packing = _trace_packing(_FaceDisks(body, cfg, P, theta),
+                                  np.array(P.edge_faces).reshape(-1, 2),
+                                  tangents)
     visibility_packing = _trace_packing(_VertexDisks(body, cfg, P, theta),
-                                        vert_adj)
+                                        np.array(P.edges).reshape(-1, 2),
+                                        tangents)
     return face_packing, visibility_packing
 
 

@@ -14,7 +14,8 @@ precondition is left to the caller).
 Two routines of the batched tracer that traced one vertex disk at a time
 with a bisection horizon solve are kept as well: ``bisection_solve``, the
 old ``verify._Arcs.solve``, and ``per_disk_trace``, the old
-``verify._VertexDisks._trace``.
+``verify._VertexDisks._trace``. So is ``select_pairs``, the old pair loop
+of ``verify._trace_packing``, one adjacency lookup per ordered disk pair.
 """
 
 import math
@@ -445,3 +446,35 @@ def per_disk_trace(self, v, theta):
     alpha, X = bisection_solve(rest,
                                *rest.bracket(np.full(len(m) - 1, alpha0[0])))
     return np.concatenate([alpha0, alpha]), np.vstack([X0, X])
+
+
+# ---------------------------------------------------------------------------
+# the disk pairs to refine, one adjacency lookup per ordered pair
+
+def select_pairs(family, adjacency):
+    """The pairs (i, j, k) of disks i, j and the best sample k of j's margin
+    on i's boundary that the batched tracer refines, in its order, with
+    their claimed contacts (None for a non-adjacent pair), the greatest
+    margin of the pairs left out, and the non-degeneracy flag. adjacency
+    maps each adjacent owner pair (low, high) to its contact point."""
+    disks = family.disks
+    nondegenerate = True
+    max_foreign = -math.inf
+    pairs, contacts = [], []
+    for i, disk in enumerate(disks):
+        M = family.margins(disk.boundary_samples)
+        M[i] = -math.inf
+        if np.any(np.count_nonzero(M >= -CONTACT_TOL, axis=0) >= 2):
+            nondegenerate = False
+        best = np.argmax(M, axis=1)
+        for j, other in enumerate(disks):
+            if j == i:
+                continue
+            p_e = adjacency.get((min(disk.owner, other.owner),
+                                 max(disk.owner, other.owner)))
+            if p_e is None and M[j, best[j]] < -1e-2:
+                max_foreign = max(max_foreign, float(M[j, best[j]]))
+            else:
+                pairs.append((i, j, best[j]))
+                contacts.append(p_e)
+    return pairs, contacts, max_foreign, nondegenerate

@@ -94,11 +94,13 @@ def test_batched_tracer_matches_scalar_tracer(traced_pair):
 
 def test_all_disks_trace_matches_per_disk_trace(kdisk_case, monkeypatch):
     # driven by the bisection horizon solve, tracing all disks in lockstep
-    # does each row's arithmetic exactly as tracing one disk at a time
+    # does each row's arithmetic exactly as tracing one disk at a time; a
+    # joint Newton capped at 0 steps sends every row to that solve
     _, P, cfg, body = kdisk_case
     faces = verify._FaceDisks(body, cfg, P, THETA)
     for f, disk in enumerate(faces.disks):
         assert np.array_equal(disk.boundary_samples, faces._points(f, THETA))
+    monkeypatch.setattr(verify, "HORIZON_NEWTON_ITERATIONS", 0)
     monkeypatch.setattr(verify._Arcs, "solve", _bisection)
     vertices = verify._VertexDisks(body, cfg, P, THETA)
     for v, disk in enumerate(vertices.disks):
@@ -128,6 +130,7 @@ def test_newton_horizons_match_bisection(kdisk_case, monkeypatch):
     _, P, cfg, body = kdisk_case
     newton = verify._VertexDisks(body, cfg, P, THETA)
     packings = extract_kdisk_packings(cfg, body, P)
+    monkeypatch.setattr(verify, "HORIZON_NEWTON_ITERATIONS", 0)
     monkeypatch.setattr(verify._Arcs, "solve", _bisection)
     bisection = verify._VertexDisks(body, cfg, P, THETA)
     assert np.all(np.abs(newton.alphas - bisection.alphas)
@@ -135,6 +138,55 @@ def test_newton_horizons_match_bisection(kdisk_case, monkeypatch):
     for new, old in zip(packings, extract_kdisk_packings(cfg, body, P)):
         assert new.contacts_ok == old.contacts_ok
         assert new.nondegenerate == old.nondegenerate
+
+
+def test_joint_horizons_match_bracketed_solve(kdisk_case, monkeypatch):
+    # with the joint Newton capped at 0 steps every horizon point, traced
+    # or refined, takes the bracketed solve
+    _, P, cfg, body = kdisk_case
+    joint = verify._VertexDisks(body, cfg, P, THETA)
+    packings = extract_kdisk_packings(cfg, body, P)
+    monkeypatch.setattr(verify, "HORIZON_NEWTON_ITERATIONS", 0)
+    bracketed = verify._VertexDisks(body, cfg, P, THETA)
+    assert bracketed.horizon_fallbacks == bracketed.alphas.size
+    assert np.all(np.abs(joint.alphas - bracketed.alphas)
+                  <= 1e-14 + _unresolved_width(joint))
+    capped = extract_kdisk_packings(cfg, body, P)
+    assert capped[1].horizon_fallbacks > bracketed.horizon_fallbacks
+    for new, old in zip(packings, capped):
+        assert new.contacts_ok == old.contacts_ok
+        assert new.nondegenerate == old.nondegenerate
+
+
+@pytest.mark.parametrize("start", ["alpha+1", "alpha-1", "nan", "r=0"])
+def test_bad_joint_starts_end_at_the_horizons_or_fall_back(kdisk_case, start):
+    _, P, cfg, body = kdisk_case
+    disks = verify._VertexDisks(body, cfg, P, THETA)
+    n_vertices, n = disks.alphas.shape
+    owners = np.repeat(np.arange(n_vertices), n)
+    m = verify._circle(np.repeat(disks.a, n, axis=0),
+                       np.repeat(disks.b, n, axis=0),
+                       np.tile(THETA, n_vertices))
+    horizons, radii = disks.alphas.ravel(), disks.radii.ravel()
+    width = _unresolved_width(disks).ravel()
+    warm = {"alpha+1": horizons + 1.0, "alpha-1": horizons - 1.0,
+            "nan": np.full(len(owners), math.nan), "r=0": horizons}[start]
+    t0 = np.zeros(len(owners)) if start == "r=0" else radii
+    alpha, X, ok = disks._arcs(owners, m, t0.copy()).joint(warm)
+    assert np.all(np.abs(alpha[ok] - horizons[ok]) <= 1e-14 + width[ok])
+    assert np.all(np.isnan(X[~ok]))
+    if start == "nan":
+        assert not ok.any()
+        return
+    # the rows the joint Newton leaves, the bracketed solve puts there too
+    # (it takes starts on the arc, as every traced or stored horizon is)
+    warm = np.clip(warm, verify.HORIZON_MIN, math.pi - 1e-9)
+    ok = disks._arcs(owners, m, t0.copy()).joint(warm)[2]
+    before = disks.horizon_fallbacks
+    alpha, X = disks._horizons(disks._arcs(owners, m, t0.copy()), warm)
+    assert disks.horizon_fallbacks - before == np.count_nonzero(~ok)
+    assert np.all(np.abs(alpha - horizons) <= 1e-14 + width)
+    assert np.all(np.isfinite(X))
 
 
 class _BallWithHessian(ConvexBody):
@@ -172,6 +224,8 @@ def test_unusable_slope_falls_back_to_bisection(fill, monkeypatch):
     P, _, _ = get_seed("cube")
     cfg = ball_solution("cube")
     fallback = verify._VertexDisks(_BallWithHessian(fill), cfg, P, THETA)
+    assert fallback.horizon_fallbacks == fallback.alphas.size
+    monkeypatch.setattr(verify, "HORIZON_NEWTON_ITERATIONS", 0)
     monkeypatch.setattr(verify._Arcs, "solve", _bisection)
     bisection = verify._VertexDisks(BALL, cfg, P, THETA)
     assert np.max(np.abs(fallback.alphas - bisection.alphas)) < 1e-14
@@ -179,6 +233,7 @@ def test_unusable_slope_falls_back_to_bisection(fill, monkeypatch):
 
 def test_unconverged_horizon_names_vertex(monkeypatch):
     P, _, _ = get_seed("cube")
+    monkeypatch.setattr(verify, "HORIZON_NEWTON_ITERATIONS", 0)
     monkeypatch.setattr(verify, "HORIZON_BISECTIONS", 1)
     with pytest.raises(DegenerateConfiguration,
                        match="^K-disk extraction: vertex 0 has no converged "
@@ -187,9 +242,10 @@ def test_unconverged_horizon_names_vertex(monkeypatch):
 
 
 def test_ray_solves_per_verification_stay_bounded(monkeypatch):
-    # a clock-free guard on the lockstep tracer: 49 batched ray solves
+    # a clock-free guard on the lockstep tracer: 17 batched ray solves
     # verify cube/ball, where tracing one disk at a time with bisected
-    # horizons took 2,790 and golden-section refinement of every pair 214
+    # horizons took 2,790, golden-section refinement of every pair 214 and
+    # a ray Newton inside the bracketed horizon Newton 49
     calls = []
     ray_roots = verify.ray_roots
 
@@ -199,7 +255,39 @@ def test_ray_solves_per_verification_stay_bounded(monkeypatch):
     monkeypatch.setattr(verify, "ray_roots", counted)
     P, _, _ = get_seed("cube")
     assert verify_configuration(ball_solution("cube"), BALL, P).passed
-    assert len(calls) <= 80
+    assert len(calls) <= 20
+
+
+class _CountingBall(ConvexBody):
+    """The unit ball, counting its batched gauge calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def values(self, X):
+        self.calls += 1
+        return BALL.values(X)
+
+    def gradients(self, X):
+        self.calls += 1
+        return BALL.gradients(X)
+
+    def hessians(self, X):
+        self.calls += 1
+        return BALL.hessians(X)
+
+    @property
+    def descriptor(self):
+        return "ball"
+
+
+def test_gauge_calls_per_verification_stay_bounded():
+    # 349 batched values, gradients and hessians calls verify cube/ball;
+    # nesting a ray Newton inside the horizon Newton took 411
+    P, _, _ = get_seed("cube")
+    body = _CountingBall()
+    assert verify_configuration(ball_solution("cube"), body, P).passed
+    assert body.calls <= 370
 
 
 @functools.lru_cache(maxsize=None)
@@ -231,6 +319,31 @@ def _refinements(monkeypatch, P, cfg, body):
         return result
     monkeypatch.setattr(verify, "_refine_pairs", recorded)
     return extract_kdisk_packings(cfg, body, P), calls
+
+
+@pytest.mark.parametrize("name", ["tetrahedron/ball", "cube/ellipsoid",
+                                  "hull12", "prism8"])
+def test_pair_selection_matches_per_pair_loop(name, monkeypatch):
+    # the (D, D) edge table selects the pairs the per-pair adjacency
+    # lookups did, in the same order, with the same contacts
+    P, cfg, body = _refinement_case(name)
+    packings, calls = _refinements(monkeypatch, P, cfg, body)
+    owners = {"face": P.edge_faces, "vertex": P.edges}
+    for packing, (family, i, j, k, adjacent, result) in zip(packings, calls):
+        adjacency = {tuple(sorted(ends)): cfg.tangents[e]
+                     for e, ends in enumerate(owners[family.kind])}
+        pairs, contacts, max_foreign, nondegenerate = (
+            kdisk_oracle.select_pairs(family, adjacency))
+        assert np.array_equal(np.column_stack([i, j, k]),
+                              np.array(pairs).reshape(-1, 3))
+        assert np.array_equal(adjacent, [p is not None for p in contacts])
+        margins, points, _ = result
+        p_e = np.array([p for p in contacts if p is not None])
+        assert packing.worst_position_error == np.max(
+            np.linalg.norm(points[adjacent] - p_e, axis=1))
+        assert packing.max_foreign_margin == max(
+            max_foreign, margins[~adjacent].max(initial=-math.inf))
+        assert packing.nondegenerate == nondegenerate
 
 
 @pytest.mark.parametrize("name", ["tetrahedron/ball", "cube/ball",
