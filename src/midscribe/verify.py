@@ -13,12 +13,14 @@ through the (m, 3) gauge API; incidence and convexity are array expressions
 over all face-vertex pairs.
 The disk packings are traced in batches through the (m, 3) gauge API, all
 disks of a family in lockstep: the face disks by one batched ray solve over
-every face's rays in its plane, the visibility disks by one horizon scan
-over every vertex's first arc and then one Newton solve in (ray parameter,
-arc angle) over all arcs of all vertices at once; the few rows it does not
-settle go to bracketed Newton iterations on the horizon angle (safeguarded
-by bisection). The margins of every disk on a disk's samples form one array
-that serves both the coarse contact search and the non-degeneracy count.
+every face's rays in its plane, the visibility disks by one Newton solve
+in (ray parameter, arc angle) over all arcs of all vertices at once, each
+vertex's first arc started from the horizon of the ball through the
+boundary point on its axis; the few rows it does not settle go to Newton
+iterations on the horizon angle (safeguarded by bisection) in the bracket
+[HORIZON_MIN, pi - 1e-9], which holds every horizon. The margins of every
+disk on a disk's samples form one array that serves both the coarse contact
+search and the non-degeneracy count.
 Every disk pair that needs it is refined in lockstep, one batched boundary
 solve per step: the maximum of one disk's margin along the other's boundary
 is the root of the Lagrange condition grad F . (grad mu_i x grad mu_j),
@@ -48,18 +50,18 @@ CONTACT_TOL = 1e-7
 CONTACT_POSITION_TOL = 1e-4
 N_BOUNDARY_SAMPLES = 256
 KDISK_STAGE = "K-disk extraction"
-HORIZON_SCAN = 96
+# Every horizon lies in [HORIZON_MIN, pi - 1e-9] (the proof is in
+# _Arcs.solve). A three-mark normalization is a Moebius map and can shrink
+# a visible cap without bound, so the lower end sits far below any cap a
+# normalization is seen to make; a cap narrower than HORIZON_MIN fails
+# typed.
 HORIZON_MIN = 1e-12
-# The horizon scan: a geometric grid from HORIZON_MIN up to 1e-3 rad, where
-# the linear grid of HORIZON_SCAN points starts. A three-mark normalization
-# is a Moebius map and can shrink a visible cap without bound; the
-# geometric part gives such a cap a crossing and leaves the bracket of
-# every cap of 1e-3 rad or more as the linear grid alone finds it.
-HORIZON_GRID = np.concatenate([np.geomspace(HORIZON_MIN, 1e-3, 28)[:-1],
-                               np.linspace(1e-3, math.pi - 1e-3, HORIZON_SCAN)])
-HORIZON_EXPANSIONS = 30
-HORIZON_BISECTIONS = 55
 HORIZON_XTOL = 2.0 ** -50
+# Evaluations allowed in _Arcs.solve: bisecting the bracket from width pi
+# to HORIZON_XTOL * HORIZON_MIN takes ceil(log2(pi) + 50 + log2(1e12)) = 92
+# halvings, after the evaluation at the start, so the cap only stops a
+# solve that cannot converge.
+HORIZON_BISECTIONS = 93
 HORIZON_GTOL = 8.0 * np.finfo(float).eps
 # The joint horizon Newton (_Arcs.joint): a row still stepping after
 # HORIZON_NEWTON_ITERATIONS steps goes to the bracketed solve.
@@ -415,8 +417,9 @@ class _VertexDisks:
     sin(alpha) m, m = cos(psi) a + sin(psi) b, crosses the visibility
     horizon at one alpha. The arcs of all vertices are solved together, by
     one Newton solve in (ray parameter, alpha) (_Arcs.joint); the rows it
-    does not settle are bracketed and solved by Newton in alpha alone
-    (_Arcs.bracket, _Arcs.solve) and counted in horizon_fallbacks.
+    does not settle are solved by Newton in alpha alone in the bracket
+    [HORIZON_MIN, pi - 1e-9] (_Arcs.solve) and counted in
+    horizon_fallbacks.
     """
 
     kind = "vertex"
@@ -450,25 +453,29 @@ class _VertexDisks:
     def _arcs(self, i, m, t):
         return _Arcs(self.body, i, self.apex[i], self.c[i], self.w[i], m, t)
 
-    def _horizons(self, arcs, warm, bracket=None):
+    def _horizons(self, arcs, warm):
         """Horizon angles and points of every row of arcs, by the joint
         Newton from the angles warm and the ray parameters arcs.t.
 
-        A row the joint Newton does not settle, or settles outside its
-        bracket (lo, hi) when one is given, is solved by _Arcs.solve from
-        warm, in that bracket or else in one placed by _Arcs.bracket around
-        warm; those rows are added to horizon_fallbacks.
+        A row the joint Newton does not settle is solved by _Arcs.solve
+        from warm in [HORIZON_MIN, pi - 1e-9], which brackets its horizon
+        (see _Arcs.solve) once g is checked to be positive at the lower end
+        and not at the upper; a row that fails the check raises
+        DegenerateConfiguration, naming its vertex. Those rows are added to
+        horizon_fallbacks.
         """
         alpha, X, ok = arcs.joint(warm)
-        if bracket is not None:
-            ok &= (bracket[0] <= alpha) & (alpha <= bracket[1])
         rows = np.flatnonzero(~ok)
         if rows.size:
-            rest = arcs.take(rows)
-            if bracket is None:
-                lo, hi = rest.bracket(warm[rows])
-            else:
-                lo, hi = bracket[0][rows], bracket[1][rows]
+            rest, ends = arcs.take(rows), arcs.take(rows)
+            every = np.arange(rows.size)
+            lo = np.full(rows.size, HORIZON_MIN)
+            hi = np.full(rows.size, math.pi - 1e-9)
+            missing = np.flatnonzero(~(ends.g(every, lo) > 0)
+                                     | (ends.g(every, hi) > 0))
+            if missing.size:
+                raise _degenerate(self.kind, int(rest.owners[missing[0]]),
+                                  "has no visibility horizon crossing")
             alpha[rows], X[rows] = rest.solve(lo, hi, warm[rows])
             arcs.t[rows] = rest.t
             self.horizon_fallbacks += rows.size
@@ -476,30 +483,19 @@ class _VertexDisks:
 
     def _trace(self, m):
         """Arc angles (V, n) and boundary samples (V, n, 3) of every disk,
-        on the arcs m (V, n, 3): sample 0 of each disk started from the
-        secant point of the bracket a scan of its arc finds, and kept in
-        that bracket; the others started from sample 0's horizon."""
+        on the arcs m (V, n, 3). Sample 0 of each disk starts from the ray
+        parameter t_w of the boundary point on its axis w and from the
+        horizon of the ball of radius t_w, arccos(t_w / |apex|) (pi / 2 for
+        a vertex at infinity); the others start from sample 0's horizon."""
         n_vertices, n = m.shape[:2]
         owners = np.arange(n_vertices)
-        k_scan = len(HORIZON_GRID)
-        scan = self._arcs(np.repeat(owners, k_scan),
-                          np.repeat(m[:, 0], k_scan, axis=0),
-                          np.ones(n_vertices * k_scan))
-        g = scan.g(np.arange(n_vertices * k_scan),
-                   np.tile(HORIZON_GRID, n_vertices)).reshape(n_vertices, k_scan)
-        crossing = (g[:, :-1] > 0) & (g[:, 1:] <= 0)
-        missing = np.flatnonzero(~crossing.any(axis=1))
-        if missing.size:
-            raise _degenerate(self.kind, int(missing[0]), "has no visibility "
-                              "horizon crossing")
-        k = np.argmax(crossing, axis=1)
-        first = self._arcs(owners, m[:, 0],
-                           scan.t.reshape(n_vertices, k_scan)[owners, k])
-        lo, hi = HORIZON_GRID[k], HORIZON_GRID[k + 1]
-        g_lo, g_hi = g[owners, k], g[owners, k + 1]
-        alpha0, X0 = self._horizons(first,
-                                    lo + g_lo / (g_lo - g_hi) * (hi - lo),
-                                    (lo, hi))
+        t_w = ray_roots(self.body, np.zeros(3), self.w)
+        start = np.full(n_vertices, math.pi / 2)
+        finite = self.c == 1.0
+        start[finite] = np.arccos(
+            t_w[finite] / np.linalg.norm(self.apex[finite], axis=1))
+        first = self._arcs(owners, m[:, 0], t_w)
+        alpha0, X0 = self._horizons(first, start)
         rest = self._arcs(np.repeat(owners, n - 1), m[:, 1:].reshape(-1, 3),
                           np.repeat(first.t, n - 1))
         alpha, X = self._horizons(rest, np.repeat(alpha0, n - 1))
@@ -544,9 +540,9 @@ class _Arcs:
     sin(alpha) m and the sign of its owner vertex's visibility function.
 
     joint finds the horizons by Newton in the ray parameter and alpha
-    together; bracket and solve find them by Newton in alpha alone, each
-    trial point put on the boundary by a ray solve. t holds each row's last
-    ray parameter, the warm start of its next ray; it is updated in place.
+    together; solve finds them by Newton in alpha alone, each trial point
+    put on the boundary by a ray solve. t holds each row's last ray
+    parameter, the warm start of its next ray; it is updated in place.
     """
 
     def __init__(self, body, owners, apex, c, w, m, t):
@@ -568,28 +564,41 @@ class _Arcs:
         return _visibility(self.apex[rows], self.c[rows], X,
                            self.body.gradients(X))
 
+    def _terms(self, rows, alpha, r):
+        """The point X = r d, d = cos(alpha) w + sin(alpha) m, of each of
+        the rows, grad F(X), F(X), g = q . grad F(X) with q = apex - c X,
+        and the Jacobian (j11, j12, j21, j22) of (F, g) in (r, alpha).
+
+        With d' = -sin(alpha) w + cos(alpha) m and H the Hessian of F at X,
+        the Jacobian rows are [grad F . d, r grad F . d'] and
+        [-c grad F . d + q . H d, r (-c grad F . d' + q . H d')].
+        """
+        c = self.c[rows]
+        dirs = _circle(self.w[rows], self.m[rows], alpha)
+        turn = _circle(self.m[rows], -self.w[rows], alpha)
+        X = r[:, None] * dirs
+        grads = self.body.gradients(X)
+        q = self.apex[rows] - c[:, None] * X
+        Hq = (self.body.hessians(X) @ q[..., None])[..., 0]
+        Gd, Gt = _rowdot(grads, dirs), _rowdot(grads, turn)
+        jacobian = (Gd, r * Gt, _rowdot(Hq, dirs) - c * Gd,
+                    r * (_rowdot(Hq, turn) - c * Gt))
+        return X, grads, self.body.values(X), _rowdot(q, grads), jacobian
+
     def g_slope(self, rows, alpha):
         """g, a bound on its rounding error, its derivative in alpha and the
         boundary points.
 
-        With d = cos(alpha) w + sin(alpha) m and X = t d on the boundary,
-        F(t d) = 0 gives t' = -t (grad F . d') / (grad F . d), and
-        X' = t' d + t d' is tangent to the boundary, so the derivative of
-        (apex - c X) . grad F(X) is (apex - c X) . H(X) X'. The rounding
-        bound is _visibility_bound.
+        On the boundary F(r d) = 0 ties r to alpha, r' = -j12 / j11 in the
+        Jacobian of _terms, so the derivative of g along the arc is the
+        Schur complement j22 - j21 j12 / j11. The rounding bound is
+        _visibility_bound.
         """
-        X = self.points(rows, alpha)
-        dirs = _circle(self.w[rows], self.m[rows], alpha)
-        turn = _circle(self.m[rows], -self.w[rows], alpha)
-        t = self.t[rows]
-        grads = self.body.gradients(X)
-        dX = (-t * _rowdot(grads, turn) / _rowdot(grads, dirs))[:, None] * dirs
-        dX += t[:, None] * turn
-        apex, c = self.apex[rows], self.c[rows]
-        slope = _rowdot(apex - c[:, None] * X,
-                        (self.body.hessians(X) @ dX[..., None])[..., 0])
-        return (_visibility(apex, c, X, grads),
-                _visibility_bound(apex, c, X, grads), slope, X)
+        self.points(rows, alpha)
+        X, grads, _, g, (j11, j12, j21, j22) = self._terms(rows, alpha,
+                                                           self.t[rows])
+        return (g, _visibility_bound(self.apex[rows], self.c[rows], X, grads),
+                j22 - j21 * j12 / j11, X)
 
     def joint(self, alpha):
         """Horizons by one Newton solve in (r, alpha) per row, from the
@@ -597,17 +606,15 @@ class _Arcs:
         points, ok).
 
         The point X = r d, d = cos(alpha) w + sin(alpha) m, solves F(X) = 0
-        and g = q . grad F(X) = 0 with q = apex - c X. With d' = -sin(alpha)
-        w + cos(alpha) m and H the Hessian of F at X, the Jacobian rows are
-        [grad F . d, r grad F . d'] and [-c grad F . d + q . H d,
-        r (-c grad F . d' + q . H d')]; each step makes one values, one
-        gradients and one hessians call over the open rows. A row stops when
-        both steps are below HORIZON_XTOL relative to r and alpha, or once
-        they stop shrinking below 1e-9 (rounding noise). It is ok when it
-        stopped within HORIZON_NEWTON_ITERATIONS steps at a finite r > 0 and
-        an alpha in [HORIZON_MIN, pi - 1e-9], and g at its point put back on
-        the boundary by ray_roots from r is within _visibility_bound of 0.
-        The ok rows' t and points are those on the boundary; the other rows'
+        and g = q . grad F(X) = 0 with q = apex - c X, with the Jacobian of
+        _terms; each step makes one values, one gradients and one hessians
+        call over the open rows. A row stops when both steps are below
+        HORIZON_XTOL relative to r and alpha, or once they stop shrinking
+        below 1e-9 (rounding noise). It is ok when it stopped within
+        HORIZON_NEWTON_ITERATIONS steps at a finite r > 0 and an alpha in
+        [HORIZON_MIN, pi - 1e-9], and g at its point put back on the
+        boundary by ray_roots from r is within _visibility_bound of 0. The
+        ok rows' t and points are those on the boundary; the other rows'
         points are nan, and their t may have moved.
 
         No bracket is needed to pick the root: the arc lies in the plane
@@ -627,18 +634,8 @@ class _Arcs:
             for _ in range(HORIZON_NEWTON_ITERATIONS):
                 if not todo.size:
                     break
-                a, t, c = alpha[todo], r[todo], self.c[todo]
-                dirs = _circle(self.w[todo], self.m[todo], a)
-                turn = _circle(self.m[todo], -self.w[todo], a)
-                X = t[:, None] * dirs
-                grads = self.body.gradients(X)
-                q = self.apex[todo] - c[:, None] * X
-                Hq = (self.body.hessians(X) @ q[..., None])[..., 0]
-                F, g = self.body.values(X), _rowdot(q, grads)
-                Gd, Gt = _rowdot(grads, dirs), _rowdot(grads, turn)
-                j11, j12 = Gd, t * Gt
-                j21 = _rowdot(Hq, dirs) - c * Gd
-                j22 = t * (_rowdot(Hq, turn) - c * Gt)
+                a, t = alpha[todo], r[todo]
+                _, _, F, g, (j11, j12, j21, j22) = self._terms(todo, a, t)
                 det = j11 * j22 - j12 * j21
                 step_r = (F * j22 - j12 * g) / det
                 step_a = (j11 * g - j21 * F) / det
@@ -663,32 +660,20 @@ class _Arcs:
         X[rows[~ok[rows]]] = np.nan
         return alpha, X, ok
 
-    def bracket(self, warm):
-        """[warm - 0.15, warm + 0.15], each end pushed outward with a
-        doubling step until g > 0 at lo and g <= 0 at hi."""
-        ends = []
-        for sign in (-1.0, 1.0):
-            step = np.full(len(warm), 0.15)
-            edge = np.clip(warm + sign * step, HORIZON_MIN, math.pi - 1e-9)
-            todo = np.arange(len(warm))
-            for _ in range(HORIZON_EXPANSIONS):
-                visible = self.g(todo, edge[todo]) > 0
-                todo = todo[visible != (sign < 0)]
-                if not todo.size:
-                    break
-                edge[todo] = np.clip(edge[todo] + sign * step[todo],
-                                     HORIZON_MIN, math.pi - 1e-9)
-                step[todo] *= 2.0
-            else:
-                raise _degenerate("vertex", int(self.owners[todo[0]]),
-                                  "has no horizon bracket after %d "
-                                  "expansions" % HORIZON_EXPANSIONS)
-            ends.append(edge)
-        return ends
-
     def solve(self, lo, hi, start):
         """Horizons in the brackets [lo, hi] (g(lo) > 0 >= g(hi)) by Newton
-        from start; returns (alpha, horizon points).
+        from start, clipped into the bracket (a nan start goes to its
+        midpoint); returns (alpha, horizon points).
+
+        [HORIZON_MIN, pi - 1e-9] brackets the horizon of every cap wider
+        than HORIZON_MIN: g > 0 at alpha = 0 and g < 0 at alpha = pi on
+        every arc, and joint shows that the root in (0, pi) is unique. Let
+        X be the boundary point on the arc. F(0) < 0 = F(X) and F is
+        convex, so X . grad F(X) > 0. At alpha = 0, X = t_w w and the apex
+        is lambda w with lambda > t_w, as the apex is exterior; so g =
+        (lambda - t_w) / t_w X . grad F > 0, and for c = 0, g = X . grad F /
+        t_w > 0. At alpha = pi, X = -t' w, so w . grad F(X) < 0 and g =
+        lambda w . grad F - c X . grad F < 0.
 
         A Newton step is taken only when it lands in the closed bracket and
         is at most half the step before it; otherwise the bracket is
@@ -700,7 +685,9 @@ class _Arcs:
         would only cycle back. A row still running after HORIZON_BISECTIONS
         evaluations raises DegenerateConfiguration.
         """
-        lo, hi, alpha = lo.copy(), hi.copy(), start.copy()
+        lo, hi = lo.copy(), hi.copy()
+        alpha = np.where(np.isnan(start), 0.5 * (lo + hi),
+                         np.clip(start, lo, hi))
         X = np.empty((len(alpha), 3))
         last = hi - lo
         todo = np.arange(len(alpha))

@@ -11,23 +11,23 @@ They are kept unchanged apart from ``scalar_kdisk_packings``, which is the
 packing part of the old ``extract_kdisk_packings`` (the midscription
 precondition is left to the caller).
 
-Two routines of the batched tracer that traced one vertex disk at a time
-with a bisection horizon solve are kept as well: ``bisection_solve``, the
-old ``verify._Arcs.solve``, and ``per_disk_trace``, the old
-``verify._VertexDisks._trace``. So is ``select_pairs``, the old pair loop
-of ``verify._trace_packing``, one adjacency lookup per ordered disk pair.
+Two routines that trace one vertex disk at a time with a bisection
+horizon solve are kept as well: ``bisection_solve``, the old
+``verify._Arcs.solve``, and ``per_disk_trace``, which follows
+``verify._VertexDisks._trace`` one disk at a time. So is ``select_pairs``,
+the old pair loop of ``verify._trace_packing``, one adjacency lookup per
+ordered disk pair.
 """
 
 import math
 
 import numpy as np
 
-from midscribe.bodies import ConvexBody
+from midscribe.bodies import ConvexBody, ray_roots
 from midscribe.errors import DegenerateConfiguration, NotStrictlyConvex
 from midscribe.verify import (CONTACT_POSITION_TOL, CONTACT_TOL,
-                              HORIZON_BISECTIONS, HORIZON_SCAN,
-                              N_BOUNDARY_SAMPLES, DiskPacking, KDisk, _circle,
-                              _degenerate)
+                              HORIZON_BISECTIONS, HORIZON_MIN,
+                              N_BOUNDARY_SAMPLES, DiskPacking, KDisk, _circle)
 
 
 def _radial_boundary_point(body: ConvexBody, direction) -> np.ndarray:
@@ -426,25 +426,22 @@ def bisection_solve(self, lo, hi):
 
 def per_disk_trace(self, v, theta):
     """All boundary samples of disk v of a verify._VertexDisks and their
-    arc angles: sample 0 bracketed by a scan of its arc, the others around
-    sample 0's horizon."""
+    arc angles: every sample bisected in the proven bracket [HORIZON_MIN,
+    pi - 1e-9], sample 0's rays started from the boundary point on the
+    vertex axis, the others' from sample 0's horizon."""
     m = _circle(self.a[v], self.b[v], theta)
-    grid = np.linspace(1e-3, math.pi - 1e-3, HORIZON_SCAN)
-    scan = self._arcs(np.full(HORIZON_SCAN, v),
-                      np.broadcast_to(m[0], (HORIZON_SCAN, 3)),
-                      np.ones(HORIZON_SCAN))
-    g = scan.g(np.arange(HORIZON_SCAN), grid)
-    crossing = np.flatnonzero((g[:-1] > 0) & (g[1:] <= 0))
-    if not crossing.size:
-        raise _degenerate(self.kind, v, "has no visibility horizon "
-                          "crossing")
-    k = crossing[0]
-    first = self._arcs(np.full(1, v), m[:1], scan.t[k:k + 1].copy())
-    alpha0, X0 = bisection_solve(first, grid[k:k + 1], grid[k + 1:k + 2])
+
+    def bisect(arcs):
+        n = len(arcs.t)
+        return bisection_solve(arcs, np.full(n, HORIZON_MIN),
+                               np.full(n, math.pi - 1e-9))
+
+    t_w = ray_roots(self.body, np.zeros(3), self.w[v:v + 1])
+    first = self._arcs(np.full(1, v), m[:1], t_w)
+    alpha0, X0 = bisect(first)
     rest = self._arcs(np.full(len(m) - 1, v), m[1:],
                       np.full(len(m) - 1, first.t[0]))
-    alpha, X = bisection_solve(rest,
-                               *rest.bracket(np.full(len(m) - 1, alpha0[0])))
+    alpha, X = bisect(rest)
     return np.concatenate([alpha0, alpha]), np.vstack([X0, X])
 
 

@@ -13,8 +13,10 @@ from midscribe import (continue_to_body, extract_kdisk_packings, koebe_config,
                        verify_configuration)
 from midscribe.bodies import (ConvexBody, _unit_orthogonals, make_body,
                               make_path)
+from midscribe.combinatorics import build_complex, select_frame
 from midscribe.errors import DegenerateConfiguration
-from test_packing import GENERATED, complex_and_frame
+from midscribe.seeds import faces_from_coordinates
+from test_packing import GENERATED, complex_and_frame, sphere_hull_points
 
 BALL = make_body("ball")
 THETA = (2.0 * math.pi * 0.61803398874989485
@@ -189,6 +191,71 @@ def test_bad_joint_starts_end_at_the_horizons_or_fall_back(kdisk_case, start):
     assert np.all(np.isfinite(X))
 
 
+def _every_arc(disks):
+    """The arcs of every traced sample of disks, each ray started at 1."""
+    n_vertices, n = disks.alphas.shape
+    m = verify._circle(np.repeat(disks.a, n, axis=0),
+                       np.repeat(disks.b, n, axis=0),
+                       np.tile(THETA, n_vertices))
+    return disks._arcs(np.repeat(np.arange(n_vertices), n), m,
+                       np.ones(n_vertices * n))
+
+
+@pytest.mark.parametrize("start", ["alpha+1", "alpha-1", "nan"])
+def test_solve_clips_its_start_into_the_bracket(kdisk_case, start):
+    # a start outside [lo, hi] used to come back as the horizon: alpha =
+    # -0.835 on tetrahedron/ball from horizon - 1 rad
+    _, P, cfg, body = kdisk_case
+    disks = verify._VertexDisks(body, cfg, P, THETA)
+    horizons = disks.alphas.ravel()
+    warm = {"alpha+1": horizons + 1.0, "alpha-1": horizons - 1.0,
+            "nan": np.full(len(horizons), math.nan)}[start]
+    alpha, X = _every_arc(disks).solve(
+        np.full(len(horizons), verify.HORIZON_MIN),
+        np.full(len(horizons), math.pi - 1e-9), warm)
+    assert np.all(np.abs(alpha - horizons)
+                  <= 1e-14 + _unresolved_width(disks).ravel())
+    assert np.all(np.isfinite(X))
+
+
+def _assert_bracketed(disks):
+    """g(HORIZON_MIN) > 0 >= g(pi - 1e-9) on every traced arc of disks."""
+    arcs = _every_arc(disks)
+    every = np.arange(len(arcs.t))
+    assert np.all(arcs.g(every, np.full(len(every), verify.HORIZON_MIN)) > 0)
+    assert np.all(arcs.g(every, np.full(len(every), math.pi - 1e-9)) <= 0)
+
+
+def test_every_arc_brackets_its_horizon(kdisk_case):
+    _, P, cfg, body = kdisk_case
+    _assert_bracketed(verify._VertexDisks(body, cfg, P, THETA))
+
+
+@functools.lru_cache(maxsize=None)
+def _hull30_on_p4():
+    """(P, cfg, body) of hull30 on the p=4 superellipsoid at marks (1, -1,
+    i), a configuration with a vertex at infinity."""
+    points = sphere_hull_points(30, 20260030)
+    P = build_complex(faces_from_coordinates(points), n_vertices=len(points))
+    body = make_body("superellipsoid:p=4,a=1,b=1")
+    cfg, _ = continue_to_body(P, select_frame(P), (1 + 0j, -1 + 0j, 1j),
+                              make_path(body))
+    return P, cfg, body
+
+
+def test_every_arc_brackets_its_horizon_on_a_small_cap():
+    # vertex 49 sees a cap of 8.1e-4 rad
+    P, cfg, body = _refinement_case("hull60")
+    _assert_bracketed(verify._VertexDisks(body, cfg, P, THETA))
+
+
+def test_every_arc_brackets_its_horizon_at_infinity():
+    P, cfg, body = _hull30_on_p4()
+    vertices = extract_kdisk_packings(cfg, body, P)[1]
+    assert any(disk.at_infinity for disk in vertices.disks)
+    _assert_bracketed(verify._VertexDisks(body, cfg, P, THETA))
+
+
 class _BallWithHessian(ConvexBody):
     """The unit ball with every Hessian filled with one value: the horizon
     slope is nan for a nan fill and 0 for a zero fill."""
@@ -282,7 +349,7 @@ class _CountingBall(ConvexBody):
 
 
 def test_gauge_calls_per_verification_stay_bounded():
-    # 349 batched values, gradients and hessians calls verify cube/ball;
+    # 351 batched values, gradients and hessians calls verify cube/ball;
     # nesting a ray Newton inside the horizon Newton took 411
     P, _, _ = get_seed("cube")
     body = _CountingBall()
@@ -486,16 +553,19 @@ def test_missing_horizon_crossing_names_vertex(monkeypatch):
 @pytest.mark.parametrize("c", [1.0, -1.0])
 def test_horizon_bracket_failure_is_typed(c):
     # apex at the origin: with c = 1 no boundary point is visible, with
-    # c = -1 every one is, so neither end of the bracket can be placed
+    # c = -1 every one is, so the joint Newton settles no row and g has one
+    # sign at both ends of the bracket
     rows = 4
     w = np.tile([0.0, 0.0, 1.0], (rows, 1))
     m = np.tile([1.0, 0.0, 0.0], (rows, 1))
     arcs = verify._Arcs(BALL, np.full(rows, 3), np.zeros((rows, 3)),
                         np.full(rows, c), w, m, np.ones(rows))
+    P, _, _ = get_seed("cube")
+    disks = verify._VertexDisks(BALL, ball_solution("cube"), P, THETA)
     with pytest.raises(DegenerateConfiguration,
-                       match="^K-disk extraction: vertex 3 has no horizon "
-                             "bracket after 30 expansions"):
-        arcs.bracket(np.full(rows, 1.0))
+                       match="^K-disk extraction: vertex 3 has no visibility "
+                             "horizon crossing"):
+        disks._horizons(arcs, np.full(rows, 1.0))
 
 
 def test_degenerate_disk_fails_contact_flags(monkeypatch):
