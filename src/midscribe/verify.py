@@ -25,11 +25,12 @@ Every disk pair that needs it is refined in lockstep, one batched boundary
 solve per step: the maximum of one disk's margin along the other's boundary
 is the root of the Lagrange condition grad F . (grad mu_i x grad mu_j),
 bracketed by the samples either side of the best one and found by Brent's
-zeroin. Golden section on the margin itself decides only the pairs the root
-does not: no sign change, no convergence within a fixed number of steps, or
-a contact whose margin is flat to rounding over 1e-7 in space. The
-point-at-a-time tracer and the bisection horizon solve this replaced are the
-references for tests in tests/kdisk_oracle.py.
+zeroin. A short proof in _refine_pairs shows that no comparison of margins
+places a contact better, so every pair is decided by its root, and a pair
+whose root is not bracketed or does not converge fails typed. The
+point-at-a-time tracer, the bisection horizon solve and the golden-section
+pair refinement this replaced are the references for tests in
+tests/kdisk_oracle.py.
 """
 
 from __future__ import annotations
@@ -66,16 +67,15 @@ HORIZON_GTOL = 8.0 * np.finfo(float).eps
 # The joint horizon Newton (_Arcs.joint): a row still stepping after
 # HORIZON_NEWTON_ITERATIONS steps goes to the bracketed solve.
 HORIZON_NEWTON_ITERATIONS = 20
-GOLDEN_ITERATIONS = 30
 # The refinement of a disk pair's maximum: Brent's zeroin on the Lagrange
-# condition stops at a bracket ROOT_XTOL wide in the boundary parameter; a
-# row open after ROOT_ITERATIONS evaluations, or whose maximizer is not
-# resolved RESOLUTION_STEP apart in space, goes to golden section.
-# MARGIN_RTOL |grad mu| |X| bounds the rounding of a margin mu at X.
-ROOT_ITERATIONS = 30
+# condition stops at a bracket ROOT_XTOL wide in the boundary parameter.
+# Its bracket, two sample spacings, is 4 pi / N_BOUNDARY_SAMPLES wide, so
+# bisection alone closes it in k = ceil(log2((4 pi / 256) / 1e-12)) = 36
+# halvings, and zeroin's safeguard bounds it by about (k + 1)^2 evaluations
+# (Brent 1973, ch. 4): ROOT_ITERATIONS = 37^2 only stops a row that cannot
+# converge.
+ROOT_ITERATIONS = 1369
 ROOT_XTOL = 1e-12
-RESOLUTION_STEP = 1e-7
-MARGIN_RTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -132,11 +132,10 @@ class DiskPacking:
     max_adjacent_gap: float
     worst_position_error: float
     max_foreign_margin: float
-    # disk pairs refined past the sample search, those of them that golden
-    # section decided, and the horizon points the joint Newton left to the
-    # bracketed solve (vertex disks only); counts only, never serialized
+    # disk pairs refined past the sample search, and the horizon points the
+    # joint Newton left to the bracketed solve (vertex disks only); counts
+    # only, never serialized
     refined_pairs: int = 0
-    golden_fallbacks: int = 0
     horizon_fallbacks: int = 0
 
 
@@ -566,8 +565,8 @@ class _Arcs:
 
     def _terms(self, rows, alpha, r):
         """The point X = r d, d = cos(alpha) w + sin(alpha) m, of each of
-        the rows, grad F(X), F(X), g = q . grad F(X) with q = apex - c X,
-        and the Jacobian (j11, j12, j21, j22) of (F, g) in (r, alpha).
+        the rows, grad F(X), g = q . grad F(X) with q = apex - c X, and the
+        Jacobian (j11, j12, j21, j22) of (F, g) in (r, alpha).
 
         With d' = -sin(alpha) w + cos(alpha) m and H the Hessian of F at X,
         the Jacobian rows are [grad F . d, r grad F . d'] and
@@ -583,7 +582,7 @@ class _Arcs:
         Gd, Gt = _rowdot(grads, dirs), _rowdot(grads, turn)
         jacobian = (Gd, r * Gt, _rowdot(Hq, dirs) - c * Gd,
                     r * (_rowdot(Hq, turn) - c * Gt))
-        return X, grads, self.body.values(X), _rowdot(q, grads), jacobian
+        return X, grads, _rowdot(q, grads), jacobian
 
     def g_slope(self, rows, alpha):
         """g, a bound on its rounding error, its derivative in alpha and the
@@ -595,8 +594,8 @@ class _Arcs:
         _visibility_bound.
         """
         self.points(rows, alpha)
-        X, grads, _, g, (j11, j12, j21, j22) = self._terms(rows, alpha,
-                                                           self.t[rows])
+        X, grads, g, (j11, j12, j21, j22) = self._terms(rows, alpha,
+                                                        self.t[rows])
         return (g, _visibility_bound(self.apex[rows], self.c[rows], X, grads),
                 j22 - j21 * j12 / j11, X)
 
@@ -635,7 +634,8 @@ class _Arcs:
                 if not todo.size:
                     break
                 a, t = alpha[todo], r[todo]
-                _, _, F, g, (j11, j12, j21, j22) = self._terms(todo, a, t)
+                X, _, g, (j11, j12, j21, j22) = self._terms(todo, a, t)
+                F = self.body.values(X)
                 det = j11 * j22 - j12 * j21
                 step_r = (F * j22 - j12 * g) / det
                 step_a = (j11 * g - j21 * F) / det
@@ -741,42 +741,6 @@ def _vertex_visibility(cfg, P, v, positions, finite):
     return sign * u, sign * u, True
 
 
-def _golden_max(fun, lo, hi):
-    """Golden-section maximizers on the intervals [lo, hi], in lockstep.
-
-    fun maps an array of parameters to (values, points); returns fun at the
-    midpoints of the final brackets.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo.copy(), hi.copy()
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c)[0], fun(d)[0]
-    for _ in range(GOLDEN_ITERATIONS):
-        left = fc > fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
-        fx = fun(x)[0]
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    return fun(0.5 * (a + b))
-
-
-def _golden_pairs(family, i, j, k):
-    """Golden-section maxima of the margins of disks j along the boundaries
-    of disks i, each on the bracket one sample spacing either side of
-    sample k: (margins, points)."""
-    spacing = 2.0 * math.pi / len(family.disks[0].boundary_samples)
-    points = family.boundary_solver(i)
-    rows = np.arange(len(i))
-
-    def fun(t):
-        X = points(rows, t)
-        return family.pair_margins(j, X), X
-
-    return _golden_max(fun, spacing * k - spacing, spacing * k + spacing)
-
-
 def _lagrange(family, i, j, X):
     """The Lagrange condition h of the margins of disks j along the
     boundaries of disks i, at the points X on them.
@@ -801,7 +765,9 @@ def _zeroin(fun, a, b, fa, fb, pa, pb):
     stops when its bracket is at most ROOT_XTOL (plus 4 eps |t|) wide or
     its function is exactly 0, at the end where the function is least.
     Returns (roots, their payloads, done); done is False for the rows still
-    open after ROOT_ITERATIONS evaluations or whose function is not finite.
+    open after ROOT_ITERATIONS evaluations, which the bisection safeguard
+    leaves only to a row whose function is not finite (see the derivation
+    at ROOT_ITERATIONS).
     """
     eps = np.finfo(float).eps
     a, fa, pa = a.copy(), fa.copy(), pa.copy()
@@ -852,59 +818,52 @@ def _zeroin(fun, a, b, fa, fb, pa, pb):
     return b, pb, done
 
 
-def _refine_pairs(family, i, j, k, adjacent):
+def _refine_pairs(family, i, j, k):
     """Maxima of the margins of disks j along the boundaries of disks i,
-    each between the samples either side of sample k: (margins, points,
-    golden), golden flagging the rows that golden section decided.
+    each between the samples either side of sample k: (margins, points).
 
     A row's maximum is the root of the Lagrange condition h (_lagrange) in
     that bracket, by Brent's zeroin from the h of the two stored samples, so
-    its ends cost no boundary solve. Golden section (_golden_pairs) decides
-    a row instead when h does not change sign over its bracket, when the
-    root stays open, or, for an adjacent pair, when the maximizer is not
-    resolved in space: mu_j at the root exceeds mu_j RESOLUTION_STEP away
-    either side along the boundary by no more than its rounding bound,
-    MARGIN_RTOL |grad mu_j| |X|, so the margin does not fix the contact's
-    position. A non-adjacent pair is judged by its maximum alone.
+    its ends cost no boundary solve. A row whose h does not change sign over
+    its bracket, or is not finite at an end, and a row still open after
+    ROOT_ITERATIONS evaluations raise DegenerateConfiguration naming both
+    disks.
+
+    The root is the best maximizer the computed margins allow, however flat
+    the contact. Near a contact of order m, mu_j ~ mu* - c |s - s*|^m along
+    disk i's boundary, and a computed margin carries a rounding error delta
+    ~ 4 eps |grad mu_j| |X|, so a search that compares margins, such as
+    golden section, can stop anywhere in |s - s*| <~ (delta / c)^(1/m). h
+    is proportional to mu_j' and comes from gradients, not from differences
+    of margins, so its computed sign change lies in the narrower |s - s*|
+    <~ (delta / (m c))^(1/(m-1)), where mu_j is within rounding of mu*. So
+    wherever the root closes it is at least as good in value and in position
+    as any comparison of margins.
     """
     samples = np.array([disk.boundary_samples for disk in family.disks])
     n = samples.shape[1]
     spacing = 2.0 * math.pi / n
     X_lo, X_hi = samples[i, (k - 1) % n], samples[i, (k + 1) % n]
     h_lo, h_hi = _lagrange(family, i, j, X_lo), _lagrange(family, i, j, X_hi)
-    rows = np.flatnonzero(h_lo * h_hi < 0)
+
+    def require(ok, what):
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            r = bad[0]
+            raise _degenerate(family.kind, int(i[r]), "has no %s maximum of "
+                              "disk %d's margin" % (what, j[r]))
+
+    require(h_lo * h_hi < 0, "bracketed")
     points = family.boundary_solver(i)
 
-    def lagrange(r, t):
-        X = points(rows[r], t)
-        return _lagrange(family, i[rows[r]], j[rows[r]], X), X
+    def lagrange(rows, t):
+        X = points(rows, t)
+        return _lagrange(family, i[rows], j[rows], X), X
 
-    t, X, done = _zeroin(lagrange, spacing * (k[rows] - 1),
-                         spacing * (k[rows] + 1), h_lo[rows], h_hi[rows],
-                         X_lo[rows], X_hi[rows])
-    rows, t, X = rows[done], t[done], X[done]
-    m = family.pair_margins(j[rows], X)
-    keep = np.ones(len(rows), dtype=bool)
-    near = np.flatnonzero(adjacent[rows])
-    if near.size:
-        r = rows[near]
-        dt = (2.0 * spacing * RESOLUTION_STEP
-              / np.linalg.norm(X_hi[r] - X_lo[r], axis=1))
-        sides = [family.pair_margins(j[r], points(r, t[near] + side * dt))
-                 for side in (-1.0, 1.0)]
-        g_j = family.pair_gradients(j[r], X[near])
-        bound = MARGIN_RTOL * np.sqrt(_rowdot(g_j, g_j)
-                                      * _rowdot(X[near], X[near]))
-        keep[near] = m[near] - np.maximum(*sides) > bound
-    margins, maximizers = np.empty(len(i)), np.empty((len(i), 3))
-    margins[rows[keep]], maximizers[rows[keep]] = m[keep], X[keep]
-    golden = np.ones(len(i), dtype=bool)
-    golden[rows[keep]] = False
-    fallback = np.flatnonzero(golden)
-    if fallback.size:
-        margins[fallback], maximizers[fallback] = _golden_pairs(
-            family, i[fallback], j[fallback], k[fallback])
-    return margins, maximizers, golden
+    _, X, done = _zeroin(lagrange, spacing * (k - 1), spacing * (k + 1),
+                         h_lo, h_hi, X_lo, X_hi)
+    require(done, "converged")
+    return family.pair_margins(j, X), X
 
 
 def _trace_packing(family, ends, contacts) -> DiskPacking:
@@ -918,8 +877,7 @@ def _trace_packing(family, ends, contacts) -> DiskPacking:
     boundary, and the non-degeneracy count (no sample may lie within
     tolerance of three disk closures). Pairs whose coarse maximum is far
     below contact are not refined; the others are refined together around
-    their best sample by _refine_pairs: a root of the Lagrange condition, or
-    golden section where the root does not decide the pair.
+    their best sample by _refine_pairs, at a root of the Lagrange condition.
     """
     disks = family.disks
     edge = np.full((len(disks), len(disks)), -1)
@@ -943,7 +901,7 @@ def _trace_packing(family, ends, contacts) -> DiskPacking:
     i, j, k = (np.concatenate(column) for column in zip(*pairs))
     e = edge[i, j]
     adjacent = e >= 0
-    m_best, x_best, golden = _refine_pairs(family, i, j, k, adjacent)
+    m_best, x_best = _refine_pairs(family, i, j, k)
     gap = np.abs(m_best[adjacent])
     pos_err = np.linalg.norm(x_best[adjacent] - contacts[e[adjacent]], axis=1)
     foreign = m_best[~adjacent]
@@ -957,7 +915,6 @@ def _trace_packing(family, ends, contacts) -> DiskPacking:
                        worst_position_error=float(pos_err.max(initial=0.0)),
                        max_foreign_margin=max_foreign,
                        refined_pairs=len(i),
-                       golden_fallbacks=int(np.count_nonzero(golden)),
                        horizon_fallbacks=family.horizon_fallbacks)
 
 

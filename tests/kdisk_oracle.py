@@ -3,20 +3,22 @@ tested against.
 
 These are the boundary-tracing routines verify.py used before it traced
 whole disks at once: one boundary point per call, by scalar Newton with a
-bisection fallback, golden-section refinement one disk pair at a time and a
-loop over samples for the non-degeneracy count. The scalar boundary point
-along a ray from the origin and the orthogonal of one vector, which
-``io.boundary_mesh`` and verify.py now compute in batches, are here too.
-They are kept unchanged apart from ``scalar_kdisk_packings``, which is the
-packing part of the old ``extract_kdisk_packings`` (the midscription
-precondition is left to the caller).
+bisection fallback, and a loop over samples for the non-degeneracy count.
+The scalar boundary point along a ray from the origin and the orthogonal of
+one vector, which ``io.boundary_mesh`` and verify.py now compute in batches,
+are here too. They are kept unchanged apart from ``scalar_kdisk_packings``,
+which is the packing part of the old ``extract_kdisk_packings`` (the
+midscription precondition is left to the caller), and ``_pair_contacts``,
+which refines one disk pair at a time by bisecting the Lagrange condition
+of the two margins.
 
 Two routines that trace one vertex disk at a time with a bisection
 horizon solve are kept as well: ``bisection_solve``, the old
 ``verify._Arcs.solve``, and ``per_disk_trace``, which follows
 ``verify._VertexDisks._trace`` one disk at a time. So is ``select_pairs``,
 the old pair loop of ``verify._trace_packing``, one adjacency lookup per
-ordered disk pair.
+ordered disk pair, and ``_golden_pairs``, the golden-section refinement of
+the margins that ``verify._refine_pairs`` kept beside the Lagrange root.
 """
 
 import math
@@ -121,26 +123,6 @@ def _face_circle_point(body, c0, a, b, theta, warm):
         if sl > 0:
             r -= val(r) / sl
     return c0 + r * w, r
-
-
-def _golden_max(fun, lo, hi, iters=40):
-    """Golden-section maximizer on [lo, hi]; returns (argmax, max)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    t = 0.5 * (a + b)
-    return t, fun(t)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +250,18 @@ def _vertex_disk(body, cfg, P, v, positions, finite, n_samples, psi0):
     return disk, (gfun, w_dir, a, b, alphas)
 
 
-def _pair_contacts(disks, aux, margin_of, boundary_point_at, adjacency):
+def _pair_contacts(body, disks, aux, margin_of, gradient_of,
+                   boundary_point_at, adjacency):
     """Check every disk pair: touch at p_e when adjacent, stay clear otherwise.
 
     margin_of(j, x) is the signed membership function of disk j (>= 0 inside
-    its closure); boundary_point_at(i, t, aux_i) maps a boundary parameter of
-    disk i to a surface point. Margins are maximized along disk i's boundary
-    curve, coarsely over the precomputed samples and then by golden section;
-    pairs whose coarse maximum is already far below contact are not refined.
+    its closure) and gradient_of(j, x) its gradient; boundary_point_at(i, t,
+    aux_i) maps a boundary parameter of disk i to a surface point. Margins
+    are maximized along disk i's boundary curve, coarsely over the
+    precomputed samples and then by bisecting the Lagrange condition grad F
+    . (grad mu_i x grad mu_j) between the samples either side of the best
+    one, to a bracket below 1e-12; pairs whose coarse maximum is already far
+    below contact are not refined.
     """
     n = len(disks)
     n_samples = len(disks[0].boundary_samples)
@@ -299,12 +285,24 @@ def _pair_contacts(disks, aux, margin_of, boundary_point_at, adjacency):
                 max_foreign = max(max_foreign, float(vals[k]))
                 continue
 
-            def fun(t):
-                return margin_of(j, boundary_point_at(i, t, aux[i]))
+            def lagrange(t):
+                x = boundary_point_at(i, t, aux[i])
+                return float(body.gradient(x) @ np.cross(gradient_of(i, x),
+                                                         gradient_of(j, x)))
 
-            t_best, m_best = _golden_max(fun, center - spacing,
-                                         center + spacing, iters=30)
-            x_best = boundary_point_at(i, t_best, aux[i])
+            lo, hi = center - spacing, center + spacing
+            rising = lagrange(lo) > 0
+            if (lagrange(hi) > 0) == rising:
+                raise DegenerateConfiguration(
+                    "no bracketed maximum of disk %d on disk %d" % (j, i))
+            for _ in range(36):
+                mid = 0.5 * (lo + hi)
+                if (lagrange(mid) > 0) == rising:
+                    lo = mid
+                else:
+                    hi = mid
+            x_best = boundary_point_at(i, 0.5 * (lo + hi), aux[i])
+            m_best = margin_of(j, x_best)
             if adjacent:
                 p_e = adjacency[key]
                 gap = abs(m_best)
@@ -349,8 +347,12 @@ def scalar_kdisk_packings(cfg, body, P, n_samples=N_BOUNDARY_SAMPLES):
         c0, a, b = ax
         return _face_circle_point(body, c0, a, b, theta0 + t, None)[0]
 
+    def face_gradient(j, x):
+        return face_disks[j].plane[0]
+
     f_ok, f_gap, f_pos, f_foreign = _pair_contacts(
-        face_disks, face_aux, face_margin, face_point, face_adj)
+        body, face_disks, face_aux, face_margin, face_gradient, face_point,
+        face_adj)
 
     positions, finite = cfg.affine_vertices()
     vertex_disks, vertex_aux = [], []
@@ -370,8 +372,16 @@ def scalar_kdisk_packings(cfg, body, P, n_samples=N_BOUNDARY_SAMPLES):
         k = int(round(t / (2.0 * math.pi) * len(alphas))) % len(alphas)
         return _horizon_gap(body, gfun, w_dir, m_dir, float(alphas[k]))[1]
 
+    def vertex_gradient(j, point):
+        disk = vertex_disks[j]
+        H = body.hessian(point)
+        if disk.at_infinity:
+            return H @ disk.apex
+        return H @ (disk.apex - point) - body.gradient(point)
+
     v_ok, v_gap, v_pos, v_foreign = _pair_contacts(
-        vertex_disks, vertex_aux, vertex_margin, vertex_point, vert_adj)
+        body, vertex_disks, vertex_aux, vertex_margin, vertex_gradient,
+        vertex_point, vert_adj)
 
     f_nondeg = _nondegenerate(face_disks, face_margin)
     v_nondeg = _nondegenerate(vertex_disks, vertex_margin)
@@ -475,3 +485,45 @@ def select_pairs(family, adjacency):
                 pairs.append((i, j, best[j]))
                 contacts.append(p_e)
     return pairs, contacts, max_foreign, nondegenerate
+
+
+# ---------------------------------------------------------------------------
+# golden-section refinement of the disk pairs, in lockstep
+
+GOLDEN_ITERATIONS = 30
+
+
+def _golden_max(fun, lo, hi):
+    """Golden-section maximizers on the intervals [lo, hi], in lockstep.
+
+    fun maps an array of parameters to (values, points); returns fun at the
+    midpoints of the final brackets.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo.copy(), hi.copy()
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fun(c)[0], fun(d)[0]
+    for _ in range(GOLDEN_ITERATIONS):
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fx = fun(x)[0]
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    return fun(0.5 * (a + b))
+
+
+def _golden_pairs(family, i, j, k):
+    """Golden-section maxima of the margins of disks j along the boundaries
+    of disks i, each on the bracket one sample spacing either side of
+    sample k: (margins, points)."""
+    spacing = 2.0 * math.pi / len(family.disks[0].boundary_samples)
+    points = family.boundary_solver(i)
+    rows = np.arange(len(i))
+
+    def fun(t):
+        X = points(rows, t)
+        return family.pair_margins(j, X), X
+
+    return _golden_max(fun, spacing * k - spacing, spacing * k + spacing)

@@ -11,8 +11,8 @@ from conftest import ball_solution, get_seed, witness_marks
 from midscribe import (continue_to_body, extract_kdisk_packings, koebe_config,
                        layout_circles, lift_normalize, solve_radii, verify,
                        verify_configuration)
-from midscribe.bodies import (ConvexBody, _unit_orthogonals, make_body,
-                              make_path)
+from midscribe.bodies import (ConvexBody, _rowdot, _unit_orthogonals,
+                              make_body, make_path)
 from midscribe.combinatorics import build_complex, select_frame
 from midscribe.errors import DegenerateConfiguration
 from midscribe.seeds import faces_from_coordinates
@@ -51,14 +51,14 @@ def traced_pair(kdisk_case):
     """(batched, scalar) packings of one configuration, and the tolerance
     on their worst contact position errors.
 
-    The scalar tracer's final golden-section bracket is 2.7e-8 wide in the
-    boundary parameter, so 1e-7 in position is a few bracket widths; the
-    batched tracer's roots of the Lagrange condition lie within a 1e-12
-    bracket of the true maximizers. On the quartic box each contact is of
-    fourth order, so the margin is flat to rounding over about 1e-4 around
-    it and the maximizer found depends on the last bits of the traced
-    points: both tracers put the visibility contacts about 1.4e-4 to 1.5e-4
-    from the tangent points, within 1e-5 of each other.
+    Both tracers put each maximizer at a sign change of the Lagrange
+    condition, the scalar one by bisection and the batched one by zeroin,
+    each to a bracket below 1e-12 in the boundary parameter, so 1e-7 in
+    position leaves room for the traced points' own errors. On the quartic
+    box each contact is of fourth order, so the computed condition changes
+    sign over a wider interval around it and the sign change found depends
+    on the last bits of the traced points: both tracers put the contacts
+    about 1.4e-4 from the tangent points, within 1e-5 of each other.
     """
     name, P, cfg, body = kdisk_case
     tol = 1e-5 if name == "p4_box" else 1e-7
@@ -309,10 +309,11 @@ def test_unconverged_horizon_names_vertex(monkeypatch):
 
 
 def test_ray_solves_per_verification_stay_bounded(monkeypatch):
-    # a clock-free guard on the lockstep tracer: 17 batched ray solves
+    # a clock-free guard on the lockstep tracer: 13 batched ray solves
     # verify cube/ball, where tracing one disk at a time with bisected
-    # horizons took 2,790, golden-section refinement of every pair 214 and
-    # a ray Newton inside the bracketed horizon Newton 49
+    # horizons took 2,790, golden-section refinement of every pair 214, a
+    # ray Newton inside the bracketed horizon Newton 49, and the resolution
+    # test that sent flat contacts to golden section 17
     calls = []
     ray_roots = verify.ray_roots
 
@@ -349,8 +350,9 @@ class _CountingBall(ConvexBody):
 
 
 def test_gauge_calls_per_verification_stay_bounded():
-    # 351 batched values, gradients and hessians calls verify cube/ball;
-    # nesting a ray Newton inside the horizon Newton took 411
+    # 292 batched values, gradients and hessians calls verify cube/ball;
+    # nesting a ray Newton inside the horizon Newton took 411, and the
+    # resolution test that sent flat contacts to golden section 351
     P, _, _ = get_seed("cube")
     body = _CountingBall()
     assert verify_configuration(ball_solution("cube"), body, P).passed
@@ -380,9 +382,9 @@ def _refinements(monkeypatch, P, cfg, body):
     calls = []
     refine = verify._refine_pairs
 
-    def recorded(family, i, j, k, adjacent):
-        result = refine(family, i, j, k, adjacent)
-        calls.append((family, i, j, k, adjacent, result))
+    def recorded(family, i, j, k):
+        result = refine(family, i, j, k)
+        calls.append((family, i, j, k, result))
         return result
     monkeypatch.setattr(verify, "_refine_pairs", recorded)
     return extract_kdisk_packings(cfg, body, P), calls
@@ -396,15 +398,15 @@ def test_pair_selection_matches_per_pair_loop(name, monkeypatch):
     P, cfg, body = _refinement_case(name)
     packings, calls = _refinements(monkeypatch, P, cfg, body)
     owners = {"face": P.edge_faces, "vertex": P.edges}
-    for packing, (family, i, j, k, adjacent, result) in zip(packings, calls):
+    for packing, (family, i, j, k, result) in zip(packings, calls):
         adjacency = {tuple(sorted(ends)): cfg.tangents[e]
                      for e, ends in enumerate(owners[family.kind])}
         pairs, contacts, max_foreign, nondegenerate = (
             kdisk_oracle.select_pairs(family, adjacency))
         assert np.array_equal(np.column_stack([i, j, k]),
                               np.array(pairs).reshape(-1, 3))
-        assert np.array_equal(adjacent, [p is not None for p in contacts])
-        margins, points, _ = result
+        adjacent = np.array([p is not None for p in contacts])
+        margins, points = result
         p_e = np.array([p for p in contacts if p is not None])
         assert packing.worst_position_error == np.max(
             np.linalg.norm(points[adjacent] - p_e, axis=1))
@@ -416,58 +418,68 @@ def test_pair_selection_matches_per_pair_loop(name, monkeypatch):
 @pytest.mark.parametrize("name", ["tetrahedron/ball", "cube/ball",
                                   "cube/ellipsoid", "hull12", "prism8"])
 def test_lagrange_roots_match_golden_section(name, monkeypatch):
-    # on every row the root decides, golden section on the same rows finds
-    # the same maximum; run on a subset of rows it repeats, bit for bit,
-    # what it finds for those rows among all of them
+    # on every row, golden section on the margin finds the maximum the
+    # root of the Lagrange condition does
     packings, calls = _refinements(monkeypatch, *_refinement_case(name))
-    for packing, (family, i, j, k, adjacent, result) in zip(packings, calls):
-        margins, points, golden = result
-        root = ~golden
-        assert np.all(root[adjacent])
-        m, X = verify._golden_pairs(family, i[root], j[root], k[root])
-        assert np.max(np.abs(margins[root] - m)) <= 1e-12
-        assert np.max(np.linalg.norm(points[root] - X, axis=1)) <= 1e-7
-        m_all, X_all = verify._golden_pairs(family, i, j, k)
-        assert np.array_equal(m, m_all[root])
-        assert np.array_equal(X, X_all[root])
+    for packing, (family, i, j, k, (margins, points)) in zip(packings, calls):
+        m, X = kdisk_oracle._golden_pairs(family, i, j, k)
+        assert np.max(np.abs(margins - m)) <= 1e-12
+        assert np.max(np.linalg.norm(points - X, axis=1)) <= 1e-7
         assert packing.refined_pairs == len(i)
-        assert packing.golden_fallbacks == np.count_nonzero(golden)
 
 
-def test_flat_contacts_fall_back_to_golden_section(p4_box_instance,
-                                                   monkeypatch):
-    # the quartic box's face margins are flat to rounding around every
-    # contact, so golden section decides all 24 adjacent face rows, even
-    # with an iteration cap that lets every root close
+def test_flat_contacts_close_at_their_lagrange_roots(p4_box_instance,
+                                                     monkeypatch):
+    # the quartic box's contacts are of fourth order, so its margins are
+    # flat to rounding around every contact; every one of its 48 refined
+    # rows still closes under the default cap, at a margin no lower than
+    # golden section's by more than the margin's rounding bound
     P, cfg, body = (p4_box_instance[key] for key in ("P", "cfg", "body"))
-    monkeypatch.setattr(verify, "ROOT_ITERATIONS", 200)
-    (faces, _), calls = _refinements(monkeypatch, P, cfg, body)
-    family, i, j, k, adjacent, (margins, points, golden) = calls[0]
-    assert family.kind == "face"
-    assert np.count_nonzero(adjacent) == 24
-    assert np.all(golden[adjacent])
-    m, X = verify._golden_pairs(family, i, j, k)
-    assert np.array_equal(margins[golden], m[golden])
-    assert np.array_equal(points[golden], X[golden])
-    monkeypatch.setattr(verify, "ROOT_ITERATIONS", 0)
-    forced = extract_kdisk_packings(cfg, body, P)[0]
-    assert faces.golden_fallbacks == forced.golden_fallbacks == 24
-    for field in ("contacts_ok", "nondegenerate", "max_adjacent_gap",
-                  "worst_position_error", "max_foreign_margin",
-                  "refined_pairs"):
-        assert getattr(faces, field) == getattr(forced, field)
+    _, calls = _refinements(monkeypatch, P, cfg, body)
+    assert [family.kind for family, *_ in calls] == ["face", "vertex"]
+    assert sum(len(i) for _, i, _, _, _ in calls) == 48
+    for family, i, j, k, (margins, points) in calls:
+        m, _ = kdisk_oracle._golden_pairs(family, i, j, k)
+        g_j = family.pair_gradients(j, points)
+        bound = 4.0 * np.finfo(float).eps * np.sqrt(
+            _rowdot(g_j, g_j) * _rowdot(points, points))
+        assert np.all(margins >= m - bound)
 
 
-def test_zero_iteration_cap_sends_every_row_to_golden_section(kdisk_case,
-                                                              monkeypatch):
+def test_zero_iteration_cap_fails_typed(kdisk_case, monkeypatch):
     _, P, cfg, body = kdisk_case
-    packings = extract_kdisk_packings(cfg, body, P)
     monkeypatch.setattr(verify, "ROOT_ITERATIONS", 0)
-    for new, golden in zip(packings, extract_kdisk_packings(cfg, body, P)):
-        assert golden.golden_fallbacks == golden.refined_pairs > 0
-        assert golden.refined_pairs == new.refined_pairs
-        assert golden.contacts_ok == new.contacts_ok
-        assert golden.nondegenerate == new.nondegenerate
+    with pytest.raises(DegenerateConfiguration,
+                       match="^K-disk extraction: face 0 has no converged "
+                             "maximum of disk "):
+        extract_kdisk_packings(cfg, body, P)
+    report = verify_configuration(cfg, body, P)
+    assert report.contact_graph_primal_ok is False
+    assert report.contact_graph_dual_ok is False
+
+
+def test_unbracketed_maximum_names_both_disks(monkeypatch):
+    # h of one sign over every bracket
+    P, _, _ = get_seed("cube")
+    monkeypatch.setattr(verify, "_lagrange",
+                        lambda family, i, j, X: np.ones(len(X)))
+    with pytest.raises(DegenerateConfiguration,
+                       match="^K-disk extraction: face 0 has no bracketed "
+                             "maximum of disk 1's margin$"):
+        extract_kdisk_packings(ball_solution("cube"), BALL, P)
+
+
+def test_false_rejection_of_a_flat_contact_is_gone():
+    # cube on p=4 at marks 0, 1, i: golden section put a face contact
+    # 1.6e-4 from its tangent point, past CONTACT_POSITION_TOL
+    P, _, frame = get_seed("cube")
+    body = make_body("superellipsoid:p=4,a=1,b=1")
+    cfg, _ = continue_to_body(P, frame, (0j, 1 + 0j, 1j), make_path(body))
+    report = verify_configuration(cfg, body, P)
+    assert report.contact_graph_primal_ok is True
+    assert report.contact_graph_dual_ok is True
+    faces, _ = extract_kdisk_packings(cfg, body, P)
+    assert faces.worst_position_error < 1e-6
 
 
 @pytest.mark.parametrize("name", ["cube/ball", "hull60"])
@@ -476,12 +488,11 @@ def test_contacts_are_refined_without_golden_section(name):
     for packing in extract_kdisk_packings(cfg, body, P):
         assert packing.contacts_ok and packing.nondegenerate
         assert packing.refined_pairs > 0
-        assert packing.golden_fallbacks == 0
 
 
 def test_small_visible_cap_is_traced():
-    # vertex 49 sees a cap narrower than the linear horizon scan's first
-    # angle, 1e-3 rad
+    # vertex 49 sees a cap narrower than 1e-3 rad, deep inside the bracket
+    # [HORIZON_MIN, pi - 1e-9] that holds every horizon
     P, frame = complex_and_frame("hull60")
     radii = solve_radii(P, frame)
     cfg = koebe_config(lift_normalize(layout_circles(P, frame, radii),

@@ -6,8 +6,9 @@ import re
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "midscribe"
 
 
-def test_every_module_constant_is_read():
-    # a constant left behind by deleting the code that read it
+def _trees_and_reads():
+    """The parsed modules of src/midscribe and every name they read, as a
+    variable or as an attribute."""
     trees = [ast.parse(path.read_text(), str(path))
              for path in sorted(SRC.glob("*.py"))]
     reads = set()
@@ -18,6 +19,12 @@ def test_every_module_constant_is_read():
             elif (isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Load)):
                 reads.add(node.attr)
+    return trees, reads
+
+
+def test_every_module_constant_is_read():
+    # a constant left behind by deleting the code that read it
+    trees, reads = _trees_and_reads()
     constants = set()
     for tree in trees:
         for node in tree.body:
@@ -29,3 +36,13 @@ def test_every_module_constant_is_read():
                 if isinstance(name, ast.Name)
                 and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name.id))
     assert constants and sorted(constants - reads) == []
+
+
+def test_every_private_function_is_read():
+    # a helper left behind by deleting the code that called it
+    trees, reads = _trees_and_reads()
+    functions = {node.name for tree in trees for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name.startswith("_")
+                 and not node.name.startswith("__")}
+    assert functions and sorted(functions - reads) == []
