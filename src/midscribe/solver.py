@@ -87,15 +87,19 @@ class ConstraintSystem:
 
     - unknowns x: [n_f, d_f] per face (4F), the 4-vector X_v per vertex
       (4V), then the tangent point p_e of each free edge in edge order.
-      free masks the edges outside frame.edges; tangent_cols holds the
-      (n_free, 3) columns of their tangent points.
+      marked holds frame.edges as an index array, free masks the other
+      edges; tangent_cols holds the (n_free, 3) columns of their tangent
+      points.
     - rows: F face rows |n_f|^2 - 1; one row <n_f, X_v[1:]> - d_f X_v[0]
       per flag (flag_v[k], flag_f[k]), vertex-major; per edge e, with faces
       edge_faces[e] = (f, g), the EDGE_ROWS <n_f, p_e> - d_f,
       <n_g, p_e> - d_g, F(p_e) and <grad F(p_e), n_f x n_g>, numbered by the
       (E, 4) table edge_rows (-1 in the gauge slot of a marked edge); then
       V rows |X_v|^2 - 1.
-    - the Jacobian's (row, col) pattern, sorted once into its CSC layout.
+    - the Jacobian: one CSC matrix with the (row, col) pattern sorted once,
+      int32 indices and its canonical-format flag computed, so splu neither
+      casts nor rescans it, plus the data positions of each block of
+      _jacobian_pattern. jacobian(x) writes the values at x into it.
     - face_edges: the (F, k) boundary edges of each face, k the longest
       boundary, shorter faces padded with their own first edge.
 
@@ -115,8 +119,9 @@ class ConstraintSystem:
 
         F, V, E = P.n_faces, P.n_vertices, P.n_edges
         self.vert_off = 4 * F
+        self.marked = np.array(frame.edges, dtype=int)
         self.free = np.ones(E, dtype=bool)
-        self.free[list(frame.edges)] = False
+        self.free[self.marked] = False
         n_free = int(np.count_nonzero(self.free))
         self.tangent_cols = (4 * F + 4 * V + 3 * np.arange(n_free)[:, None]
                              + np.arange(3))
@@ -144,29 +149,38 @@ class ConstraintSystem:
         blocks = [np.broadcast_arrays(r, c) for r, c in self._jacobian_pattern()]
         rows = np.concatenate([r.ravel() for r, _ in blocks])
         cols = np.concatenate([c.ravel() for _, c in blocks])
-        self._csc_order = np.lexsort((rows, cols))
-        self._csc_indices = rows[self._csc_order]
-        self._csc_indptr = np.searchsorted(cols[self._csc_order],
-                                           np.arange(self.n_unknowns + 1))
+        order = np.lexsort((rows, cols))
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        ends = np.cumsum([r.size for r, _ in blocks])[:-1]
+        self._positions = [p.reshape(r.shape) for p, (r, _)
+                           in zip(np.split(position, ends), blocks)]
+        n = self.n_unknowns
+        self._jacobian = sp.csc_matrix(
+            (np.zeros(len(order)), rows[order].astype(np.intc),
+             np.searchsorted(cols[order], np.arange(n + 1)).astype(np.intc)),
+            shape=(n, n))
+        # computed here and cached, so splu's sum_duplicates returns at once
+        self._jacobian.has_canonical_format
 
     def _jacobian_pattern(self):
-        """(rows, cols) of each block of nonzeros, in the order
-        _jacobian_values lists the blocks' values; rows broadcast against
-        cols."""
+        """(rows, cols) of each block of nonzeros, in the order jacobian
+        lists the blocks' values; rows broadcast against cols."""
         F, V = self.P.n_faces, self.P.n_vertices
         ncols = 4 * np.arange(F)[:, None] + np.arange(3)
         dcol = 4 * np.arange(F)[:, None] + 3
         vcols = self.vert_off + 4 * np.arange(V)[:, None] + np.arange(4)
         fv, ff = self.flag_v, self.flag_f
-        f, g = self.edge_faces.T
-        plane_f, plane_g, _, tangency = self.edge_rows.T[:, :, None]
+        flag = F + np.arange(len(fv))[:, None]
+        fg = self.edge_faces.T
+        f, g = fg
+        plane, tangency = self.edge_rows.T[:2, :, None], self.edge_rows[:, 3:]
         return [
             (np.arange(F)[:, None], ncols),
-            (F + np.arange(len(fv))[:, None],
-             np.hstack([ncols[ff], dcol[ff], vcols[fv]])),
-            (plane_f, np.hstack([ncols[f], dcol[f]])),
-            (plane_g, np.hstack([ncols[g], dcol[g]])),
-            (tangency, np.hstack([ncols[f], ncols[g]])),
+            (flag, ncols[ff]), (flag, dcol[ff]),
+            (flag, vcols[fv, :1]), (flag, vcols[fv, 1:]),
+            (plane, ncols[fg]), (plane, dcol[fg]),
+            (tangency, ncols[f]), (tangency, ncols[g]),
             (self.edge_rows[self.free][:, :, None], self.tangent_cols[:, None]),
             (self.n_unknowns - V + np.arange(V)[:, None], vcols),
         ]
@@ -211,12 +225,22 @@ class ConstraintSystem:
         """(E, 3) tangent points: free ones from x, marked ones pinned."""
         T = np.empty((self.P.n_edges, 3))
         T[self.free] = x[self.tangent_cols]
-        T[list(self.frame.edges)] = self.marked_points
+        T[self.marked] = self.marked_points
         return T
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        N, D, X = self._views(x)
+    def terms(self, x: np.ndarray):
+        """(T, grad F(T), n_f x n_g per edge) at x: the terms residual and
+        jacobian share, so a caller that needs both at one point computes
+        them once."""
+        N = self._views(x)[0]
         T = self.tangents(x)
+        f, g = self.edge_faces.T
+        return T, self.body.gradients(T), _cross(N[f], N[g])
+
+    def residual(self, x: np.ndarray, terms=None) -> np.ndarray:
+        """The residual at x; terms are terms(x), computed here if None."""
+        N, D, X = self._views(x)
+        T, G, U = self.terms(x) if terms is None else terms
         fv, ff = self.flag_v, self.flag_f
         f, g = self.edge_faces.T
         gauge = np.zeros(len(T))
@@ -225,7 +249,7 @@ class ConstraintSystem:
             _rowdot(N[f], T) - D[f],
             _rowdot(N[g], T) - D[g],
             gauge,
-            _rowdot(self.body.gradients(T), _cross(N[f], N[g])),
+            _rowdot(G, U),
         ])
         return np.concatenate([np.einsum("ij,ij->i", N, N) - 1.0,
                                _rowdot(N[ff], X[fv, 1:]) - D[ff] * X[fv, 0],
@@ -244,34 +268,29 @@ class ConstraintSystem:
         labels += [("vertex_norm", v) for v in range(self.P.n_vertices)]
         return labels
 
-    def _jacobian_values(self, x: np.ndarray) -> np.ndarray:
-        """The Jacobian's nonzeros at x, in _jacobian_pattern order."""
+    def jacobian(self, x: np.ndarray, terms=None) -> sp.csc_matrix:
+        """The Jacobian at x, in the CSC matrix that __init__ built: each
+        block's values are written straight into their data positions. The
+        system's one matrix is returned, and the next call overwrites it.
+        terms are terms(x), computed here if None."""
         N, D, X = self._views(x)
-        T = self.tangents(x)
+        T, G, U = self.terms(x) if terms is None else terms
         free = self.free
         fv, ff = self.flag_v, self.flag_f
         f, g = self.edge_faces.T
-        G = self.body.gradients(T)
-        U = _cross(N[f], N[g])
         HU = (self.body.hessians(T[free]) @ U[free][:, :, None])[:, :, 0]
-        plane = np.hstack([T, np.full((len(T), 1), -1.0)])
         values = [
             2.0 * N,
-            np.hstack([X[fv, 1:], -X[fv, :1], -D[ff][:, None], N[ff]]),
-            plane,
-            plane,
-            np.hstack([_cross(N[g], G), _cross(G, N[f])]),
+            X[fv, 1:], -X[fv, :1], -D[ff][:, None], N[ff],
+            T, -1.0,
+            _cross(N[g], G), _cross(G, N[f]),
             np.stack([N[f][free], N[g][free], G[free], HU], axis=1),
             2.0 * X,
         ]
-        return np.concatenate([v.ravel() for v in values])
-
-    def jacobian(self, x: np.ndarray) -> sp.csc_matrix:
-        """The Jacobian at x in the CSC layout that splu factors, permuted
-        straight from the nonzeros."""
-        return sp.csc_matrix((self._jacobian_values(x)[self._csc_order],
-                              self._csc_indices, self._csc_indptr),
-                             shape=(self.n_unknowns, self.n_unknowns))
+        data = self._jacobian.data
+        for position, value in zip(self._positions, values):
+            data[position] = value
+        return self._jacobian
 
     def singular_values(self, x: np.ndarray) -> np.ndarray:
         return np.linalg.svd(self.jacobian(x).toarray(), compute_uv=False)
@@ -373,15 +392,17 @@ class _ConditionAudit:
 
 def _line_search(system, x, delta, res_inf, res_two):
     """Backtracking halving; accept any decrease of the residual, measured
-    in max-norm or 2-norm. Returns None when exhausted."""
+    in max-norm or 2-norm. Returns (x, terms, residual, max-norm, 2-norm)
+    at the accepted point, or None when exhausted."""
     t = 1.0
     while t >= 1e-8:
         x_try = system.renormalize(x + t * delta)
-        r_try = system.residual(x_try)
+        terms = system.terms(x_try)
+        r_try = system.residual(x_try, terms)
         inf_try = float(np.max(np.abs(r_try)))
         two_try = float(np.linalg.norm(r_try))
         if inf_try < res_inf or two_try < res_two:
-            return x_try, r_try, inf_try, two_try
+            return x_try, terms, r_try, inf_try, two_try
         t *= 0.5
     return None
 
@@ -392,15 +413,17 @@ def _newton_core(system: ConstraintSystem, x: np.ndarray, tol: float,
     is singular or its direction cannot decrease the residual (which happens
     at consistent systems whose Jacobian loses rank, e.g. tangencies at flat
     spots of the body), a dense minimum-norm least-squares direction is tried
-    before giving up. Degeneracy stays visible through the rank audit."""
+    before giving up. Degeneracy stays visible through the rank audit.
+    Each iterate's terms serve both its residual and its Jacobian."""
     x = system.renormalize(x)
-    r = system.residual(x)
+    terms = system.terms(x)
+    r = system.residual(x, terms)
     res = float(np.max(np.abs(r)))
     res2 = float(np.linalg.norm(r))
     for it in range(max_iter):
         if res < tol:
             return x, it, res
-        J = system.jacobian(x)
+        J = system.jacobian(x, terms)
         accepted = None
         try:
             delta = spla.splu(J).solve(-r)
@@ -415,7 +438,7 @@ def _newton_core(system: ConstraintSystem, x: np.ndarray, tol: float,
             accepted = _line_search(system, x, delta, res, res2)
         if accepted is None:
             raise NoDecrease("line search exhausted at residual %.3e" % res)
-        x, r, res, res2 = accepted
+        x, terms, r, res, res2 = accepted
     if res < tol:
         return x, max_iter, res
     raise MaxIterations("residual %.3e after %d iterations" % (res, max_iter))

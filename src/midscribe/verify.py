@@ -8,9 +8,10 @@ configuration that merely claims convergence does not pass. The verifier
 imports nothing from the solver and shares only the gauge API with it; the
 rigidity probe, which re-solves with Newton, lives in solver.
 
-Line tangency is checked on every edge line at once, by a lockstep search
-through the (m, 3) gauge API; incidence and convexity are array expressions
-over all face-vertex pairs.
+Line tangency is checked on every edge line at once through the (m, 3)
+gauge API: each line's slope is bisected in rounds predicted from a Newton
+estimate of its minimizer and checked by one gauge call per round;
+incidence and convexity are array expressions over all face-vertex pairs.
 The disk packings are traced in batches through the (m, 3) gauge API, all
 disks of a family in lockstep: the face disks by one batched ray solve over
 every face's rays in its plane, the visibility disks by one Newton solve
@@ -76,6 +77,9 @@ HORIZON_NEWTON_ITERATIONS = 20
 # converge.
 ROOT_ITERATIONS = 1369
 ROOT_XTOL = 1e-12
+# Halvings of an edge line's slope bracket in _line_minima; a row still open
+# after them keeps its bracket.
+LINE_BISECTIONS = 100
 
 
 @dataclass
@@ -148,12 +152,12 @@ def _line_minima(body: ConvexBody, n_f, d_f, n_g, d_g, guesses):
     Row k is the line where the planes n_f[k] . x = d_f[k] and n_g[k] . x =
     d_g[k] meet. Returns (min values (m,), minimizers (m, 3)); a row whose
     planes are parallel or whose bracket cannot be placed gets (inf, nan).
-    The guesses only seed the brackets; the restriction of a strictly convex
-    coercive gauge to a line is strictly convex, so the minimum is unique
-    and bracketing cannot miss it. All lines are searched in lockstep: the
-    slope is bracketed by doubling around the guess, bisected until the
-    bracket is below 1e-14 (1 + |mid|), then polished by two Newton steps
-    where the curvature is positive.
+    The guesses only seed the brackets and the estimates; the restriction
+    of a strictly convex coercive gauge to a line is strictly convex, so
+    the minimum is unique and bracketing cannot miss it. All lines are
+    searched together: the slope is bracketed by doubling around the guess,
+    bisected by _bisect_slopes, then polished by two Newton steps where the
+    curvature is positive.
     """
     U = np.cross(n_f, n_g)
     nu = np.sqrt(_rowdot(U, U))
@@ -165,9 +169,6 @@ def _line_minima(body: ConvexBody, n_f, d_f, n_g, d_g, guesses):
                                   np.array([d_f[k], d_g[k]]), rcond=None)[0]
                   for k in live]).reshape(-1, 3)
 
-    def slope(rows, t):
-        return _rowdot(body.gradients(Q[rows] + t[:, None] * U[rows]), U[rows])
-
     t0 = _rowdot(np.asarray(guesses, dtype=float)[live] - Q, U)
     t0[~np.isfinite(t0)] = 0.0
     ok = np.ones(len(live), dtype=bool)
@@ -176,32 +177,117 @@ def _line_minima(body: ConvexBody, n_f, d_f, n_g, d_g, guesses):
         end = t0 + side
         rows = np.flatnonzero(ok)
         for _ in range(200):
-            rows = rows[~(side * slope(rows, end[rows]) > 0)]
+            slope = _line_slopes(body, Q[rows], U[rows], end[rows])
+            rows = rows[~(side * slope > 0)]
             if not rows.size:
                 break
             end[rows] = t0[rows] + 2.0 * (end[rows] - t0[rows])
         ok[rows] = False
         ends.append(end)
-    lo, hi = ends
-    rows = todo = np.flatnonzero(ok)
-    for _ in range(100):
-        mid = 0.5 * (lo[todo] + hi[todo])
-        below = slope(todo, mid) < 0
-        lo[todo] = np.where(below, mid, lo[todo])
-        hi[todo] = np.where(below, hi[todo], mid)
-        todo = todo[~(hi[todo] - lo[todo] < 1e-14 * (1.0 + np.abs(mid)))]
-        if not todo.size:
-            break
-    t = 0.5 * (lo[rows] + hi[rows])
+    rows = np.flatnonzero(ok)
+    Q, U = Q[rows], U[rows]
+    lo, hi = _bisect_slopes(body, Q, U, ends[0][rows], ends[1][rows],
+                            t0[rows])
+    t = 0.5 * (lo + hi)
     for _ in range(2):
-        X = Q[rows] + t[:, None] * U[rows]
-        curv = _rowdot((U[rows, None, :] @ body.hessians(X))[:, 0], U[rows])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(curv > 0, t - slope(rows, t) / curv, t)
-    M = Q[rows] + t[:, None] * U[rows]
+        t = _line_newton(body, Q, U, t)
+    M = Q + t[:, None] * U
     values[live[rows]] = body.values(M)
     minimizers[live[rows]] = M
     return values, minimizers
+
+
+def _line_slopes(body: ConvexBody, Q, U, t) -> np.ndarray:
+    """Slope of the gauge along each line Q + t U at its t."""
+    return _rowdot(body.gradients(Q + t[:, None] * U), U)
+
+
+def _line_newton(body: ConvexBody, Q, U, t) -> np.ndarray:
+    """One Newton step on the slope along each line Q + t U, taken where
+    the curvature is positive; other rows keep t."""
+    X = Q + t[:, None] * U
+    curv = _rowdot((U[:, None, :] @ body.hessians(X))[:, 0], U)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(curv > 0, t - _line_slopes(body, Q, U, t) / curv, t)
+
+
+def _bisect_slopes(body: ConvexBody, Q, U, lo, hi, t0):
+    """The brackets of the lockstep bisection of the slope along each line
+    Q + t U, bit for bit, in a few gradients calls instead of one per
+    halving.
+
+    The lockstep bisection halves every open row at once: mid = 0.5 (lo +
+    hi), then lo = mid if the slope at mid is < 0, else hi = mid, until hi -
+    lo < 1e-14 (1 + |mid|); a row still open after LINE_BISECTIONS
+    halvings keeps its bracket. Here each row's minimizer is estimated
+    once (_minimizer_estimates, from the guesses t0); each round lists the
+    halvings every open row's bracket would take if the slope changed sign
+    at its estimate (_predicted_halvings) and evaluates the slope at all
+    rows' midpoints in one call. A row keeps its halvings, with the real
+    signs, up to and including the first that the slope contradicts; its
+    later midpoints halve a bracket bisection never reaches and are
+    dropped. So every kept halving is the lockstep one, and a poor estimate
+    costs rounds, not bits.
+    """
+    est = _minimizer_estimates(body, Q, U, lo, hi, t0).tolist()
+    lo, hi = lo.tolist(), hi.tolist()
+    left = [LINE_BISECTIONS] * len(lo)
+    todo = list(range(len(lo)))
+    while todo:
+        walks = [_predicted_halvings(lo[k], hi[k], est[k], left[k])
+                 for k in todo]
+        rows = np.repeat(todo, [len(walk) for walk in walks])
+        mids = np.concatenate(walks)
+        below = (_line_slopes(body, Q[rows], U[rows], mids) < 0).tolist()
+        end = 0
+        still = []
+        for row, walk in zip(todo, walks):
+            start, end = end, end + len(walk)
+            l, h, t = lo[row], hi[row], est[row]
+            for kept, (mid, b) in enumerate(zip(walk, below[start:end]), 1):
+                if b:
+                    l = mid
+                else:
+                    h = mid
+                if b != (mid < t):
+                    break
+            lo[row], hi[row] = l, h
+            left[row] -= kept
+            if left[row] and not h - l < 1e-14 * (1.0 + abs(mid)):
+                still.append(row)
+        todo = still
+    return np.array(lo, dtype=float), np.array(hi, dtype=float)
+
+
+def _predicted_halvings(lo, hi, t, n):
+    """Midpoints of the at most n halvings the lockstep bisection makes of
+    the float bracket [lo, hi] if the slope is < 0 exactly below t: mid =
+    0.5 (lo + hi), then lo = mid if mid < t, else hi = mid, until hi - lo <
+    1e-14 (1 + |mid|). Plain floats round like numpy and cost far less than
+    a numpy call per halving."""
+    mids = []
+    for _ in range(n):
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        if mid < t:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-14 * (1.0 + abs(mid)):
+            break
+    return mids
+
+
+def _minimizer_estimates(body: ConvexBody, Q, U, lo, hi, t0) -> np.ndarray:
+    """Estimates of the minimizers along the lines Q + t U in brackets [lo,
+    hi]: two curvature-guarded Newton steps on the slope from the guesses
+    t0, each clipped into the bracket. At a converged configuration the
+    guess is within about 1e-11 of the minimizer. The estimates only steer
+    _bisect_slopes, which checks each halving they predict."""
+    t = t0
+    for _ in range(2):
+        t = np.minimum(np.maximum(_line_newton(body, Q, U, t), lo), hi)
+    return t
 
 
 def _on_face(P: PolyhedralComplex) -> np.ndarray:

@@ -9,7 +9,8 @@ inverse (chart_inverse) and the per-edge line search (line_minimum, run
 over every edge by tangency). The tests require the batched code to equal
 them bit for bit. bisect_polish is the lockstep bisection, one gauge call
 per halving, that the predicted-and-verified bodies._bisect_chords replaced
-in the chart inverse.
+in the chart inverse; bisect_slopes is the one verify._bisect_slopes
+replaced in the line minima.
 """
 
 import cmath
@@ -20,6 +21,7 @@ import numpy as np
 from midscribe.bodies import (CHART_BISECTION_ITERATIONS, Ball, Ellipsoid,
                               GaugeBlend, Superellipsoid, _rowdot)
 from midscribe.errors import RootNotFound
+from midscribe.verify import LINE_BISECTIONS
 
 
 def scalar_value(body, x):
@@ -150,6 +152,26 @@ def bisect_polish(body, origins, dirs, lo, hi):
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(slope != 0, t - body.values(X) / slope, t)
     return t
+
+
+def bisect_slopes(body, Q, U, lo, hi, t0):
+    """Brackets of the slope's sign change along each line Q + t U, all
+    rows in lockstep, one gradients call per halving: mid = 0.5 (lo + hi),
+    lo = mid where the slope at mid is < 0, else hi = mid; a row stops once
+    hi - lo < 1e-14 (1 + |mid|), or keeps its bracket after LINE_BISECTIONS
+    halvings. The guesses t0 are not used."""
+    lo, hi = lo.copy(), hi.copy()
+    todo = np.arange(len(lo))
+    for _ in range(LINE_BISECTIONS):
+        mid = 0.5 * (lo[todo] + hi[todo])
+        X = Q[todo] + mid[:, None] * U[todo]
+        below = _rowdot(body.gradients(X), U[todo]) < 0
+        lo[todo] = np.where(below, mid, lo[todo])
+        hi[todo] = np.where(below, hi[todo], mid)
+        todo = todo[~(hi[todo] - lo[todo] < 1e-14 * (1.0 + np.abs(mid)))]
+        if not todo.size:
+            break
+    return lo, hi
 
 
 def line_minimum(body, n_f, d_f, n_g, d_g, guess):

@@ -5,6 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import solver_oracle
 from conftest import (CANONICAL_MARKS, ball_solution, closed_form_config,
@@ -446,8 +447,9 @@ HALFWAY_BODIES = ("ellipsoid:a=1.2,b=1.0", "superellipsoid:p=4,a=1,b=1")
 @pytest.mark.parametrize("name", SEED_NAMES + ("hull20",))
 def test_newton_factors_the_jacobian_as_csc(monkeypatch, name, desc):
     """Every matrix Newton hands splu carries the arrays of the canonical
-    CSC form of jacobian(x) at its iterate, here solving from the ball
-    packing on the s=0.5 blend towards desc."""
+    CSC form of a fresh assembly of the Jacobian at its iterate, with int32
+    indices, here solving from the ball packing on the s=0.5 blend towards
+    desc. The system refills one matrix, so the spy copies its arrays."""
     P, frame = complex_and_frame(name)
     body = make_path(make_body(desc)).eval(0.5)
     planar = layout_circles(P, frame, solve_radii(P, frame))
@@ -457,12 +459,14 @@ def test_newton_factors_the_jacobian_as_csc(monkeypatch, name, desc):
     points, factored = [], []
     jacobian, splu = ConstraintSystem.jacobian, solver.spla.splu
 
-    def recorded_jacobian(self, x):
+    def recorded_jacobian(self, x, terms=None):
         points.append(x)
-        return jacobian(self, x)
+        return jacobian(self, x, terms)
 
     def recorded_splu(J):
-        factored.append(J)
+        factored.append((J.format, J.shape,
+                         [getattr(J, part).copy()
+                          for part in ("data", "indices", "indptr")]))
         return splu(J)
 
     monkeypatch.setattr(ConstraintSystem, "jacobian", recorded_jacobian)
@@ -473,13 +477,63 @@ def test_newton_factors_the_jacobian_as_csc(monkeypatch, name, desc):
     except SolverError:
         pass
     assert factored and len(factored) == len(points)
-    for x, J in zip(points, factored):
-        want = jacobian(system, x).tocsr().tocsc()
-        assert J.format == "csc" and J.shape == want.shape
-        for part in ("data", "indices", "indptr"):
-            got = getattr(J, part)
+    fresh = ConstraintSystem(P, frame, system.marked_points, body)
+    for x, (fmt, shape, parts) in zip(points, factored):
+        want = jacobian(fresh, x).tocsr().tocsc()
+        assert fmt == "csc" and shape == want.shape
+        assert parts[1].dtype == parts[2].dtype == np.int32
+        for got, part in zip(parts, ("data", "indices", "indptr")):
             assert got.dtype == getattr(want, part).dtype
             assert np.array_equal(got, getattr(want, part))
+
+
+@pytest.mark.parametrize("name", SEED_NAMES + ("hull20",))
+def test_jacobian_pattern_is_canonical(name):
+    """The prebuilt pattern has sorted indices and no duplicates by scipy's
+    own check, made afresh on a matrix over the same arrays, so splu's
+    sum_duplicates leaves the shared matrix alone; jacobian refills and
+    returns that one matrix."""
+    P, frame = complex_and_frame(name)
+    system = ConstraintSystem(P, frame, np.eye(3), make_body("ball"))
+    J = system.jacobian(np.ones(system.n_unknowns))
+    assert J.indices.dtype == J.indptr.dtype == np.intc
+    assert sp.csc_matrix((J.data, J.indices, J.indptr),
+                         shape=J.shape).has_canonical_format
+    assert system.jacobian(np.zeros(system.n_unknowns)) is J
+
+
+class _CountingSparse:
+    """scipy.sparse as the solver sees it, counting csc_matrix calls."""
+
+    def __init__(self):
+        self.csc_calls = 0
+
+    def csc_matrix(self, *args, **kwargs):
+        self.csc_calls += 1
+        return sp.csc_matrix(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(sp, name)
+
+
+def test_newton_builds_one_csc_matrix_per_system(monkeypatch):
+    counting = _CountingSparse()
+    monkeypatch.setattr(solver, "sp", counting)
+    systems = []
+    init = ConstraintSystem.__init__
+
+    def counted_init(self, *args):
+        systems.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(ConstraintSystem, "__init__", counted_init)
+    P, _, frame = get_seed("cube")
+    _, report = continue_to_body(
+        P, frame, CANONICAL_MARKS,
+        make_path(make_body("ellipsoid:a=1.2,b=1.0")))
+    assert report.jacobian_condition_estimate > 0
+    assert report.iterations > len(report.step_history)
+    assert len(systems) == counting.csc_calls == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Verification: line tangency, convexity classification, disk packings,
 rigidity probing."""
 import ast
+import functools
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +25,11 @@ from midscribe import (
     verify,
     verify_configuration,
 )
-from midscribe.bodies import make_body, make_path
+from midscribe.bodies import ConvexBody, make_body, make_path
 from midscribe.errors import NotMidscribed
 from midscribe.seeds import SEED_NAMES
 from midscribe.verify import CONTACT_TOL, N_BOUNDARY_SAMPLES, TANGENCY_TOL
-from test_bodies import HalfSpace
+from test_bodies import HalfSpace, assert_bitwise_equal
 from test_packing import GENERATED, complex_and_frame
 
 BALL = make_body("ball")
@@ -185,6 +187,158 @@ def test_line_minima_failures_match_scalar_oracle():
     report = check_midscription(cfg, HalfSpace(), P)
     assert all(e["line_min"] == np.inf for e in report.per_edge)
     _assert_tangency_matches_oracle(report, cfg, HalfSpace(), P)
+
+
+LINE_BODIES = ("ball", "ellipsoid:a=1.2,b=1.0", "superellipsoid:p=4,a=1,b=1")
+
+
+@functools.lru_cache(maxsize=None)
+def _line_case(name, descriptor):
+    """(body, cfg, P) whose edge lines are minimized: a seed continued to
+    the body at LINE_MARKS, or a generated complex at its witness marks,
+    in its ball configuration or continued to the body."""
+    body = make_body(descriptor)
+    if name in SEED_NAMES:
+        P, _, frame = get_seed(name)
+        return body, continue_to_body(P, frame, LINE_MARKS,
+                                      make_path(body))[0], P
+    P, frame = complex_and_frame(name)
+    marks = witness_marks(P, frame, GENERATED[name](), BALL)
+    if descriptor == "ball":
+        planar = layout_circles(P, frame, solve_radii(P, frame))
+        return body, koebe_config(lift_normalize(planar, marks)), P
+    return body, continue_to_body(P, frame, marks, make_path(body))[0], P
+
+
+def _line_args(cfg, P):
+    f, g = np.array(P.edge_faces, dtype=int).reshape(-1, 2).T
+    return (cfg.normals[f], cfg.offsets[f], cfg.normals[g], cfg.offsets[g],
+            cfg.tangents)
+
+
+def lockstep_line_minima(body, args, monkeypatch):
+    """verify._line_minima with the lockstep bisection it replaced."""
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_bisect_slopes", gauge_oracle.bisect_slopes)
+        return verify._line_minima(body, *args)
+
+
+def assert_line_minima_match_lockstep(body, cfg, P, monkeypatch):
+    args = _line_args(cfg, P)
+    got = verify._line_minima(body, *args)
+    want = lockstep_line_minima(body, args, monkeypatch)
+    for g, w in zip(got, want):
+        assert_bitwise_equal(g, w)
+
+
+@pytest.mark.parametrize("descriptor", LINE_BODIES)
+@pytest.mark.parametrize("name", SEED_NAMES)
+def test_line_minima_match_lockstep_oracle(name, descriptor, monkeypatch):
+    assert_line_minima_match_lockstep(*_line_case(name, descriptor),
+                                      monkeypatch)
+
+
+@pytest.mark.parametrize("descriptor", LINE_BODIES[:2])
+@pytest.mark.parametrize("name", ["hull12", "prism8"])
+def test_line_minima_match_lockstep_oracle_generated(name, descriptor,
+                                                     monkeypatch):
+    assert_line_minima_match_lockstep(*_line_case(name, descriptor),
+                                      monkeypatch)
+
+
+def test_line_minima_failures_match_lockstep_oracle(monkeypatch):
+    # a parallel-plane row among bisected ones, and no row bisected at all
+    P, _, cfg = closed_form_config("cube")
+    f, g = P.faces_of_edge(0)
+    parallel = cfg.copy()
+    parallel.normals[g] = cfg.normals[f]
+    assert_line_minima_match_lockstep(BALL, parallel, P, monkeypatch)
+    assert_line_minima_match_lockstep(HalfSpace(), cfg, P, monkeypatch)
+
+
+class CountingGauge(ConvexBody):
+    """Delegates to a body and counts its batched gauge calls by kind."""
+
+    def __init__(self, body):
+        self.body = body
+        self.calls = Counter()
+
+    def values(self, X):
+        self.calls["values"] += 1
+        return self.body.values(X)
+
+    def gradients(self, X):
+        self.calls["gradients"] += 1
+        return self.body.gradients(X)
+
+    def hessians(self, X):
+        self.calls["hessians"] += 1
+        return self.body.hessians(X)
+
+    @property
+    def descriptor(self):
+        return self.body.descriptor
+
+
+@pytest.mark.parametrize("estimate", ["lo", "hi", "nan"])
+def test_bisect_slopes_survives_bad_estimates(estimate, monkeypatch):
+    # every kept halving is a real slope sign, so a useless estimate costs
+    # rounds (one gradients call each) but neither a bit nor the budget
+    def bad(body, Q, U, lo, hi, t0):
+        return {"lo": lo, "hi": hi, "nan": np.full(len(lo), np.nan)}[estimate]
+
+    bisect = verify._bisect_slopes
+    rounds = []
+
+    def spy(body, *args):
+        before = body.calls["gradients"]
+        brackets = bisect(body, *args)
+        rounds.append(body.calls["gradients"] - before)
+        return brackets
+
+    for case in [("cube", LINE_BODIES[1]), ("dodecahedron", LINE_BODIES[2]),
+                 ("hull12", LINE_BODIES[1])]:
+        body, cfg, P = _line_case(*case)
+        args = _line_args(cfg, P)
+        want = lockstep_line_minima(body, args, monkeypatch)
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_minimizer_estimates", bad)
+            m.setattr(verify, "_bisect_slopes", spy)
+            got = verify._line_minima(CountingGauge(body), *args)
+        for g, w in zip(got, want):
+            assert_bitwise_equal(g, w)
+        assert 1 <= rounds.pop() <= verify.LINE_BISECTIONS
+
+
+def test_bisect_slopes_keeps_the_lockstep_budget():
+    # a bracket 1e20 wide is still open after LINE_BISECTIONS halvings and
+    # keeps its last bracket, as in the lockstep loop; the rows between
+    # the wide ones close
+    rng = np.random.default_rng(20261019)
+    body = make_body("ellipsoid:a=1.2,b=1.0")
+    U = rng.normal(size=(8, 3))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    Q = 0.5 * rng.normal(size=(8, 3))
+    t0 = rng.uniform(-0.5, 0.5, size=8)
+    wide = np.arange(8) % 2 == 1
+    lo, hi = t0 - np.where(wide, 1e20, 1.0), t0 + 1.0
+    got = verify._bisect_slopes(body, Q, U, lo, hi, t0)
+    want = gauge_oracle.bisect_slopes(body, Q, U, lo, hi, t0)
+    for g, w in zip(got, want):
+        assert_bitwise_equal(g, w)
+    width = got[1] - got[0]
+    open_ = ~(width < 1e-14 * (1.0 + np.abs(0.5 * (got[0] + got[1]))))
+    assert np.array_equal(open_, wide)
+
+
+def test_line_minima_gauge_call_budget():
+    # the doubling brackets (2), the Newton estimates (4), one verified
+    # round of halvings, the two polish steps (4) and the values (1); with
+    # one gradients call per halving the search made 55
+    P, _, _ = get_seed("cube")
+    body = CountingGauge(BALL)
+    assert check_midscription(ball_solution("cube"), body, P).midscribed
+    assert sum(body.calls.values()) <= 20
 
 
 def test_verification_minimizes_each_line_once(monkeypatch):
