@@ -452,11 +452,13 @@ def _bisect_polish(body: ConvexBody, origins, dirs, lo, hi) -> np.ndarray:
     return t
 
 
-def _bisect_chords(body: ConvexBody, origins, dirs, lo, hi) -> np.ndarray:
+def _bisect_chords(body: ConvexBody, origins, dirs, lo, hi,
+                   seed) -> np.ndarray:
     """The roots of _bisect_polish, bit for bit, for the few chords of a
     chart inverse, in a few values calls instead of one per halving.
 
-    Each round estimates every open row's root (_root_estimates), lists the
+    Each round estimates every open row's root (_root_estimates, from seed
+    in the first round and from hi after it), lists the
     halvings the row's bracket would take if the gauge changed sign at the
     estimate (_predicted_midpoints), and evaluates the gauge at all rows'
     midpoints in one call. A row keeps its halvings, with the real signs,
@@ -471,9 +473,11 @@ def _bisect_chords(body: ConvexBody, origins, dirs, lo, hi) -> np.ndarray:
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     left = np.full(len(dirs), budget)
     todo = np.flatnonzero(_wide(lo, hi) & (left > 0))
+    start = np.array(seed, dtype=float)
     while todo.size:
         est = _root_estimates(body, origins[todo], dirs[todo], lo[todo],
-                              hi[todo]).tolist()
+                              hi[todo], start[todo]).tolist()
+        start = hi
         brackets = list(zip(lo[todo].tolist(), hi[todo].tolist()))
         walks = [_predicted_midpoints(l, h, t, n) for (l, h), t, n
                  in zip(brackets, est, left[todo].tolist())]
@@ -523,14 +527,15 @@ def _predicted_midpoints(lo, hi, t, n):
     return mids
 
 
-def _root_estimates(body: ConvexBody, origins, dirs, lo, hi) -> np.ndarray:
-    """Estimates of the roots of F(o + t d) in brackets [lo, hi], F >= 0 at
-    hi: at most 8 Newton steps from hi, all rows together, until every step
-    is at most 1e-12 t; a non-finite step keeps t. F is convex along the
-    line, so the iterates fall onto the root from above. The estimates only
-    steer _bisect_chords, which checks each halving they predict.
+def _root_estimates(body: ConvexBody, origins, dirs, lo, hi,
+                    t0) -> np.ndarray:
+    """Estimates of the roots of F(o + t d) in brackets [lo, hi]: at most 8
+    Newton steps from t0, all rows together, until every step is at most
+    1e-12 t; a non-finite step keeps t. The estimates are clipped into
+    [lo, hi]. They only steer _bisect_chords, which checks each halving they
+    predict, so an estimate may be poor but never costs a bit.
     """
-    t = hi
+    t = t0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(8):
             X = origins + t[:, None] * dirs
@@ -540,6 +545,20 @@ def _root_estimates(body: ConvexBody, origins, dirs, lo, hi) -> np.ndarray:
             if np.all(np.abs(step) <= 1e-12 * t):
                 break
     return np.minimum(np.maximum(t, lo), hi)
+
+
+def _chord_seeds(lo, hi, f_lo, f_hi) -> np.ndarray:
+    """Root estimates of f(t) = F(N + t d) from its bracket: N lies on the
+    boundary, so f(0) = 0, and a t^2 + b t through (lo, f_lo) and (hi, f_hi)
+    has its other root at -b/a. That is the exact root when F is quadratic,
+    as for every ball and ellipsoid blend. A seed is clipped into [lo, hi];
+    one that is not finite is hi.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slope_lo = f_lo / lo
+        a = (f_hi / hi - slope_lo) / (hi - lo)
+        seed = (a * lo - slope_lo) / a
+    return np.where(np.isfinite(seed), np.clip(seed, lo, hi), hi)
 
 
 def _unit_orthogonals(V: np.ndarray) -> np.ndarray:
@@ -576,8 +595,10 @@ class BodyChart:
 
         Infinity maps to N. Each chord N + t (x, y, -2) is bracketed by
         doubling hi from 1 until F >= 0, then halving lo from hi/2 until
-        F < 0; _bisect_chords then bisects every chord in a few batched
-        rounds of predicted and verified halvings and polishes the roots.
+        F < 0; the gauge values at the bracket's ends seed each root
+        (_chord_seeds), and _bisect_chords then bisects every chord in a
+        few batched rounds of predicted and verified halvings and polishes
+        the roots.
         """
         zs = [complex(z) for z in zs]
         out = np.tile(NORTH_POLE, (len(zs), 1))
@@ -587,26 +608,29 @@ class BodyChart:
         d = np.array([[zs[k].real, zs[k].imag, -2.0] for k in rows])
         body = self.body
         hi = np.ones(len(d))
+        f_hi = np.empty(len(d))
         todo = np.arange(len(d))
         for _ in range(200):
-            todo = todo[~(body.values(_CHORD_ORIGIN + hi[todo, None] * d[todo])
-                          >= 0)]
+            f_hi[todo] = body.values(_CHORD_ORIGIN + hi[todo, None] * d[todo])
+            todo = todo[~(f_hi[todo] >= 0)]
             if not todo.size:
                 break
             hi[todo] *= 2.0
         else:
             raise RootNotFound("chord from the pole never exits the body")
         lo = hi / 2.0
+        f_lo = np.empty(len(d))
         todo = np.arange(len(d))
         for _ in range(2000):
-            todo = todo[~(body.values(_CHORD_ORIGIN + lo[todo, None] * d[todo])
-                          < 0)]
+            f_lo[todo] = body.values(_CHORD_ORIGIN + lo[todo, None] * d[todo])
+            todo = todo[~(f_lo[todo] < 0)]
             if not todo.size:
                 break
             lo[todo] /= 2.0
         else:
             raise RootNotFound("cannot bracket the chord intersection")
-        t = _bisect_chords(body, _CHORD_ORIGIN, d, lo, hi)
+        t = _bisect_chords(body, _CHORD_ORIGIN, d, lo, hi,
+                           _chord_seeds(lo, hi, f_lo, f_hi))
         out[rows] = _CHORD_ORIGIN + t[:, None] * d
         return out
 

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .bodies import _rowdot
 from .errors import DegenerateMarks
 
 INFINITY = complex(math.inf, 0.0)
@@ -76,23 +77,27 @@ def lift_to_sphere(z: complex) -> np.ndarray:
 
 
 def cap_through_points(p1, p2, p3, interior):
-    """Spherical cap through three sphere points, containing the interior point.
+    """Spherical caps through three sphere points, containing an interior
+    point, for one set of points or a stack of them.
 
-    Returns (n, d) with |n| = 1 describing the cap {x : <n, x> >= d}; the
-    boundary circle is the sphere section of the plane <n, x> = d.
+    The arguments are points (3,) or stacks (m, 3), broadcast together.
+    Returns (n, d), n of shape (..., 3) with |n| = 1 and d of shape (...),
+    describing each cap {x : <n, x> >= d}; a boundary circle is the sphere
+    section of the plane <n, x> = d. All planes come from one stacked SVD,
+    which equals one SVD per cap bit for bit. Raises DegenerateMarks if the
+    points of any cap do not span a unique plane.
     """
-    A = np.array([[p1[0], p1[1], p1[2], -1.0],
-                  [p2[0], p2[1], p2[2], -1.0],
-                  [p3[0], p3[1], p3[2], -1.0]])
+    p1, p2, p3, interior = np.broadcast_arrays(
+        *(np.asarray(p, dtype=float) for p in (p1, p2, p3, interior)))
+    A = np.stack([p1, p2, p3], axis=-2)
+    A = np.concatenate([A, np.full(A.shape[:-1] + (1,), -1.0)], axis=-1)
     _, sv, vt = np.linalg.svd(A)
-    null = vt[-1]
-    n, d = null[:3], null[3]
-    scale = np.linalg.norm(n)
-    if scale < 1e-12 or sv[-1] < 1e-12 * sv[0]:
+    null = vt[..., -1, :]
+    n, d = null[..., :3], null[..., 3]
+    scale = np.sqrt(_rowdot(n, n))
+    if np.any((scale < 1e-12) | (sv[..., -1] < 1e-12 * sv[..., 0])):
         raise DegenerateMarks("three circle points do not span a unique plane "
                               "(two nearly coincide)")
-    n, d = n / scale, d / scale
-    side = float(n @ np.asarray(interior, dtype=float)) - d
-    if side < 0:
-        n, d = -n, -d
-    return n, float(d)
+    n, d = n / scale[..., None], d / scale
+    flip = _rowdot(n, interior) - d < 0
+    return np.where(flip[..., None], -n, n), np.where(flip, -d, d)

@@ -26,6 +26,7 @@ import numpy as np
 from scipy import sparse, special
 from scipy.sparse import linalg as spla
 
+from .bodies import _rowdot
 from .combinatorics import Frame, PolyhedralComplex
 from .config import Configuration
 from .errors import (
@@ -575,7 +576,11 @@ _CIRCLE_PARAMS = (0.37, 2.41, 4.73)
 _LINE_PARAMS = (-1.3, 0.45, 2.17)
 
 
-def _mapped_cap(circle: Circle, M) -> Cap:
+def _lifted_points(circle: Circle, M):
+    """Lifts to the sphere of three boundary points and of an interior
+    witness of circle's image under M: ([p1, p2, p3], interior), interior
+    None when no witness maps to a usable point. A boundary parameter that
+    maps to infinity or beyond 1e30 is moved by 0.123, up to 8 times."""
     if circle.kind == "circle":
         params = list(_CIRCLE_PARAMS)
         witnesses = [circle.center,
@@ -599,12 +604,25 @@ def _mapped_cap(circle: Circle, M) -> Cap:
     for w in witnesses:
         zw = apply_mobius(M, w)
         if not is_infinity(zw) and abs(zw) < 1e12:
-            interior = lift_to_sphere(zw)
-            break
-    else:
-        raise DegenerateMarks("no usable interior witness for a circle")
-    n, d = cap_through_points(pts[0], pts[1], pts[2], interior)
-    return Cap(n=n, d=d)
+            return pts, lift_to_sphere(zw)
+    return pts, None
+
+
+def _mapped_caps(circles, M):
+    """Caps (n, d) of the images of circles under M: (m, 3) and (m,), by
+    one batched cap_through_points. As when the caps were made one at a
+    time, the first circle that fails raises its error: DegenerateMarks
+    with "no usable interior witness for a circle", or, from
+    cap_through_points, for points that span no unique plane."""
+    rows = []  # per circle: three boundary points, then the interior point
+    for circle in circles:
+        pts, interior = _lifted_points(circle, M)
+        if interior is None:
+            if rows:  # an earlier cap's failure comes first
+                cap_through_points(*np.swapaxes(rows, 0, 1))
+            raise DegenerateMarks("no usable interior witness for a circle")
+        rows.append(pts + [interior])
+    return cap_through_points(*np.swapaxes(rows, 0, 1))
 
 
 def lift_normalize(pattern: CirclePattern, marks_z) -> SphericalPattern:
@@ -613,7 +631,8 @@ def lift_normalize(pattern: CirclePattern, marks_z) -> SphericalPattern:
     marks_z are three distinct finite chart coordinates; the Mobius map
     takes the current planar tangencies of (e1, e2, e3) (the first is the
     point at infinity) to them, and the chord chart of the ball carries it
-    onto the sphere.
+    onto the sphere. The vertex caps, then the face caps, come from one
+    batched _mapped_caps.
     """
     z1, z2, z3 = (complex(z) for z in marks_z)
     for z in (z1, z2, z3):
@@ -623,8 +642,14 @@ def lift_normalize(pattern: CirclePattern, marks_z) -> SphericalPattern:
     sources = (pattern.tangency[e1], pattern.tangency[e2], pattern.tangency[e3])
     M = mobius_through(sources, (z1, z2, z3))
 
-    vertex_caps = {v: _mapped_cap(c, M) for v, c in pattern.vertex_circles.items()}
-    face_caps = {f: _mapped_cap(c, M) for f, c in pattern.face_circles.items()}
+    circles = (list(pattern.vertex_circles.items())
+               + list(pattern.face_circles.items()))
+    n, d = _mapped_caps([c for _, c in circles], M)
+    caps = [(key, Cap(n=nk, d=dk)) for (key, _), nk, dk
+            in zip(circles, n, d.tolist())]
+    n_vertex = len(pattern.vertex_circles)
+    vertex_caps = dict(caps[:n_vertex])
+    face_caps = dict(caps[n_vertex:])
     tangency = {e: lift_to_sphere(apply_mobius(M, t))
                 for e, t in pattern.tangency.items()}
     marks = np.array([tangency[e1], tangency[e2], tangency[e3]])
@@ -640,25 +665,32 @@ def lift_normalize(pattern: CirclePattern, marks_z) -> SphericalPattern:
 
 
 def spherical_pattern_residuals(pat: SphericalPattern):
-    """Worst-case residuals of a spherical pattern, keyed by kind."""
+    """Worst-case residuals of a spherical pattern, keyed by kind, over the
+    edges' four caps (vertices a, b and faces fa, fb) and tangency points,
+    as arrays over all edges; a nan residual reads nan."""
     P = pat.P
-    through = tangent = ortho = unit = 0.0
-    for e, (a, b) in enumerate(P.edges):
-        fa, fb = P.faces_of_edge(e)
-        caps = [pat.vertex_caps[a], pat.vertex_caps[b],
-                pat.face_caps[fa], pat.face_caps[fb]]
-        t = pat.tangency[e]
-        unit = max(unit, abs(float(t @ t) - 1.0))
-        through = max(through, max(abs(float(c.n @ t) - c.d) for c in caps))
-        for c1, c2 in ((caps[0], caps[1]), (caps[2], caps[3])):
-            want = c1.d * c2.d - math.sqrt(max(0.0, 1.0 - c1.d ** 2)) \
-                * math.sqrt(max(0.0, 1.0 - c2.d ** 2))
-            tangent = max(tangent, abs(float(c1.n @ c2.n) - want))
-        for cv in (caps[0], caps[1]):
-            for cf in (caps[2], caps[3]):
-                ortho = max(ortho, abs(float(cv.n @ cf.n) - cv.d * cf.d))
-    return {"through_point": through, "tangent": tangent, "orthogonal": ortho,
-            "unit_norm": unit}
+    V = P.n_vertices
+    caps = ([pat.vertex_caps[v] for v in range(V)]
+            + [pat.face_caps[f] for f in range(P.n_faces)])
+    n = np.array([c.n for c in caps], dtype=float)
+    d = np.array([c.d for c in caps], dtype=float)
+    # sin of each cap's angular radius, with Python's ** as a scalar
+    root = np.array([math.sqrt(max(0.0, 1.0 - c.d ** 2)) for c in caps])
+    T = np.array([pat.tangency[e] for e in range(P.n_edges)], dtype=float)
+    a, b = np.array(P.edges).reshape(-1, 2).T
+    fa, fb = V + np.array(P.edge_faces).reshape(-1, 2).T
+    ends = np.stack([a, b, fa, fb], axis=1)
+    i, j = np.array([a, fa]), np.array([b, fb])
+    v, f = np.array([a, a, b, b]), np.array([fa, fb, fa, fb])
+
+    def worst(r):
+        return float(np.max(np.abs(r), initial=0.0))
+
+    return {"through_point": worst(_rowdot(n[ends], T[:, None]) - d[ends]),
+            "tangent": worst(_rowdot(n[i], n[j])
+                             - (d[i] * d[j] - root[i] * root[j])),
+            "orthogonal": worst(_rowdot(n[v], n[f]) - d[v] * d[f]),
+            "unit_norm": worst(_rowdot(T, T) - 1.0)}
 
 
 def koebe_config(pattern: SphericalPattern) -> Configuration:

@@ -80,6 +80,11 @@ RIGIDITY_TOL = 1e-11
 RIGIDITY_MAX_ITERATIONS = 60
 
 
+# the constant last entry of the source vector z of the Jacobian's linear
+# entries
+_ONE = np.ones(1)
+
+
 class ConstraintSystem:
     """Square residual/Jacobian of the tangency system for one (P, frame).
 
@@ -98,8 +103,12 @@ class ConstraintSystem:
       V rows |X_v|^2 - 1.
     - the Jacobian: one CSC matrix with the (row, col) pattern sorted once,
       int32 indices and its canonical-format flag computed, so splu neither
-      casts nor rescans it, plus the data positions of each block of
-      _jacobian_pattern. jacobian(x) writes the values at x into it.
+      casts nor rescans it. Its entries that are linear in the unknowns
+      (a coefficient 1, -1 or 2 times an unknown, a marked-point coordinate
+      or 1) get their data positions, their sources in
+      z = [x, marked_points.ravel(), 1.0] and their coefficients; the other
+      blocks of _jacobian_pattern get their data positions. jacobian(x)
+      writes the values at x into it.
     - face_edges: the (F, k) boundary edges of each face, k the longest
       boundary, shorter faces padded with their own first edge.
 
@@ -146,15 +155,25 @@ class ConstraintSystem:
         self.face_edges = np.array([b + b[:1] * (k - len(b)) for b in bounds],
                                    dtype=int)
 
-        blocks = [np.broadcast_arrays(r, c) for r, c in self._jacobian_pattern()]
+        pattern = self._jacobian_pattern()
+        blocks = [np.broadcast_arrays(r, c) for r, c, _ in pattern]
         rows = np.concatenate([r.ravel() for r, _ in blocks])
         cols = np.concatenate([c.ravel() for _, c in blocks])
         order = np.lexsort((rows, cols))
         position = np.empty_like(order)
         position[order] = np.arange(len(order))
         ends = np.cumsum([r.size for r, _ in blocks])[:-1]
-        self._positions = [p.reshape(r.shape) for p, (r, _)
-                           in zip(np.split(position, ends), blocks)]
+        positions = [p.reshape(r.shape) for p, (r, _)
+                     in zip(np.split(position, ends), blocks)]
+        linear = [(p, np.broadcast_to(source, p.shape),
+                   np.full(p.shape, coef))
+                  for p, (_, _, (source, coef)) in zip(positions, pattern)
+                  if coef]
+        self._linear_positions, self._linear_sources, self._linear_coefs = (
+            np.concatenate([part[k].ravel() for part in linear])
+            for k in range(3))
+        self._positions = [p for p, (_, _, (_, coef))
+                           in zip(positions, pattern) if not coef]
         n = self.n_unknowns
         self._jacobian = sp.csc_matrix(
             (np.zeros(len(order)), rows[order].astype(np.intc),
@@ -164,9 +183,12 @@ class ConstraintSystem:
         self._jacobian.has_canonical_format
 
     def _jacobian_pattern(self):
-        """(rows, cols) of each block of nonzeros, in the order jacobian
-        lists the blocks' values; rows broadcast against cols."""
+        """(rows, cols, (source, coef)) of each block of nonzeros; rows,
+        cols and source broadcast together. A linear block's values are
+        coef * z[source], z = [x, marked_points.ravel(), 1.0]; the other
+        blocks have coef 0 and list their values in jacobian's order."""
         F, V = self.P.n_faces, self.P.n_vertices
+        n = self.n_unknowns
         ncols = 4 * np.arange(F)[:, None] + np.arange(3)
         dcol = 4 * np.arange(F)[:, None] + 3
         vcols = self.vert_off + 4 * np.arange(V)[:, None] + np.arange(4)
@@ -174,15 +196,29 @@ class ConstraintSystem:
         flag = F + np.arange(len(fv))[:, None]
         fg = self.edge_faces.T
         f, g = fg
+        free = self.free
         plane, tangency = self.edge_rows.T[:2, :, None], self.edge_rows[:, 3:]
+        tangent_rows = self.edge_rows[free][:, :, None]
+        tangent_cols = self.tangent_cols[:, None]
+        # the coordinates of every tangent point in z
+        tangent_source = np.empty((len(free), 3), dtype=int)
+        tangent_source[free] = self.tangent_cols
+        tangent_source[self.marked] = n + np.arange(9).reshape(3, 3)
+        nonlinear = (None, 0.0)
         return [
-            (np.arange(F)[:, None], ncols),
-            (flag, ncols[ff]), (flag, dcol[ff]),
-            (flag, vcols[fv, :1]), (flag, vcols[fv, 1:]),
-            (plane, ncols[fg]), (plane, dcol[fg]),
-            (tangency, ncols[f]), (tangency, ncols[g]),
-            (self.edge_rows[self.free][:, :, None], self.tangent_cols[:, None]),
-            (self.n_unknowns - V + np.arange(V)[:, None], vcols),
+            (np.arange(F)[:, None], ncols, (ncols, 2.0)),
+            (flag, ncols[ff], (vcols[fv, 1:], 1.0)),
+            (flag, dcol[ff], (vcols[fv, :1], -1.0)),
+            (flag, vcols[fv, :1], (dcol[ff], -1.0)),
+            (flag, vcols[fv, 1:], (ncols[ff], 1.0)),
+            (plane, ncols[fg], (tangent_source, 1.0)),
+            (plane, dcol[fg], (n + 9, -1.0)),
+            (tangent_rows[:, :2], tangent_cols,
+             (np.stack([ncols[f[free]], ncols[g[free]]], axis=1), 1.0)),
+            (n - V + np.arange(V)[:, None], vcols, (vcols, 2.0)),
+            (tangency, ncols[f], nonlinear),
+            (tangency, ncols[g], nonlinear),
+            (tangent_rows[:, 2:], tangent_cols, nonlinear),
         ]
 
     # -- packing between Configuration and the flat unknown vector ----------
@@ -269,25 +305,22 @@ class ConstraintSystem:
         return labels
 
     def jacobian(self, x: np.ndarray, terms=None) -> sp.csc_matrix:
-        """The Jacobian at x, in the CSC matrix that __init__ built: each
+        """The Jacobian at x, in the CSC matrix that __init__ built: the
+        linear entries are one gather, coef * z[source], and each other
         block's values are written straight into their data positions. The
         system's one matrix is returned, and the next call overwrites it.
         terms are terms(x), computed here if None."""
-        N, D, X = self._views(x)
+        N = self._views(x)[0]
         T, G, U = self.terms(x) if terms is None else terms
         free = self.free
-        fv, ff = self.flag_v, self.flag_f
         f, g = self.edge_faces.T
         HU = (self.body.hessians(T[free]) @ U[free][:, :, None])[:, :, 0]
-        values = [
-            2.0 * N,
-            X[fv, 1:], -X[fv, :1], -D[ff][:, None], N[ff],
-            T, -1.0,
-            _cross(N[g], G), _cross(G, N[f]),
-            np.stack([N[f][free], N[g][free], G[free], HU], axis=1),
-            2.0 * X,
-        ]
         data = self._jacobian.data
+        z = np.concatenate([x, self.marked_points.ravel(), _ONE])
+        data[self._linear_positions] = (self._linear_coefs
+                                        * z[self._linear_sources])
+        values = [_cross(N[g], G), _cross(G, N[f]),
+                  np.stack([G[free], HU], axis=1)]
         for position, value in zip(self._positions, values):
             data[position] = value
         return self._jacobian

@@ -6,6 +6,10 @@ time, with scalar gauge calls per edge. Tests require the layout-based
 ``ConstraintSystem`` to reproduce its residual, its CSR Jacobian, its row
 labels and its packing exactly.
 
+``blockwise_jacobian`` is the solver's Jacobian as it was written before its
+linear entries were gathered in one step: one array expression per block of
+nonzeros. The solver's matrix must equal it bit for bit.
+
 ``degeneracy_guard`` is the continuation's collapse check as a loop over
 faces, one ``pdist`` per face; the solver's padded-table version must give
 the same face sizes and raise the same error.
@@ -220,6 +224,47 @@ class ConstraintSystem:
 
     def singular_values(self, x: np.ndarray) -> np.ndarray:
         return np.linalg.svd(self.jacobian(x).toarray(), compute_uv=False)
+
+
+def blockwise_jacobian(system, x: np.ndarray) -> sp.csc_matrix:
+    """The Jacobian of a solver.ConstraintSystem at x, block by block as the
+    solver wrote it before its linear entries became one gather: each
+    block's values as an array expression, at the (row, col) pattern of the
+    block, returned as a canonical CSC matrix."""
+    P = system.P
+    F, V = P.n_faces, P.n_vertices
+    N, D, X = system._views(x)
+    T, G, U = system.terms(x)
+    free = system.free
+    fv, ff = system.flag_v, system.flag_f
+    f, g = system.edge_faces.T
+    HU = (system.body.hessians(T[free]) @ U[free][:, :, None])[:, :, 0]
+    ncols = 4 * np.arange(F)[:, None] + np.arange(3)
+    dcol = 4 * np.arange(F)[:, None] + 3
+    vcols = system.vert_off + 4 * np.arange(V)[:, None] + np.arange(4)
+    flag = F + np.arange(len(fv))[:, None]
+    fg = system.edge_faces.T
+    plane, tangency = system.edge_rows.T[:2, :, None], system.edge_rows[:, 3:]
+    blocks = [
+        (np.arange(F)[:, None], ncols, 2.0 * N),
+        (flag, ncols[ff], X[fv, 1:]),
+        (flag, dcol[ff], -X[fv, :1]),
+        (flag, vcols[fv, :1], -D[ff][:, None]),
+        (flag, vcols[fv, 1:], N[ff]),
+        (plane, ncols[fg], T),
+        (plane, dcol[fg], -1.0),
+        (tangency, ncols[f], solver._cross(N[g], G)),
+        (tangency, ncols[g], solver._cross(G, N[f])),
+        (system.edge_rows[free][:, :, None], system.tangent_cols[:, None],
+         np.stack([N[f][free], N[g][free], G[free], HU], axis=1)),
+        (system.n_unknowns - V + np.arange(V)[:, None], vcols, 2.0 * X),
+    ]
+    rows, cols, vals = zip(*(np.broadcast_arrays(*block) for block in blocks))
+    n = system.n_unknowns
+    return sp.coo_matrix((np.concatenate([v.ravel() for v in vals]),
+                          (np.concatenate([r.ravel() for r in rows]),
+                           np.concatenate([c.ravel() for c in cols]))),
+                         shape=(n, n)).tocsc()
 
 
 def face_circle_sizes(P: PolyhedralComplex, T: np.ndarray) -> np.ndarray:

@@ -395,8 +395,11 @@ BLENDS = [make_path(make_body(d)).eval(s)
 
 def lockstep_chart_inverse(body, zs, monkeypatch):
     """BodyChart.inverse with the lockstep bisection it replaced."""
+    def lockstep(body, origins, dirs, lo, hi, seed):
+        return gauge_oracle.bisect_polish(body, origins, dirs, lo, hi)
+
     with monkeypatch.context() as m:
-        m.setattr(bodies, "_bisect_chords", gauge_oracle.bisect_polish)
+        m.setattr(bodies, "_bisect_chords", lockstep)
         return BodyChart(body).inverse(zs)
 
 
@@ -416,17 +419,20 @@ def test_bisect_chords_matches_lockstep_oracle(body, monkeypatch):
 
 
 class CountingValues(ConvexBody):
-    """Delegates to a body and counts its batched values calls."""
+    """Delegates to a body and counts its batched values and gradients
+    calls."""
 
     def __init__(self, body):
         self.body = body
         self.values_calls = 0
+        self.gradients_calls = 0
 
     def values(self, X):
         self.values_calls += 1
         return self.body.values(X)
 
     def gradients(self, X):
+        self.gradients_calls += 1
         return self.body.gradients(X)
 
     def hessians(self, X):
@@ -441,7 +447,7 @@ class CountingValues(ConvexBody):
 def test_bisect_chords_survives_bad_estimates(estimate, monkeypatch):
     # every kept decision is a real gauge sign, so a useless estimate costs
     # rounds (one values call each) but neither a bit nor the step cap
-    def bad(body, origins, dirs, lo, hi):
+    def bad(body, origins, dirs, lo, hi, t0):
         return {"lo": lo, "hi": hi, "nan": np.full(len(lo), math.nan)}[estimate]
 
     bisect = bodies._bisect_chords
@@ -489,10 +495,38 @@ def test_ray_bisection_matches_lockstep_oracle(body, monkeypatch):
 
 @pytest.mark.parametrize("marks", [(0j, 1 + 0j, 1j), (0.3, -1.2 + 0.5j, 2j)])
 def test_three_mark_inverse_gauge_call_budget(marks):
-    # doubling hi and halving lo (2), the Newton estimate, one verified
-    # round of halvings and the two polish steps; halving one step per call
-    # took about 50
+    # doubling hi and halving lo (2), one Newton step from the bracket's
+    # seed (1), one or two verified rounds of halvings and the two polish
+    # steps: 6 and 7 values calls, 3 gradients calls; Newton from hi took
+    # 19-22 gauge calls, and halving one step per call about 50
     counted = CountingValues(make_path(make_body("ellipsoid:a=1.2,b=1.0"))
                              .eval(0.37))
     BodyChart(counted).inverse(marks)
-    assert counted.values_calls <= 20
+    assert counted.values_calls <= 7
+    assert counted.values_calls + counted.gradients_calls <= 10
+
+
+@pytest.mark.parametrize("desc", ["ball", "ellipsoid:a=1.2,b=1.0",
+                                  "ellipsoid:a=0.9,b=1.1"])
+def test_quadric_chord_seeds_are_exact(desc, monkeypatch):
+    # a ball or ellipsoid blend is quadratic along every chord, so the seed
+    # fitted through the bracket is its root and Newton stops after one
+    # step (one gradients call). The far point 1e6 + 1e6i is left out: its
+    # root t ~ 1e-12 is below the gauge's rounding near N, so no estimate
+    # meets the 1e-12 t step test there
+    zs = [z for z in BISECTION_ZS if abs(z) < 1e3]
+    estimate = bodies._root_estimates
+    steps = []
+
+    def spy(body, *args):
+        before = body.gradients_calls
+        t = estimate(body, *args)
+        steps.append(body.gradients_calls - before)
+        return t
+
+    monkeypatch.setattr(bodies, "_root_estimates", spy)
+    for s in (0.1, 0.37, 0.71, 0.999):
+        counted = CountingValues(make_path(make_body(desc)).eval(s))
+        steps.clear()
+        BodyChart(counted).inverse(zs)
+        assert steps[0] == 1

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import lift_oracle
 from midscribe.bodies import Ball, BodyChart
 from midscribe.errors import DegenerateMarks
 from midscribe.mobius import (
@@ -86,3 +87,17 @@ def test_cap_through_collinear_points_raises():
     assert abs(n @ lift_to_sphere(5) - d) < 1e-12  # whole real axis on the cap edge
     with pytest.raises(DegenerateMarks):
         cap_through_points(pts[0], pts[0], pts[1], interior)
+
+
+def test_stacked_caps_match_one_cap_at_a_time():
+    # one stacked SVD and row-wise dot products give each cap the bits of
+    # its own SVD, norm and dot product
+    rng = np.random.default_rng(20261019)
+    P = rng.normal(size=(500, 4, 3))
+    P /= np.linalg.norm(P, axis=2, keepdims=True)
+    n, d = cap_through_points(P[:, 0], P[:, 1], P[:, 2], P[:, 3])
+    assert n.shape == (500, 3) and d.shape == (500,)
+    for k in range(500):
+        n_k, d_k = lift_oracle.cap_through_points(*P[k])
+        assert np.array_equal(n[k].view(np.int64), n_k.view(np.int64))
+        assert d[k].view(np.int64) == np.float64(d_k).view(np.int64)

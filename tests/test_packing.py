@@ -4,22 +4,27 @@ The layout checks below recompute tangency/orthogonality/through-point
 conditions directly from the raw circle data, independently of the library's
 own residual helpers.
 """
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import lift_oracle
 from conftest import CANONICAL_MARKS, ball_solution, get_seed
 from solver_oracle import assemble_residual
 from midscribe.bodies import BodyChart, make_body
 from midscribe.mobius import is_infinity
 from midscribe import packing
 from midscribe.combinatorics import build_complex, select_frame
-from midscribe.errors import LayoutInconsistency, NonConvergence
+from midscribe.errors import (DegenerateMarks, LayoutInconsistency,
+                              NonConvergence)
 from midscribe.packing import (
     TWO_PI,
     _AngleSums,
     _box_structure,
+    _circle,
+    _mapped_caps,
     koebe_config,
     layout_circles,
     lift_normalize,
@@ -395,3 +400,101 @@ def test_lift_check_raises_typed_with_residual_kinds(monkeypatch):
                        match="lifted pattern residuals") as info:
         lift_normalize(planar, CANONICAL_MARKS)
     assert all(repr(kind) in str(info.value) for kind in kinds)
+
+
+def line_marks(planar):
+    """Marks whose Mobius map sends the tangency of the first unmarked edge
+    to infinity, so the four circles through it lift to caps through N."""
+    e2, e3 = planar.frame.edges[1:]
+    e = min(set(range(planar.P.n_edges)) - set(planar.frame.edges))
+    t = planar.tangency[e]
+    return (0j, 1.0 / (planar.tangency[e2] - t),
+            1.0 / (planar.tangency[e3] - t))
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).view(np.int64)
+
+
+def assert_same_lift(got, want):
+    for caps, ref in ((got.vertex_caps, want.vertex_caps),
+                      (got.face_caps, want.face_caps)):
+        assert list(caps) == list(ref)
+        for key, cap in ref.items():
+            assert np.array_equal(bits(caps[key].n), bits(cap.n))
+            assert type(caps[key].d) is float
+            assert bits(caps[key].d) == bits(cap.d)
+    assert list(got.tangency) == list(want.tangency)
+    for e, t in want.tangency.items():
+        assert np.array_equal(bits(got.tangency[e]), bits(t))
+    assert np.array_equal(bits(got.marks), bits(want.marks))
+    assert got.marks_z == want.marks_z
+    for pattern in (got, want):
+        res = spherical_pattern_residuals(pattern)
+        ref = lift_oracle.spherical_pattern_residuals(pattern)
+        assert list(res) == list(ref)
+        assert all(bits(res[k]) == bits(ref[k]) for k in ref)
+
+
+@pytest.mark.parametrize("marks", ["canonical", "other", "line"])
+@pytest.mark.parametrize("name", SEED_NAMES + ("hull12", "prism8"))
+def test_lift_matches_per_cap_oracle(name, marks):
+    """The batched lift gives the per-cap lift's caps, tangencies, marks and
+    residuals bit for bit, also when a circle's image is a line."""
+    P, frame = complex_and_frame(name)
+    planar = layout_circles(P, frame, solve_radii(P, frame))
+    marks_z = {"canonical": CANONICAL_MARKS,
+               "other": (0.3, -1.2 + 0.5j, 2j),
+               "line": line_marks(planar)}[marks]
+    got = lift_normalize(planar, marks_z)
+    assert_same_lift(got, lift_oracle.lift_normalize(planar, marks_z))
+    if marks == "line":
+        caps = list(got.vertex_caps.values()) + list(got.face_caps.values())
+        assert sum(abs(cap.n[2] - cap.d) < 1e-9 for cap in caps) == 4
+
+
+@pytest.mark.parametrize("name", ["cube", "hull12"])
+def test_lift_residuals_see_every_cap_and_tangency(name):
+    """With one cap offset or one tangency point moved at a time, each by
+    its own amount, the residuals over edge index arrays equal the edge
+    loop's bit for bit: no cap or edge is left out of any maximum."""
+    P, frame = complex_and_frame(name)
+    pattern = lift_normalize(layout_circles(P, frame, solve_radii(P, frame)),
+                             CANONICAL_MARKS)
+    variants = []
+    slots = ([("vertex_caps", v) for v in pattern.vertex_caps]
+             + [("face_caps", f) for f in pattern.face_caps])
+    for k, (field, key) in enumerate(slots):
+        changed = dict(getattr(pattern, field))
+        cap = changed[key]
+        changed[key] = packing.Cap(n=cap.n, d=cap.d + 1e-3 * (k + 1))
+        variants.append(dataclasses.replace(pattern, **{field: changed}))
+    for e, t in pattern.tangency.items():
+        moved = dict(pattern.tangency)
+        moved[e] = t * (1.0 + 1e-3 * (e + 1))
+        variants.append(dataclasses.replace(pattern, tangency=moved))
+    for variant in variants:
+        res = spherical_pattern_residuals(variant)
+        ref = lift_oracle.spherical_pattern_residuals(variant)
+        assert all(bits(res[k]) == bits(ref[k]) for k in ref)
+
+
+FAR = _circle(1e13 + 0j, 1.0)    # every interior witness maps beyond 1e12
+POINT = _circle(0.5 + 0.5j, 0.0)  # three equal boundary points
+
+
+@pytest.mark.parametrize("circles", [
+    [POINT], [FAR], [POINT, FAR], [FAR, POINT],
+    [_circle(0.2j, 0.1), POINT, FAR], [_circle(0.2j, 0.1), FAR, POINT],
+], ids=["point", "far", "point-far", "far-point", "ok-point-far",
+        "ok-far-point"])
+def test_failing_caps_raise_the_first_error(circles):
+    """As with one cap at a time, the first failing circle decides the
+    error and its message."""
+    M = np.eye(2, dtype=complex)
+    with pytest.raises(DegenerateMarks) as want:
+        for circle in circles:
+            lift_oracle.mapped_cap(circle, M)
+    with pytest.raises(DegenerateMarks) as got:
+        _mapped_caps(circles, M)
+    assert str(got.value) == str(want.value)

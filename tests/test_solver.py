@@ -502,6 +502,34 @@ def test_jacobian_pattern_is_canonical(name):
     assert system.jacobian(np.zeros(system.n_unknowns)) is J
 
 
+@pytest.mark.parametrize("desc", HALFWAY_BODIES, ids=["ellipsoid", "p4"])
+@pytest.mark.parametrize("name", SEED_NAMES + ("hull12", "prism8"))
+def test_jacobian_matches_blockwise_oracle(monkeypatch, name, desc):
+    """At every Newton iterate of a continuation towards desc, the Jacobian with
+    its linear entries gathered in one step equals the block-by-block
+    assembly it replaced, bit for bit, with the body and marks of that
+    step."""
+    P, frame = complex_and_frame(name)
+    jacobian = ConstraintSystem.jacobian
+    compared = []
+
+    def checked_jacobian(self, x, terms=None):
+        J = jacobian(self, x, terms)
+        want = solver_oracle.blockwise_jacobian(self, x)
+        assert np.array_equal(J.indptr, want.indptr)
+        assert np.array_equal(J.indices, want.indices)
+        assert np.array_equal(J.data.view(np.int64), want.data.view(np.int64))
+        compared.append(x)
+        return J
+
+    monkeypatch.setattr(ConstraintSystem, "jacobian", checked_jacobian)
+    try:  # the dodecahedron on p=4 degenerates on the way
+        continue_to_body(P, frame, CANONICAL_MARKS, make_path(make_body(desc)))
+    except DegenerateConfiguration:
+        pass
+    assert compared
+
+
 class _CountingSparse:
     """scipy.sparse as the solver sees it, counting csc_matrix calls."""
 

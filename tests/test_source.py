@@ -46,3 +46,20 @@ def test_every_private_function_is_read():
                  and node.name.startswith("_")
                  and not node.name.startswith("__")}
     assert functions and sorted(functions - reads) == []
+
+
+def test_solver_calls_splu_with_the_matrix_alone():
+    # bench/tracing.py traces the linear solves through a proxy defined as
+    # splu(matrix): a second argument or a keyword such as permc_spec= would
+    # make every traced run fail with a TypeError
+    tree = ast.parse((SRC / "solver.py").read_text())
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "splu"]
+    assert calls
+    for call in calls:
+        assert isinstance(call.func.value, ast.Name)
+        assert call.func.value.id == "spla"
+        assert len(call.args) == 1 and not call.keywords
+        assert not isinstance(call.args[0], ast.Starred)
