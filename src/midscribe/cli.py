@@ -188,6 +188,7 @@ def cmd_midscribe(args) -> int:
         "jacobian_condition_estimate": solve_report.jacobian_condition_estimate,
         "rank_deficiency": solve_report.rank_deficiency,
         "steps": [list(step) for step in solve_report.step_history],
+        "steps_rejected": solve_report.steps_rejected,
     }
     if rigidity is not None:
         payload["rigidity"] = {

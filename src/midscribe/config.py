@@ -41,6 +41,10 @@ class Configuration:
         return pos, finite
 
 
+# why a continuation step was rejected: its Newton corrector failed, its
+# solution left the branch's sign pattern, or its solution degenerated
+STEP_REJECT_REASONS = ("corrector", "branch", "degeneracy")
+
 # the SolveReport fields a deferred condition audit fills in
 _AUDITED_FIELDS = ("jacobian_condition_estimate", "rank_deficiency")
 
@@ -56,7 +60,8 @@ class SolveReport:
     to solver.DENSE_AUDIT_MAX_N unknowns, and above that a Lanczos estimate
     accurate to about 1e-12 relative, with the dense SVD as its fallback
     whenever the estimate fails or the Jacobian is near singular.
-    step_history rows are (s, ds, newton_iterations).
+    step_history rows are (s, ds, newton_iterations) of the accepted steps;
+    steps_rejected counts the rejected ones by STEP_REJECT_REASONS.
 
     The solver's reports defer that audit (defer_audit): the first read of
     either field runs condition at every accepted solution in order, and
@@ -74,6 +79,8 @@ class SolveReport:
         default_factory=lambda: float("nan"))
     step_history: list = field(default_factory=list)
     rank_deficiency: int = field(default_factory=int)
+    steps_rejected: dict = field(
+        default_factory=lambda: dict.fromkeys(STEP_REJECT_REASONS, 0))
 
     def defer_audit(self, audit):
         """Leave both audited fields to audit.run(), which returns them and

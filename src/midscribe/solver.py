@@ -15,6 +15,21 @@ quantity. A continuation builds one system and swaps the body and the
 marked points in at every step. newton_refine and the restarts of
 rigidity_probe, the empirical uniqueness check, are Newton solves too.
 
+The continuation follows one solution branch from the ball's Koebe
+configuration along the gauge homotopy F_s (Allgower and Georg, Introduction
+to Numerical Continuation Methods, ch. 2 and 6). From each accepted point x
+at s it predicts x + ds t along the branch's tangent, J t = -dr/ds on a
+fresh LU of the Jacobian at x, with dr/ds in closed form
+(ConstraintSystem.s_derivative), and corrects by damped Newton. The first
+step is DS_INIT, and a step whose corrector needs at most 3 iterations
+grows the next by 1.5. A step is rejected and ds halved when its corrector
+fails, when its solution changes the sign pattern recorded at s = 0 (the
+side of each face plane each vertex off that face lies on: a jump to
+another branch), or when its solution is degenerate (_degeneracy_guard).
+Once ds falls below DS_MIN the run raises StepUnderflow, or re-raises the
+DegenerateConfiguration of a degenerate try, so a genuine collapse keeps
+its error type. A degenerate start at s = 0 aborts at once.
+
 The residual tolerance tol is a continuation's one setting: the normalized
 solution is unique for given P, K and marks, so the step sizes, the Newton
 caps and the degeneracy thresholds below change how it is reached, not
@@ -33,9 +48,9 @@ import scipy.sparse.linalg as spla
 from scipy.spatial.distance import pdist
 
 from . import packing
-from .bodies import BodyChart, BodyPath, ConvexBody, _rowdot
+from .bodies import NORTH_POLE, BodyChart, BodyPath, ConvexBody, _rowdot
 from .combinatorics import Frame, PolyhedralComplex
-from .config import Configuration, SolveReport
+from .config import STEP_REJECT_REASONS, Configuration, SolveReport
 from .errors import (
     DegenerateConfiguration,
     DegenerateMarks,
@@ -53,10 +68,9 @@ EDGE_ROWS = ("plane_f", "plane_g", "gauge", "tangency")
 
 # Newton iterations allowed per continuation step before the step is halved
 NEWTON_MAX_ITERATIONS = 30
-# continuation step in s: first step, smallest before giving up, largest
-DS_INIT = 0.1
+# continuation step in s: first step, smallest before giving up
+DS_INIT = 0.25
 DS_MIN = 1e-4
-DS_MAX = 0.25
 # an accepted solution with two tangent points this close, or a face whose
 # tangent points all lie this close, aborts the continuation
 MIN_TANGENT_SEPARATION = 1e-6
@@ -325,6 +339,43 @@ class ConstraintSystem:
             data[position] = value
         return self._jacobian
 
+    def s_derivative(self, x: np.ndarray, terms, start: ConvexBody,
+                     end: ConvexBody) -> np.ndarray:
+        """dr/ds at x held fixed, where the body is the blend
+        F_s = (1-s) start + s end and each mark m = N + t d rides its chord d
+        from the pole N. terms are terms(x).
+
+        dF_s/ds = end - start, and F_s(m) = 0 gives the mark velocity
+        m' = -(end - start)(m) / (grad F_s(m) . d) d; a mark at infinity
+        sits at N, where d = 0, and stays there. Then a free edge's gauge
+        row gets (end - start)(p), every tangency row
+        <grad end - grad start, n_f x n_g>, plus <H_s(m) m', n_f x n_g> on a
+        marked edge, whose plane rows get <n_f, m'> and <n_g, m'>. Face,
+        flag and vertex rows do not depend on s.
+        """
+        N = self._views(x)[0]
+        T, G, U = terms
+        marked = self.marked
+        f, g = self.edge_faces.T
+        dF = end.values(T) - start.values(T)
+        dG = end.gradients(T) - start.gradients(T)
+        d = self.marked_points - NORTH_POLE
+        slope = _rowdot(G[marked], d)
+        slope[~d.any(axis=1)] = 1.0
+        velocity = np.zeros_like(T)
+        velocity[marked] = -(dF[marked] / slope)[:, None] * d
+        tangency = _rowdot(dG, U)
+        tangency[marked] += _rowdot(
+            (self.body.hessians(T[marked]) @ velocity[marked][:, :, None])
+            [:, :, 0], U[marked])
+        edge = np.column_stack([_rowdot(N[f], velocity),
+                                _rowdot(N[g], velocity),
+                                dF, tangency])
+        has_row = self.edge_rows >= 0
+        out = np.zeros(self.n_unknowns)
+        out[self.edge_rows[has_row]] = edge[has_row]
+        return out
+
     def singular_values(self, x: np.ndarray) -> np.ndarray:
         return np.linalg.svd(self.jacobian(x).toarray(), compute_uv=False)
 
@@ -447,7 +498,8 @@ def _newton_core(system: ConstraintSystem, x: np.ndarray, tol: float,
     at consistent systems whose Jacobian loses rank, e.g. tangencies at flat
     spots of the body), a dense minimum-norm least-squares direction is tried
     before giving up. Degeneracy stays visible through the rank audit.
-    Each iterate's terms serve both its residual and its Jacobian."""
+    Each iterate's terms serve both its residual and its Jacobian. Returns
+    (x, iterations, residual max-norm, terms(x))."""
     x = system.renormalize(x)
     terms = system.terms(x)
     r = system.residual(x, terms)
@@ -455,7 +507,7 @@ def _newton_core(system: ConstraintSystem, x: np.ndarray, tol: float,
     res2 = float(np.linalg.norm(r))
     for it in range(max_iter):
         if res < tol:
-            return x, it, res
+            return x, it, res, terms
         J = system.jacobian(x, terms)
         accepted = None
         try:
@@ -473,7 +525,7 @@ def _newton_core(system: ConstraintSystem, x: np.ndarray, tol: float,
             raise NoDecrease("line search exhausted at residual %.3e" % res)
         x, terms, r, res, res2 = accepted
     if res < tol:
-        return x, max_iter, res
+        return x, max_iter, res, terms
     raise MaxIterations("residual %.3e after %d iterations" % (res, max_iter))
 
 
@@ -487,8 +539,8 @@ def newton_refine(cfg: Configuration, body: ConvexBody, P: PolyhedralComplex,
     of either.
     """
     system = ConstraintSystem(P, frame, marks, body)
-    x, iters, res = _newton_core(system, system.pack(cfg), tol,
-                                 REFINE_MAX_ITERATIONS)
+    x, iters, res, _ = _newton_core(system, system.pack(cfg), tol,
+                                    REFINE_MAX_ITERATIONS)
     audit = _ConditionAudit(system)
     audit.record(x)
     report = SolveReport(converged=True, iterations=iters, final_residual=res)
@@ -517,6 +569,30 @@ def _degeneracy_guard(system: ConstraintSystem, x: np.ndarray, s: float):
         f = int(small[0])
         raise DegenerateConfiguration(
             "face %d circle of size %.3e at s=%.6f" % (f, sizes[f], s))
+
+
+def _sign_pattern(system: ConstraintSystem, x: np.ndarray) -> np.ndarray:
+    """(F, V) signs of <n_f, X_v[1:]> - d_f X_v[0]: the side of face f's
+    plane that vertex v lies on, 0 where v is on f. renormalize keeps them,
+    and so does a vertex that crosses the plane at infinity."""
+    N, D, X = system._views(x)
+    side = N @ X[:, 1:].T - D[:, None] * X[:, 0]
+    side[system.flag_f, system.flag_v] = 0.0
+    return np.sign(side)
+
+
+def _tangent(system: ConstraintSystem, x: np.ndarray, terms,
+             path: BodyPath) -> np.ndarray:
+    """dx/ds at the solution x of the system's current body: J t = -dr/ds
+    on a fresh LU of the Jacobian at x. terms are terms(x). Where that LU is
+    exactly singular or its solve is not finite, the tangent is 0, so the
+    next step starts its corrector at x."""
+    rhs = -system.s_derivative(x, terms, path.start, path.end)
+    try:
+        t = spla.splu(system.jacobian(x, terms)).solve(rhs)
+    except RuntimeError:  # a factor is exactly singular
+        return np.zeros_like(x)
+    return t if np.all(np.isfinite(t)) else np.zeros_like(x)
 
 
 def continue_to_body(P: PolyhedralComplex, frame: Frame, marks_z,
@@ -559,56 +635,65 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
         return BodyChart(body).inverse(z)
 
     history = []
+    rejected = dict.fromkeys(STEP_REJECT_REASONS, 0)
     total_iters = 0
 
     body0 = path.eval(0.0)
     system = ConstraintSystem(P, frame, marks_at(body0), body0)
     audit = _ConditionAudit(system)
-    x, iters, res = _newton_core(system, system.pack(cfg0), tol,
-                                 NEWTON_MAX_ITERATIONS)
+    x, iters, res, terms = _newton_core(system, system.pack(cfg0), tol,
+                                        NEWTON_MAX_ITERATIONS)
     total_iters += iters
     history.append((0.0, 0.0, iters))
     audit.record(x)
     _degeneracy_guard(system, x, 0.0)
+    pattern = _sign_pattern(system, x)
 
-    s_prev, x_prev = 0.0, x
-    s_prev2, x_prev2 = None, None
-    ds = DS_INIT
-    while s_prev < 1.0 - 1e-15:
-        s_try = min(1.0, s_prev + ds)
+    s, ds = 0.0, DS_INIT
+    tangent = _tangent(system, x, terms, path)
+    while s < 1.0 - 1e-15:
+        s_try = min(1.0, s + ds)
         system.body = path.eval(s_try)
         system.marked_points = marks_at(system.body)
-        if s_prev2 is not None and s_prev > s_prev2:
-            w = (s_try - s_prev) / (s_prev - s_prev2)
-            x0 = x_prev + w * (x_prev - x_prev2)
-        else:
-            x0 = x_prev
+        reason = None
         try:
-            x_new, iters, res = _newton_core(system, x0, tol,
-                                             NEWTON_MAX_ITERATIONS)
+            x_new, iters, res_new, terms = _newton_core(
+                system, x + (s_try - s) * tangent, tol, NEWTON_MAX_ITERATIONS)
+            _degeneracy_guard(system, x_new, s_try)
+            if np.any(_sign_pattern(system, x_new) != pattern):
+                reason = "branch"
+        except DegenerateConfiguration as exc:
+            reason, degenerate = "degeneracy", exc
         except SolverError:
+            reason = "corrector"
+        if reason is not None:
+            rejected[reason] += 1
             ds *= 0.5
             if ds < DS_MIN:
+                if reason == "degeneracy":
+                    raise degenerate
                 report = SolveReport(converged=False, iterations=total_iters,
-                                     final_residual=res, step_history=history)
+                                     final_residual=res, step_history=history,
+                                     steps_rejected=rejected)
                 report.defer_audit(audit)
                 raise StepUnderflow("continuation step fell below %.1e at "
-                                    "s=%.6f" % (DS_MIN, s_prev),
-                                    last_good_s=s_prev, report=report)
+                                    "s=%.6f" % (DS_MIN, s),
+                                    last_good_s=s, report=report)
             continue
         total_iters += iters
         history.append((s_try, ds, iters))
         audit.record(x_new)
-        _degeneracy_guard(system, x_new, s_try)
-        s_prev2, x_prev2 = s_prev, x_prev
-        s_prev, x_prev = s_try, x_new
+        s, x, res = s_try, x_new, res_new
+        if s < 1.0:
+            tangent = _tangent(system, x, terms, path)
         if iters <= 3:
-            ds = min(ds * 1.5, DS_MAX)
+            ds *= 1.5
 
     report = SolveReport(converged=True, iterations=total_iters,
-                         final_residual=res, step_history=history)
+                         final_residual=res, step_history=history,
+                         steps_rejected=rejected)
     report.defer_audit(audit)
-    return system.unpack(x_prev), report
+    return system.unpack(x), report
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +740,8 @@ def rigidity_probe(P: PolyhedralComplex, frame: Frame, marks_z,
         xp = x0 + rng.uniform(-RIGIDITY_PERTURBATION, RIGIDITY_PERTURBATION,
                               x0.shape)
         try:
-            x, _, _ = _newton_core(system, xp, RIGIDITY_TOL,
-                                   RIGIDITY_MAX_ITERATIONS)
+            x = _newton_core(system, xp, RIGIDITY_TOL,
+                             RIGIDITY_MAX_ITERATIONS)[0]
         except SolverError:
             continue
         n_conv += 1

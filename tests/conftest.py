@@ -71,6 +71,27 @@ def witness_marks(P, frame, X, body):
     return tuple(chart.forward(feet[e]) for e in frame.edges)
 
 
+def ellipsoid_witness(P, frame, a, b):
+    """(marks, vertices) of the exact answer on ellipsoid:a,b for (P, frame).
+
+    L = diag(a, b, 1) maps the unit ball onto the ellipsoid and fixes N, and
+    maps lines tangent to the ball to lines tangent to the ellipsoid. So
+    L applied to the ball's Koebe configuration C at CANONICAL_MARKS
+    midscribes the ellipsoid, and its marks are the chart images of L
+    applied to C's three marked tangent points. By the uniqueness of the
+    normalized answer, L.C is the only one. vertices are L.C's affine
+    vertex positions, (V, 3); C has none at infinity.
+    """
+    L = np.array([a, b, 1.0])
+    planar = layout_circles(P, frame, solve_radii(P, frame))
+    C = koebe_config(lift_normalize(planar, CANONICAL_MARKS))
+    positions, finite = C.affine_vertices()
+    assert finite.all()
+    chart = BodyChart(make_body("ellipsoid:a=%r,b=%r" % (a, b)))
+    marks = tuple(chart.forward(L * t) for t in C.marked_points)
+    return marks, positions * L
+
+
 @pytest.fixture(scope="session")
 def nonconvex_instance():
     """A converged midscribed realization that is not convex (all vertices on

@@ -15,9 +15,9 @@ faces, one ``pdist`` per face; the solver's padded-table version must give
 the same face sizes and raise the same error.
 
 ``continue_from_pattern`` and ``newton_refine`` are the solver's entry
-points as they were before the condition audit was deferred to the first
-read of a report: they run ``ConstraintSystem.condition`` at every accepted
-solution as they go. The solver's reports must equal theirs by ``repr`` and
+points with the condition audit run eagerly, as it was before it was
+deferred to the first read of a report: they run
+``ConstraintSystem.condition`` at every accepted solution as they go. The solver's reports must equal theirs by ``repr`` and
 after pickling.
 """
 
@@ -28,7 +28,7 @@ from scipy.spatial.distance import pdist
 from midscribe import packing, solver
 from midscribe.bodies import BodyChart, BodyPath, ConvexBody
 from midscribe.combinatorics import Frame, PolyhedralComplex
-from midscribe.config import Configuration, SolveReport
+from midscribe.config import STEP_REJECT_REASONS, Configuration, SolveReport
 from midscribe.errors import (DegenerateConfiguration, DegenerateMarks,
                               DimensionMismatch, SolverError, StepUnderflow)
 
@@ -300,8 +300,8 @@ def newton_refine(cfg: Configuration, body: ConvexBody, P: PolyhedralComplex,
                   frame: Frame, marks, tol: float = 1e-11):
     """solver.newton_refine with the condition audit run before returning."""
     system = solver.ConstraintSystem(P, frame, marks, body)
-    x, iters, res = solver._newton_core(system, system.pack(cfg), tol,
-                                        solver.REFINE_MAX_ITERATIONS)
+    x, iters, res, _ = solver._newton_core(system, system.pack(cfg), tol,
+                                           solver.REFINE_MAX_ITERATIONS)
     cond, rank_def = system.condition(x)
     report = SolveReport(converged=True, iterations=iters, final_residual=res,
                          jacobian_condition_estimate=cond,
@@ -324,6 +324,7 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
         return BodyChart(body).inverse(z)
 
     history = []
+    rejected = dict.fromkeys(STEP_REJECT_REASONS, 0)
     worst_cond = 0.0
     rank_def = 0
     total_iters = 0
@@ -335,53 +336,62 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
 
     body0 = path.eval(0.0)
     system = solver.ConstraintSystem(P, frame, marks_at(body0), body0)
-    x, iters, res = solver._newton_core(system, system.pack(cfg0), tol,
-                                        solver.NEWTON_MAX_ITERATIONS)
+    x, iters, res, terms = solver._newton_core(system, system.pack(cfg0), tol,
+                                               solver.NEWTON_MAX_ITERATIONS)
     total_iters += iters
     history.append((0.0, 0.0, iters))
     audit(system, x)
     solver._degeneracy_guard(system, x, 0.0)
+    pattern = solver._sign_pattern(system, x)
 
-    s_prev, x_prev = 0.0, x
-    s_prev2, x_prev2 = None, None
-    ds = solver.DS_INIT
-    while s_prev < 1.0 - 1e-15:
-        s_try = min(1.0, s_prev + ds)
+    s, ds = 0.0, solver.DS_INIT
+    tangent = solver._tangent(system, x, terms, path)
+    while s < 1.0 - 1e-15:
+        s_try = min(1.0, s + ds)
         system.body = path.eval(s_try)
         system.marked_points = marks_at(system.body)
-        if s_prev2 is not None and s_prev > s_prev2:
-            w = (s_try - s_prev) / (s_prev - s_prev2)
-            x0 = x_prev + w * (x_prev - x_prev2)
-        else:
-            x0 = x_prev
+        reason = None
         try:
-            x_new, iters, res = solver._newton_core(
-                system, x0, tol, solver.NEWTON_MAX_ITERATIONS)
+            x_new, iters, res_new, terms = solver._newton_core(
+                system, x + (s_try - s) * tangent, tol,
+                solver.NEWTON_MAX_ITERATIONS)
+            solver._degeneracy_guard(system, x_new, s_try)
+            if np.any(solver._sign_pattern(system, x_new) != pattern):
+                reason = "branch"
+        except DegenerateConfiguration as exc:
+            reason, degenerate = "degeneracy", exc
         except SolverError:
+            reason = "corrector"
+        if reason is not None:
+            rejected[reason] += 1
             ds *= 0.5
             if ds < solver.DS_MIN:
+                if reason == "degeneracy":
+                    raise degenerate
                 report = SolveReport(converged=False, iterations=total_iters,
                                      final_residual=res,
                                      jacobian_condition_estimate=worst_cond
                                      or float("nan"),
                                      step_history=history,
-                                     rank_deficiency=rank_def)
+                                     rank_deficiency=rank_def,
+                                     steps_rejected=rejected)
                 raise StepUnderflow("continuation step fell below %.1e at "
-                                    "s=%.6f" % (solver.DS_MIN, s_prev),
-                                    last_good_s=s_prev, report=report)
+                                    "s=%.6f" % (solver.DS_MIN, s),
+                                    last_good_s=s, report=report)
             continue
         total_iters += iters
         history.append((s_try, ds, iters))
         audit(system, x_new)
-        solver._degeneracy_guard(system, x_new, s_try)
-        s_prev2, x_prev2 = s_prev, x_prev
-        s_prev, x_prev = s_try, x_new
+        s, x, res = s_try, x_new, res_new
+        if s < 1.0:
+            tangent = solver._tangent(system, x, terms, path)
         if iters <= 3:
-            ds = min(ds * 1.5, solver.DS_MAX)
+            ds *= 1.5
 
     report = SolveReport(converged=True, iterations=total_iters,
                          final_residual=res,
                          jacobian_condition_estimate=worst_cond
                          or float("nan"),
-                         step_history=history, rank_deficiency=rank_def)
-    return system.unpack(x_prev), report
+                         step_history=history, rank_deficiency=rank_def,
+                         steps_rejected=rejected)
+    return system.unpack(x), report

@@ -178,6 +178,8 @@ def test_cli_midscribe_verify_round_trip(tmp_path):
     assert set(REPORT_KEYS) <= set(payload["verify"].keys())
     assert payload["solve"]["converged"] is True
     assert payload["solve"]["final_residual"] < 1e-9
+    assert set(payload["solve"]["steps_rejected"]) == {"corrector", "branch",
+                                                       "degeneracy"}
     faces, verts = parse_off(off.read_text())
     assert len(verts) == 8 and len(faces) == 6
 

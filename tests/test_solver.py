@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 import solver_oracle
 from conftest import (CANONICAL_MARKS, ball_solution, closed_form_config,
-                      get_seed)
+                      ellipsoid_witness, get_seed)
 from midscribe import (
     continue_from_pattern,
     continue_to_body,
@@ -27,10 +27,11 @@ from midscribe.errors import (
     SolverError,
     StepUnderflow,
 )
-from midscribe.seeds import SEED_NAMES
+from midscribe.combinatorics import build_complex, select_frame
+from midscribe.seeds import SEED_NAMES, faces_from_coordinates
 from midscribe.solver import (ConstraintSystem, _degeneracy_guard,
                               _face_circle_sizes)
-from test_packing import complex_and_frame
+from test_packing import complex_and_frame, sphere_hull_points
 
 BODY_CYCLE = (
     "ball",
@@ -245,6 +246,108 @@ def test_continuation_degeneracy_guard(monkeypatch, constant, message):
     with pytest.raises(DegenerateConfiguration, match=message):
         continue_to_body(P, frame, (0.2 + 0.1j, 1.5 + 0j, -0.3 + 1.2j),
                          make_path(make_body("ellipsoid:a=1.2,b=1.0")))
+
+
+@pytest.mark.parametrize("name, desc, marks", [
+    ("cube", "ellipsoid:a=1.2,b=1.0", CANONICAL_MARKS),
+    ("dodecahedron", "superellipsoid:p=4,a=1,b=1", CANONICAL_MARKS),
+    ("octahedron", "superellipsoid:p=4,a=1,b=1",
+     (0.3 + 0j, complex("inf"), -1 + 1j)),
+], ids=["cube-ellipsoid", "dodecahedron-p4", "mark_at_infinity"])
+def test_s_derivative_matches_central_difference(name, desc, marks):
+    """dr/ds in closed form agrees with a central difference in s at
+    s = 0.37, x held fixed and the body and the marks of s +- h swapped
+    in."""
+    P, _, frame = get_seed(name)
+    path = make_path(make_body(desc))
+
+    def system_at(s):
+        body = path.eval(s)
+        return ConstraintSystem(P, frame, BodyChart(body).inverse(marks), body)
+
+    s, h = 0.37, 1e-6
+    system = system_at(s)
+    x = system.pack(ball_solution(name))
+    want = (system_at(s + h).residual(x)
+            - system_at(s - h).residual(x)) / (2.0 * h)
+    got = system.s_derivative(x, system.terms(x), path.start, path.end)
+    assert np.max(np.abs(got - want)) < 1e-8
+    marked_rows = system.edge_rows[system.marked][:, [0, 1, 3]]
+    assert np.any(got[marked_rows] != 0.0)
+
+
+def test_singular_tangent_is_zero():
+    """Where the Jacobian is exactly singular (here every unknown 0), the
+    predictor falls back to the last accepted point."""
+    P, _, frame = get_seed("cube")
+    path = _ellipsoid_path()
+    body = path.eval(0.5)
+    system = ConstraintSystem(P, frame, BodyChart(body).inverse(CANONICAL_MARKS),
+                              body)
+    x = np.zeros(system.n_unknowns)
+    tangent = solver._tangent(system, x, system.terms(x), path)
+    assert np.array_equal(tangent, np.zeros_like(x))
+
+
+def test_branch_change_rejects_the_step(monkeypatch):
+    """A step whose solution leaves the sign pattern recorded at s = 0 is
+    rejected and halved like a corrector failure; the run then converges
+    to the same configuration."""
+    P, _, frame = get_seed("cube")
+    path = _ellipsoid_path()
+    want_cfg, want = continue_to_body(P, frame, CANONICAL_MARKS, path)
+    pattern = solver._sign_pattern
+    calls = []
+
+    def flipped_once(system, x):
+        calls.append(x)
+        signs = pattern(system, x)
+        return -signs if len(calls) == 2 else signs
+
+    monkeypatch.setattr(solver, "_sign_pattern", flipped_once)
+    cfg, report = continue_to_body(P, frame, CANONICAL_MARKS, path)
+    assert report.converged
+    assert report.steps_rejected == {"corrector": 0, "branch": 1,
+                                     "degeneracy": 0}
+    assert want.steps_rejected == {"corrector": 0, "branch": 0,
+                                   "degeneracy": 0}
+    assert report.step_history[1][1] == solver.DS_INIT / 2
+    positions, _ = cfg.affine_vertices()
+    assert np.max(np.abs(positions - want_cfg.affine_vertices()[0])) < 1e-9
+
+
+def test_degenerate_step_is_rejected(monkeypatch):
+    """The dodecahedron on p=4 at the canonical marks meets two tangent
+    points at s = 1 from s = 0.625; that step is rejected and the shorter
+    ones converge. With DS_MIN above the halved step the collapse keeps
+    its error type."""
+    P, _, frame = get_seed("dodecahedron")
+    path = make_path(make_body("superellipsoid:p=4,a=1,b=1"))
+    _, report = continue_to_body(P, frame, CANONICAL_MARKS, path)
+    assert report.converged
+    assert report.steps_rejected == {"corrector": 0, "branch": 0,
+                                     "degeneracy": 1}
+    monkeypatch.setattr(solver, "DS_MIN", 0.2)
+    with pytest.raises(DegenerateConfiguration, match="at s=1.000000"):
+        continue_to_body(P, frame, CANONICAL_MARKS, path)
+
+
+@pytest.mark.parametrize("n, seed", [(60, 20260060), (120, 20261120),
+                                     (240, 20261240)],
+                         ids=["hull60", "hull120", "hull240"])
+def test_continuation_finds_the_ellipsoid_witness(n, seed):
+    """On ellipsoid:a=1.2,b=1.0 the continuation ends at L.C, the exact
+    answer of conftest.ellipsoid_witness, within 1e-9 relative."""
+    points = sphere_hull_points(n, seed)
+    P = build_complex(faces_from_coordinates(points), n_vertices=n)
+    frame = select_frame(P)
+    marks, want = ellipsoid_witness(P, frame, 1.2, 1.0)
+    cfg, report = continue_to_body(P, frame, marks, _ellipsoid_path())
+    positions, finite = cfg.affine_vertices()
+    assert report.converged and finite.all()
+    error = (np.linalg.norm(positions - want, axis=1)
+             / (1.0 + np.linalg.norm(want, axis=1)))
+    assert error.max() < 1e-9
 
 
 REUSE_CASES = SEED_NAMES + ("hull12", "prism8")
