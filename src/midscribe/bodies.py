@@ -29,9 +29,10 @@ NORTH_POLE = np.array([0.0, 0.0, 1.0])
 # N + t (x, y, -2) rounds exactly like (t x, t y, 1 - 2 t), zero signs included
 _CHORD_ORIGIN = np.array([-0.0, -0.0, 1.0])
 RAY_NEWTON_ITERATIONS = 60
-# Bisections allowed in _bisect_polish and _bisect_chords. Their
-# brackets have hi >= 1 and width at most hi, which reaches 1e-14*hi in at
-# most 47 halvings, so the cap only stops a bisection that cannot converge.
+# Bisections allowed in _bisect_polish and in the chart's
+# _verified_bisection. Their brackets have hi >= 1 and width at most hi,
+# which reaches 1e-14*hi in at most 47 halvings, so the cap only stops a
+# bisection that cannot converge.
 CHART_BISECTION_ITERATIONS = 100
 
 
@@ -421,8 +422,10 @@ def _bisect_rays(body: ConvexBody, origins, dirs) -> np.ndarray:
 def _bisect_polish(body: ConvexBody, origins, dirs, lo, hi) -> np.ndarray:
     """Roots t of F(o + t d) in brackets [lo, hi], F < 0 at lo, by bisection
     and two Newton polish steps, all rows in lockstep: one values call per
-    halving, for many rows such as the rays of a mesh (the few chords of a
-    chart inverse take _bisect_chords).
+    halving, for many rows such as the rays of a mesh. The few chords of a
+    chart inverse are bisected by _bisect_chords and only polished here:
+    its _verified_bisection walks each row's halvings in plain floats,
+    which makes fewer gauge calls but costs more per row than this loop.
 
     origins is one point (3,) or one per row. A row is bisected until
     hi - lo <= 1e-14 max(1, hi); Newton then starts from the midpoint and
@@ -457,48 +460,26 @@ def _bisect_chords(body: ConvexBody, origins, dirs, lo, hi,
     """The roots of _bisect_polish, bit for bit, for the few chords of a
     chart inverse, in a few values calls instead of one per halving.
 
-    Each round estimates every open row's root (_root_estimates, from seed
-    in the first round and from hi after it), lists the
-    halvings the row's bracket would take if the gauge changed sign at the
-    estimate (_predicted_midpoints), and evaluates the gauge at all rows'
-    midpoints in one call. A row keeps its halvings, with the real signs,
-    up to and including the first that the gauge contradicts; its later
-    midpoints halve a bracket bisection never reaches and are dropped. So
-    every kept halving is the one _bisect_polish makes, and a poor estimate
-    costs rounds, not bits. A row still wide after
-    CHART_BISECTION_ITERATIONS - 1 halvings raises the same RootNotFound.
+    _verified_bisection halves each wide row (the test of _wide) until it
+    is narrow, steered by _root_estimates from seed in the first round and
+    from hi after it. A row still wide after CHART_BISECTION_ITERATIONS - 1
+    halvings raises the same RootNotFound as _bisect_polish, which then
+    polishes the narrow brackets.
     """
-    budget = CHART_BISECTION_ITERATIONS - 1
     origins = np.broadcast_to(origins, dirs.shape)
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    left = np.full(len(dirs), budget)
-    todo = np.flatnonzero(_wide(lo, hi) & (left > 0))
-    start = np.array(seed, dtype=float)
-    while todo.size:
-        est = _root_estimates(body, origins[todo], dirs[todo], lo[todo],
-                              hi[todo], start[todo]).tolist()
-        start = hi
-        brackets = list(zip(lo[todo].tolist(), hi[todo].tolist()))
-        walks = [_predicted_midpoints(l, h, t, n) for (l, h), t, n
-                 in zip(brackets, est, left[todo].tolist())]
-        rows = np.repeat(todo, [len(walk) for walk in walks])
-        mids = np.concatenate(walks)
-        inside = (body.values(origins[rows] + mids[:, None] * dirs[rows])
-                  < 0).tolist()
-        k = 0
-        for row, (l, h), t, walk in zip(todo, brackets, est, walks):
-            signs = inside[k:k + len(walk)]
-            k += len(walk)
-            for kept, (mid, ins) in enumerate(zip(walk, signs), 1):
-                if ins:
-                    l = mid
-                else:
-                    h = mid
-                if ins != (mid < t):
-                    break
-            lo[row], hi[row] = l, h
-            left[row] -= kept
-        todo = todo[_wide(lo[todo], hi[todo]) & (left[todo] > 0)]
+    wide = np.flatnonzero(_wide(lo, hi))
+    o, d = origins[wide], dirs[wide]
+    seeds = [np.asarray(seed, dtype=float)[wide]]
+
+    def estimate(rows, l, h):
+        t0 = seeds.pop()[rows] if seeds else h
+        return _root_estimates(body, o[rows], d[rows], l, h, t0)
+
+    lo[wide], hi[wide] = _verified_bisection(
+        lambda rows, mids: body.values(o[rows] + mids[:, None] * d[rows]) < 0,
+        lo[wide], hi[wide], estimate, CHART_BISECTION_ITERATIONS - 1,
+        lambda l, h, mid: h - l <= 1e-14 * max(1.0, h))
     if _wide(lo, hi).any():
         raise RootNotFound("bisection did not converge in %d steps"
                            % CHART_BISECTION_ITERATIONS)
@@ -511,20 +492,71 @@ def _wide(lo, hi):
     return hi - lo > 1e-14 * np.maximum(1.0, hi)
 
 
-def _predicted_midpoints(lo, hi, t, n):
-    """Midpoints of the at most n halvings of the float bracket [lo, hi]
-    while it is wide (the test of _wide), if F < 0 exactly below t: mid =
-    0.5 (lo + hi), then lo = mid if mid < t, else hi = mid. Plain floats
-    round like numpy and cost far less than a numpy call per halving."""
-    mids = []
-    while len(mids) < n and hi - lo > 1e-14 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        mids.append(mid)
-        if mid < t:
-            lo = mid
-        else:
-            hi = mid
-    return mids
+def _verified_bisection(below, lo, hi, estimate, budget, narrow):
+    """The brackets (lo, hi) of a lockstep bisection, bit for bit, in a few
+    batched sign calls instead of one per halving.
+
+    The lockstep bisection halves every open row at once: mid = 0.5 (lo +
+    hi), then lo = mid where below(rows, mids) holds (one batched call,
+    an (m,) bool array), else hi = mid. Every row is halved at least once
+    and closes once narrow(lo, hi, mid) holds after a halving; a row that
+    uses up its budget of halvings keeps its bracket.
+
+    Here each round calls estimate(rows, lo, hi) once, for every open row
+    a guess of where below turns False, and walks the halvings each
+    bracket would take if it turned exactly there, in plain floats: they
+    round like numpy and cost far less than a numpy call per halving. One
+    below call checks all rows' midpoints. A row keeps its halvings, with
+    the real signs, up to and including the first that below contradicts;
+    its later midpoints halve a bracket bisection never reaches and are
+    dropped. So every kept halving is the lockstep one, and a poor
+    estimate (nan, infinite or outside the bracket) costs rounds, not bits.
+
+    narrow must imply hi - lo <= 1e-14 (1 + max(|lo|, |hi|)) over the
+    round's starting bracket, which holds every later one; it is called
+    only where that cheaper bound holds.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    left = np.full(len(lo), budget)
+    todo = np.arange(len(lo) if budget > 0 else 0)
+    while todo.size:
+        brackets = list(zip(lo[todo].tolist(), hi[todo].tolist()))
+        est = estimate(todo, lo[todo], hi[todo]).tolist()
+        caps, walks = [], []
+        for (l, h), t, n in zip(brackets, est, left[todo].tolist()):
+            cap = 1e-14 * (1.0 + max(abs(l), abs(h)))
+            walk = []
+            for _ in range(n):
+                mid = 0.5 * (l + h)
+                walk.append(mid)
+                if mid < t:
+                    l = mid
+                else:
+                    h = mid
+                if h - l <= cap and narrow(l, h, mid):
+                    break
+            caps.append(cap)
+            walks.append(walk)
+        signs = below(np.repeat(todo, [len(walk) for walk in walks]),
+                      np.concatenate(walks)).tolist()
+        new, used, closed = [], [], []
+        end = 0
+        for (l, h), t, cap, walk in zip(brackets, est, caps, walks):
+            start, end = end, end + len(walk)
+            for kept, (mid, b) in enumerate(zip(walk, signs[start:end]), 1):
+                if b:
+                    l = mid
+                else:
+                    h = mid
+                if b != (mid < t):
+                    break
+            new.append((l, h))
+            used.append(kept)
+            closed.append(h - l <= cap and narrow(l, h, mid))
+        lo[todo], hi[todo] = np.array(new).T
+        left[todo] -= used
+        todo = todo[(left[todo] > 0) & ~np.array(closed)]
+    return lo, hi
 
 
 def _root_estimates(body: ConvexBody, origins, dirs, lo, hi,
@@ -532,8 +564,9 @@ def _root_estimates(body: ConvexBody, origins, dirs, lo, hi,
     """Estimates of the roots of F(o + t d) in brackets [lo, hi]: at most 8
     Newton steps from t0, all rows together, until every step is at most
     1e-12 t; a non-finite step keeps t. The estimates are clipped into
-    [lo, hi]. They only steer _bisect_chords, which checks each halving they
-    predict, so an estimate may be poor but never costs a bit.
+    [lo, hi]. They only steer _bisect_chords' verified bisection, which
+    checks each halving they predict, so an estimate may be poor but never
+    costs a bit.
     """
     t = t0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

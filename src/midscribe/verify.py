@@ -9,7 +9,8 @@ imports nothing from the solver and shares only the gauge API with it; the
 rigidity probe, which re-solves with Newton, lives in solver.
 
 Line tangency is checked on every edge line at once through the (m, 3)
-gauge API: each line's slope is bisected in rounds predicted from a Newton
+gauge API: each line's slope is bisected by bodies._verified_bisection,
+the engine the chart inverse also uses, in rounds predicted from a Newton
 estimate of its minimizer and checked by one gauge call per round;
 incidence and convexity are array expressions over all face-vertex pairs.
 The disk packings are traced in batches through the (m, 3) gauge API, all
@@ -41,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, _rowdot, _unit_orthogonals, ray_roots
+from .bodies import (ConvexBody, _rowdot, _unit_orthogonals,
+                     _verified_bisection, ray_roots)
 from .combinatorics import PolyhedralComplex
 from .config import EPS_INFINITY, Configuration
 from .errors import DegenerateConfiguration, NotMidscribed
@@ -219,63 +221,15 @@ def _bisect_slopes(body: ConvexBody, Q, U, lo, hi, t0):
     The lockstep bisection halves every open row at once: mid = 0.5 (lo +
     hi), then lo = mid if the slope at mid is < 0, else hi = mid, until hi -
     lo < 1e-14 (1 + |mid|); a row still open after LINE_BISECTIONS
-    halvings keeps its bracket. Here each row's minimizer is estimated
-    once (_minimizer_estimates, from the guesses t0); each round lists the
-    halvings every open row's bracket would take if the slope changed sign
-    at its estimate (_predicted_halvings) and evaluates the slope at all
-    rows' midpoints in one call. A row keeps its halvings, with the real
-    signs, up to and including the first that the slope contradicts; its
-    later midpoints halve a bracket bisection never reaches and are
-    dropped. So every kept halving is the lockstep one, and a poor estimate
-    costs rounds, not bits.
+    halvings keeps its bracket. bodies._verified_bisection makes the same
+    halvings, steered by one estimate of each row's minimizer
+    (_minimizer_estimates, from the guesses t0) in every round.
     """
-    est = _minimizer_estimates(body, Q, U, lo, hi, t0).tolist()
-    lo, hi = lo.tolist(), hi.tolist()
-    left = [LINE_BISECTIONS] * len(lo)
-    todo = list(range(len(lo)))
-    while todo:
-        walks = [_predicted_halvings(lo[k], hi[k], est[k], left[k])
-                 for k in todo]
-        rows = np.repeat(todo, [len(walk) for walk in walks])
-        mids = np.concatenate(walks)
-        below = (_line_slopes(body, Q[rows], U[rows], mids) < 0).tolist()
-        end = 0
-        still = []
-        for row, walk in zip(todo, walks):
-            start, end = end, end + len(walk)
-            l, h, t = lo[row], hi[row], est[row]
-            for kept, (mid, b) in enumerate(zip(walk, below[start:end]), 1):
-                if b:
-                    l = mid
-                else:
-                    h = mid
-                if b != (mid < t):
-                    break
-            lo[row], hi[row] = l, h
-            left[row] -= kept
-            if left[row] and not h - l < 1e-14 * (1.0 + abs(mid)):
-                still.append(row)
-        todo = still
-    return np.array(lo, dtype=float), np.array(hi, dtype=float)
-
-
-def _predicted_halvings(lo, hi, t, n):
-    """Midpoints of the at most n halvings the lockstep bisection makes of
-    the float bracket [lo, hi] if the slope is < 0 exactly below t: mid =
-    0.5 (lo + hi), then lo = mid if mid < t, else hi = mid, until hi - lo <
-    1e-14 (1 + |mid|). Plain floats round like numpy and cost far less than
-    a numpy call per halving."""
-    mids = []
-    for _ in range(n):
-        mid = 0.5 * (lo + hi)
-        mids.append(mid)
-        if mid < t:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * (1.0 + abs(mid)):
-            break
-    return mids
+    est = _minimizer_estimates(body, Q, U, lo, hi, t0)
+    return _verified_bisection(
+        lambda rows, mids: _line_slopes(body, Q[rows], U[rows], mids) < 0,
+        lo, hi, lambda rows, l, h: est[rows], LINE_BISECTIONS,
+        lambda l, h, mid: h - l < 1e-14 * (1.0 + abs(mid)))
 
 
 def _minimizer_estimates(body: ConvexBody, Q, U, lo, hi, t0) -> np.ndarray:
@@ -283,7 +237,8 @@ def _minimizer_estimates(body: ConvexBody, Q, U, lo, hi, t0) -> np.ndarray:
     hi]: two curvature-guarded Newton steps on the slope from the guesses
     t0, each clipped into the bracket. At a converged configuration the
     guess is within about 1e-11 of the minimizer. The estimates only steer
-    _bisect_slopes, which checks each halving they predict."""
+    _bisect_slopes' verified bisection, which checks each halving they
+    predict."""
     t = t0
     for _ in range(2):
         t = np.minimum(np.maximum(_line_newton(body, Q, U, t), lo), hi)

@@ -7,10 +7,10 @@ per-point gauge formulas of Ball, Ellipsoid, Superellipsoid and GaugeBlend
 (scalar_value, scalar_gradient, scalar_hessian), the point-at-a-time chord
 inverse (chart_inverse) and the per-edge line search (line_minimum, run
 over every edge by tangency). The tests require the batched code to equal
-them bit for bit. bisect_polish is the lockstep bisection, one gauge call
-per halving, that the predicted-and-verified bodies._bisect_chords replaced
-in the chart inverse; bisect_slopes is the one verify._bisect_slopes
-replaced in the line minima.
+them bit for bit. bisect_polish and bisect_slopes are the lockstep
+bisections, one gauge call per halving, that the predicted-and-verified
+bodies._verified_bisection replaced: in the chart inverse
+(bodies._bisect_chords) and in the line minima (verify._bisect_slopes).
 """
 
 import cmath

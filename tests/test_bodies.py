@@ -474,6 +474,105 @@ def test_bisect_chords_survives_bad_estimates(estimate, monkeypatch):
         assert 1 <= rounds <= bodies.CHART_BISECTION_ITERATIONS - 1
 
 
+class SlopeAlongX(ConvexBody):
+    """gradients(X) = X: along Q + t (1, 0, 0) with Q = (-r, 0, 0) the slope
+    is t - r, which is < 0 exactly where t < r."""
+
+    def gradients(self, X):
+        return np.asarray(X, dtype=float)
+
+    @property
+    def descriptor(self):
+        return "slope-along-x"
+
+
+NARROW = {"chord": lambda l, h, mid: h - l <= 1e-14 * max(1.0, h),
+          "slope": lambda l, h, mid: h - l < 1e-14 * (1.0 + abs(mid))}
+
+
+def lockstep_chords(roots, lo, hi, budget):
+    """_bisect_polish's lockstep loop on the signs t < roots: every wide
+    row halved at once, at most budget times; a row still wide keeps its
+    bracket."""
+    for _ in range(budget):
+        wide = hi - lo > 1e-14 * np.maximum(1.0, hi)
+        if not wide.any():
+            break
+        mid = 0.5 * (lo + hi)
+        inside = mid < roots
+        lo = np.where(wide & inside, mid, lo)
+        hi = np.where(wide & ~inside, mid, hi)
+    return lo, hi
+
+
+def synthetic_brackets(rule):
+    """(lo, hi, roots) of rows whose sign changes at roots: random rows, a
+    root at lo, one at the first midpoint and one above hi, and a bracket
+    1e20 wide that no budget closes; for the slope rule also a row narrow
+    on entry, which is still halved once."""
+    rng = np.random.default_rng(20261022)
+    lo = rng.uniform(-3.0, 2.0, 12)
+    hi = lo + rng.uniform(1e-3, 4.0, 12)
+    roots = lo + rng.uniform(0.0, 1.0, 12) * (hi - lo)
+    roots[0] = lo[0]
+    roots[1] = 0.5 * (lo[1] + hi[1])
+    roots[2] = hi[2] + 1.0
+    lo[3] = -1e20
+    if rule == "slope":
+        lo[4], hi[4], roots[4] = 0.3, 0.3 + 1e-15, 0.3 + 4e-16
+    return lo, hi, roots
+
+
+@pytest.mark.parametrize("budget", ["0", "1", "full"])
+@pytest.mark.parametrize("estimate", ["exact", "nan", "inf", "-inf",
+                                      "outside"])
+@pytest.mark.parametrize("rule", ["chord", "slope"])
+def test_verified_bisection_matches_lockstep(rule, estimate, budget,
+                                             monkeypatch):
+    # every kept halving is a real sign, so any estimate gives the lockstep
+    # brackets bit for bit; an exact one takes one round
+    lo, hi, roots = synthetic_brackets(rule)
+    full = {"chord": bodies.CHART_BISECTION_ITERATIONS - 1,
+            "slope": gauge_oracle.LINE_BISECTIONS}[rule]
+    budget = {"0": 0, "1": 1, "full": full}[budget]
+    guesses = {"exact": roots, "nan": np.full(len(lo), math.nan),
+               "inf": np.full(len(lo), math.inf),
+               "-inf": np.full(len(lo), -math.inf),
+               "outside": np.where(np.arange(len(lo)) % 2, hi + 1.0,
+                                   lo - 1.0)}[estimate]
+    calls = []
+
+    def below(rows, mids):
+        calls.append("below")
+        return mids < roots[rows]
+
+    def guess(rows, l, h):
+        calls.append("estimate")
+        return guesses[rows]
+
+    got = bodies._verified_bisection(below, lo, hi, guess, budget,
+                                     NARROW[rule])
+    if rule == "chord":
+        want = lockstep_chords(roots, lo, hi, budget)
+    else:
+        monkeypatch.setattr(gauge_oracle, "LINE_BISECTIONS", budget)
+        Q = np.zeros((len(lo), 3))
+        Q[:, 0] = -roots
+        U = np.tile([1.0, 0.0, 0.0], (len(lo), 1))
+        want = gauge_oracle.bisect_slopes(SlopeAlongX(), Q, U, lo, hi, None)
+    for g, w in zip(got, want):
+        assert_bitwise_equal(g, w)
+    assert calls == ["estimate", "below"] * (len(calls) // 2)
+    if budget == 0:
+        assert calls == []
+    elif estimate == "exact":
+        assert calls == ["estimate", "below"]
+    if budget:
+        assert got[1][3] - got[0][3] > 1e-14  # 1e20 wide stays open
+        if rule == "slope":
+            assert got[1][4] - got[0][4] < hi[4] - lo[4]
+
+
 @pytest.mark.parametrize("body", bodies_under_test(),
                          ids=lambda body: body.descriptor)
 def test_ray_bisection_matches_lockstep_oracle(body, monkeypatch):
