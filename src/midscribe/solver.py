@@ -20,13 +20,22 @@ configuration along the gauge homotopy F_s (Allgower and Georg, Introduction
 to Numerical Continuation Methods, ch. 2 and 6). From each accepted point x
 at s it predicts x + ds t along the branch's tangent, J t = -dr/ds on a
 fresh LU of the Jacobian at x, with dr/ds in closed form
-(ConstraintSystem.s_derivative), and corrects by damped Newton. The first
-step is DS_INIT, and a step whose corrector needs at most 3 iterations
-grows the next by 1.5. A step is rejected and ds halved when its corrector
-fails, when its solution changes the sign pattern recorded at s = 0 (the
-side of each face plane each vertex off that face lies on: a jump to
-another branch), or when its solution is degenerate (_degeneracy_guard).
-Once ds falls below DS_MIN the run raises StepUnderflow, or re-raises the
+(ConstraintSystem.s_derivative), and corrects by damped Newton.
+
+The first try is one step from s = 0 straight to s = 1, whose corrector
+must contract: it is rejected as soon as an LU direction is longer than
+THETA_MAX times the one before it, or where no LU direction decreases the
+residual (Deuflhard, Newton Methods for Nonlinear Problems, ch. 2 and 5).
+The normalized solution is unique, so a try that contracts all the way
+ends where the stepped loop would. A rejected try leaves nothing but its
+count in steps_rejected, and the loop starts from s = 0: its first step is
+DS_INIT, and a step whose corrector needs at most 3 iterations grows the
+next by 1.5. The try and the loop's steps pass the same acceptance: a step
+is rejected when its corrector fails, when its solution changes the sign
+pattern recorded at s = 0 (the side of each face plane each vertex off that
+face lies on: a jump to another branch), or when its solution is
+degenerate (_degeneracy_guard). A rejected loop step halves ds. Once ds
+falls below DS_MIN the run raises StepUnderflow, or re-raises the
 DegenerateConfiguration of a degenerate try, so a genuine collapse keeps
 its error type. A degenerate start at s = 0 aborts at once.
 
@@ -68,9 +77,12 @@ EDGE_ROWS = ("plane_f", "plane_g", "gauge", "tangency")
 
 # Newton iterations allowed per continuation step before the step is halved
 NEWTON_MAX_ITERATIONS = 30
-# continuation step in s: first step, smallest before giving up
+# continuation step in s: the loop's first step, smallest before giving up
 DS_INIT = 0.25
 DS_MIN = 1e-4
+# the first try, straight from s = 0 to s = 1, is rejected once an LU
+# direction is longer than this times the one before it
+THETA_MAX = 0.5
 # an accepted solution with two tangent points this close, or a face whose
 # tangent points all lie this close, aborts the continuation
 MIN_TANGENT_SEPARATION = 1e-6
@@ -492,19 +504,26 @@ def _line_search(system, x, delta, res_inf, res_two):
 
 
 def _newton_core(system: ConstraintSystem, x: np.ndarray, tol: float,
-                 max_iter: int):
+                 max_iter: int, theta_max: float | None = None):
     """Damped Newton. The linear solve is a sparse LU; if the factorization
     is singular or its direction cannot decrease the residual (which happens
     at consistent systems whose Jacobian loses rank, e.g. tangencies at flat
     spots of the body), a dense minimum-norm least-squares direction is tried
     before giving up. Degeneracy stays visible through the rank audit.
     Each iterate's terms serve both its residual and its Jacobian. Returns
-    (x, iterations, residual max-norm, terms(x))."""
+    (x, iterations, residual max-norm, terms(x)).
+
+    With theta_max set, the solve must contract (Deuflhard, Newton Methods
+    for Nonlinear Problems, ch. 2): it raises NoDecrease as soon as an LU
+    direction is longer than theta_max times the one before it, or where
+    the lstsq direction would be tried. The test only rejects: the iterates
+    it lets through are those of the solve without it."""
     x = system.renormalize(x)
     terms = system.terms(x)
     r = system.residual(x, terms)
     res = float(np.max(np.abs(r)))
     res2 = float(np.linalg.norm(r))
+    step = None  # the 2-norm of the last LU direction
     for it in range(max_iter):
         if res < tol:
             return x, it, res, terms
@@ -512,11 +531,20 @@ def _newton_core(system: ConstraintSystem, x: np.ndarray, tol: float,
         accepted = None
         try:
             delta = spla.splu(J).solve(-r)
-            if np.all(np.isfinite(delta)):
-                accepted = _line_search(system, x, delta, res, res2)
-        except RuntimeError:
-            pass
+        except RuntimeError:  # a factor is exactly singular
+            delta = None
+        if delta is not None and np.all(np.isfinite(delta)):
+            if theta_max is not None:
+                norm = float(np.linalg.norm(delta))
+                if step is not None and norm > theta_max * step:
+                    raise NoDecrease("Newton stopped contracting at residual "
+                                     "%.3e: theta %.3g" % (res, norm / step))
+                step = norm
+            accepted = _line_search(system, x, delta, res, res2)
         if accepted is None:
+            if theta_max is not None:
+                raise NoDecrease("no LU direction decreases the residual "
+                                 "%.3e" % res)
             delta = np.linalg.lstsq(J.toarray(), -r, rcond=1e-12)[0]
             if not np.all(np.isfinite(delta)):
                 raise SingularJacobian("linear solve produced non-finite step")
@@ -616,7 +644,11 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
     enter only through the lift to the sphere. At every step s the pinned
     tangent points are the chart images on the blended body, so the marks
     move continuously with s. One ConstraintSystem serves the whole run; each
-    step swaps its body and marked points. Every accepted solution is
+    step swaps its body and marked points. The first try goes from s = 0 to
+    s = 1 in one step under _newton_core's contraction test (THETA_MAX);
+    accepted, it is the run's one step (1.0, 1.0, iterations), and
+    rejected, it counts once in steps_rejected before the stepped loop
+    runs from s = 0 (see the module docstring). Every accepted solution is
     recorded for the condition audit, which runs on the first read of the
     report's jacobian_condition_estimate or rank_deficiency (see
     SolveReport); nothing in the continuation reads them. Every Newton solve
@@ -649,7 +681,9 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
     _degeneracy_guard(system, x, 0.0)
     pattern = _sign_pattern(system, x)
 
-    s, ds = 0.0, DS_INIT
+    # the first try goes straight to s = 1 and must contract; once it is
+    # rejected, theta_max is None and the loop starts over with DS_INIT
+    s, ds, theta_max = 0.0, 1.0, THETA_MAX
     tangent = _tangent(system, x, terms, path)
     while s < 1.0 - 1e-15:
         s_try = min(1.0, s + ds)
@@ -658,7 +692,8 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
         reason = None
         try:
             x_new, iters, res_new, terms = _newton_core(
-                system, x + (s_try - s) * tangent, tol, NEWTON_MAX_ITERATIONS)
+                system, x + (s_try - s) * tangent, tol, NEWTON_MAX_ITERATIONS,
+                theta_max)
             _degeneracy_guard(system, x_new, s_try)
             if np.any(_sign_pattern(system, x_new) != pattern):
                 reason = "branch"
@@ -668,6 +703,9 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
             reason = "corrector"
         if reason is not None:
             rejected[reason] += 1
+            if theta_max is not None:
+                ds, theta_max = DS_INIT, None
+                continue
             ds *= 0.5
             if ds < DS_MIN:
                 if reason == "degeneracy":

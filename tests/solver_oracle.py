@@ -19,10 +19,15 @@ points with the condition audit run eagerly, as it was before it was
 deferred to the first read of a report: they run
 ``ConstraintSystem.condition`` at every accepted solution as they go. The solver's reports must equal theirs by ``repr`` and
 after pickling.
+
+``newton_core`` is the damped Newton solve as it was before it took a
+contraction test; ``solver._newton_core`` without one must return what it
+returns, bit for bit.
 """
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.spatial.distance import pdist
 
 from midscribe import packing, solver
@@ -30,7 +35,8 @@ from midscribe.bodies import BodyChart, BodyPath, ConvexBody
 from midscribe.combinatorics import Frame, PolyhedralComplex
 from midscribe.config import STEP_REJECT_REASONS, Configuration, SolveReport
 from midscribe.errors import (DegenerateConfiguration, DegenerateMarks,
-                              DimensionMismatch, SolverError, StepUnderflow)
+                              DimensionMismatch, MaxIterations, NoDecrease,
+                              SingularJacobian, SolverError, StepUnderflow)
 
 
 class ConstraintSystem:
@@ -296,6 +302,40 @@ def assemble_residual(cfg: Configuration, body: ConvexBody,
     return system.residual(system.pack(cfg))
 
 
+def newton_core(system, x: np.ndarray, tol: float, max_iter: int):
+    """Damped Newton on sparse LU directions, with the dense minimum-norm
+    lstsq direction wherever the LU is singular or its direction does not
+    decrease the residual. Returns (x, iterations, residual max-norm,
+    terms(x))."""
+    x = system.renormalize(x)
+    terms = system.terms(x)
+    r = system.residual(x, terms)
+    res = float(np.max(np.abs(r)))
+    res2 = float(np.linalg.norm(r))
+    for it in range(max_iter):
+        if res < tol:
+            return x, it, res, terms
+        J = system.jacobian(x, terms)
+        accepted = None
+        try:
+            delta = spla.splu(J).solve(-r)
+            if np.all(np.isfinite(delta)):
+                accepted = solver._line_search(system, x, delta, res, res2)
+        except RuntimeError:
+            pass
+        if accepted is None:
+            delta = np.linalg.lstsq(J.toarray(), -r, rcond=1e-12)[0]
+            if not np.all(np.isfinite(delta)):
+                raise SingularJacobian("linear solve produced non-finite step")
+            accepted = solver._line_search(system, x, delta, res, res2)
+        if accepted is None:
+            raise NoDecrease("line search exhausted at residual %.3e" % res)
+        x, terms, r, res, res2 = accepted
+    if res < tol:
+        return x, max_iter, res, terms
+    raise MaxIterations("residual %.3e after %d iterations" % (res, max_iter))
+
+
 def newton_refine(cfg: Configuration, body: ConvexBody, P: PolyhedralComplex,
                   frame: Frame, marks, tol: float = 1e-11):
     """solver.newton_refine with the condition audit run before returning."""
@@ -344,7 +384,9 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
     solver._degeneracy_guard(system, x, 0.0)
     pattern = solver._sign_pattern(system, x)
 
-    s, ds = 0.0, solver.DS_INIT
+    # the first try goes straight to s = 1 and must contract; once it is
+    # rejected, the loop starts over with DS_INIT
+    s, ds, theta_max = 0.0, 1.0, solver.THETA_MAX
     tangent = solver._tangent(system, x, terms, path)
     while s < 1.0 - 1e-15:
         s_try = min(1.0, s + ds)
@@ -354,7 +396,7 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
         try:
             x_new, iters, res_new, terms = solver._newton_core(
                 system, x + (s_try - s) * tangent, tol,
-                solver.NEWTON_MAX_ITERATIONS)
+                solver.NEWTON_MAX_ITERATIONS, theta_max)
             solver._degeneracy_guard(system, x_new, s_try)
             if np.any(solver._sign_pattern(system, x_new) != pattern):
                 reason = "branch"
@@ -364,6 +406,9 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
             reason = "corrector"
         if reason is not None:
             rejected[reason] += 1
+            if theta_max is not None:
+                ds, theta_max = solver.DS_INIT, None
+                continue
             ds *= 0.5
             if ds < solver.DS_MIN:
                 if reason == "degeneracy":

@@ -24,6 +24,7 @@ from midscribe.bodies import BodyChart, make_body, make_path
 from midscribe.errors import (
     DegenerateConfiguration,
     DegenerateMarks,
+    NoDecrease,
     SolverError,
     StepUnderflow,
 )
@@ -292,22 +293,23 @@ def test_singular_tangent_is_zero():
 def test_branch_change_rejects_the_step(monkeypatch):
     """A step whose solution leaves the sign pattern recorded at s = 0 is
     rejected and halved like a corrector failure; the run then converges
-    to the same configuration."""
+    to the same configuration. The signs are flipped on the first try,
+    straight to s = 1, and on the loop's first step."""
     P, _, frame = get_seed("cube")
     path = _ellipsoid_path()
     want_cfg, want = continue_to_body(P, frame, CANONICAL_MARKS, path)
     pattern = solver._sign_pattern
     calls = []
 
-    def flipped_once(system, x):
+    def flipped_twice(system, x):
         calls.append(x)
         signs = pattern(system, x)
-        return -signs if len(calls) == 2 else signs
+        return -signs if len(calls) in (2, 3) else signs
 
-    monkeypatch.setattr(solver, "_sign_pattern", flipped_once)
+    monkeypatch.setattr(solver, "_sign_pattern", flipped_twice)
     cfg, report = continue_to_body(P, frame, CANONICAL_MARKS, path)
     assert report.converged
-    assert report.steps_rejected == {"corrector": 0, "branch": 1,
+    assert report.steps_rejected == {"corrector": 0, "branch": 2,
                                      "degeneracy": 0}
     assert want.steps_rejected == {"corrector": 0, "branch": 0,
                                    "degeneracy": 0}
@@ -319,17 +321,157 @@ def test_branch_change_rejects_the_step(monkeypatch):
 def test_degenerate_step_is_rejected(monkeypatch):
     """The dodecahedron on p=4 at the canonical marks meets two tangent
     points at s = 1 from s = 0.625; that step is rejected and the shorter
-    ones converge. With DS_MIN above the halved step the collapse keeps
-    its error type."""
+    ones converge. The first try stops contracting before it gets there.
+    With DS_MIN above the halved step the collapse keeps its error type."""
     P, _, frame = get_seed("dodecahedron")
     path = make_path(make_body("superellipsoid:p=4,a=1,b=1"))
     _, report = continue_to_body(P, frame, CANONICAL_MARKS, path)
     assert report.converged
-    assert report.steps_rejected == {"corrector": 0, "branch": 0,
+    assert report.steps_rejected == {"corrector": 1, "branch": 0,
                                      "degeneracy": 1}
     monkeypatch.setattr(solver, "DS_MIN", 0.2)
     with pytest.raises(DegenerateConfiguration, match="at s=1.000000"):
         continue_to_body(P, frame, CANONICAL_MARKS, path)
+
+
+def _vertex_error(cfg, want_cfg):
+    """max |dx| / (1 + |x|) over the affine vertices of cfg and want_cfg."""
+    positions, want = cfg.affine_vertices()[0], want_cfg.affine_vertices()[0]
+    return float(np.max(np.linalg.norm(positions - want, axis=1)
+                        / (1.0 + np.linalg.norm(want, axis=1))))
+
+
+def test_contracting_first_try_is_the_whole_run(monkeypatch):
+    """The cube on the ellipsoid at the canonical marks goes from s = 0 to
+    s = 1 in one Newton solve, and ends where the stepped loop ends: with
+    THETA_MAX = 0 no second LU direction contracts enough, so the first try
+    is rejected and the loop runs."""
+    P, _, frame = get_seed("cube")
+    path = _ellipsoid_path()
+    cfg, report = continue_to_body(P, frame, CANONICAL_MARKS, path)
+    assert report.converged
+    (s0, ds0, _), (s1, ds1, iters) = report.step_history
+    assert (s0, ds0, s1, ds1) == (0.0, 0.0, 1.0, 1.0) and iters > 1
+    assert report.steps_rejected == {"corrector": 0, "branch": 0,
+                                     "degeneracy": 0}
+    monkeypatch.setattr(solver, "THETA_MAX", 0.0)
+    stepped_cfg, stepped = continue_to_body(P, frame, CANONICAL_MARKS, path)
+    assert stepped.converged and len(stepped.step_history) > 2
+    assert stepped.steps_rejected == {"corrector": 1, "branch": 0,
+                                      "degeneracy": 0}
+    assert _vertex_error(cfg, stepped_cfg) < 1e-9
+
+
+def _p4_cube_case(p4_box_instance, case):
+    """(P, frame, marks, path) of the cube on p=4 at the quartic box's
+    marks or at the canonical ones."""
+    inst = p4_box_instance
+    marks = inst["marks"] if case == "box" else CANONICAL_MARKS
+    return inst["P"], inst["frame"], marks, inst["path"]
+
+
+P4_CASES = ("box", "canonical")
+
+
+@pytest.mark.parametrize("case", P4_CASES)
+def test_rejected_first_try_is_cheap(monkeypatch, p4_box_instance, case):
+    """On the cube on p=4 the first try is rejected after at most two LUs
+    and without a lstsq direction, and counts as one corrector failure."""
+    P, frame, marks, path = _p4_cube_case(p4_box_instance, case)
+    core, splu = solver._newton_core, solver.spla.splu
+    lstsq = solver.np.linalg.lstsq
+    trying, calls = [False], {"splu": 0, "lstsq": 0}
+
+    def tracked_core(system, x, tol, max_iter, theta_max=None):
+        trying[0] = theta_max is not None
+        try:
+            return core(system, x, tol, max_iter, theta_max)
+        finally:
+            trying[0] = False
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += trying[0]
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(solver, "_newton_core", tracked_core)
+    monkeypatch.setattr(solver.spla, "splu", counted("splu", splu))
+    monkeypatch.setattr(solver.np.linalg, "lstsq", counted("lstsq", lstsq))
+    _, report = continue_to_body(P, frame, marks, path)
+    assert report.converged and len(report.step_history) > 2
+    assert report.steps_rejected == {"corrector": 1, "branch": 0,
+                                     "degeneracy": 0}
+    assert 1 <= calls["splu"] <= 2 and calls["lstsq"] == 0
+
+
+@pytest.mark.parametrize("case", P4_CASES)
+def test_rejected_first_try_leaves_no_trace(monkeypatch, p4_box_instance,
+                                            case):
+    """A run whose first try stops contracting ends bit for bit as a run
+    whose first try fails at once: same configuration, same report."""
+    P, frame, marks, path = _p4_cube_case(p4_box_instance, case)
+    cfg, report = continue_to_body(P, frame, marks, path)
+    core = solver._newton_core
+
+    def refused_try(system, x, tol, max_iter, theta_max=None):
+        if theta_max is not None:
+            raise NoDecrease("first try refused")
+        return core(system, x, tol, max_iter)
+
+    monkeypatch.setattr(solver, "_newton_core", refused_try)
+    want_cfg, want = continue_to_body(P, frame, marks, path)
+    for part in ("normals", "offsets", "vertices4", "tangents",
+                 "marked_points"):
+        assert np.array_equal(getattr(cfg, part), getattr(want_cfg, part))
+    assert repr(report) == repr(want)
+
+
+def _newton_outcome(newton, *args):
+    """newton(*args), or the type and text of the SolverError it raises."""
+    try:
+        return newton(*args)
+    except SolverError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", P4_CASES)
+def test_newton_without_contraction_test_is_unchanged(monkeypatch,
+                                                      p4_box_instance, case):
+    """Every Newton solve without the contraction test, lstsq directions
+    included (the quartic box's last step), returns bit for bit what
+    solver_oracle.newton_core, the solve before that test, returns from the
+    same start, or raises the same error."""
+    P, frame, marks, path = _p4_cube_case(p4_box_instance, case)
+    core, lstsq = solver._newton_core, solver.np.linalg.lstsq
+    compared, lstsq_calls = [], []
+
+    def checked_core(system, x, tol, max_iter, theta_max=None):
+        got = _newton_outcome(core, system, x, tol, max_iter, theta_max)
+        if theta_max is None:
+            want = _newton_outcome(solver_oracle.newton_core, system, x, tol,
+                                   max_iter)
+            assert len(got) == len(want)
+            if len(got) == 2:
+                assert got == want
+            else:
+                assert got[1:3] == want[1:3]
+                for a, b in zip((got[0],) + got[3], (want[0],) + want[3]):
+                    assert np.array_equal(a, b)
+            compared.append(x)
+        if len(got) == 2:
+            raise got[0](got[1])
+        return got
+
+    def counted_lstsq(*args, **kwargs):
+        lstsq_calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_newton_core", checked_core)
+    monkeypatch.setattr(solver.np.linalg, "lstsq", counted_lstsq)
+    continue_to_body(P, frame, marks, path)
+    assert len(compared) >= 4
+    assert bool(lstsq_calls) == (case == "box")
 
 
 @pytest.mark.parametrize("n, seed", [(60, 20260060), (120, 20261120),
