@@ -18,8 +18,8 @@ from .combinatorics import (DimensionReport, Frame, PolyhedralComplex,
                             load_complex_file, parse_complex_json, parse_off,
                             select_frame)
 from .config import EPS_INFINITY, Configuration, SolveReport
-from .packing import (Cap, Circle, CirclePattern, SphericalPattern,
-                      koebe_config, layout_circles, lift_normalize,
+from .packing import (Circle, CirclePattern, SphericalPattern, koebe_config,
+                      layout_circles, lift_normalize,
                       planar_pattern_residuals, solve_radii,
                       spherical_pattern_residuals)
 from .seeds import SEED_NAMES, seed_complex, seed_coordinates
@@ -30,7 +30,7 @@ from .verify import (DiskPacking, KDisk, VerifyReport, check_convexity,
                      verify_configuration)
 
 __all__ = [
-    "Ball", "BodyChart", "BodyPath", "Cap", "Circle", "CirclePattern",
+    "Ball", "BodyChart", "BodyPath", "Circle", "CirclePattern",
     "Configuration", "ConstraintSystem", "ConvexBody", "DimensionReport",
     "DiskPacking", "EPS_INFINITY", "Ellipsoid", "Frame", "GaugeBlend", "KDisk",
     "PolyhedralComplex", "RigidityReport", "SEED_NAMES", "SolveReport",

@@ -63,11 +63,12 @@ class SolveReport:
     step_history rows are (s, ds, newton_iterations) of the accepted steps;
     steps_rejected counts the rejected ones by STEP_REJECT_REASONS.
 
-    The solver's reports defer that audit (defer_audit): the first read of
-    either field runs condition at every accepted solution in order, and
-    reads solver.DENSE_AUDIT_MAX_N and solver.LANCZOS_MIN_RATIO at that
-    time. The two values are then stored and the solutions dropped. repr,
-    == and pickling read the fields, so they show the audited values.
+    The solver's reports defer that audit (defer_audit) to a callable: the
+    first read of either field calls it, which runs condition at every
+    accepted solution in order and reads solver.DENSE_AUDIT_MAX_N and
+    solver.LANCZOS_MIN_RATIO at that time. The two values are then stored
+    and the callable dropped. repr, == and pickling read the fields, so
+    they show the audited values and no callable is ever pickled.
     """
 
     converged: bool
@@ -83,8 +84,8 @@ class SolveReport:
         default_factory=lambda: dict.fromkeys(STEP_REJECT_REASONS, 0))
 
     def defer_audit(self, audit):
-        """Leave both audited fields to audit.run(), which returns them and
-        runs on the first read of either; until then they are unset."""
+        """Leave both audited fields to audit(), which returns them and is
+        called on the first read of either; until then they are unset."""
         del self.jacobian_condition_estimate, self.rank_deficiency
         self._audit = audit
 
@@ -103,6 +104,6 @@ class SolveReport:
         return self.__dict__
 
     def _run_audit(self):
-        values = self._audit.run()
+        values = self._audit()
         self.jacobian_condition_estimate, self.rank_deficiency = values
         del self._audit

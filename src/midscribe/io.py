@@ -125,16 +125,11 @@ def configuration_from_dict(data: dict):
 
 def pattern_to_dict(pattern, manifest: dict | None = None) -> dict:
     """JSON payload for a normalized spherical pattern."""
-    P = pattern.P
-
-    def cap_list(caps):
-        return [list(caps[i].n) + [caps[i].d] for i in sorted(caps)]
-
     payload = {
-        "complex": complex_to_dict(P),
-        "vertex_caps": cap_list(pattern.vertex_caps),
-        "face_caps": cap_list(pattern.face_caps),
-        "tangency_points": [list(pattern.tangency[e]) for e in range(P.n_edges)],
+        "complex": complex_to_dict(pattern.P),
+        "vertex_caps": pattern.vertex_caps.tolist(),
+        "face_caps": pattern.face_caps.tolist(),
+        "tangency_points": pattern.tangency.tolist(),
         "marks": {
             "edges": list(pattern.frame.edges),
             "z": [format_complex(z) for z in pattern.marks_z],

@@ -551,23 +551,22 @@ def _validate_planar(pattern, tol):
 # ---------------------------------------------------------------------------
 # sphere lift and Mobius normalization
 
-@dataclass(frozen=True)
-class Cap:
-    """Spherical cap {x : <n, x> >= d} with unit n; boundary is a circle."""
-
-    n: np.ndarray
-    d: float
-
-
 @dataclass
 class SphericalPattern:
-    """Circle pattern on the unit sphere, normalized to the marks."""
+    """Circle pattern on the unit sphere, normalized to the marks.
+
+    A cap {x : <n, x> >= d} with unit n, whose boundary is a circle, is the
+    row [n_x, n_y, n_z, d]. vertex_caps (V, 4) and face_caps (F, 4) hold
+    those rows in vertex and face id order, the rows pack writes; tangency
+    (E, 3) holds the unit tangency point of each edge in edge order, and
+    marks (3, 3) its rows at the frame edges.
+    """
 
     P: PolyhedralComplex
-    vertex_caps: dict
-    face_caps: dict
-    tangency: dict       # edge id -> unit 3-vector
-    marks: np.ndarray    # (3, 3), tangency points of the frame edges
+    vertex_caps: np.ndarray
+    face_caps: np.ndarray
+    tangency: np.ndarray
+    marks: np.ndarray
     marks_z: tuple       # the chart coordinates the marks were given as
     frame: Frame
 
@@ -631,8 +630,8 @@ def lift_normalize(pattern: CirclePattern, marks_z) -> SphericalPattern:
     marks_z are three distinct finite chart coordinates; the Mobius map
     takes the current planar tangencies of (e1, e2, e3) (the first is the
     point at infinity) to them, and the chord chart of the ball carries it
-    onto the sphere. The vertex caps, then the face caps, come from one
-    batched _mapped_caps.
+    onto the sphere. One batched _mapped_caps maps the vertex circles, then
+    the face circles, in their planar order into the rows of their ids.
     """
     z1, z2, z3 = (complex(z) for z in marks_z)
     for z in (z1, z2, z3):
@@ -642,21 +641,18 @@ def lift_normalize(pattern: CirclePattern, marks_z) -> SphericalPattern:
     sources = (pattern.tangency[e1], pattern.tangency[e2], pattern.tangency[e3])
     M = mobius_through(sources, (z1, z2, z3))
 
-    circles = (list(pattern.vertex_circles.items())
-               + list(pattern.face_circles.items()))
-    n, d = _mapped_caps([c for _, c in circles], M)
-    caps = [(key, Cap(n=nk, d=dk)) for (key, _), nk, dk
-            in zip(circles, n, d.tolist())]
-    n_vertex = len(pattern.vertex_circles)
-    vertex_caps = dict(caps[:n_vertex])
-    face_caps = dict(caps[n_vertex:])
-    tangency = {e: lift_to_sphere(apply_mobius(M, t))
-                for e, t in pattern.tangency.items()}
-    marks = np.array([tangency[e1], tangency[e2], tangency[e3]])
-    spherical = SphericalPattern(P=pattern.P, vertex_caps=vertex_caps,
-                                 face_caps=face_caps, tangency=tangency,
-                                 marks=marks, marks_z=(z1, z2, z3),
-                                 frame=pattern.frame)
+    V = pattern.P.n_vertices
+    rows = list(pattern.vertex_circles) + [V + f for f in pattern.face_circles]
+    caps = np.empty((len(rows), 4))
+    caps[rows] = np.column_stack(_mapped_caps(
+        list(pattern.vertex_circles.values())
+        + list(pattern.face_circles.values()), M))
+    tangency = np.array([lift_to_sphere(apply_mobius(M, pattern.tangency[e]))
+                         for e in range(pattern.P.n_edges)])
+    spherical = SphericalPattern(P=pattern.P, vertex_caps=caps[:V],
+                                 face_caps=caps[V:], tangency=tangency,
+                                 marks=tangency[[e1, e2, e3]],
+                                 marks_z=(z1, z2, z3), frame=pattern.frame)
     res = spherical_pattern_residuals(spherical)
     if not (max(res.values()) < LIFT_TOL):
         raise LayoutInconsistency("lifted pattern residuals %r exceed %.1e"
@@ -670,13 +666,11 @@ def spherical_pattern_residuals(pat: SphericalPattern):
     as arrays over all edges; a nan residual reads nan."""
     P = pat.P
     V = P.n_vertices
-    caps = ([pat.vertex_caps[v] for v in range(V)]
-            + [pat.face_caps[f] for f in range(P.n_faces)])
-    n = np.array([c.n for c in caps], dtype=float)
-    d = np.array([c.d for c in caps], dtype=float)
+    caps = np.concatenate([pat.vertex_caps, pat.face_caps])
+    n, d = caps[:, :3], caps[:, 3]
     # sin of each cap's angular radius, with Python's ** as a scalar
-    root = np.array([math.sqrt(max(0.0, 1.0 - c.d ** 2)) for c in caps])
-    T = np.array([pat.tangency[e] for e in range(P.n_edges)], dtype=float)
+    root = np.array([math.sqrt(max(0.0, 1.0 - dk ** 2)) for dk in d.tolist()])
+    T = pat.tangency
     a, b = np.array(P.edges).reshape(-1, 2).T
     fa, fb = V + np.array(P.edge_faces).reshape(-1, 2).T
     ends = np.stack([a, b, fa, fb], axis=1)
@@ -701,24 +695,12 @@ def koebe_config(pattern: SphericalPattern) -> Configuration:
     vertex caps, written projectively as [cos rho, n] so caps through or past
     a hemisphere stay representable.
     """
-    P = pattern.P
-    F, V, E = P.n_faces, P.n_vertices, P.n_edges
-    normals = np.empty((F, 3))
-    offsets = np.empty(F)
-    for f in range(F):
-        cap = pattern.face_caps[f]
-        normals[f] = cap.n
-        offsets[f] = cap.d
-    vertices4 = np.empty((V, 4))
-    for v in range(V):
-        cap = pattern.vertex_caps[v]
-        vec = np.array([cap.d, cap.n[0], cap.n[1], cap.n[2]])
-        vertices4[v] = vec / np.linalg.norm(vec)
-    tangents = np.empty((E, 3))
-    for e in range(E):
-        tangents[e] = pattern.tangency[e]
-    cfg = Configuration(normals=normals, offsets=offsets, vertices4=vertices4,
-                        tangents=tangents,
-                        marked_edges=pattern.frame.edges,
-                        marked_points=pattern.marks.copy())
-    return cfg
+    # [d, n] per vertex cap; a norm of all rows at once differs in last bits
+    vertices4 = np.array([row / np.linalg.norm(row)
+                          for row in pattern.vertex_caps[:, [3, 0, 1, 2]]])
+    return Configuration(normals=pattern.face_caps[:, :3].copy(),
+                         offsets=pattern.face_caps[:, 3].copy(),
+                         vertices4=vertices4,
+                         tangents=pattern.tangency.copy(),
+                         marked_edges=pattern.frame.edges,
+                         marked_points=pattern.marks.copy())

@@ -30,31 +30,42 @@ def faces_from_coordinates(points) -> list[tuple[int, ...]]:
     """
     pts = np.asarray(points, dtype=float)
     hull = ConvexHull(pts)
+    # A triangle joins the first face whose first plane is within 1e-9 of
+    # its own in normal and offset. A face is filed under each cell of a
+    # 4e-9 grid over (n, offset) within 2e-9 of its plane in every
+    # coordinate, so a triangle's own cell lists all faces it can join.
     groups: list[tuple[np.ndarray, float, set]] = []
+    cells: dict[tuple, list[int]] = {}
     for simplex, eq in zip(hull.simplices, hull.equations):
         n, off = eq[:3], eq[3]
-        for gn, goff, gverts in groups:
+        cell = tuple(math.floor(x / 4e-9) for x in eq.tolist())
+        for g in cells.get(cell, ()):
+            gn, goff, gverts = groups[g]
             if np.linalg.norm(gn - n) < 1e-9 and abs(goff - off) < 1e-9:
                 gverts.update(simplex.tolist())
                 break
         else:
+            spans = [range(math.floor((x - 2e-9) / 4e-9),
+                           math.floor((x + 2e-9) / 4e-9) + 1)
+                     for x in eq.tolist()]
+            for cell in itertools.product(*spans):
+                cells.setdefault(cell, []).append(len(groups))
             groups.append((n.copy(), off, set(simplex.tolist())))
 
-    faces = []
-    for n, _off, verts in groups:
-        ids = sorted(verts)
-        center = pts[ids].mean(axis=0)
-        # right-handed in-plane basis so ascending angle is counterclockwise
-        # when viewed from the outward normal side
-        t1 = pts[ids[0]] - center
-        t1 -= n * (t1 @ n) / (n @ n)
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(n / np.linalg.norm(n), t1)
-        ang = {v: math.atan2((pts[v] - center) @ t2, (pts[v] - center) @ t1)
-               for v in ids}
-        cyc = sorted(ids, key=lambda v: ang[v])
-        k = cyc.index(min(cyc))
-        faces.append(tuple(cyc[k:] + cyc[:k]))
+    # all faces at once: vertices by angle about the center, counterclockwise
+    # seen from outside, in [0, 2 pi) from the first and smallest vertex id
+    sizes = [len(verts) for _n, _off, verts in groups]
+    ids = np.concatenate([sorted(verts) for _n, _off, verts in groups])
+    face = np.repeat(np.arange(len(groups)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    rel = pts[ids] - (np.add.reduceat(pts[ids], starts)
+                      / np.array(sizes)[:, None])[face]
+    first = rel[starts][face]
+    normal = np.array([n for n, _off, _verts in groups])[face]
+    angle = np.arctan2(np.sum(np.cross(first, rel) * normal, axis=1),
+                       np.sum(first * rel, axis=1)) % (2.0 * math.pi)
+    faces = [tuple(cyc.tolist()) for cyc
+             in np.split(ids[np.lexsort((angle, face))], starts[1:])]
     faces.sort(key=lambda cyc: tuple(sorted(cyc)))
     return faces
 

@@ -455,32 +455,20 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                             a0 * b1 - a1 * b0])
 
 
-class _ConditionAudit:
-    """The condition audit of a solve, run when its SolveReport is read.
+def _worst_condition(system: ConstraintSystem, steps):
+    """The condition audit of a solve: (worst condition number, or nan if
+    none is positive; rank deficiency at the last step).
 
-    Plain data: the solve's ConstraintSystem and each accepted step's
-    (body, marked_points, x), recorded in order. run() puts every step's
-    body and marks back into the system and calls condition there, so it
-    reads DENSE_AUDIT_MAX_N and LANCZOS_MIN_RATIO when it runs.
+    steps are the accepted steps' (body, marked_points, x), in order. Each
+    step's body and marks are put back into the system and condition runs
+    there, so it reads DENSE_AUDIT_MAX_N and LANCZOS_MIN_RATIO when called.
     """
-
-    def __init__(self, system: ConstraintSystem):
-        self.system = system
-        self.steps = []
-
-    def record(self, x: np.ndarray):
-        self.steps.append((self.system.body, self.system.marked_points, x))
-
-    def run(self):
-        """(worst condition number, or nan if none is positive; rank
-        deficiency at the last step)."""
-        system = self.system
-        worst, rank_def = 0.0, 0
-        for body, marked_points, x in self.steps:
-            system.body, system.marked_points = body, marked_points
-            cond, rank_def = system.condition(x)
-            worst = max(worst, cond)
-        return worst or float("nan"), rank_def
+    worst, rank_def = 0.0, 0
+    for body, marked_points, x in steps:
+        system.body, system.marked_points = body, marked_points
+        cond, rank_def = system.condition(x)
+        worst = max(worst, cond)
+    return worst or float("nan"), rank_def
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +557,9 @@ def newton_refine(cfg: Configuration, body: ConvexBody, P: PolyhedralComplex,
     system = ConstraintSystem(P, frame, marks, body)
     x, iters, res, _ = _newton_core(system, system.pack(cfg), tol,
                                     REFINE_MAX_ITERATIONS)
-    audit = _ConditionAudit(system)
-    audit.record(x)
+    steps = [(system.body, system.marked_points, x)]
     report = SolveReport(converged=True, iterations=iters, final_residual=res)
-    report.defer_audit(audit)
+    report.defer_audit(lambda: _worst_condition(system, steps))
     return system.unpack(x), report
 
 
@@ -672,12 +659,11 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
 
     body0 = path.eval(0.0)
     system = ConstraintSystem(P, frame, marks_at(body0), body0)
-    audit = _ConditionAudit(system)
     x, iters, res, terms = _newton_core(system, system.pack(cfg0), tol,
                                         NEWTON_MAX_ITERATIONS)
     total_iters += iters
     history.append((0.0, 0.0, iters))
-    audit.record(x)
+    steps = [(system.body, system.marked_points, x)]
     _degeneracy_guard(system, x, 0.0)
     pattern = _sign_pattern(system, x)
 
@@ -713,14 +699,14 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
                 report = SolveReport(converged=False, iterations=total_iters,
                                      final_residual=res, step_history=history,
                                      steps_rejected=rejected)
-                report.defer_audit(audit)
+                report.defer_audit(lambda: _worst_condition(system, steps))
                 raise StepUnderflow("continuation step fell below %.1e at "
                                     "s=%.6f" % (DS_MIN, s),
                                     last_good_s=s, report=report)
             continue
         total_iters += iters
         history.append((s_try, ds, iters))
-        audit.record(x_new)
+        steps.append((system.body, system.marked_points, x_new))
         s, x, res = s_try, x_new, res_new
         if s < 1.0:
             tangent = _tangent(system, x, terms, path)
@@ -730,7 +716,7 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
     report = SolveReport(converged=True, iterations=total_iters,
                          final_residual=res, step_history=history,
                          steps_rejected=rejected)
-    report.defer_audit(audit)
+    report.defer_audit(lambda: _worst_condition(system, steps))
     return system.unpack(x), report
 
 

@@ -10,14 +10,18 @@ marks and residuals bit for bit, and to raise the same error first.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from midscribe.errors import DegenerateMarks
 from midscribe.mobius import (apply_mobius, is_infinity, lift_to_sphere,
                               mobius_through)
-from midscribe.packing import (_CIRCLE_PARAMS, _LINE_PARAMS, Cap,
-                               SphericalPattern)
+from midscribe.packing import _CIRCLE_PARAMS, _LINE_PARAMS, SphericalPattern
+
+
+# one cap of a pattern's rows, with d a Python float as the loop below needs
+Cap = namedtuple("Cap", "n d")
 
 
 def cap_through_points(p1, p2, p3, interior):
@@ -40,7 +44,8 @@ def cap_through_points(p1, p2, p3, interior):
     return n, float(d)
 
 
-def mapped_cap(circle, M) -> Cap:
+def mapped_cap(circle, M) -> np.ndarray:
+    """The cap row [n, d] of circle's image under M."""
     if circle.kind == "circle":
         params = list(_CIRCLE_PARAMS)
         witnesses = [circle.center,
@@ -69,7 +74,7 @@ def mapped_cap(circle, M) -> Cap:
     else:
         raise DegenerateMarks("no usable interior witness for a circle")
     n, d = cap_through_points(pts[0], pts[1], pts[2], interior)
-    return Cap(n=n, d=d)
+    return np.append(n, d)
 
 
 def lift_normalize(pattern, marks_z) -> SphericalPattern:
@@ -79,10 +84,15 @@ def lift_normalize(pattern, marks_z) -> SphericalPattern:
     e1, e2, e3 = pattern.frame.edges
     sources = (pattern.tangency[e1], pattern.tangency[e2], pattern.tangency[e3])
     M = mobius_through(sources, (z1, z2, z3))
-    vertex_caps = {v: mapped_cap(c, M) for v, c in pattern.vertex_circles.items()}
-    face_caps = {f: mapped_cap(c, M) for f, c in pattern.face_circles.items()}
-    tangency = {e: lift_to_sphere(apply_mobius(M, t))
-                for e, t in pattern.tangency.items()}
+    vertex_caps = np.empty((len(pattern.vertex_circles), 4))
+    for v, c in pattern.vertex_circles.items():
+        vertex_caps[v] = mapped_cap(c, M)
+    face_caps = np.empty((len(pattern.face_circles), 4))
+    for f, c in pattern.face_circles.items():
+        face_caps[f] = mapped_cap(c, M)
+    tangency = np.empty((len(pattern.tangency), 3))
+    for e, t in pattern.tangency.items():
+        tangency[e] = lift_to_sphere(apply_mobius(M, t))
     marks = np.array([tangency[e1], tangency[e2], tangency[e3]])
     return SphericalPattern(P=pattern.P, vertex_caps=vertex_caps,
                             face_caps=face_caps, tangency=tangency,
@@ -96,8 +106,9 @@ def spherical_pattern_residuals(pat: SphericalPattern):
     through = tangent = ortho = unit = 0.0
     for e, (a, b) in enumerate(P.edges):
         fa, fb = P.faces_of_edge(e)
-        caps = [pat.vertex_caps[a], pat.vertex_caps[b],
-                pat.face_caps[fa], pat.face_caps[fb]]
+        caps = [Cap(row[:3], float(row[3])) for row in
+                (pat.vertex_caps[a], pat.vertex_caps[b],
+                 pat.face_caps[fa], pat.face_caps[fb])]
         t = pat.tangency[e]
         unit = max(unit, abs(float(t @ t) - 1.0))
         through = max(through, max(abs(float(c.n @ t) - c.d) for c in caps))

@@ -5,6 +5,7 @@ conditions directly from the raw circle data, independently of the library's
 own residual helpers.
 """
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -16,9 +17,11 @@ from solver_oracle import assemble_residual
 from midscribe.bodies import BodyChart, make_body
 from midscribe.mobius import is_infinity
 from midscribe import packing
+from midscribe.cli import main
 from midscribe.combinatorics import build_complex, select_frame
 from midscribe.errors import (DegenerateMarks, LayoutInconsistency,
                               NonConvergence)
+from midscribe.io import complex_to_dict, format_complex
 from midscribe.packing import (
     TWO_PI,
     _AngleSums,
@@ -156,11 +159,11 @@ def test_spherical_caps_through_tangency_points():
         f, g = P.faces_of_edge(e)
         for cap in (sph.vertex_caps[u], sph.vertex_caps[v],
                     sph.face_caps[f], sph.face_caps[g]):
-            assert abs(cap.n @ t - cap.d) < 1e-9
+            assert abs(cap[:3] @ t - cap[3]) < 1e-9
         # tangent circles at t: cap normals and t are coplanar
-        nu, nv = sph.vertex_caps[u].n, sph.vertex_caps[v].n
+        nu, nv = sph.vertex_caps[u, :3], sph.vertex_caps[v, :3]
         assert abs(np.linalg.det(np.array([nu, nv, t]))) < 1e-9
-        nf, ng = sph.face_caps[f].n, sph.face_caps[g].n
+        nf, ng = sph.face_caps[f, :3], sph.face_caps[g, :3]
         assert abs(np.linalg.det(np.array([nf, ng, t]))) < 1e-9
 
 
@@ -173,7 +176,7 @@ def test_orthogonal_caps_identity():
         cv = sph.vertex_caps[v]
         for f in P.vertex_faces[v]:
             cf = sph.face_caps[f]
-            assert abs(cv.n @ cf.n - cv.d * cf.d) < 1e-9
+            assert abs(cv[:3] @ cf[:3] - cv[3] * cf[3]) < 1e-9
 
 
 def test_mark_changes_are_mobius_related():
@@ -417,17 +420,9 @@ def bits(value):
 
 
 def assert_same_lift(got, want):
-    for caps, ref in ((got.vertex_caps, want.vertex_caps),
-                      (got.face_caps, want.face_caps)):
-        assert list(caps) == list(ref)
-        for key, cap in ref.items():
-            assert np.array_equal(bits(caps[key].n), bits(cap.n))
-            assert type(caps[key].d) is float
-            assert bits(caps[key].d) == bits(cap.d)
-    assert list(got.tangency) == list(want.tangency)
-    for e, t in want.tangency.items():
-        assert np.array_equal(bits(got.tangency[e]), bits(t))
-    assert np.array_equal(bits(got.marks), bits(want.marks))
+    for field in ("vertex_caps", "face_caps", "tangency", "marks"):
+        assert np.array_equal(bits(getattr(got, field)),
+                              bits(getattr(want, field)))
     assert got.marks_z == want.marks_z
     for pattern in (got, want):
         res = spherical_pattern_residuals(pattern)
@@ -449,8 +444,8 @@ def test_lift_matches_per_cap_oracle(name, marks):
     got = lift_normalize(planar, marks_z)
     assert_same_lift(got, lift_oracle.lift_normalize(planar, marks_z))
     if marks == "line":
-        caps = list(got.vertex_caps.values()) + list(got.face_caps.values())
-        assert sum(abs(cap.n[2] - cap.d) < 1e-9 for cap in caps) == 4
+        caps = np.concatenate([got.vertex_caps, got.face_caps])
+        assert sum(abs(cap[2] - cap[3]) < 1e-9 for cap in caps) == 4
 
 
 @pytest.mark.parametrize("name", ["cube", "hull12"])
@@ -462,21 +457,43 @@ def test_lift_residuals_see_every_cap_and_tangency(name):
     pattern = lift_normalize(layout_circles(P, frame, solve_radii(P, frame)),
                              CANONICAL_MARKS)
     variants = []
-    slots = ([("vertex_caps", v) for v in pattern.vertex_caps]
-             + [("face_caps", f) for f in pattern.face_caps])
-    for k, (field, key) in enumerate(slots):
-        changed = dict(getattr(pattern, field))
-        cap = changed[key]
-        changed[key] = packing.Cap(n=cap.n, d=cap.d + 1e-3 * (k + 1))
+    slots = ([("vertex_caps", v) for v in range(P.n_vertices)]
+             + [("face_caps", f) for f in range(P.n_faces)])
+    for k, (field, row) in enumerate(slots):
+        changed = getattr(pattern, field).copy()
+        changed[row, 3] += 1e-3 * (k + 1)
         variants.append(dataclasses.replace(pattern, **{field: changed}))
-    for e, t in pattern.tangency.items():
-        moved = dict(pattern.tangency)
+    for e, t in enumerate(pattern.tangency):
+        moved = pattern.tangency.copy()
         moved[e] = t * (1.0 + 1e-3 * (e + 1))
         variants.append(dataclasses.replace(pattern, tangency=moved))
     for variant in variants:
         res = spherical_pattern_residuals(variant)
         ref = lift_oracle.spherical_pattern_residuals(variant)
         assert all(bits(res[k]) == bits(ref[k]) for k in ref)
+
+
+@pytest.mark.parametrize("marks", ["canonical", "line"])
+@pytest.mark.parametrize("name", ["cube", "hull12"])
+def test_pack_writes_the_per_cap_rows(tmp_path, name, marks):
+    """pack's caps and tangency points, read back from its JSON, are the
+    per-cap lift's rows bit for bit."""
+    P, frame = complex_and_frame(name)
+    planar = layout_circles(P, frame, solve_radii(P, frame))
+    marks_z = CANONICAL_MARKS if marks == "canonical" else line_marks(planar)
+    spec = name
+    if name not in SEED_NAMES:
+        spec = tmp_path / "complex.json"
+        spec.write_text(json.dumps(complex_to_dict(P)))
+    out = tmp_path / "pattern.json"
+    assert main(["pack", "--complex", str(spec), "--out", str(out), "--marks",
+                 ",".join(format_complex(z) for z in marks_z)]) == 0
+    written = json.loads(out.read_text())
+    want = lift_oracle.lift_normalize(planar, marks_z)
+    for key, rows in (("vertex_caps", want.vertex_caps),
+                      ("face_caps", want.face_caps),
+                      ("tangency_points", want.tangency)):
+        assert np.array_equal(bits(written[key]), bits(rows))
 
 
 FAR = _circle(1e13 + 0j, 1.0)    # every interior witness maps beyond 1e12
