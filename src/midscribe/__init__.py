@@ -25,14 +25,14 @@ from .packing import (Circle, CirclePattern, SphericalPattern, koebe_config,
 from .seeds import SEED_NAMES, seed_complex, seed_coordinates
 from .solver import (ConstraintSystem, RigidityReport, continue_from_pattern,
                      continue_to_body, newton_refine, rigidity_probe)
-from .verify import (DiskPacking, KDisk, VerifyReport, check_convexity,
+from .verify import (DiskPacking, VerifyReport, check_convexity,
                      check_midscription, extract_kdisk_packings,
                      verify_configuration)
 
 __all__ = [
     "Ball", "BodyChart", "BodyPath", "Circle", "CirclePattern",
     "Configuration", "ConstraintSystem", "ConvexBody", "DimensionReport",
-    "DiskPacking", "EPS_INFINITY", "Ellipsoid", "Frame", "GaugeBlend", "KDisk",
+    "DiskPacking", "EPS_INFINITY", "Ellipsoid", "Frame", "GaugeBlend",
     "PolyhedralComplex", "RigidityReport", "SEED_NAMES", "SolveReport",
     "SphericalPattern", "Superellipsoid", "VerifyReport", "build_complex",
     "check_convexity", "check_midscription", "continue_from_pattern",

@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    DegenerateConfiguration,
     MalformedDescriptor,
     NotStrictlyConvex,
     PathConvexityFailure,
@@ -34,6 +35,12 @@ RAY_NEWTON_ITERATIONS = 60
 # which reaches 1e-14*hi in at most 47 halvings, so the cap only stops a
 # bisection that cannot converge.
 CHART_BISECTION_ITERATIONS = 100
+# The support-point ascent of ConvexBody.supports: steps allowed per row,
+# and halvings of one step before a row counts as at its maximum.
+SUPPORT_ITERATIONS = 60
+SUPPORT_HALVINGS = 40
+EPS = np.finfo(float).eps
+ROUNDING = 8.0 * EPS
 
 
 class ConvexBody:
@@ -47,7 +54,8 @@ class ConvexBody:
     take one point and are one-row views of the batched methods, so a
     subclass may define the scalar set instead: the batched methods then
     loop over the rows with it. A subclass that defines neither set raises
-    NotImplementedError.
+    NotImplementedError. The support function, supports, is built on the
+    batched set unless a subclass gives it in closed form.
     """
 
     def value(self, x) -> float:
@@ -76,6 +84,23 @@ class ConvexBody:
         self._require("hessian")
         return np.array([self.hessian(x) for x in np.asarray(X, dtype=float)],
                         dtype=float).reshape(-1, 3, 3)
+
+    def supports(self, U) -> np.ndarray:
+        """The support function h_K(u) = max of u . x over the body, for
+        each row of an (m, 3) array U; shape (m,). h_K(0) = 0.
+
+        Ball, Ellipsoid and Superellipsoid give it in closed form. Here it
+        is u . X at the boundary point X whose outward normal lies along u,
+        found by _support_points from values/gradients/hessians; a row that
+        does not converge raises DegenerateConfiguration.
+        """
+        U = np.asarray(U, dtype=float)
+        size = np.sqrt(_rowdot(U, U))
+        h = np.where(size == 0, 0.0, np.nan)
+        rows = np.flatnonzero(size > 0)
+        W = U[rows] / size[rows, None]
+        h[rows] = size[rows] * _rowdot(W, _support_points(self, W))
+        return h
 
     def _require(self, name):
         """Raise unless the subclass defines the method a default calls."""
@@ -106,6 +131,10 @@ class Ball(ConvexBody):
     def hessians(self, X):
         return np.tile(2.0 * np.eye(3), (len(X), 1, 1))
 
+    def supports(self, U):
+        U = np.asarray(U, dtype=float)
+        return np.sqrt(_rowdot(U, U))
+
     @property
     def descriptor(self):
         return "ball"
@@ -132,6 +161,12 @@ class Ellipsoid(ConvexBody):
 
     def hessians(self, X):
         return np.tile(np.diag(2.0 * self._m), (len(X), 1, 1))
+
+    def supports(self, U):
+        """|(a u_x, b u_y, u_z)|: the ellipsoid is diag(a, b, 1) applied
+        to the unit ball."""
+        V = np.asarray(U, dtype=float) / np.sqrt(self._m)
+        return np.sqrt(_rowdot(V, V))
 
     @property
     def descriptor(self):
@@ -167,6 +202,16 @@ class Superellipsoid(ConvexBody):
         idx = np.arange(3)
         out[:, idx, idx] = self.p * (self.p - 1) * U ** (self.p - 2) / s ** 2
         return out
+
+    def supports(self, U):
+        """The dual norm ||(a, b, 1) u||_q, q = p / (p - 1), of the body's
+        p-norm, scaled by its largest entry so that no power overflows."""
+        V = np.abs(np.asarray(U, dtype=float) * self._scale)
+        top = V.max(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = self.p / (self.p - 1.0)
+            h = top * np.sum((V / top[:, None]) ** q, axis=1) ** (1.0 / q)
+        return np.where(top == 0, 0.0, h)
 
     @property
     def descriptor(self):
@@ -350,6 +395,82 @@ def validate_body(body: ConvexBody, n_samples: int = 200) -> None:
                                     % Q[k])
         raise NotStrictlyConvex("tangential hessian not positive definite "
                                 "at %s" % Q[k])
+
+
+def _support_points(body: ConvexBody, W) -> np.ndarray:
+    """The boundary points whose outward normals lie along the unit rows
+    of W, (m, 3).
+
+    Each row starts at the boundary point on the ray along w and climbs
+    w . X along the boundary. Moving X by s in the tangent plane of the
+    outward normal n = grad F / |grad F| turns n by A s to first order,
+    with A the tangential Hessian of F over |grad F|, so the Newton step
+    solves A s = t, the tangential part of w, with A's diagonal raised by
+    ROUNDING times its trace. Where A is still not positive definite, as
+    at the flat points of a p = 4 superellipsoid, the step is |X| t. A
+    step is at most |X| long, is put back on the boundary radially by
+    ray_roots, and is halved until w . X rises.
+
+    A row stops when |t|, its step or the rise t . s / 2 that its Newton
+    step predicts is within rounding of 0, or when SUPPORT_HALVINGS
+    halvings of its step do not raise w . X. w . X is at most h_K(w) on
+    the whole boundary and rises to first order along every step
+    (t . s > 0), so a step that rises at no halving leaves w . X within
+    rounding of h_K(w); near a flat maximum w . X gets there long before X
+    reaches the maximizer. A row still climbing after SUPPORT_ITERATIONS
+    steps raises DegenerateConfiguration.
+    """
+    X = ray_roots(body, np.zeros(3), W)[:, None] * W
+    value = _rowdot(W, X)
+    todo = np.arange(len(W))
+    for _ in range(SUPPORT_ITERATIONS):
+        if not todo.size:
+            return X
+        x, w = X[todo], W[todo]
+        G = body.gradients(x)
+        g = np.sqrt(_rowdot(G, G))
+        n = G / g[:, None]
+        a = _unit_orthogonals(n)
+        b = np.cross(n, a)
+        t1, t2 = _rowdot(a, w), _rowdot(b, w)
+        H = body.hessians(x) / g[:, None, None]
+        Ha, Hb = (H @ a[..., None])[..., 0], (H @ b[..., None])[..., 0]
+        A11, A12, A22 = _rowdot(a, Ha), _rowdot(a, Hb), _rowdot(b, Hb)
+        # a relative shift keeps a direction of zero curvature, such as the
+        # flat one at a point off a p = 4 axis, from making A singular
+        shift = ROUNDING * (np.abs(A11) + np.abs(A22))
+        A11, A22 = A11 + shift, A22 + shift
+        radius = np.sqrt(_rowdot(x, x))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            det = A11 * A22 - A12 * A12
+            s1 = (A22 * t1 - A12 * t2) / det
+            s2 = (A11 * t2 - A12 * t1) / det
+            newton = (A11 > 0) & (det > 0) & np.isfinite(s1) & np.isfinite(s2)
+            step = (np.where(newton, s1, radius * t1)[:, None] * a
+                    + np.where(newton, s2, radius * t2)[:, None] * b)
+            length = np.sqrt(_rowdot(step, step))
+            step *= np.minimum(1.0, radius / length)[:, None]
+            # the rise of w . X the Newton step predicts, t . s / 2
+            gain = np.where(newton, 0.5 * (t1 * s1 + t2 * s2), np.inf)
+        moving = ~((np.hypot(t1, t2) <= ROUNDING) | (gain <= EPS * radius)
+                   | (np.minimum(length, radius) <= ROUNDING * radius))
+        rows = np.flatnonzero(moving)
+        for _ in range(SUPPORT_HALVINGS):
+            if not rows.size:
+                break
+            dirs = x[rows] + step[rows]
+            dirs /= np.sqrt(_rowdot(dirs, dirs))[:, None]
+            Y = ray_roots(body, np.zeros(3), dirs)[:, None] * dirs
+            rise = _rowdot(w[rows], Y) > value[todo[rows]]
+            up = todo[rows[rise]]
+            X[up], value[up] = Y[rise], _rowdot(W[up], Y[rise])
+            rows = rows[~rise]
+            step[rows] *= 0.5
+        moving[rows] = False
+        todo = todo[moving]
+    raise DegenerateConfiguration(
+        "support function: no boundary point with outward normal along %s "
+        "after %d steps" % (W[todo[0]], SUPPORT_ITERATIONS))
 
 
 def _spiral_directions(n: int) -> np.ndarray:

@@ -57,6 +57,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 _BARE_I = re.compile(r"(?<![0-9a-zA-Z_.])i\b")
+# The chart's chord point N + t (x, y, -2) has height 1 - 2 t, which
+# resolves the chord parameter t ~ 4 / |z|^2 of a mark z only while that is
+# well above eps: at |z| = 1e7 a mark is pinned about 3e-4 off, and at 1e8
+# t is 4e-16. So a mark, or a corner of a sweep's grid box, must be smaller.
+MAX_MARK = 1e8
 
 
 def parse_marks(text: str) -> tuple[complex, complex, complex]:
@@ -75,6 +80,9 @@ def parse_marks(text: str) -> tuple[complex, complex, complex]:
             raise MalformedSpec("cannot parse mark %r" % part)
         if not cmath.isfinite(z):
             raise MalformedSpec("mark %r is not finite" % part)
+        if not abs(z) < MAX_MARK:
+            raise MalformedSpec("mark %r is too large for the chart: |z| must "
+                                "be below %g" % (part, MAX_MARK))
         out.append(z)
     return tuple(out)
 
@@ -296,6 +304,11 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise MalformedSpec("grid box must be four finite numbers "
                             "X0,X1,Y0,Y1, got %r" % args.grid_box)
+    corners = [complex(x, y) for x in (x0, x1) for y in (y0, y1)]
+    if not max(map(abs, corners)) < MAX_MARK:
+        raise MalformedSpec("grid box %r is too large for the chart: its "
+                            "corners must be below %g"
+                            % (args.grid_box, MAX_MARK))
     n = args.grid
     if n < 1:
         raise MalformedSpec("grid must be a positive integer, got %d" % n)

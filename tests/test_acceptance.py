@@ -21,6 +21,7 @@ from midscribe import (
     rigidity_probe,
     solve_radii,
     solver,
+    verify_configuration,
 )
 from midscribe.bodies import BodyChart, make_body, make_path
 from midscribe.cli import main as cli_main
@@ -167,6 +168,20 @@ def test_criterion_3_generic_marks_existence(acceptance, generic_instances):
         % (len(successes), n, 100 * rate, len(SEED_NAMES),
            len(GENERIC_BODIES), worst_res, comb_ok, worst_time, diagnosed,
            n_underflow, len(failures) - n_underflow))
+
+
+def test_criterion_3_convex_instances_pass_with_packings(generic_instances):
+    # a convex midscribed realization induces both K-disk packings, with
+    # the edge graph and the dual graph as contact graphs; the tracer's
+    # absolute tolerances rejected some of these, the certificates do not
+    convex = [r for r in generic_instances if r["ok"]
+              and r["verify"].convexity == "convex"]
+    assert convex
+    for r in convex:
+        report = verify_configuration(r["cfg"], make_body(r["body"]), r["P"])
+        assert report.passed, (r["seed"], r["body"], r["marks"])
+        assert report.contact_graph_primal_ok is True
+        assert report.contact_graph_dual_ok is True
 
 
 def test_criterion_4_empirical_rigidity(monkeypatch, acceptance,

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import kdisk_oracle
 from conftest import ball_solution, get_seed
 from test_combinatorics import JUNK_COMPLEXES
 from midscribe.bodies import make_body
-from midscribe.cli import main, parse_frame_spec, parse_marks
+from midscribe.cli import MAX_MARK, main, parse_frame_spec, parse_marks
 from midscribe.errors import MalformedSpec, StepUnderflow
 from midscribe.io import (
     boundary_mesh,
@@ -49,6 +50,10 @@ def test_parse_marks_forms():
 @settings(max_examples=80, deadline=None)
 def test_format_complex_round_trips(z):
     text = ",".join([format_complex(z)] * 3)
+    if abs(z) >= MAX_MARK:
+        with pytest.raises(MalformedSpec, match="too large for the chart"):
+            parse_marks(text)
+        return
     back = parse_marks(text)[0]
     assert back == z
 
@@ -260,6 +265,12 @@ BAD_NUMBERS = [
     ("midscribe", "--starts", "-2"),
     ("midscribe", "--marks", "nan,1,i"),
     ("sweep", "--grid-box=nan,1,0,1"),
+    # too large for the chart: these exited 2, or wrote a pattern after an
+    # overflow warning
+    ("midscribe", "--marks", "1e9,1,i"),
+    ("pack", "--marks", "1e300,1,i"),
+    ("sweep", "--marks", "0,1,1e8i"),
+    ("sweep", "--grid-box=-1,1,0,1e8"),
 ]
 
 
@@ -268,7 +279,8 @@ BAD_NUMBERS = [
     ids=[" ".join(case) for case in BAD_NUMBERS])
 def test_cli_rejects_bad_numbers(tmp_path, monkeypatch, capsys, command,
                                  option):
-    """Each is an input error: exit 3, no file written, no body built."""
+    """Each is an input error: exit 3, no file written, no body built, no
+    warning."""
     import midscribe.cli as cli_mod
     monkeypatch.setenv("MIDSCRIBE_THREADS", "1")
     bodies_built = []
@@ -281,8 +293,11 @@ def test_cli_rejects_bad_numbers(tmp_path, monkeypatch, capsys, command,
     argv = {"midscribe": ["--complex", "tetrahedron", "--out", out,
                           "--report", out + ".json"],
             "sweep": ["--complex", "tetrahedron", "--out", out],
+            "pack": ["--complex", "tetrahedron", "--out", out],
             "verify": [str(config), "--report", out]}[command]
-    assert run_cli(command, *argv, *option) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(command, *argv, *option) == 3
     assert "input error" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["config.json"]
     assert bodies_built == []

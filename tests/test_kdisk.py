@@ -1,5 +1,7 @@
-"""Batched K-disk tracing: agreement with the scalar tracer, typed failures,
-and full verification of generated complexes."""
+"""K-disk packings: the convex certificates of verify.py against the
+tracers of kdisk_oracle and on the cases the tracers got wrong, the support
+function, the batched tracer against the scalar one, typed failures, and
+full verification of generated complexes."""
 import functools
 import math
 
@@ -8,20 +10,20 @@ import pytest
 
 import kdisk_oracle
 from conftest import ball_solution, get_seed, witness_marks
-from midscribe import (continue_to_body, extract_kdisk_packings, koebe_config,
-                       layout_circles, lift_normalize, solve_radii, verify,
-                       verify_configuration)
-from midscribe.bodies import (ConvexBody, _rowdot, _unit_orthogonals,
-                              make_body, make_path)
+from midscribe import (bodies, continue_to_body, extract_kdisk_packings,
+                       koebe_config, layout_circles, lift_normalize,
+                       solve_radii, verify, verify_configuration)
+from midscribe.bodies import (Ball, ConvexBody, GaugeBlend, _rowdot,
+                              _unit_orthogonals, make_body, make_path)
 from midscribe.combinatorics import build_complex, select_frame
 from midscribe.errors import DegenerateConfiguration
-from midscribe.seeds import faces_from_coordinates
+from midscribe.seeds import SEED_NAMES, faces_from_coordinates
 from test_packing import GENERATED, complex_and_frame, sphere_hull_points
 
 BALL = make_body("ball")
 THETA = (2.0 * math.pi * 0.61803398874989485
-         + 2.0 * math.pi * np.arange(verify.N_BOUNDARY_SAMPLES)
-         / verify.N_BOUNDARY_SAMPLES)
+         + 2.0 * math.pi * np.arange(kdisk_oracle.N_BOUNDARY_SAMPLES)
+         / kdisk_oracle.N_BOUNDARY_SAMPLES)
 
 
 def _cube_on_ellipsoid():
@@ -62,8 +64,18 @@ def traced_pair(kdisk_case):
     """
     name, P, cfg, body = kdisk_case
     tol = 1e-5 if name == "p4_box" else 1e-7
-    return (extract_kdisk_packings(cfg, body, P),
-            kdisk_oracle.scalar_kdisk_packings(cfg, body, P), tol)
+    return (kdisk_oracle.batched_kdisk_packings(cfg, body, P),
+            _scalar_packings(name, cfg, body, P), tol)
+
+
+_SCALAR = {}
+
+
+def _scalar_packings(name, cfg, body, P):
+    """scalar_kdisk_packings of the named configuration, traced once."""
+    if name not in _SCALAR:
+        _SCALAR[name] = kdisk_oracle.scalar_kdisk_packings(cfg, body, P)
+    return _SCALAR[name]
 
 
 def _bisection(arcs, lo, hi, start):
@@ -99,12 +111,12 @@ def test_all_disks_trace_matches_per_disk_trace(kdisk_case, monkeypatch):
     # does each row's arithmetic exactly as tracing one disk at a time; a
     # joint Newton capped at 0 steps sends every row to that solve
     _, P, cfg, body = kdisk_case
-    faces = verify._FaceDisks(body, cfg, P, THETA)
+    faces = kdisk_oracle._FaceDisks(body, cfg, P, THETA)
     for f, disk in enumerate(faces.disks):
         assert np.array_equal(disk.boundary_samples, faces._points(f, THETA))
-    monkeypatch.setattr(verify, "HORIZON_NEWTON_ITERATIONS", 0)
-    monkeypatch.setattr(verify._Arcs, "solve", _bisection)
-    vertices = verify._VertexDisks(body, cfg, P, THETA)
+    monkeypatch.setattr(kdisk_oracle, "HORIZON_NEWTON_ITERATIONS", 0)
+    monkeypatch.setattr(kdisk_oracle._Arcs, "solve", _bisection)
+    vertices = kdisk_oracle._VertexDisks(body, cfg, P, THETA)
     for v, disk in enumerate(vertices.disks):
         alphas, samples = kdisk_oracle.per_disk_trace(vertices, v, THETA)
         assert np.array_equal(vertices.alphas[v], alphas)
@@ -116,8 +128,9 @@ def _unresolved_width(disks):
     width in alpha over which rounding can flip the sign of g."""
     n_vertices, n = disks.alphas.shape
     owners = np.repeat(np.arange(n_vertices), n)
-    m = verify._circle(np.repeat(disks.a, n, axis=0),
-                       np.repeat(disks.b, n, axis=0), np.tile(THETA, n_vertices))
+    m = kdisk_oracle._circle(np.repeat(disks.a, n, axis=0),
+                             np.repeat(disks.b, n, axis=0),
+                             np.tile(THETA, n_vertices))
     arcs = disks._arcs(owners, m, np.ones(len(owners)))
     _, g_tol, slope, _ = arcs.g_slope(np.arange(len(owners)),
                                       disks.alphas.ravel())
@@ -130,14 +143,15 @@ def test_newton_horizons_match_bisection(kdisk_case, monkeypatch):
     # sign hundreds of times within 600 ulps of the root; there they agree
     # to the unresolved width instead of 1e-14.
     _, P, cfg, body = kdisk_case
-    newton = verify._VertexDisks(body, cfg, P, THETA)
-    packings = extract_kdisk_packings(cfg, body, P)
-    monkeypatch.setattr(verify, "HORIZON_NEWTON_ITERATIONS", 0)
-    monkeypatch.setattr(verify._Arcs, "solve", _bisection)
-    bisection = verify._VertexDisks(body, cfg, P, THETA)
+    newton = kdisk_oracle._VertexDisks(body, cfg, P, THETA)
+    packings = kdisk_oracle.batched_kdisk_packings(cfg, body, P)
+    monkeypatch.setattr(kdisk_oracle, "HORIZON_NEWTON_ITERATIONS", 0)
+    monkeypatch.setattr(kdisk_oracle._Arcs, "solve", _bisection)
+    bisection = kdisk_oracle._VertexDisks(body, cfg, P, THETA)
     assert np.all(np.abs(newton.alphas - bisection.alphas)
                   <= 1e-14 + _unresolved_width(newton))
-    for new, old in zip(packings, extract_kdisk_packings(cfg, body, P)):
+    for new, old in zip(packings,
+                        kdisk_oracle.batched_kdisk_packings(cfg, body, P)):
         assert new.contacts_ok == old.contacts_ok
         assert new.nondegenerate == old.nondegenerate
 
@@ -146,14 +160,14 @@ def test_joint_horizons_match_bracketed_solve(kdisk_case, monkeypatch):
     # with the joint Newton capped at 0 steps every horizon point, traced
     # or refined, takes the bracketed solve
     _, P, cfg, body = kdisk_case
-    joint = verify._VertexDisks(body, cfg, P, THETA)
-    packings = extract_kdisk_packings(cfg, body, P)
-    monkeypatch.setattr(verify, "HORIZON_NEWTON_ITERATIONS", 0)
-    bracketed = verify._VertexDisks(body, cfg, P, THETA)
+    joint = kdisk_oracle._VertexDisks(body, cfg, P, THETA)
+    packings = kdisk_oracle.batched_kdisk_packings(cfg, body, P)
+    monkeypatch.setattr(kdisk_oracle, "HORIZON_NEWTON_ITERATIONS", 0)
+    bracketed = kdisk_oracle._VertexDisks(body, cfg, P, THETA)
     assert bracketed.horizon_fallbacks == bracketed.alphas.size
     assert np.all(np.abs(joint.alphas - bracketed.alphas)
                   <= 1e-14 + _unresolved_width(joint))
-    capped = extract_kdisk_packings(cfg, body, P)
+    capped = kdisk_oracle.batched_kdisk_packings(cfg, body, P)
     assert capped[1].horizon_fallbacks > bracketed.horizon_fallbacks
     for new, old in zip(packings, capped):
         assert new.contacts_ok == old.contacts_ok
@@ -163,12 +177,12 @@ def test_joint_horizons_match_bracketed_solve(kdisk_case, monkeypatch):
 @pytest.mark.parametrize("start", ["alpha+1", "alpha-1", "nan", "r=0"])
 def test_bad_joint_starts_end_at_the_horizons_or_fall_back(kdisk_case, start):
     _, P, cfg, body = kdisk_case
-    disks = verify._VertexDisks(body, cfg, P, THETA)
+    disks = kdisk_oracle._VertexDisks(body, cfg, P, THETA)
     n_vertices, n = disks.alphas.shape
     owners = np.repeat(np.arange(n_vertices), n)
-    m = verify._circle(np.repeat(disks.a, n, axis=0),
-                       np.repeat(disks.b, n, axis=0),
-                       np.tile(THETA, n_vertices))
+    m = kdisk_oracle._circle(np.repeat(disks.a, n, axis=0),
+                             np.repeat(disks.b, n, axis=0),
+                             np.tile(THETA, n_vertices))
     horizons, radii = disks.alphas.ravel(), disks.radii.ravel()
     width = _unresolved_width(disks).ravel()
     warm = {"alpha+1": horizons + 1.0, "alpha-1": horizons - 1.0,
@@ -182,7 +196,7 @@ def test_bad_joint_starts_end_at_the_horizons_or_fall_back(kdisk_case, start):
         return
     # the rows the joint Newton leaves, the bracketed solve puts there too
     # (it takes starts on the arc, as every traced or stored horizon is)
-    warm = np.clip(warm, verify.HORIZON_MIN, math.pi - 1e-9)
+    warm = np.clip(warm, kdisk_oracle.HORIZON_MIN, math.pi - 1e-9)
     ok = disks._arcs(owners, m, t0.copy()).joint(warm)[2]
     before = disks.horizon_fallbacks
     alpha, X = disks._horizons(disks._arcs(owners, m, t0.copy()), warm)
@@ -194,9 +208,9 @@ def test_bad_joint_starts_end_at_the_horizons_or_fall_back(kdisk_case, start):
 def _every_arc(disks):
     """The arcs of every traced sample of disks, each ray started at 1."""
     n_vertices, n = disks.alphas.shape
-    m = verify._circle(np.repeat(disks.a, n, axis=0),
-                       np.repeat(disks.b, n, axis=0),
-                       np.tile(THETA, n_vertices))
+    m = kdisk_oracle._circle(np.repeat(disks.a, n, axis=0),
+                             np.repeat(disks.b, n, axis=0),
+                             np.tile(THETA, n_vertices))
     return disks._arcs(np.repeat(np.arange(n_vertices), n), m,
                        np.ones(n_vertices * n))
 
@@ -206,12 +220,12 @@ def test_solve_clips_its_start_into_the_bracket(kdisk_case, start):
     # a start outside [lo, hi] used to come back as the horizon: alpha =
     # -0.835 on tetrahedron/ball from horizon - 1 rad
     _, P, cfg, body = kdisk_case
-    disks = verify._VertexDisks(body, cfg, P, THETA)
+    disks = kdisk_oracle._VertexDisks(body, cfg, P, THETA)
     horizons = disks.alphas.ravel()
     warm = {"alpha+1": horizons + 1.0, "alpha-1": horizons - 1.0,
             "nan": np.full(len(horizons), math.nan)}[start]
     alpha, X = _every_arc(disks).solve(
-        np.full(len(horizons), verify.HORIZON_MIN),
+        np.full(len(horizons), kdisk_oracle.HORIZON_MIN),
         np.full(len(horizons), math.pi - 1e-9), warm)
     assert np.all(np.abs(alpha - horizons)
                   <= 1e-14 + _unresolved_width(disks).ravel())
@@ -222,13 +236,14 @@ def _assert_bracketed(disks):
     """g(HORIZON_MIN) > 0 >= g(pi - 1e-9) on every traced arc of disks."""
     arcs = _every_arc(disks)
     every = np.arange(len(arcs.t))
-    assert np.all(arcs.g(every, np.full(len(every), verify.HORIZON_MIN)) > 0)
+    assert np.all(arcs.g(every, np.full(len(every), kdisk_oracle.HORIZON_MIN))
+                  > 0)
     assert np.all(arcs.g(every, np.full(len(every), math.pi - 1e-9)) <= 0)
 
 
 def test_every_arc_brackets_its_horizon(kdisk_case):
     _, P, cfg, body = kdisk_case
-    _assert_bracketed(verify._VertexDisks(body, cfg, P, THETA))
+    _assert_bracketed(kdisk_oracle._VertexDisks(body, cfg, P, THETA))
 
 
 @functools.lru_cache(maxsize=None)
@@ -246,14 +261,14 @@ def _hull30_on_p4():
 def test_every_arc_brackets_its_horizon_on_a_small_cap():
     # vertex 49 sees a cap of 8.1e-4 rad
     P, cfg, body = _refinement_case("hull60")
-    _assert_bracketed(verify._VertexDisks(body, cfg, P, THETA))
+    _assert_bracketed(kdisk_oracle._VertexDisks(body, cfg, P, THETA))
 
 
 def test_every_arc_brackets_its_horizon_at_infinity():
     P, cfg, body = _hull30_on_p4()
-    vertices = extract_kdisk_packings(cfg, body, P)[1]
+    vertices = kdisk_oracle.batched_kdisk_packings(cfg, body, P)[1]
     assert any(disk.at_infinity for disk in vertices.disks)
-    _assert_bracketed(verify._VertexDisks(body, cfg, P, THETA))
+    _assert_bracketed(kdisk_oracle._VertexDisks(body, cfg, P, THETA))
 
 
 class _BallWithHessian(ConvexBody):
@@ -290,44 +305,27 @@ class _BallWithHessian(ConvexBody):
 def test_unusable_slope_falls_back_to_bisection(fill, monkeypatch):
     P, _, _ = get_seed("cube")
     cfg = ball_solution("cube")
-    fallback = verify._VertexDisks(_BallWithHessian(fill), cfg, P, THETA)
+    fallback = kdisk_oracle._VertexDisks(_BallWithHessian(fill), cfg, P, THETA)
     assert fallback.horizon_fallbacks == fallback.alphas.size
-    monkeypatch.setattr(verify, "HORIZON_NEWTON_ITERATIONS", 0)
-    monkeypatch.setattr(verify._Arcs, "solve", _bisection)
-    bisection = verify._VertexDisks(BALL, cfg, P, THETA)
+    monkeypatch.setattr(kdisk_oracle, "HORIZON_NEWTON_ITERATIONS", 0)
+    monkeypatch.setattr(kdisk_oracle._Arcs, "solve", _bisection)
+    bisection = kdisk_oracle._VertexDisks(BALL, cfg, P, THETA)
     assert np.max(np.abs(fallback.alphas - bisection.alphas)) < 1e-14
 
 
 def test_unconverged_horizon_names_vertex(monkeypatch):
     P, _, _ = get_seed("cube")
-    monkeypatch.setattr(verify, "HORIZON_NEWTON_ITERATIONS", 0)
-    monkeypatch.setattr(verify, "HORIZON_BISECTIONS", 1)
+    monkeypatch.setattr(kdisk_oracle, "HORIZON_NEWTON_ITERATIONS", 0)
+    monkeypatch.setattr(kdisk_oracle, "HORIZON_BISECTIONS", 1)
     with pytest.raises(DegenerateConfiguration,
                        match="^K-disk extraction: vertex 0 has no converged "
                              "horizon after 1 evaluations"):
-        verify._VertexDisks(BALL, ball_solution("cube"), P, THETA)
-
-
-def test_ray_solves_per_verification_stay_bounded(monkeypatch):
-    # a clock-free guard on the lockstep tracer: 13 batched ray solves
-    # verify cube/ball, where tracing one disk at a time with bisected
-    # horizons took 2,790, golden-section refinement of every pair 214, a
-    # ray Newton inside the bracketed horizon Newton 49, and the resolution
-    # test that sent flat contacts to golden section 17
-    calls = []
-    ray_roots = verify.ray_roots
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return ray_roots(*args, **kwargs)
-    monkeypatch.setattr(verify, "ray_roots", counted)
-    P, _, _ = get_seed("cube")
-    assert verify_configuration(ball_solution("cube"), BALL, P).passed
-    assert len(calls) <= 20
+        kdisk_oracle._VertexDisks(BALL, ball_solution("cube"), P, THETA)
 
 
 class _CountingBall(ConvexBody):
-    """The unit ball, counting its batched gauge calls."""
+    """The unit ball, counting its batched gauge calls and support-function
+    calls."""
 
     def __init__(self):
         self.calls = 0
@@ -344,20 +342,28 @@ class _CountingBall(ConvexBody):
         self.calls += 1
         return BALL.hessians(X)
 
+    def supports(self, U):
+        self.calls += 1
+        return BALL.supports(U)
+
     @property
     def descriptor(self):
         return "ball"
 
 
-def test_gauge_calls_per_verification_stay_bounded():
-    # 249 batched values, gradients and hessians calls verify cube/ball,
-    # 12 of them in the line minima; one gradients call per line-search
-    # halving took 292, nesting a ray Newton inside the horizon Newton 411,
-    # and the resolution test that sent flat contacts to golden section 351
-    P, _, _ = get_seed("cube")
+@pytest.mark.parametrize("name", ["cube/ball", "hull60"])
+def test_gauge_calls_per_verification_do_not_grow_with_size(name):
+    # a clock-free guard on the certificates: cube/ball takes 32 batched
+    # calls and hull60, with 1,710 vertex pairs and 6,670 face pairs, 39,
+    # 12 of them in the line minima of each; a loop over pairs, disks or
+    # edges would pass the bound at hull60. The boundary tracer took 249 on
+    # cube/ball, and 13 batched ray solves.
+    P, cfg, _ = _refinement_case(name)
     body = _CountingBall()
-    assert verify_configuration(ball_solution("cube"), body, P).passed
-    assert body.calls <= 327
+    report = verify_configuration(cfg, body, P)
+    assert report.passed and report.contact_graph_primal_ok
+    assert report.contact_graph_dual_ok
+    assert body.calls <= 60
 
 
 @functools.lru_cache(maxsize=None)
@@ -381,14 +387,14 @@ def _refinements(monkeypatch, P, cfg, body):
     """The packings of a configuration and, per family, the arguments and
     results of its _refine_pairs call."""
     calls = []
-    refine = verify._refine_pairs
+    refine = kdisk_oracle._refine_pairs
 
     def recorded(family, i, j, k):
         result = refine(family, i, j, k)
         calls.append((family, i, j, k, result))
         return result
-    monkeypatch.setattr(verify, "_refine_pairs", recorded)
-    return extract_kdisk_packings(cfg, body, P), calls
+    monkeypatch.setattr(kdisk_oracle, "_refine_pairs", recorded)
+    return kdisk_oracle.batched_kdisk_packings(cfg, body, P), calls
 
 
 @pytest.mark.parametrize("name", ["tetrahedron/ball", "cube/ellipsoid",
@@ -449,25 +455,22 @@ def test_flat_contacts_close_at_their_lagrange_roots(p4_box_instance,
 
 def test_zero_iteration_cap_fails_typed(kdisk_case, monkeypatch):
     _, P, cfg, body = kdisk_case
-    monkeypatch.setattr(verify, "ROOT_ITERATIONS", 0)
+    monkeypatch.setattr(kdisk_oracle, "ROOT_ITERATIONS", 0)
     with pytest.raises(DegenerateConfiguration,
                        match="^K-disk extraction: face 0 has no converged "
                              "maximum of disk "):
-        extract_kdisk_packings(cfg, body, P)
-    report = verify_configuration(cfg, body, P)
-    assert report.contact_graph_primal_ok is False
-    assert report.contact_graph_dual_ok is False
+        kdisk_oracle.batched_kdisk_packings(cfg, body, P)
 
 
 def test_unbracketed_maximum_names_both_disks(monkeypatch):
     # h of one sign over every bracket
     P, _, _ = get_seed("cube")
-    monkeypatch.setattr(verify, "_lagrange",
+    monkeypatch.setattr(kdisk_oracle, "_lagrange",
                         lambda family, i, j, X: np.ones(len(X)))
     with pytest.raises(DegenerateConfiguration,
                        match="^K-disk extraction: face 0 has no bracketed "
                              "maximum of disk 1's margin$"):
-        extract_kdisk_packings(ball_solution("cube"), BALL, P)
+        kdisk_oracle.batched_kdisk_packings(ball_solution("cube"), BALL, P)
 
 
 def test_false_rejection_of_a_flat_contact_is_gone():
@@ -479,14 +482,14 @@ def test_false_rejection_of_a_flat_contact_is_gone():
     report = verify_configuration(cfg, body, P)
     assert report.contact_graph_primal_ok is True
     assert report.contact_graph_dual_ok is True
-    faces, _ = extract_kdisk_packings(cfg, body, P)
+    faces, _ = kdisk_oracle.batched_kdisk_packings(cfg, body, P)
     assert faces.worst_position_error < 1e-6
 
 
 @pytest.mark.parametrize("name", ["cube/ball", "hull60"])
 def test_contacts_are_refined_without_golden_section(name):
     P, cfg, body = _refinement_case(name)
-    for packing in extract_kdisk_packings(cfg, body, P):
+    for packing in kdisk_oracle.batched_kdisk_packings(cfg, body, P):
         assert packing.contacts_ok and packing.nondegenerate
         assert packing.refined_pairs > 0
 
@@ -543,23 +546,25 @@ def test_face_disk_failure_names_stage_and_face():
     P, _, _ = get_seed("cube")
     with pytest.raises(DegenerateConfiguration,
                        match="^K-disk extraction: face 0 "):
-        verify._FaceDisks(_Constant(1.0), ball_solution("cube"), P, THETA)
+        kdisk_oracle._FaceDisks(_Constant(1.0), ball_solution("cube"), P,
+                                THETA)
 
 
 def test_vertex_disk_failure_names_stage_and_vertex():
     P, _, _ = get_seed("cube")
     with pytest.raises(DegenerateConfiguration,
                        match="^K-disk extraction: vertex 0 is not exterior"):
-        verify._VertexDisks(_Constant(-1.0), ball_solution("cube"), P, THETA)
+        kdisk_oracle._VertexDisks(_Constant(-1.0), ball_solution("cube"), P,
+                                  THETA)
 
 
 def test_missing_horizon_crossing_names_vertex(monkeypatch):
     P, _, _ = get_seed("cube")
-    monkeypatch.setattr(verify, "_visibility",
+    monkeypatch.setattr(kdisk_oracle, "_visibility",
                         lambda apex, c, X, grads: -np.ones(X.shape[:-1]))
     with pytest.raises(DegenerateConfiguration,
                        match="^K-disk extraction: vertex 0 has no visibility"):
-        verify._VertexDisks(BALL, ball_solution("cube"), P, THETA)
+        kdisk_oracle._VertexDisks(BALL, ball_solution("cube"), P, THETA)
 
 
 @pytest.mark.parametrize("c", [1.0, -1.0])
@@ -570,10 +575,10 @@ def test_horizon_bracket_failure_is_typed(c):
     rows = 4
     w = np.tile([0.0, 0.0, 1.0], (rows, 1))
     m = np.tile([1.0, 0.0, 0.0], (rows, 1))
-    arcs = verify._Arcs(BALL, np.full(rows, 3), np.zeros((rows, 3)),
-                        np.full(rows, c), w, m, np.ones(rows))
+    arcs = kdisk_oracle._Arcs(BALL, np.full(rows, 3), np.zeros((rows, 3)),
+                              np.full(rows, c), w, m, np.ones(rows))
     P, _, _ = get_seed("cube")
-    disks = verify._VertexDisks(BALL, ball_solution("cube"), P, THETA)
+    disks = kdisk_oracle._VertexDisks(BALL, ball_solution("cube"), P, THETA)
     with pytest.raises(DegenerateConfiguration,
                        match="^K-disk extraction: vertex 3 has no visibility "
                              "horizon crossing"):
@@ -581,10 +586,169 @@ def test_horizon_bracket_failure_is_typed(c):
 
 
 def test_degenerate_disk_fails_contact_flags(monkeypatch):
+    # a support function that cannot be found fails typed, and the
+    # verifier turns that into False flags; the blend of the ball with
+    # itself is the ball without its closed form
     P, _, _ = get_seed("cube")
-    monkeypatch.setattr(verify, "_visibility",
-                        lambda apex, c, X, grads: -np.ones(X.shape[:-1]))
-    report = verify_configuration(ball_solution("cube"), BALL, P)
+    monkeypatch.setattr(bodies, "SUPPORT_ITERATIONS", 0)
+    report = verify_configuration(ball_solution("cube"),
+                                  GaugeBlend(BALL, BALL, 0.5), P)
     assert report.midscribed
     assert report.contact_graph_primal_ok is False
     assert report.contact_graph_dual_ok is False
+
+
+# ---------------------------------------------------------------------------
+# the convex certificates
+
+SUPPORT_DIRECTIONS = np.vstack([
+    np.random.default_rng(20261026).normal(size=(400, 3)),
+    np.eye(3), -np.eye(3), np.zeros((1, 3)),
+    [[1e-9, 0.0, 1.0], [1e-3, 0.0, 1.0], [1e-5, 1e-6, -1.0],
+     [0.3, 0.2, 0.0]]])
+
+
+@pytest.mark.parametrize("descriptor", [
+    "ball", "ellipsoid:a=1.2,b=1.0", "ellipsoid:a=2,b=0.5",
+    "superellipsoid:p=2,a=1.2,b=1", "superellipsoid:p=4,a=1,b=1",
+    "superellipsoid:p=4,a=1.352,b=0.728"])
+def test_support_ascent_matches_closed_forms(descriptor):
+    # the base class's ascent, on the bodies whose support function has a
+    # closed form; on p = 4 the axis-aligned rows sit at flat points, where
+    # the tangential Hessian vanishes, and u = 0 gives h = 0
+    body = make_body(descriptor)
+    want = body.supports(SUPPORT_DIRECTIONS)
+    got = ConvexBody.supports(body, SUPPORT_DIRECTIONS)
+    assert want[-5] == got[-5] == 0.0
+    assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + np.abs(want)))
+
+
+def test_support_ascent_on_a_blend():
+    # a blend has no closed form: at the returned point the body's outward
+    # normal is along u, and no boundary point is further out. The ascent
+    # stops once u . X stops rising; the angle of up to 2.3e-8 it leaves
+    # between the normal and u puts u . X about 1e-16 below its maximum.
+    body = GaugeBlend(Ball(), make_body("superellipsoid:p=4,a=1.3,b=0.8"),
+                      0.6)
+    U = SUPPORT_DIRECTIONS[:200]
+    W = U / np.linalg.norm(U, axis=1, keepdims=True)
+    X = bodies._support_points(body, W)
+    G = body.gradients(X)
+    assert np.all(np.abs(body.values(X)) < 1e-14)
+    assert np.all(np.linalg.norm(np.cross(G, W), axis=1)
+                  <= 1e-7 * np.linalg.norm(G, axis=1))
+    dirs = bodies._spiral_directions(20000)
+    Y = bodies.ray_roots(body, np.zeros(3), dirs)[:, None] * dirs
+    assert np.all(body.supports(U) >= np.max(U @ Y.T, axis=1))
+
+
+def test_support_ascent_fails_typed(monkeypatch):
+    monkeypatch.setattr(bodies, "SUPPORT_ITERATIONS", 3)
+    body = make_body("superellipsoid:p=4,a=1.352,b=0.728")
+    with pytest.raises(DegenerateConfiguration,
+                       match="^support function: no boundary point with "
+                             "outward normal along "):
+        ConvexBody.supports(body, SUPPORT_DIRECTIONS)
+
+
+ORACLE_CASES = (["%s/ball" % name for name in SEED_NAMES]
+                + ["cube/ellipsoid", "hull12", "prism8", "cube/nonconvex"])
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_certificates_match_scalar_tracer_flags(name, nonconvex_instance):
+    # each packing's flag, contacts and non-degeneracy together, equals the
+    # scalar tracer's wherever that tracer is right: True on every convex
+    # case here, and False on the visibility disks of the nonconvex cube,
+    # which overlap
+    if name == "cube/nonconvex":
+        P, _, _, body, cfg, _ = nonconvex_instance
+    else:
+        P, cfg, body = _refinement_case(name)
+    new = extract_kdisk_packings(cfg, body, P)
+    old = _scalar_packings(name, cfg, body, P)
+    assert ([p.contacts_ok and p.nondegenerate for p in new]
+            == [p.contacts_ok and p.nondegenerate for p in old])
+
+
+@functools.lru_cache(maxsize=None)
+def _hull_on(n, seed, descriptor, marks):
+    """(P, cfg, body) of hull n (sphere_hull_points(n, seed)) on a body at
+    marks: the ball's Koebe configuration, or a continuation."""
+    points = sphere_hull_points(n, seed)
+    P = build_complex(faces_from_coordinates(points), n_vertices=n)
+    frame = select_frame(P)
+    body = make_body(descriptor)
+    if descriptor == "ball":
+        planar = layout_circles(P, frame, solve_radii(P, frame))
+        return P, koebe_config(lift_normalize(planar, marks)), body
+    return P, continue_to_body(P, frame, marks, make_path(body))[0], body
+
+
+@pytest.mark.parametrize("name", ["p4_box", "hull120/ellipsoid",
+                                  "hull60/ball"])
+def test_correct_packings_the_tracer_rejected_pass(name, p4_box_instance):
+    # The tracer's absolute tolerances rejected these correct
+    # configurations: the quartic box's fourth-order contacts sat 1.4e-4
+    # from the tangent points, past CONTACT_POSITION_TOL; hull120 on the
+    # ellipsoid at (0, 1, i) had samples within CONTACT_TOL of two other
+    # face disks; hull60 on the ball at (0, 1, 0.01i) has disks 2e-5
+    # across, whose non-adjacent margins of -3.3e-9 and -2.2e-8 read as
+    # contacts.
+    if name == "p4_box":
+        P, cfg, body = (p4_box_instance[k] for k in ("P", "cfg", "body"))
+    elif name == "hull120/ellipsoid":
+        P, cfg, body = _hull_on(120, 20261120, "ellipsoid:a=1.2,b=1.0",
+                                (0j, 1 + 0j, 1j))
+    else:
+        P, cfg, body = _hull_on(60, 20261060, "ball", (0j, 1 + 0j, 0.01j))
+    report = verify_configuration(cfg, body, P)
+    assert report.convexity == "convex" and report.passed
+    assert report.contact_graph_primal_ok is True
+    assert report.contact_graph_dual_ok is True
+    traced = kdisk_oracle._trace_packings(cfg, body, P)
+    assert not all(p.contacts_ok and p.nondegenerate for p in traced)
+
+
+@pytest.mark.parametrize("name", ["cube/ellipsoid", "hull12",
+                                  "hull60/0.01i"])
+def test_exact_minima_of_pairs_that_meet(name):
+    # Scaled by 1 + 1e-9, every edge segment misses K and its two vertex
+    # disks overlap; shrunk by 1 - 1e-9, every face plane's edge lines cut
+    # into K and adjacent face disks overlap. No certificate holds, so every
+    # pair takes the exact minimum, which is positive and no higher than
+    # the least value on a dense grid by more than rounding.
+    if name == "hull60/0.01i":
+        P, cfg, body = _hull_on(60, 20261060, "ball", (0j, 1 + 0j, 0.01j))
+    else:
+        P, cfg, body = _refinement_case(name)
+    positions = cfg.affine_vertices()[0] * (1.0 + 1e-9)
+    v, w = np.array(P.edges).T
+    value, certified, exact = verify._segment_margins(
+        body, positions[v], positions[w] - positions[v])
+    grid = np.linspace(0.0, 1.0, 2001)
+    X = positions[v][:, None] + grid[:, None] * (positions[w]
+                                                 - positions[v])[:, None]
+    dense = body.values(X.reshape(-1, 3)).reshape(X.shape[:2]).min(axis=1)
+    assert exact == P.n_edges and not certified.any()
+    assert np.all(value > 0) and np.all(value <= dense + 1e-15)
+    size = np.linalg.norm(cfg.normals, axis=1)
+    N, d = cfg.normals / size[:, None], cfg.offsets / size * (1.0 - 1e-9)
+    ends = np.array(P.edge_faces)
+    value, certified, exact = verify._cap_margins(body, N[ends], d[ends])
+    weights = np.stack([grid, 1.0 - grid], axis=1)
+    dense = np.array([verify._phi(body, weights,
+                                  np.repeat(N[e][None], len(grid), axis=0),
+                                  np.repeat(d[e][None], len(grid), axis=0))[0]
+                      .min() for e in ends])
+    assert exact == P.n_edges and not certified.any()
+    assert np.all(value > 0) and np.all(value <= dense + 1e-15)
+
+
+def test_vertex_at_infinity_fails_typed():
+    P, cfg, body = _hull30_on_p4()
+    _, finite = cfg.affine_vertices()
+    with pytest.raises(DegenerateConfiguration,
+                       match="^K-disk extraction: vertex %d is at infinity$"
+                             % np.flatnonzero(~finite)[0]):
+        extract_kdisk_packings(cfg, body, P)

@@ -10,6 +10,7 @@ import pytest
 
 import check_oracle
 import gauge_oracle
+import kdisk_oracle
 from conftest import ball_solution, closed_form_config, get_seed, witness_marks
 from midscribe import (
     check_convexity,
@@ -28,7 +29,7 @@ from midscribe import (
 from midscribe.bodies import ConvexBody, make_body, make_path
 from midscribe.errors import NotMidscribed
 from midscribe.seeds import SEED_NAMES
-from midscribe.verify import CONTACT_TOL, N_BOUNDARY_SAMPLES, TANGENCY_TOL
+from midscribe.verify import TANGENCY_TOL
 from test_bodies import HalfSpace, assert_bitwise_equal
 from test_packing import GENERATED, complex_and_frame
 
@@ -360,16 +361,23 @@ def test_verification_minimizes_each_line_once(monkeypatch):
 def test_extracted_packings_on_ball_cube():
     P, _, frame = get_seed("cube")
     cfg = ball_solution("cube")
-    face_packing, vertex_packing = extract_kdisk_packings(cfg, BALL, P)
+    for packing in extract_kdisk_packings(cfg, BALL, P):
+        assert packing.contacts_ok
+        assert packing.nondegenerate
+        assert packing.worst_certificate < 0.0
+    # the disks the certificates decide, traced on the boundary by the
+    # tracer verify.py used before them
+    face_packing, vertex_packing = kdisk_oracle.batched_kdisk_packings(
+        cfg, BALL, P)
     assert len(face_packing.disks) == P.n_faces
     assert len(vertex_packing.disks) == P.n_vertices
     for packing in (face_packing, vertex_packing):
         assert packing.contacts_ok
         assert packing.nondegenerate
-        assert packing.max_adjacent_gap < CONTACT_TOL
-        assert packing.max_foreign_margin < -CONTACT_TOL
+        assert packing.max_adjacent_gap < kdisk_oracle.CONTACT_TOL
+        assert packing.max_foreign_margin < -kdisk_oracle.CONTACT_TOL
     for disk in face_packing.disks + vertex_packing.disks:
-        assert len(disk.boundary_samples) == N_BOUNDARY_SAMPLES
+        assert len(disk.boundary_samples) == kdisk_oracle.N_BOUNDARY_SAMPLES
         worst = max(abs(BALL.value(x)) for x in disk.boundary_samples)
         assert worst < 1e-9
     for disk in face_packing.disks:
