@@ -351,19 +351,41 @@ class _CountingBall(ConvexBody):
         return "ball"
 
 
-@pytest.mark.parametrize("name", ["cube/ball", "hull60"])
-def test_gauge_calls_per_verification_do_not_grow_with_size(name):
-    # a clock-free guard on the certificates: cube/ball takes 32 batched
-    # calls and hull60, with 1,710 vertex pairs and 6,670 face pairs, 39,
-    # 12 of them in the line minima of each; a loop over pairs, disks or
-    # edges would pass the bound at hull60. The boundary tracer took 249 on
-    # cube/ball, and 13 batched ray solves.
-    P, cfg, _ = _refinement_case(name)
-    body = _CountingBall()
-    report = verify_configuration(cfg, body, P)
+def test_gauge_calls_per_verification_stay_bounded():
+    # a clock-free guard on the certificates, which must not grow with the
+    # complex: cube/ball takes 32 batched calls and hull60, with 1,710
+    # vertex pairs and 6,670 face pairs, 39, 12 of them in the line minima
+    # of each; a loop over pairs, disks or edges would pass the bound at
+    # hull60. The boundary tracer took 249 on cube/ball.
+    for name in ("cube/ball", "hull60"):
+        P, cfg, _ = _refinement_case(name)
+        body = _CountingBall()
+        report = verify_configuration(cfg, body, P)
+        assert report.passed and report.contact_graph_primal_ok, name
+        assert report.contact_graph_dual_ok, name
+        assert body.calls <= 60, name
+
+
+def test_ray_solves_per_verification_stay_bounded(monkeypatch):
+    # the certificates solve rays only in the support ascent of a body
+    # without a closed-form support function: none on the ball, 3 batched
+    # ray solves on the ball's blend with itself. The boundary tracer took
+    # 13 on cube/ball, and tracing one disk at a time 2,790.
+    calls = []
+    ray_roots = bodies.ray_roots
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return ray_roots(*args, **kwargs)
+    monkeypatch.setattr(bodies, "ray_roots", counted)
+    P, _, _ = get_seed("cube")
+    assert verify_configuration(ball_solution("cube"), BALL, P).passed
+    assert not calls
+    report = verify_configuration(ball_solution("cube"),
+                                  GaugeBlend(BALL, BALL, 0.5), P)
     assert report.passed and report.contact_graph_primal_ok
     assert report.contact_graph_dual_ok
-    assert body.calls <= 60
+    assert 0 < len(calls) <= 20
 
 
 @functools.lru_cache(maxsize=None)
