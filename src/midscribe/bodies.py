@@ -727,6 +727,16 @@ def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A[..., None, :] @ B[..., :, None])[..., 0, 0]
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of two (n, 3) arrays, bitwise equal to
+    np.cross(a, b): the same products and differences, without np.cross's
+    per-call axis and broadcast handling."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                            a0 * b1 - a1 * b0])
+
+
 @dataclass(frozen=True)
 class BodyChart:
     """Chord-from-N chart of a body boundary.

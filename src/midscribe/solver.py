@@ -34,10 +34,12 @@ next by 1.5. The try and the loop's steps pass the same acceptance: a step
 is rejected when its corrector fails, when its solution changes the sign
 pattern recorded at s = 0 (the side of each face plane each vertex off that
 face lies on: a jump to another branch), or when its solution is
-degenerate (_degeneracy_guard). A rejected loop step halves ds. Once ds
-falls below DS_MIN the run raises StepUnderflow, or re-raises the
-DegenerateConfiguration of a degenerate try, so a genuine collapse keeps
-its error type. A degenerate start at s = 0 aborts at once.
+degenerate (_degeneracy_guard: tangent points run together, or two
+adjacent face planes coincide, so that their edge has no line). A
+rejected loop step halves ds. Once ds falls below DS_MIN the run raises
+StepUnderflow, or re-raises the DegenerateConfiguration of a degenerate
+try, so a genuine collapse keeps its error type. A degenerate start at
+s = 0 aborts at once.
 
 The residual tolerance tol is a continuation's one setting: the normalized
 solution is unique for given P, K and marks, so the step sizes, the Newton
@@ -57,7 +59,8 @@ import scipy.sparse.linalg as spla
 from scipy.spatial.distance import pdist
 
 from . import packing
-from .bodies import NORTH_POLE, BodyChart, BodyPath, ConvexBody, _rowdot
+from .bodies import (NORTH_POLE, BodyChart, BodyPath, ConvexBody, _cross,
+                     _rowdot)
 from .combinatorics import Frame, PolyhedralComplex
 from .config import STEP_REJECT_REASONS, Configuration, SolveReport
 from .errors import (
@@ -87,6 +90,10 @@ THETA_MAX = 0.5
 # tangent points all lie this close, aborts the continuation
 MIN_TANGENT_SEPARATION = 1e-6
 MIN_FACE_CIRCLE_SIZE = 1e-6
+# and so does an edge whose two unit face normals have a cross product this
+# short, two face planes about to coincide; the least on converged answers
+# up to 480 vertices is 1.7e-4
+MIN_EDGE_SINE = 1e-6
 # the condition audit takes a dense SVD up to this many unknowns, and above
 # it estimates the extreme singular values by Lanczos through sparse LUs:
 # the break-even of the two audits, measured on Jacobians of the corpus
@@ -445,16 +452,6 @@ def _lanczos_condition(J: sp.csc_matrix):
     return float(np.sqrt(cond2))
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of two (n, 3) arrays, bitwise equal to
-    np.cross(a, b): the same products and differences, without np.cross's
-    per-call axis and broadcast handling."""
-    a0, a1, a2 = a.T
-    b0, b1, b2 = b.T
-    return np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
-                            a0 * b1 - a1 * b0])
-
-
 def _worst_condition(system: ConstraintSystem, steps):
     """The condition audit of a solve: (worst condition number, or nan if
     none is positive; rank deficiency at the last step).
@@ -572,7 +569,8 @@ def _face_circle_sizes(T: np.ndarray, face_edges: np.ndarray) -> np.ndarray:
 
 
 def _degeneracy_guard(system: ConstraintSystem, x: np.ndarray, s: float):
-    """Abort rather than accept collapsing tangencies or face circles."""
+    """Abort rather than accept collapsing tangencies, face circles or
+    edges: an edge whose two face planes (nearly) coincide has no line."""
     T = system.tangents(x)
     dmin = float(pdist(T).min())
     if dmin <= MIN_TANGENT_SEPARATION:
@@ -584,6 +582,16 @@ def _degeneracy_guard(system: ConstraintSystem, x: np.ndarray, s: float):
         f = int(small[0])
         raise DegenerateConfiguration(
             "face %d circle of size %.3e at s=%.6f" % (f, sizes[f], s))
+    N = system._views(x)[0]
+    f, g = system.edge_faces.T
+    C = _cross(N[f], N[g])
+    sines = np.sqrt(_rowdot(C, C))
+    flat = np.flatnonzero(sines <= MIN_EDGE_SINE)
+    if flat.size:
+        e = int(flat[0])
+        raise DegenerateConfiguration(
+            "edge %d between faces %d and %d has |n_f x n_g| = %.3e at "
+            "s=%.6f" % (e, f[e], g[e], sines[e], s))
 
 
 def _sign_pattern(system: ConstraintSystem, x: np.ndarray) -> np.ndarray:

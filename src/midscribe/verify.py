@@ -9,10 +9,16 @@ the solver and shares only the gauge API with it; the rigidity probe, which
 re-solves with Newton, lives in solver.
 
 Line tangency is checked on every edge line at once through the (m, 3)
-gauge API: each line's slope is bisected by bodies._verified_bisection,
-the engine the chart inverse also uses, in rounds predicted from a Newton
-estimate of its minimizer and checked by one gauge call per round;
-incidence and convexity are array expressions over all face-vertex pairs.
+gauge API, in six batched calls: each line's point in closed form from
+its two planes, two Newton steps on the slope from the configuration's
+tangent point, and one gradients call that certifies each Newton point:
+the slope changes sign within 1e-14 (1 + |t|) of it, so by strict
+convexity the line's one minimizer lies there (a safeguarded Newton, as in
+Brent, Algorithms for Minimization without Derivatives, ch. 4). Only the
+lines the certificate leaves open, such as contacts of fourth order, are
+bracketed by doubling and bisected by bodies._verified_bisection, the
+engine the chart inverse also uses. Incidence and convexity are array
+expressions over all face-vertex pairs.
 
 The K-disk packings are decided without tracing a disk, by convex
 separation (Rockafellar, Convex Analysis, sections 11 and 13), every pair
@@ -53,7 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ROUNDING, ConvexBody, _rowdot, _verified_bisection
+from .bodies import (ROUNDING, ConvexBody, _cross, _rowdot,
+                     _verified_bisection)
 from .combinatorics import PolyhedralComplex
 from .config import EPS_INFINITY, Configuration
 from .errors import DegenerateConfiguration, NotMidscribed
@@ -64,8 +71,8 @@ SIDE_TOL = 1e-9
 # are decided
 CONTACT_TOL = 1e-7
 KDISK_STAGE = "K-disk extraction"
-# Halvings of an edge line's slope bracket in _line_minima; a row still open
-# after them keeps its bracket.
+# Halvings of a slope bracket in _bisect_slopes; a row still open after them
+# keeps its bracket.
 LINE_BISECTIONS = 100
 # The points of a vertex segment [v, w], v + t (w - v), and the l of a face
 # pair's phi that are tried before a pair gets its exact minimum, in order:
@@ -135,26 +142,71 @@ def _line_minima(body: ConvexBody, n_f, d_f, n_g, d_g, guesses):
     Row k is the line where the planes n_f[k] . x = d_f[k] and n_g[k] . x =
     d_g[k] meet. Returns (min values (m,), minimizers (m, 3)); a row whose
     planes are parallel or whose bracket cannot be placed gets (inf, nan).
-    The guesses only seed the brackets and the estimates; the restriction
-    of a strictly convex coercive gauge to a line is strictly convex, so
-    the minimum is unique and bracketing cannot miss it. All lines are
-    searched together: the slope is bracketed by doubling around the guess,
-    bisected by _bisect_slopes, then polished by two Newton steps where the
-    curvature is positive.
+    The restriction of a strictly convex coercive gauge to a line is
+    strictly convex, so the minimum is unique, and the guesses only seed
+    the search. All lines are searched together:
+
+    - the point of each line nearest the origin in closed form, with W =
+      n_f x n_g: Q = (d_f (n_g x W) + d_g (W x n_f)) / |W|^2, plus the same
+      formula applied once to the plane residuals of Q, which takes lines
+      whose planes meet at a small angle to rounding;
+    - two curvature-guarded Newton steps on the slope, from the guesses
+      projected onto the lines;
+    - the certificate of _certified: the slope changes sign across the
+      Newton point t, so the minimizer is within 1e-14 (1 + |t|) of it.
+
+    A row the certificate leaves open (a contact of higher order, where
+    Newton converges only linearly, a poor guess, a constant slope or a
+    non-finite row) takes _bisected_minimizers from its projected guess.
     """
-    U = np.cross(n_f, n_g)
-    nu = np.sqrt(_rowdot(U, U))
-    values = np.full(len(U), math.inf)
-    minimizers = np.full((len(U), 3), np.nan)
-    live = np.flatnonzero(~(nu < 1e-12))
-    U = U[live] / nu[live, None]
-    Q = np.array([np.linalg.lstsq(np.vstack([n_f[k], n_g[k]]),
-                                  np.array([d_f[k], d_g[k]]), rcond=None)[0]
-                  for k in live]).reshape(-1, 3)
+    W = _cross(n_f, n_g)
+    w2 = _rowdot(W, W)
+    values = np.full(len(W), math.inf)
+    minimizers = np.full((len(W), 3), np.nan)
+    live = np.flatnonzero(~(np.sqrt(w2) < 1e-12))
+    W, w2, n_f, n_g = W[live], w2[live, None], n_f[live], n_g[live]
+    d_f, d_g = d_f[live], d_g[live]
+    A, B = _cross(n_g, W), _cross(W, n_f)
+    Q = (d_f[:, None] * A + d_g[:, None] * B) / w2
+    Q = Q + ((d_f - _rowdot(n_f, Q))[:, None] * A
+             + (d_g - _rowdot(n_g, Q))[:, None] * B) / w2
+    U = W / np.sqrt(w2)
 
     t0 = _rowdot(np.asarray(guesses, dtype=float)[live] - Q, U)
     t0[~np.isfinite(t0)] = 0.0
-    ok = np.ones(len(live), dtype=bool)
+    t = t0
+    for _ in range(2):
+        t = _line_newton(body, Q, U, t)
+    ok = _certified(body, Q, U, t)
+    rows = np.flatnonzero(~ok)
+    if rows.size:
+        t[rows], ok[rows] = _bisected_minimizers(body, Q[rows], U[rows],
+                                                 t0[rows])
+    rows = np.flatnonzero(ok)
+    M = Q[rows] + t[rows, None] * U[rows]
+    values[live[rows]] = body.values(M)
+    minimizers[live[rows]] = M
+    return values, minimizers
+
+
+def _certified(body: ConvexBody, Q, U, t) -> np.ndarray:
+    """Whether the slope along each line Q + t U is < 0 at t - delta and >
+    0 at t + delta, delta = 1e-14 (1 + |t|), the width at which
+    _bisect_slopes stops: the slope of a strictly convex function
+    increases, so then its one zero, the minimizer, lies between. One
+    gradients call for both sides of every row; a nan slope fails."""
+    delta = 1e-14 * (1.0 + np.abs(t))
+    slopes = _line_slopes(body, np.vstack([Q, Q]), np.vstack([U, U]),
+                          np.concatenate([t - delta, t + delta]))
+    return (slopes[:len(t)] < 0) & (slopes[len(t):] > 0)
+
+
+def _bisected_minimizers(body: ConvexBody, Q, U, t0):
+    """The minimizers t along the lines Q + t U by bisection of the slope,
+    and whether each row's bracket was placed: the slope is bracketed by
+    doubling around the guesses t0, bisected by _bisect_slopes, then
+    polished by two Newton steps where the curvature is positive."""
+    ok = np.ones(len(t0), dtype=bool)
     ends = []
     for side in (-1.0, 1.0):  # lo, where the slope is < 0, then hi
         end = t0 + side
@@ -174,10 +226,9 @@ def _line_minima(body: ConvexBody, n_f, d_f, n_g, d_g, guesses):
     t = 0.5 * (lo + hi)
     for _ in range(2):
         t = _line_newton(body, Q, U, t)
-    M = Q + t[:, None] * U
-    values[live[rows]] = body.values(M)
-    minimizers[live[rows]] = M
-    return values, minimizers
+    found = np.full(len(t0), np.nan)
+    found[rows] = t
+    return found, ok
 
 
 def _line_slopes(body: ConvexBody, Q, U, t) -> np.ndarray:

@@ -92,6 +92,19 @@ def ellipsoid_witness(P, frame, a, b):
     return marks, positions * L
 
 
+def ellipsoid_closed_form(P, frame, marks, a, b):
+    """The affine vertices (V, 3) of the exact answer on ellipsoid:a,b at
+    any finite marks: L = diag(a, b, 1) maps the chart coordinate z to
+    a Re z + i b Im z, so the answer is L applied to the ball's Koebe
+    configuration at the marks pulled back to Re z / a + i Im z / b."""
+    planar = layout_circles(P, frame, solve_radii(P, frame))
+    pulled = tuple(complex(z.real / a, z.imag / b) for z in marks)
+    positions, finite = koebe_config(lift_normalize(planar,
+                                                    pulled)).affine_vertices()
+    assert finite.all()
+    return positions * np.array([a, b, 1.0])
+
+
 @pytest.fixture(scope="session")
 def nonconvex_instance():
     """A converged midscribed realization that is not convex (all vertices on

@@ -7,10 +7,14 @@ per-point gauge formulas of Ball, Ellipsoid, Superellipsoid and GaugeBlend
 (scalar_value, scalar_gradient, scalar_hessian), the point-at-a-time chord
 inverse (chart_inverse) and the per-edge line search (line_minimum, run
 over every edge by tangency). The tests require the batched code to equal
-them bit for bit. bisect_polish and bisect_slopes are the lockstep
-bisections, one gauge call per halving, that the predicted-and-verified
+them bit for bit. bisected_line_minimum is the line search the Newton
+certificate replaced, a least-squares point and bisection of the slope on
+every line; the certified minima must agree with it to rounding.
+bisect_polish and bisect_slopes are the lockstep bisections, one gauge
+call per halving, that the predicted-and-verified
 bodies._verified_bisection replaced: in the chart inverse
-(bodies._bisect_chords) and in the line minima (verify._bisect_slopes).
+(bodies._bisect_chords) and in the fallback of the line minima
+(verify._bisect_slopes).
 """
 
 import cmath
@@ -176,7 +180,36 @@ def bisect_slopes(body, Q, U, lo, hi, t0):
 
 def line_minimum(body, n_f, d_f, n_g, d_g, guess):
     """(min value, minimizer) of the gauge along the line where two planes
-    meet, for one line: bracket the slope, bisect, two Newton steps."""
+    meet, for one line, as verify._line_minima finds it: the corrected
+    closed-form point, two Newton steps from the guess, the two slopes of
+    the certificate, and _bisected_minimizer where they do not change
+    sign."""
+    w = np.cross(n_f, n_g)
+    w2 = float(w @ w)
+    if math.sqrt(w2) < 1e-12:
+        return math.inf, np.full(3, np.nan)
+    a, b = np.cross(n_g, w), np.cross(w, n_f)
+    q = (d_f * a + d_g * b) / w2
+    q = q + ((d_f - n_f @ q) * a + (d_g - n_g @ q) * b) / w2
+    u = w / math.sqrt(w2)
+    t0 = _projected_guess(q, u, guess)
+    t = t0
+    for _ in range(2):
+        t = _newton_step(body, q, u, t)
+    delta = 1e-14 * (1.0 + abs(t))
+    if not (_slope(body, q, u, t - delta) < 0
+            and _slope(body, q, u, t + delta) > 0):
+        t = _bisected_minimizer(body, q, u, t0)
+        if t is None:
+            return math.inf, np.full(3, np.nan)
+    m = q + t * u
+    return float(scalar_value(body, m)), m
+
+
+def bisected_line_minimum(body, n_f, d_f, n_g, d_g, guess):
+    """(min value, minimizer) of the gauge along the line where two planes
+    meet, for one line, as verify._line_minima found it before its
+    certificate: the least-squares point, then _bisected_minimizer."""
     u = np.cross(n_f, n_g)
     nu = float(np.linalg.norm(u))
     if nu < 1e-12:
@@ -184,30 +217,49 @@ def line_minimum(body, n_f, d_f, n_g, d_g, guess):
     u = u / nu
     A = np.vstack([n_f, n_g])
     q = np.linalg.lstsq(A, np.array([d_f, d_g]), rcond=None)[0]
+    t = _bisected_minimizer(body, q, u, _projected_guess(q, u, guess))
+    if t is None:
+        return math.inf, np.full(3, np.nan)
+    m = q + t * u
+    return float(scalar_value(body, m)), m
 
-    def slope(t):
-        return float(scalar_gradient(body, q + t * u) @ u)
 
+def _projected_guess(q, u, guess):
     t0 = float((np.asarray(guess, dtype=float) - q) @ u)
-    if not math.isfinite(t0):
-        t0 = 0.0
+    return t0 if math.isfinite(t0) else 0.0
+
+
+def _slope(body, q, u, t):
+    return float(scalar_gradient(body, q + t * u) @ u)
+
+
+def _newton_step(body, q, u, t):
+    """One Newton step on the slope at t, taken where the curvature is
+    positive."""
+    curv = float(u @ scalar_hessian(body, q + t * u) @ u)
+    return t - _slope(body, q, u, t) / curv if curv > 0 else t
+
+
+def _bisected_minimizer(body, q, u, t0):
+    """The minimizer t along q + t u: bracket the slope by doubling around
+    t0, bisect, two Newton steps; None where no bracket is placed."""
     lo = t0 - 1.0
     for _ in range(200):
-        if slope(lo) < 0:
+        if _slope(body, q, u, lo) < 0:
             break
         lo = t0 - 2.0 * (t0 - lo)
     else:
-        return math.inf, np.full(3, np.nan)
+        return None
     hi = t0 + 1.0
     for _ in range(200):
-        if slope(hi) > 0:
+        if _slope(body, q, u, hi) > 0:
             break
         hi = t0 + 2.0 * (hi - t0)
     else:
-        return math.inf, np.full(3, np.nan)
-    for _ in range(100):
+        return None
+    for _ in range(LINE_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        if slope(mid) < 0:
+        if _slope(body, q, u, mid) < 0:
             lo = mid
         else:
             hi = mid
@@ -215,14 +267,11 @@ def line_minimum(body, n_f, d_f, n_g, d_g, guess):
             break
     t = 0.5 * (lo + hi)
     for _ in range(2):
-        curv = float(u @ scalar_hessian(body, q + t * u) @ u)
-        if curv > 0:
-            t -= slope(t) / curv
-    m = q + t * u
-    return float(scalar_value(body, m)), m
+        t = _newton_step(body, q, u, t)
+    return t
 
 
-def tangency(cfg, body, P):
+def tangency(cfg, body, P, line_minimum=line_minimum):
     """(per_edge, max tangency residual): the per-edge loop check_midscription
     ran over line_minimum."""
     per_edge = []

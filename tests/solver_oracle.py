@@ -10,9 +10,10 @@ labels and its packing exactly.
 linear entries were gathered in one step: one array expression per block of
 nonzeros. The solver's matrix must equal it bit for bit.
 
-``degeneracy_guard`` is the continuation's collapse check as a loop over
-faces, one ``pdist`` per face; the solver's padded-table version must give
-the same face sizes and raise the same error.
+``degeneracy_guard`` is the continuation's collapse check as loops over
+faces, one ``pdist`` per face, and over edges, one cross product per edge;
+the solver's array version must give the same face sizes and raise the
+same error.
 
 ``continue_from_pattern`` and ``newton_refine`` are the solver's entry
 points with the condition audit run eagerly, as it was before it was
@@ -293,6 +294,14 @@ def degeneracy_guard(system, x, s):
         if size <= solver.MIN_FACE_CIRCLE_SIZE:
             raise DegenerateConfiguration(
                 "face %d circle of size %.3e at s=%.6f" % (f, size, s))
+    N = system.unpack(x).normals
+    for e in range(P.n_edges):
+        f, g = P.faces_of_edge(e)
+        sine = float(np.linalg.norm(np.cross(N[f], N[g])))
+        if sine <= solver.MIN_EDGE_SINE:
+            raise DegenerateConfiguration(
+                "edge %d between faces %d and %d has |n_f x n_g| = %.3e at "
+                "s=%.6f" % (e, f, g, sine, s))
 
 
 def assemble_residual(cfg: Configuration, body: ConvexBody,

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 import solver_oracle
 from conftest import (CANONICAL_MARKS, ball_solution, closed_form_config,
-                      ellipsoid_witness, get_seed)
+                      ellipsoid_closed_form, ellipsoid_witness, get_seed)
 from midscribe import (
     continue_from_pattern,
     continue_to_body,
@@ -18,6 +18,7 @@ from midscribe import (
     lift_normalize,
     newton_refine,
     solve_radii,
+    verify_configuration,
 )
 from midscribe import solver
 from midscribe.bodies import BodyChart, make_body, make_path
@@ -240,7 +241,8 @@ def test_continuation_step_underflow_diagnostics(monkeypatch):
 @pytest.mark.parametrize("constant, message", [
     ("MIN_FACE_CIRCLE_SIZE", r"face \d+ circle"),
     ("MIN_TANGENT_SEPARATION", "tangent points"),
-], ids=["face_circle", "tangent_points"])
+    ("MIN_EDGE_SINE", r"edge \d+ between faces \d+ and \d+"),
+], ids=["face_circle", "tangent_points", "edge_sine"])
 def test_continuation_degeneracy_guard(monkeypatch, constant, message):
     P, _, frame = get_seed("cube")
     monkeypatch.setattr(solver, constant, 10.0)
@@ -474,15 +476,19 @@ def test_newton_without_contraction_test_is_unchanged(monkeypatch,
     assert bool(lstsq_calls) == (case == "box")
 
 
+def _hull(n, seed):
+    points = sphere_hull_points(n, seed)
+    P = build_complex(faces_from_coordinates(points), n_vertices=n)
+    return P, select_frame(P)
+
+
 @pytest.mark.parametrize("n, seed", [(60, 20260060), (120, 20261120),
                                      (240, 20261240)],
                          ids=["hull60", "hull120", "hull240"])
 def test_continuation_finds_the_ellipsoid_witness(n, seed):
     """On ellipsoid:a=1.2,b=1.0 the continuation ends at L.C, the exact
     answer of conftest.ellipsoid_witness, within 1e-9 relative."""
-    points = sphere_hull_points(n, seed)
-    P = build_complex(faces_from_coordinates(points), n_vertices=n)
-    frame = select_frame(P)
+    P, frame = _hull(n, seed)
     marks, want = ellipsoid_witness(P, frame, 1.2, 1.0)
     cfg, report = continue_to_body(P, frame, marks, _ellipsoid_path())
     positions, finite = cfg.affine_vertices()
@@ -490,6 +496,50 @@ def test_continuation_finds_the_ellipsoid_witness(n, seed):
     error = (np.linalg.norm(positions - want, axis=1)
              / (1.0 + np.linalg.norm(want, axis=1)))
     assert error.max() < 1e-9
+
+
+# Two random ellipsoid instances whose continuation, without a guard on
+# coinciding face planes, ended on a collapsed edge: A "converged" there,
+# 0.065 from the exact answer, and B stalled at s = 0.25 in StepUnderflow.
+COLLAPSE_CASES = {
+    "A": (18, 954873466, 1.6188595734734927, 1.914183346418779,
+          (1.2861681051903675 + 1.6698720583364408j,
+           -1.4878083488573197 - 1.9371418570989798j,
+           -1.2056510821226958 - 0.35149962283363134j)),
+    "B": (40, 982909646, 1.1720374775296507, 0.67607719885874118,
+          (1.6099660556896294 + 1.4814796812284756j,
+           1.8704408721052768 + 0.3759153972110525j,
+           0.6936142165604346 - 0.506882088208874j)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLLAPSE_CASES))
+def test_continuation_rejects_collapsed_edges(case):
+    """Each run rejects the collapsed step and ends at the exact answer."""
+    n, seed, a, b, marks = COLLAPSE_CASES[case]
+    P, frame = _hull(n, seed)
+    cfg, report = continue_to_body(
+        P, frame, marks, make_path(make_body("ellipsoid:a=%r,b=%r" % (a, b))))
+    positions, finite = cfg.affine_vertices()
+    assert report.converged and finite.all()
+    assert report.steps_rejected["degeneracy"] >= 1
+    want = ellipsoid_closed_form(P, frame, marks, a, b)
+    assert np.max(np.abs(positions - want)) < 1e-9
+
+
+def test_p4_continuation_avoids_the_collapsed_edge():
+    # without the edge guard this run ended "converged" and nonconvex, with
+    # faces 59 and 60 of edge 64 coinciding and tangency inf
+    P, frame = _hull(60, 20260060)
+    body = make_body("superellipsoid:p=4,a=1.352,b=0.728")
+    marks = (-0.07693771878967226 - 1.6268315649943448j,
+             0.18698963178285855 + 1.6857098481351267j,
+             0.2516882595189469 + 0.9756408294021885j)
+    cfg, report = continue_to_body(P, frame, marks, make_path(body))
+    assert report.converged
+    result = verify_configuration(cfg, body, P)
+    assert result.convexity == "convex" and result.passed
+    assert result.contact_graph_primal_ok and result.contact_graph_dual_ok
 
 
 REUSE_CASES = SEED_NAMES + ("hull12", "prism8")
@@ -531,6 +581,19 @@ def test_continue_from_pattern_matches_continue_to_body(name):
     assert repr(report_a) == repr(report_b)
 
 
+def _guard_outcomes(system, x):
+    """The messages of the solver's and the oracle's degeneracy guards at
+    x, None where a guard passes."""
+    outcomes = []
+    for guard in (_degeneracy_guard, solver_oracle.degeneracy_guard):
+        try:
+            guard(system, x, 0.5)
+            outcomes.append(None)
+        except DegenerateConfiguration as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
 @pytest.mark.parametrize("name", REUSE_CASES)
 def test_degeneracy_guard_matches_face_loop(monkeypatch, name):
     """The padded face table gives the loop's face sizes bit for bit, and
@@ -544,15 +607,26 @@ def test_degeneracy_guard_matches_face_loop(monkeypatch, name):
     assert np.array_equal(_face_circle_sizes(T, system.face_edges), sizes)
     for limit in [0.0] + sorted(set(sizes.tolist())):
         monkeypatch.setattr(solver, "MIN_FACE_CIRCLE_SIZE", limit)
-        outcomes = []
-        for guard in (_degeneracy_guard, solver_oracle.degeneracy_guard):
-            try:
-                guard(system, x, 0.5)
-                outcomes.append(None)
-            except DegenerateConfiguration as exc:
-                outcomes.append(str(exc))
+        outcomes = _guard_outcomes(system, x)
         assert outcomes[0] == outcomes[1]
         assert (outcomes[0] is None) == (limit < sizes.min())
+
+
+@pytest.mark.parametrize("name", REUSE_CASES)
+def test_edge_sine_guard_matches_edge_loop(monkeypatch, name):
+    """The edge test names the loop's first edge at or below MIN_EDGE_SINE,
+    with the same message, at every threshold."""
+    P, frame, cfg = _ellipsoid_solution(name)
+    system = ConstraintSystem(P, frame, cfg.marked_points,
+                              _ellipsoid_path().end)
+    x = system.pack(cfg)
+    sines = [np.linalg.norm(np.cross(*cfg.normals[list(P.faces_of_edge(e))]))
+             for e in range(P.n_edges)]
+    for limit in [0.0] + sorted(set(sines)):
+        monkeypatch.setattr(solver, "MIN_EDGE_SINE", limit)
+        outcomes = _guard_outcomes(system, x)
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is None) == (limit < min(sines))
 
 
 def _count_dense_audits(monkeypatch):

@@ -63,3 +63,9 @@ def test_solver_calls_splu_with_the_matrix_alone():
         assert call.func.value.id == "spla"
         assert len(call.args) == 1 and not call.keywords
         assert not isinstance(call.args[0], ast.Starred)
+
+
+def test_verify_solves_no_least_squares():
+    # the edge lines' points come in closed form; a dense solve per edge
+    # was most of the line search
+    assert "lstsq" not in (SRC / "verify.py").read_text()

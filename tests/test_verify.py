@@ -217,17 +217,31 @@ def _line_args(cfg, P):
             cfg.tangents)
 
 
-def lockstep_line_minima(body, args, monkeypatch):
-    """verify._line_minima with the lockstep bisection it replaced."""
+def fail_certificates(m):
+    """Make every row of verify._line_minima fail its certificate, so that
+    every bracketed row goes through the bisection."""
+    m.setattr(verify, "_certified",
+              lambda body, Q, U, t: np.zeros(len(t), dtype=bool))
+
+
+def lockstep_line_minima(body, args, monkeypatch, certify):
+    """verify._line_minima with the lockstep bisection its verified one
+    replaced, and with every certificate failed unless certify."""
     with monkeypatch.context() as m:
+        if not certify:
+            fail_certificates(m)
         m.setattr(verify, "_bisect_slopes", gauge_oracle.bisect_slopes)
         return verify._line_minima(body, *args)
 
 
-def assert_line_minima_match_lockstep(body, cfg, P, monkeypatch):
+def assert_line_minima_match_lockstep(body, cfg, P, monkeypatch,
+                                      certify=False):
     args = _line_args(cfg, P)
-    got = verify._line_minima(body, *args)
-    want = lockstep_line_minima(body, args, monkeypatch)
+    with monkeypatch.context() as m:
+        if not certify:
+            fail_certificates(m)
+        got = verify._line_minima(body, *args)
+    want = lockstep_line_minima(body, args, monkeypatch, certify)
     for g, w in zip(got, want):
         assert_bitwise_equal(g, w)
 
@@ -235,6 +249,7 @@ def assert_line_minima_match_lockstep(body, cfg, P, monkeypatch):
 @pytest.mark.parametrize("descriptor", LINE_BODIES)
 @pytest.mark.parametrize("name", SEED_NAMES)
 def test_line_minima_match_lockstep_oracle(name, descriptor, monkeypatch):
+    # every row bisected, with the certificates failed
     assert_line_minima_match_lockstep(*_line_case(name, descriptor),
                                       monkeypatch)
 
@@ -247,6 +262,15 @@ def test_line_minima_match_lockstep_oracle_generated(name, descriptor,
                                       monkeypatch)
 
 
+def test_line_minima_match_lockstep_oracle_on_flat_contacts(
+        p4_box_instance, monkeypatch):
+    # the quartic box's edge lines touch with fourth order, where Newton
+    # converges only linearly: every row fails its own certificate
+    box = p4_box_instance
+    assert_line_minima_match_lockstep(box["body"], box["cfg"], box["P"],
+                                      monkeypatch, certify=True)
+
+
 def test_line_minima_failures_match_lockstep_oracle(monkeypatch):
     # a parallel-plane row among bisected ones, and no row bisected at all
     P, _, cfg = closed_form_config("cube")
@@ -255,6 +279,102 @@ def test_line_minima_failures_match_lockstep_oracle(monkeypatch):
     parallel.normals[g] = cfg.normals[f]
     assert_line_minima_match_lockstep(BALL, parallel, P, monkeypatch)
     assert_line_minima_match_lockstep(HalfSpace(), cfg, P, monkeypatch)
+
+
+# the largest difference allowed between a certified line minimum and the
+# bisection's; measured at most 5.3e-15 on the seeds on LINE_BODIES and on
+# the hull60 and hull120 ellipsoid witnesses
+LINE_MIN_AGREEMENT = 1e-14
+
+
+def assert_tangency_near_bisection(report, cfg, body, P):
+    """The report's line minima against bisected_line_minimum's: the same
+    inf and nan places, and within LINE_MIN_AGREEMENT elsewhere."""
+    per_edge, _ = gauge_oracle.tangency(cfg, body, P,
+                                        gauge_oracle.bisected_line_minimum)
+    got = np.array([[e["line_min"], e["minimizer_distance"]]
+                    for e in report.per_edge])
+    want = np.array([[e["line_min"], e["minimizer_distance"]]
+                     for e in per_edge])
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = np.isfinite(want[:, 0])
+    assert np.all(np.abs(got[finite, 0] - want[finite, 0])
+                  <= LINE_MIN_AGREEMENT)
+
+
+# hull12 reaches p=4 at its witness marks only since the continuation
+# rejects steps with coinciding face planes; before, it stalled at s = 0.875
+@pytest.mark.parametrize("descriptor", LINE_BODIES)
+@pytest.mark.parametrize("name", SEED_NAMES + ("hull12", "prism8"))
+def test_line_minima_match_bisection_oracle(name, descriptor):
+    body, cfg, P = _line_case(name, descriptor)
+    assert_tangency_near_bisection(check_midscription(cfg, body, P), cfg,
+                                   body, P)
+
+
+def _spy_fallback(monkeypatch):
+    """Wrap verify._bisected_minimizers; returns the list its calls append
+    their row counts to."""
+    rows, bisected = [], verify._bisected_minimizers
+
+    def spy(body, Q, U, t0):
+        rows.append(len(t0))
+        return bisected(body, Q, U, t0)
+    monkeypatch.setattr(verify, "_bisected_minimizers", spy)
+    return rows
+
+
+@pytest.mark.parametrize("descriptor", LINE_BODIES[:2])
+@pytest.mark.parametrize("name", SEED_NAMES)
+def test_converged_lines_take_no_fallback(name, descriptor, monkeypatch):
+    fallback = _spy_fallback(monkeypatch)
+    body, cfg, P = _line_case(name, descriptor)
+    assert check_midscription(cfg, body, P).midscribed
+    assert fallback == []
+
+
+def _moved_guesses(cfg, how):
+    moved = cfg.copy()
+    if how == "nan":
+        moved.tangents[:] = np.nan
+    else:
+        step = np.random.default_rng(10).normal(size=cfg.tangents.shape)
+        moved.tangents += 10.0 * step / np.linalg.norm(step, axis=1,
+                                                        keepdims=True)
+    return moved
+
+
+@pytest.mark.parametrize("case", ["p4_box", "half_space", "parallel",
+                                  "nan_guess", "far_guess"])
+def test_fallback_rows_match_bisection_oracle(case, p4_box_instance,
+                                              monkeypatch):
+    """Rows the certificate does not close: their minima equal the scalar
+    method bit for bit and the bisection within LINE_MIN_AGREEMENT."""
+    P, _, cfg = closed_form_config("cube")
+    body = BALL
+    if case == "p4_box":
+        P, cfg, body = (p4_box_instance[k] for k in ("P", "cfg", "body"))
+    elif case == "half_space":
+        body = HalfSpace()
+    elif case == "parallel":
+        f, g = P.faces_of_edge(0)
+        cfg = cfg.copy()
+        cfg.normals[g] = cfg.normals[f]
+    else:
+        body = make_body(LINE_BODIES[2])
+        cfg = _moved_guesses(_line_case("cube", LINE_BODIES[2])[1],
+                             case.split("_")[0])
+    fallback = _spy_fallback(monkeypatch)
+    report = check_midscription(cfg, body, P)
+    if case in ("p4_box", "half_space"):
+        assert fallback == [P.n_edges]
+    elif case == "parallel":
+        assert fallback == []
+    else:
+        assert sum(fallback) > 0
+    _assert_tangency_matches_oracle(report, cfg, body, P)
+    assert_tangency_near_bisection(report, cfg, body, P)
 
 
 class CountingGauge(ConvexBody):
@@ -301,8 +421,9 @@ def test_bisect_slopes_survives_bad_estimates(estimate, monkeypatch):
                  ("hull12", LINE_BODIES[1])]:
         body, cfg, P = _line_case(*case)
         args = _line_args(cfg, P)
-        want = lockstep_line_minima(body, args, monkeypatch)
+        want = lockstep_line_minima(body, args, monkeypatch, certify=False)
         with monkeypatch.context() as m:
+            fail_certificates(m)
             m.setattr(verify, "_minimizer_estimates", bad)
             m.setattr(verify, "_bisect_slopes", spy)
             got = verify._line_minima(CountingGauge(body), *args)
@@ -332,14 +453,20 @@ def test_bisect_slopes_keeps_the_lockstep_budget():
     assert np.array_equal(open_, wide)
 
 
-def test_line_minima_gauge_call_budget():
-    # the doubling brackets (2), the Newton estimates (4), one verified
-    # round of halvings, the two polish steps (4) and the values (1); with
-    # one gradients call per halving the search made 55
-    P, _, _ = get_seed("cube")
-    body = CountingGauge(BALL)
-    assert check_midscription(ball_solution("cube"), body, P).midscribed
-    assert sum(body.calls.values()) <= 20
+def test_line_minima_gauge_call_budget(monkeypatch):
+    # two Newton steps (4), the certificate (1) and the values (1), whatever
+    # the number of edges, and no least-squares solve; the bisection made
+    # 11 on cube/ball, and one gradients call per halving made 55
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("lstsq called")
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    calls = []
+    for name in ("cube", "hull60"):
+        _, cfg, P = _line_case(name, "ball")
+        body = CountingGauge(BALL)
+        assert check_midscription(cfg, body, P).midscribed
+        calls.append(sum(body.calls.values()))
+    assert calls == [6, 6]
 
 
 def test_verification_minimizes_each_line_once(monkeypatch):
