@@ -4,6 +4,8 @@ Transformations are 2x2 complex matrices acting by (az+b)/(cz+d), with the
 point at infinity represented as a complex number with an infinite part.
 The lift is the inverse of the ball's chord-from-N chart: it identifies the
 extended plane with the unit sphere, sending infinity to the north pole.
+apply_mobius and lift_to_sphere act on one point; their _array forms act on
+arrays of points and give the same bits.
 """
 
 from __future__ import annotations
@@ -74,6 +76,50 @@ def lift_to_sphere(z: complex) -> np.ndarray:
         return np.array([0.0, 0.0, 1.0])
     s = z.real * z.real + z.imag * z.imag + 4.0
     return np.array([4.0 * z.real / s, 4.0 * z.imag / s, 1.0 - 8.0 / s])
+
+
+def is_infinity_array(z: np.ndarray) -> np.ndarray:
+    """is_infinity per point of the complex array z."""
+    return np.isinf(z.real) | np.isinf(z.imag)
+
+
+def apply_mobius_array(M: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """apply_mobius on every point of the complex array z, bit for bit.
+
+    numpy's array complex multiply rounds differently from the scalar one
+    apply_mobius uses, so az + b and cz + d are written out in real
+    arithmetic, in the scalar's order; numpy's complex division of arrays
+    rounds as its scalar division does. Points that map to infinity come
+    back as INFINITY, with no division by zero.
+    """
+    (a, b), (c, d) = M
+    z = np.asarray(z, dtype=complex)
+    at_infinity = is_infinity_array(z)
+    zr = np.where(at_infinity, 0.0, z.real)
+    zi = np.where(at_infinity, 0.0, z.imag)
+    num = np.empty(z.shape, dtype=complex)
+    num.real = a.real * zr - a.imag * zi + b.real
+    num.imag = a.real * zi + a.imag * zr + b.imag
+    den = np.empty(z.shape, dtype=complex)
+    den.real = c.real * zr - c.imag * zi + d.real
+    den.imag = c.real * zi + c.imag * zr + d.imag
+    pole = den == 0
+    w = num / np.where(pole, 1.0, den)
+    w[pole] = INFINITY
+    w[at_infinity] = a / c if c != 0 else INFINITY
+    return w
+
+
+def lift_to_sphere_array(w: np.ndarray) -> np.ndarray:
+    """lift_to_sphere on every point of the complex array w, bit for bit:
+    shape w.shape + (3,)."""
+    at_infinity = is_infinity_array(w)
+    wr = np.where(at_infinity, 0.0, w.real)
+    wi = np.where(at_infinity, 0.0, w.imag)
+    s = wr * wr + wi * wi + 4.0
+    points = np.stack([4.0 * wr / s, 4.0 * wi / s, 1.0 - 8.0 / s], axis=-1)
+    points[at_infinity] = (0.0, 0.0, 1.0)
+    return points
 
 
 def cap_through_points(p1, p2, p3, interior):

@@ -12,15 +12,18 @@ Every interior node u must close up a full angle 2*pi out of the kite pieces
 one wall close up pi instead (the wall supplies the missing half turn). In
 log radii those angle sums are the gradient of a convex functional
 (Bobenko-Springborn), so the radii are its critical point, found by damped
-sparse Newton with one radius pinned. Then the circles are placed row by row
-and propagated across darts, lifted to the unit sphere, and normalized by the
-Mobius transformation pinning the three frame tangencies to the marks.
+sparse Newton with one radius pinned; the Laplacian's sparsity pattern is
+built once per solve and only its values are refilled at each step. Then the
+circles are placed row by row and propagated across darts, lifted to the unit
+sphere, and normalized by the Mobius transformation pinning the three frame
+tangencies to the marks. The lift maps every circle's sample points at once,
+in arrays that round as the scalar Mobius map does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse, special
@@ -36,10 +39,11 @@ from .errors import (
 )
 from .mobius import (
     INFINITY,
-    apply_mobius,
+    apply_mobius_array,
     cap_through_points,
     is_infinity,
-    lift_to_sphere,
+    is_infinity_array,
+    lift_to_sphere_array,
     mobius_through,
 )
 
@@ -59,6 +63,8 @@ class _BoxStructure:
     face across e1 (the y=h wall).
     """
 
+    P: PolyhedralComplex
+    frame: Frame
     f0: int
     g_top: int
     v_left: int
@@ -96,8 +102,9 @@ def _box_structure(P: PolyhedralComplex, frame: Frame) -> _BoxStructure:
                                       "cannot be a polyhedron" % (u, n_wall))
         targets[u] = TWO_PI - math.pi * n_wall
         neighbors[u] = tuple(w for w in inc if w not in walls)
-    return _BoxStructure(f0=f0, g_top=g_top, v_left=v_left, v_right=v_right,
-                         nodes=nodes, targets=targets, neighbors=neighbors)
+    return _BoxStructure(P=P, frame=frame, f0=f0, g_top=g_top, v_left=v_left,
+                         v_right=v_right, nodes=nodes, targets=targets,
+                         neighbors=neighbors)
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +112,17 @@ def _box_structure(P: PolyhedralComplex, frame: Frame) -> _BoxStructure:
 
 @dataclass
 class RadiusAssignment:
-    """Converged packing radii on the finite nodes, with their angle targets."""
+    """Converged packing radii on the finite nodes, with their angle targets.
+
+    box is the node structure of the (P, frame) they were solved for, which
+    layout_circles reuses.
+    """
 
     log_radii: dict
     targets: dict
     pinned: tuple
     residual: float
+    box: _BoxStructure | None = field(default=None, repr=False, compare=False)
 
     def radius(self, node) -> float:
         return math.exp(self.log_radii[node])
@@ -158,10 +170,20 @@ class _AngleSums:
         self.free = np.arange(n) != index[pinned]
         reduced = np.cumsum(self.free) - 1     # node index -> reduced index
         self.off = self.free[self.u] & self.free[self.w]
-        self.rows = np.concatenate([reduced[self.u[self.off]],
-                                    reduced[self.free]])
-        self.cols = np.concatenate([reduced[self.w[self.off]],
-                                    reduced[self.free]])
+        rows = np.concatenate([reduced[self.u[self.off]], reduced[self.free]])
+        cols = np.concatenate([reduced[self.w[self.off]], reduced[self.free]])
+        # the CSC pattern of the reduced Laplacian, entries sorted by column
+        # and row; no entry repeats, so refilling data in this order gives
+        # the matrix the (row, col) triplets would
+        self._order = np.lexsort((rows, cols))
+        n_free = n - 1
+        self._laplacian = sparse.csc_matrix(
+            (np.zeros(len(rows)), rows[self._order].astype(np.intc),
+             np.searchsorted(cols[self._order],
+                             np.arange(n_free + 1)).astype(np.intc)),
+            shape=(n_free, n_free))
+        # computed here and cached, so spsolve's checks return at once
+        self._laplacian.has_canonical_format
         # Each kite angle 2 atan(exp(d)) is written pi/2 + atan(sinh(d)),
         # whose varying part is odd in d, so the rounding errors of the two
         # kites of an edge cancel exactly. Summed the other way they drift
@@ -178,13 +200,13 @@ class _AngleSums:
 
     def laplacian(self, x):
         """d(theta - target)/dx = -L, as L with the pinned row and column
-        removed (CSC)."""
+        removed: the one CSC matrix __init__ built, its data refilled, so
+        the next call overwrites it."""
         weight = 1.0 / np.cosh(x[self.w] - x[self.u])
         degree = np.bincount(self.u, weights=weight, minlength=len(x))
-        n_free = len(x) - 1
-        return sparse.csc_matrix(
-            (np.concatenate([-weight[self.off], degree[self.free]]),
-             (self.rows, self.cols)), shape=(n_free, n_free))
+        self._laplacian.data[:] = np.concatenate(
+            [-weight[self.off], degree[self.free]])[self._order]
+        return self._laplacian
 
     def energy(self, x):
         """(E, sum of |terms|) for the convex E whose gradient is
@@ -213,6 +235,7 @@ def solve_radii(P: PolyhedralComplex, frame: Frame) -> RadiusAssignment:
 
     x = np.zeros(len(box.nodes))
     F = sums.residual(x)
+    energy = None
     worst = float(np.max(np.abs(F)))
     iterations = 0
     while not worst < RADIUS_TOL:
@@ -226,15 +249,17 @@ def solve_radii(P: PolyhedralComplex, frame: Frame) -> RadiusAssignment:
             raise NonConvergence("radius solve: non-finite Newton step at "
                                  "iteration %d, residual %.3e"
                                  % (iterations, worst))
-        x, F = _line_search(sums, x, step, F, iterations)
+        x, F, energy = _line_search(sums, x, step, F, energy, iterations)
         worst = float(np.max(np.abs(F)))
     return RadiusAssignment(
         log_radii={u: float(x[i]) for i, u in enumerate(box.nodes)},
-        targets=dict(box.targets), pinned=pinned, residual=worst)
+        targets=dict(box.targets), pinned=pinned, residual=worst, box=box)
 
 
-def _line_search(sums: _AngleSums, x, step, F, iteration):
-    """(x, residual) after backtracking along step until E decreases enough.
+def _line_search(sums: _AngleSums, x, step, F, energy, iteration):
+    """(x, residual, energy) after backtracking along step until E
+    decreases enough; energy is sums.energy at x, or None where it is not
+    known yet, and likewise at the returned x.
 
     The directional derivative of E along step is -F.step < 0, and the full
     Newton step would decrease E by about half of F.step. Once that is
@@ -242,14 +267,15 @@ def _line_search(sums: _AngleSums, x, step, F, iteration):
     the full step is taken.
     """
     slope = float(F @ step)
-    e0, scale = sums.energy(x)
+    e0, scale = sums.energy(x) if energy is None else energy
     if slope <= 64.0 * np.finfo(float).eps * scale:
-        return x + step, sums.residual(x + step)
+        return x + step, sums.residual(x + step), None
     alpha = 1.0
     for _ in range(_MAX_HALVINGS):
         x_new = x + alpha * step
-        if sums.energy(x_new)[0] <= e0 - 1e-4 * alpha * slope:
-            return x_new, sums.residual(x_new)
+        energy = sums.energy(x_new)
+        if energy[0] <= e0 - 1e-4 * alpha * slope:
+            return x_new, sums.residual(x_new), energy
         alpha *= 0.5
     raise NonConvergence("radius solve: line search found no decrease at "
                          "iteration %d, residual %.3e"
@@ -308,6 +334,8 @@ class CirclePattern:
 
     The tangency of the first frame edge is the point at infinity; the four
     incident objects (f0, the face across e1, and e1's endpoints) are lines.
+    system_layout is the solver's SystemLayout of (P, frame), left here by
+    the first continuation from this pattern for the later ones to share.
     """
 
     P: PolyhedralComplex
@@ -317,12 +345,17 @@ class CirclePattern:
     frame: Frame
     box_width: float
     box_height: float
+    system_layout: object = field(default=None, repr=False, compare=False)
 
 
 def layout_circles(P: PolyhedralComplex, frame: Frame,
                    radii: RadiusAssignment) -> CirclePattern:
-    """Place the packing in the box picture and validate every contact."""
-    box = _box_structure(P, frame)
+    """Place the packing in the box picture and validate every contact.
+    The node structure comes from radii where solve_radii left it for this
+    (P, frame)."""
+    box = radii.box
+    if box is None or box.P is not P or box.frame != frame:
+        box = _box_structure(P, frame)
     r = {u: radii.radius(u) for u in box.nodes}
     f0, g_top, v_left, v_right = box.f0, box.g_top, box.v_left, box.v_right
 
@@ -575,52 +608,59 @@ _CIRCLE_PARAMS = (0.37, 2.41, 4.73)
 _LINE_PARAMS = (-1.3, 0.45, 2.17)
 
 
-def _lifted_points(circle: Circle, M):
-    """Lifts to the sphere of three boundary points and of an interior
-    witness of circle's image under M: ([p1, p2, p3], interior), interior
-    None when no witness maps to a usable point. A boundary parameter that
-    maps to infinity or beyond 1e30 is moved by 0.123, up to 8 times."""
+def _circle_samples(circle: Circle):
+    """The boundary parameters and the four interior witnesses of circle,
+    in the order they are tried."""
     if circle.kind == "circle":
-        params = list(_CIRCLE_PARAMS)
-        witnesses = [circle.center,
-                     circle.center + 0.31 * circle.radius,
-                     circle.center + 0.27j * circle.radius,
-                     circle.center - 0.23 * circle.radius]
-    else:
-        params = list(_LINE_PARAMS)
-        n = circle.disk_side_normal()
-        witnesses = [circle.point + n * s + circle.direction * 0.1 * s
-                     for s in (1.0, 0.4, 2.9, 11.0)]
-    pts = []
-    for t in params:
-        z = apply_mobius(M, circle.boundary_point(t))
-        tries = 0
-        while (is_infinity(z) or abs(z) > 1e30) and tries < 8:
-            t += 0.123
-            z = apply_mobius(M, circle.boundary_point(t))
-            tries += 1
-        pts.append(lift_to_sphere(z))
-    for w in witnesses:
-        zw = apply_mobius(M, w)
-        if not is_infinity(zw) and abs(zw) < 1e12:
-            return pts, lift_to_sphere(zw)
-    return pts, None
+        return _CIRCLE_PARAMS, (circle.center,
+                                circle.center + 0.31 * circle.radius,
+                                circle.center + 0.27j * circle.radius,
+                                circle.center - 0.23 * circle.radius)
+    n = circle.disk_side_normal()
+    return _LINE_PARAMS, tuple(
+        circle.point + n * s + circle.direction * 0.1 * s
+        for s in (1.0, 0.4, 2.9, 11.0))
 
 
 def _mapped_caps(circles, M):
-    """Caps (n, d) of the images of circles under M: (m, 3) and (m,), by
-    one batched cap_through_points. As when the caps were made one at a
-    time, the first circle that fails raises its error: DegenerateMarks
-    with "no usable interior witness for a circle", or, from
-    cap_through_points, for points that span no unique plane."""
-    rows = []  # per circle: three boundary points, then the interior point
-    for circle in circles:
-        pts, interior = _lifted_points(circle, M)
-        if interior is None:
-            if rows:  # an earlier cap's failure comes first
-                cap_through_points(*np.swapaxes(rows, 0, 1))
-            raise DegenerateMarks("no usable interior witness for a circle")
-        rows.append(pts + [interior])
+    """Caps (n, d) of the images of circles under M: (m, 3) and (m,).
+
+    Each circle's cap goes through the lifts of three boundary points and
+    contains the lift of its first interior witness that maps to a usable
+    point (finite, below 1e12). A boundary parameter that maps to infinity
+    or beyond 1e30 is moved by 0.123, up to 8 times. The boundary points
+    are Circle.boundary_point's; the Mobius map and the lift run on all of
+    them at once, in arrays that round as the scalar maps do, and the caps
+    come from one batched cap_through_points. As when the caps were made
+    one at a time, the first circle that fails raises its error:
+    DegenerateMarks with "no usable interior witness for a circle", or,
+    from cap_through_points, for points that span no unique plane.
+    """
+    params, witnesses = zip(*map(_circle_samples, circles))
+    params = [list(row) for row in params]
+    boundary = np.array([[c.boundary_point(t) for t in row]
+                         for c, row in zip(circles, params)], dtype=complex)
+    images = apply_mobius_array(M, boundary)
+    for _ in range(8):
+        far = is_infinity_array(images) | (
+            np.hypot(images.real, images.imag) > 1e30)
+        if not far.any():
+            break
+        for i, j in zip(*np.nonzero(far)):
+            params[i][j] += 0.123
+            boundary[i, j] = circles[i].boundary_point(params[i][j])
+        images[far] = apply_mobius_array(M, boundary[far])
+    w = apply_mobius_array(M, np.array(witnesses, dtype=complex))
+    usable = ~is_infinity_array(w) & (np.hypot(w.real, w.imag) < 1e12)
+    first = np.argmax(usable, axis=1)
+    rows = np.concatenate([lift_to_sphere_array(images),
+                           lift_to_sphere_array(
+                               w[np.arange(len(w)), first])[:, None]], axis=1)
+    failed = np.flatnonzero(~usable.any(axis=1))
+    if failed.size:
+        if failed[0]:  # an earlier cap's failure comes first
+            cap_through_points(*np.swapaxes(rows[:failed[0]], 0, 1))
+        raise DegenerateMarks("no usable interior witness for a circle")
     return cap_through_points(*np.swapaxes(rows, 0, 1))
 
 
@@ -647,8 +687,9 @@ def lift_normalize(pattern: CirclePattern, marks_z) -> SphericalPattern:
     caps[rows] = np.column_stack(_mapped_caps(
         list(pattern.vertex_circles.values())
         + list(pattern.face_circles.values()), M))
-    tangency = np.array([lift_to_sphere(apply_mobius(M, pattern.tangency[e]))
-                         for e in range(pattern.P.n_edges)])
+    tangency = lift_to_sphere_array(apply_mobius_array(
+        M, np.array([pattern.tangency[e] for e in range(pattern.P.n_edges)],
+                    dtype=complex)))
     spherical = SphericalPattern(P=pattern.P, vertex_caps=caps[:V],
                                  face_caps=caps[V:], tangency=tangency,
                                  marks=tangency[[e1, e2, e3]],

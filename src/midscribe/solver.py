@@ -9,11 +9,14 @@ constants, which removes 9 unknowns and 3 boundary equations and makes the
 system exactly square.
 
 Which row and column each of these occupies depends on (P, frame) alone, so
-ConstraintSystem builds that index layout once and evaluates the residual
-and Jacobian as array expressions over it, with one batched gauge call per
-quantity. A continuation builds one system and swaps the body and the
-marked points in at every step. newton_refine and the restarts of
-rigidity_probe, the empirical uniqueness check, are Newton solves too.
+a SystemLayout holds that index layout, and ConstraintSystem evaluates the
+residual and Jacobian as array expressions over it, with one batched gauge
+call per quantity. A continuation builds one system and swaps the body and
+the marked points in at every step. Its layout comes with the planar
+packing it starts from: the first continuation from a CirclePattern builds
+it, and every later one from that pattern, such as each cell of a sweep,
+reuses it. newton_refine and the restarts of rigidity_probe, the empirical
+uniqueness check, are Newton solves too.
 
 The continuation follows one solution branch from the ball's Koebe
 configuration along the gauge homotopy F_s (Allgower and Georg, Introduction
@@ -118,10 +121,11 @@ RIGIDITY_MAX_ITERATIONS = 60
 _ONE = np.ones(1)
 
 
-class ConstraintSystem:
-    """Square residual/Jacobian of the tangency system for one (P, frame).
-
-    __init__ builds the index layout from (P, frame) alone:
+class SystemLayout:
+    """Where every unknown, equation and Jacobian entry of the tangency
+    system sits for one (P, frame): all that ConstraintSystem derives from
+    (P, frame) alone. It is built once and never changed, so any number of
+    systems, in any threads, can share it.
 
     - unknowns x: [n_f, d_f] per face (4F), the 4-vector X_v per vertex
       (4V), then the tangent point p_e of each free edge in edge order.
@@ -134,31 +138,21 @@ class ConstraintSystem:
       <n_g, p_e> - d_g, F(p_e) and <grad F(p_e), n_f x n_g>, numbered by the
       (E, 4) table edge_rows (-1 in the gauge slot of a marked edge); then
       V rows |X_v|^2 - 1.
-    - the Jacobian: one CSC matrix with the (row, col) pattern sorted once,
-      int32 indices and its canonical-format flag computed, so splu neither
-      casts nor rescans it. Its entries that are linear in the unknowns
-      (a coefficient 1, -1 or 2 times an unknown, a marked-point coordinate
-      or 1) get their data positions, their sources in
-      z = [x, marked_points.ravel(), 1.0] and their coefficients; the other
-      blocks of _jacobian_pattern get their data positions. jacobian(x)
-      writes the values at x into it.
-    - face_edges: the (F, k) boundary edges of each face, k the longest
-      boundary, shorter faces padded with their own first edge.
-
-    body and marked_points (three points, in frame edge order) are plain
-    attributes; assigning new ones keeps the layout.
+    - the Jacobian: the CSC indices and indptr of the (row, col) pattern,
+      sorted once, int32, and whether it is canonical (no entry repeats).
+      Its entries that are linear in the unknowns (a coefficient 1, -1 or 2
+      times an unknown, a marked-point coordinate or 1) get their data
+      positions, their sources in z = [x, marked_points.ravel(), 1.0] and
+      their coefficients; the other blocks of _jacobian_pattern get their
+      data positions.
+    - face_pairs: (2, n_pairs) edge ids, the pairs i < j of each face's
+      boundary edges, face after face; face_starts: where each face's pairs
+      begin.
     """
 
-    def __init__(self, P: PolyhedralComplex, frame: Frame, marked_points,
-                 body: ConvexBody):
+    def __init__(self, P: PolyhedralComplex, frame: Frame):
         self.P = P
         self.frame = frame
-        self.body = body
-        self.marked_points = np.asarray(marked_points, dtype=float)
-        if self.marked_points.shape != (3, 3):
-            raise DimensionMismatch("need three marked points, got shape %r"
-                                    % (self.marked_points.shape,))
-
         F, V, E = P.n_faces, P.n_vertices, P.n_edges
         self.vert_off = 4 * F
         self.marked = np.array(frame.edges, dtype=int)
@@ -183,10 +177,14 @@ class ConstraintSystem:
         if n_rows != self.n_unknowns:
             raise DimensionMismatch("system is not square: %d rows, %d unknowns"
                                     % (n_rows, self.n_unknowns))
-        bounds = [P.boundary_edges(f) for f in range(F)]
-        k = max(len(b) for b in bounds)
-        self.face_edges = np.array([b + b[:1] * (k - len(b)) for b in bounds],
-                                   dtype=int)
+        pairs, starts = [], []
+        for f in range(F):
+            b = P.boundary_edges(f)
+            starts.append(len(pairs))
+            pairs += [(b[i], b[j]) for i in range(len(b))
+                      for j in range(i + 1, len(b))]
+        self.face_pairs = np.array(pairs, dtype=int).T
+        self.face_starts = np.array(starts, dtype=int)
 
         pattern = self._jacobian_pattern()
         blocks = [np.broadcast_arrays(r, c) for r, c, _ in pattern]
@@ -202,18 +200,18 @@ class ConstraintSystem:
                    np.full(p.shape, coef))
                   for p, (_, _, (source, coef)) in zip(positions, pattern)
                   if coef]
-        self._linear_positions, self._linear_sources, self._linear_coefs = (
+        self.linear_positions, self.linear_sources, self.linear_coefs = (
             np.concatenate([part[k].ravel() for part in linear])
             for k in range(3))
-        self._positions = [p for p, (_, _, (_, coef))
-                           in zip(positions, pattern) if not coef]
-        n = self.n_unknowns
-        self._jacobian = sp.csc_matrix(
-            (np.zeros(len(order)), rows[order].astype(np.intc),
-             np.searchsorted(cols[order], np.arange(n + 1)).astype(np.intc)),
-            shape=(n, n))
-        # computed here and cached, so splu's sum_duplicates returns at once
-        self._jacobian.has_canonical_format
+        self.positions = [p for p, (_, _, (_, coef))
+                          in zip(positions, pattern) if not coef]
+        rows, cols = rows[order], cols[order]
+        self.indices = rows.astype(np.intc)
+        self.indptr = np.searchsorted(
+            cols, np.arange(self.n_unknowns + 1)).astype(np.intc)
+        # sorted by column, then row, so an entry repeats only next to itself
+        self.canonical = bool(np.all((np.diff(rows) != 0)
+                                     | (np.diff(cols) != 0)))
 
     def _jacobian_pattern(self):
         """(rows, cols, (source, coef)) of each block of nonzeros; rows,
@@ -254,6 +252,41 @@ class ConstraintSystem:
             (tangent_rows[:, 2:], tangent_cols, nonlinear),
         ]
 
+
+class ConstraintSystem:
+    """Square residual/Jacobian of the tangency system for one (P, frame),
+    at one body and three marked points.
+
+    layout is the SystemLayout of (P, frame), built here when none is
+    given; n_unknowns is its count. The system's own Jacobian is one CSC
+    matrix over the layout's pattern, flagged canonical where the pattern
+    is, so splu neither casts nor rescans it; jacobian(x) writes the values
+    at x into its data. body and marked_points (three points, in frame edge
+    order) are plain attributes; assigning new ones keeps the layout and
+    the matrix.
+    """
+
+    def __init__(self, P: PolyhedralComplex, frame: Frame, marked_points,
+                 body: ConvexBody, layout: SystemLayout | None = None):
+        self.P = P
+        self.frame = frame
+        self.body = body
+        self.marked_points = np.asarray(marked_points, dtype=float)
+        if self.marked_points.shape != (3, 3):
+            raise DimensionMismatch("need three marked points, got shape %r"
+                                    % (self.marked_points.shape,))
+        if layout is None:
+            layout = SystemLayout(P, frame)
+        elif layout.P is not P or layout.frame != frame:
+            raise DimensionMismatch("the layout is not that of this complex "
+                                    "and frame")
+        self.layout = layout
+        n = self.n_unknowns = layout.n_unknowns
+        self._jacobian = sp.csc_matrix(
+            (np.zeros(len(layout.indices)), layout.indices, layout.indptr),
+            shape=(n, n))
+        self._jacobian.has_canonical_format = layout.canonical
+
     # -- packing between Configuration and the flat unknown vector ----------
 
     def pack(self, cfg: Configuration) -> np.ndarray:
@@ -265,7 +298,7 @@ class ConstraintSystem:
         x = np.empty(self.n_unknowns)
         N, D, X = self._views(x)
         N[:], D[:], X[:] = cfg.normals, cfg.offsets, cfg.vertices4
-        x[self.tangent_cols] = cfg.tangents[self.free]
+        x[self.layout.tangent_cols] = cfg.tangents[self.layout.free]
         return x
 
     def unpack(self, x: np.ndarray) -> Configuration:
@@ -286,15 +319,17 @@ class ConstraintSystem:
 
     def _views(self, x):
         F, V = self.P.n_faces, self.P.n_vertices
-        faces = x[:self.vert_off].reshape(F, 4)
-        X = x[self.vert_off:self.vert_off + 4 * V].reshape(V, 4)
+        vert_off = self.layout.vert_off
+        faces = x[:vert_off].reshape(F, 4)
+        X = x[vert_off:vert_off + 4 * V].reshape(V, 4)
         return faces[:, :3], faces[:, 3], X
 
     def tangents(self, x: np.ndarray) -> np.ndarray:
         """(E, 3) tangent points: free ones from x, marked ones pinned."""
+        layout = self.layout
         T = np.empty((self.P.n_edges, 3))
-        T[self.free] = x[self.tangent_cols]
-        T[self.marked] = self.marked_points
+        T[layout.free] = x[layout.tangent_cols]
+        T[layout.marked] = self.marked_points
         return T
 
     def terms(self, x: np.ndarray):
@@ -303,17 +338,18 @@ class ConstraintSystem:
         them once."""
         N = self._views(x)[0]
         T = self.tangents(x)
-        f, g = self.edge_faces.T
+        f, g = self.layout.edge_faces.T
         return T, self.body.gradients(T), _cross(N[f], N[g])
 
     def residual(self, x: np.ndarray, terms=None) -> np.ndarray:
         """The residual at x; terms are terms(x), computed here if None."""
         N, D, X = self._views(x)
         T, G, U = self.terms(x) if terms is None else terms
-        fv, ff = self.flag_v, self.flag_f
-        f, g = self.edge_faces.T
+        layout = self.layout
+        fv, ff = layout.flag_v, layout.flag_f
+        f, g = layout.edge_faces.T
         gauge = np.zeros(len(T))
-        gauge[self.free] = self.body.values(T[self.free])
+        gauge[layout.free] = self.body.values(T[layout.free])
         edge = np.column_stack([  # one column per EDGE_ROWS entry
             _rowdot(N[f], T) - D[f],
             _rowdot(N[g], T) - D[g],
@@ -322,17 +358,18 @@ class ConstraintSystem:
         ])
         return np.concatenate([np.einsum("ij,ij->i", N, N) - 1.0,
                                _rowdot(N[ff], X[fv, 1:]) - D[ff] * X[fv, 0],
-                               edge[self.edge_rows >= 0],
+                               edge[layout.edge_rows >= 0],
                                np.einsum("ij,ij->i", X, X) - 1.0])
 
     def row_labels(self):
+        layout = self.layout
         labels = [("face_gauge", f) for f in range(self.P.n_faces)]
-        labels += [("flag", v, f) for v, f in zip(self.flag_v.tolist(),
-                                                  self.flag_f.tolist())]
-        for e, (f, g) in enumerate(self.edge_faces.tolist()):
+        labels += [("flag", v, f) for v, f in zip(layout.flag_v.tolist(),
+                                                  layout.flag_f.tolist())]
+        for e, (f, g) in enumerate(layout.edge_faces.tolist()):
             edge = (("edge_plane", e, f), ("edge_plane", e, g),
                     ("edge_gauge", e), ("edge_tangency", e))
-            labels += [label for label, row in zip(edge, self.edge_rows[e])
+            labels += [label for label, row in zip(edge, layout.edge_rows[e])
                        if row >= 0]
         labels += [("vertex_norm", v) for v in range(self.P.n_vertices)]
         return labels
@@ -345,16 +382,17 @@ class ConstraintSystem:
         terms are terms(x), computed here if None."""
         N = self._views(x)[0]
         T, G, U = self.terms(x) if terms is None else terms
-        free = self.free
-        f, g = self.edge_faces.T
+        layout = self.layout
+        free = layout.free
+        f, g = layout.edge_faces.T
         HU = (self.body.hessians(T[free]) @ U[free][:, :, None])[:, :, 0]
         data = self._jacobian.data
         z = np.concatenate([x, self.marked_points.ravel(), _ONE])
-        data[self._linear_positions] = (self._linear_coefs
-                                        * z[self._linear_sources])
+        data[layout.linear_positions] = (layout.linear_coefs
+                                         * z[layout.linear_sources])
         values = [_cross(N[g], G), _cross(G, N[f]),
                   np.stack([G[free], HU], axis=1)]
-        for position, value in zip(self._positions, values):
+        for position, value in zip(layout.positions, values):
             data[position] = value
         return self._jacobian
 
@@ -374,8 +412,9 @@ class ConstraintSystem:
         """
         N = self._views(x)[0]
         T, G, U = terms
-        marked = self.marked
-        f, g = self.edge_faces.T
+        layout = self.layout
+        marked = layout.marked
+        f, g = layout.edge_faces.T
         dF = end.values(T) - start.values(T)
         dG = end.gradients(T) - start.gradients(T)
         d = self.marked_points - NORTH_POLE
@@ -390,9 +429,9 @@ class ConstraintSystem:
         edge = np.column_stack([_rowdot(N[f], velocity),
                                 _rowdot(N[g], velocity),
                                 dF, tangency])
-        has_row = self.edge_rows >= 0
+        has_row = layout.edge_rows >= 0
         out = np.zeros(self.n_unknowns)
-        out[self.edge_rows[has_row]] = edge[has_row]
+        out[layout.edge_rows[has_row]] = edge[has_row]
         return out
 
     def singular_values(self, x: np.ndarray) -> np.ndarray:
@@ -560,12 +599,13 @@ def newton_refine(cfg: Configuration, body: ConvexBody, P: PolyhedralComplex,
     return system.unpack(x), report
 
 
-def _face_circle_sizes(T: np.ndarray, face_edges: np.ndarray) -> np.ndarray:
-    """Largest distance between two tangent points of each face; padding
-    repeats a face's first edge, which adds only zero distances."""
-    B = T[face_edges]
-    D = B[:, :, None, :] - B[:, None, :, :]
-    return np.sqrt(np.sum(D * D, axis=-1)).max(axis=(1, 2))
+def _face_circle_sizes(T: np.ndarray, layout: SystemLayout) -> np.ndarray:
+    """Largest distance between two tangent points of each face, over its
+    pairs of boundary edges in layout.face_pairs."""
+    a, b = layout.face_pairs
+    D = T[a] - T[b]
+    return np.maximum.reduceat(np.sqrt(np.sum(D * D, axis=-1)),
+                               layout.face_starts)
 
 
 def _degeneracy_guard(system: ConstraintSystem, x: np.ndarray, s: float):
@@ -576,14 +616,14 @@ def _degeneracy_guard(system: ConstraintSystem, x: np.ndarray, s: float):
     if dmin <= MIN_TANGENT_SEPARATION:
         raise DegenerateConfiguration(
             "tangent points %.3e apart at s=%.6f" % (dmin, s))
-    sizes = _face_circle_sizes(T, system.face_edges)
+    sizes = _face_circle_sizes(T, system.layout)
     small = np.flatnonzero(sizes <= MIN_FACE_CIRCLE_SIZE)
     if small.size:
         f = int(small[0])
         raise DegenerateConfiguration(
             "face %d circle of size %.3e at s=%.6f" % (f, sizes[f], s))
     N = system._views(x)[0]
-    f, g = system.edge_faces.T
+    f, g = system.layout.edge_faces.T
     C = _cross(N[f], N[g])
     sines = np.sqrt(_rowdot(C, C))
     flat = np.flatnonzero(sines <= MIN_EDGE_SINE)
@@ -600,7 +640,7 @@ def _sign_pattern(system: ConstraintSystem, x: np.ndarray) -> np.ndarray:
     and so does a vertex that crosses the plane at infinity."""
     N, D, X = system._views(x)
     side = N @ X[:, 1:].T - D[:, None] * X[:, 0]
-    side[system.flag_f, system.flag_v] = 0.0
+    side[system.layout.flag_f, system.layout.flag_v] = 0.0
     return np.sign(side)
 
 
@@ -638,9 +678,13 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
     serves every choice of marks: marks_z, three distinct chart coordinates,
     enter only through the lift to the sphere. At every step s the pinned
     tangent points are the chart images on the blended body, so the marks
-    move continuously with s. One ConstraintSystem serves the whole run; each
-    step swaps its body and marked points. The first try goes from s = 0 to
-    s = 1 in one step under _newton_core's contraction test (THETA_MAX);
+    move continuously with s; they are computed once per s, so a retried s
+    reuses them. One ConstraintSystem serves the whole run; each step swaps
+    its body and marked points. Its layout is the pattern's: the first
+    continuation from planar builds the SystemLayout of (P, frame) and
+    leaves it in planar.system_layout, and later ones share it. The first
+    try goes from s = 0 to s = 1 in one step under _newton_core's
+    contraction test (THETA_MAX);
     accepted, it is the run's one step (1.0, 1.0, iterations), and
     rejected, it counts once in steps_rejected before the stepped loop
     runs from s = 0 (see the module docstring). Every accepted solution is
@@ -657,16 +701,23 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
 
     P, frame = planar.P, planar.frame
     cfg0 = packing.koebe_config(packing.lift_normalize(planar, z))
+    layout = planar.system_layout
+    if layout is None:
+        layout = planar.system_layout = SystemLayout(P, frame)
+    marks = {}
 
-    def marks_at(body):
-        return BodyChart(body).inverse(z)
+    def marks_at(s, body):
+        """The marks on body, the blend at s."""
+        if s not in marks:
+            marks[s] = BodyChart(body).inverse(z)
+        return marks[s]
 
     history = []
     rejected = dict.fromkeys(STEP_REJECT_REASONS, 0)
     total_iters = 0
 
     body0 = path.eval(0.0)
-    system = ConstraintSystem(P, frame, marks_at(body0), body0)
+    system = ConstraintSystem(P, frame, marks_at(0.0, body0), body0, layout)
     x, iters, res, terms = _newton_core(system, system.pack(cfg0), tol,
                                         NEWTON_MAX_ITERATIONS)
     total_iters += iters
@@ -682,7 +733,7 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
     while s < 1.0 - 1e-15:
         s_try = min(1.0, s + ds)
         system.body = path.eval(s_try)
-        system.marked_points = marks_at(system.body)
+        system.marked_points = marks_at(s_try, system.body)
         reason = None
         try:
             x_new, iters, res_new, terms = _newton_core(

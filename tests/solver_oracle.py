@@ -13,7 +13,9 @@ nonzeros. The solver's matrix must equal it bit for bit.
 ``degeneracy_guard`` is the continuation's collapse check as loops over
 faces, one ``pdist`` per face, and over edges, one cross product per edge;
 the solver's array version must give the same face sizes and raise the
-same error.
+same error. ``padded_face_circle_sizes`` is the face sizes as the solver
+took them over a padded table of every face's edge pairs, before its list
+of each face's pairs i < j; the two must agree bit for bit.
 
 ``continue_from_pattern`` and ``newton_refine`` are the solver's entry
 points with the condition audit run eagerly, as it was before it was
@@ -242,16 +244,17 @@ def blockwise_jacobian(system, x: np.ndarray) -> sp.csc_matrix:
     F, V = P.n_faces, P.n_vertices
     N, D, X = system._views(x)
     T, G, U = system.terms(x)
-    free = system.free
-    fv, ff = system.flag_v, system.flag_f
-    f, g = system.edge_faces.T
+    layout = system.layout
+    free = layout.free
+    fv, ff = layout.flag_v, layout.flag_f
+    f, g = layout.edge_faces.T
     HU = (system.body.hessians(T[free]) @ U[free][:, :, None])[:, :, 0]
     ncols = 4 * np.arange(F)[:, None] + np.arange(3)
     dcol = 4 * np.arange(F)[:, None] + 3
-    vcols = system.vert_off + 4 * np.arange(V)[:, None] + np.arange(4)
+    vcols = layout.vert_off + 4 * np.arange(V)[:, None] + np.arange(4)
     flag = F + np.arange(len(fv))[:, None]
-    fg = system.edge_faces.T
-    plane, tangency = system.edge_rows.T[:2, :, None], system.edge_rows[:, 3:]
+    fg = layout.edge_faces.T
+    plane, tangency = layout.edge_rows.T[:2, :, None], layout.edge_rows[:, 3:]
     blocks = [
         (np.arange(F)[:, None], ncols, 2.0 * N),
         (flag, ncols[ff], X[fv, 1:]),
@@ -262,7 +265,7 @@ def blockwise_jacobian(system, x: np.ndarray) -> sp.csc_matrix:
         (plane, dcol[fg], -1.0),
         (tangency, ncols[f], solver._cross(N[g], G)),
         (tangency, ncols[g], solver._cross(G, N[f])),
-        (system.edge_rows[free][:, :, None], system.tangent_cols[:, None],
+        (layout.edge_rows[free][:, :, None], layout.tangent_cols[:, None],
          np.stack([N[f][free], N[g][free], G[free], HU], axis=1)),
         (system.n_unknowns - V + np.arange(V)[:, None], vcols, 2.0 * X),
     ]
@@ -278,6 +281,19 @@ def face_circle_sizes(P: PolyhedralComplex, T: np.ndarray) -> np.ndarray:
     """Largest distance between two tangent points of each face."""
     return np.array([float(pdist(T[list(P.boundary_edges(f))]).max())
                      for f in range(P.n_faces)])
+
+
+def padded_face_circle_sizes(P: PolyhedralComplex,
+                             T: np.ndarray) -> np.ndarray:
+    """Largest distance between two tangent points of each face, as the
+    solver took it before its pair list: over all k x k differences of a
+    padded (F, k) table of boundary edges, k the longest boundary, shorter
+    faces padded with their own first edge."""
+    bounds = [P.boundary_edges(f) for f in range(P.n_faces)]
+    k = max(len(b) for b in bounds)
+    B = T[np.array([b + b[:1] * (k - len(b)) for b in bounds], dtype=int)]
+    D = B[:, :, None, :] - B[:, None, :, :]
+    return np.sqrt(np.sum(D * D, axis=-1)).max(axis=(1, 2))
 
 
 def degeneracy_guard(system, x, s):

@@ -5,17 +5,20 @@ conditions directly from the raw circle data, independently of the library's
 own residual helpers.
 """
 import dataclasses
+import importlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lift_oracle
+import radius_oracle
 from conftest import CANONICAL_MARKS, ball_solution, get_seed
 from solver_oracle import assemble_residual
 from midscribe.bodies import BodyChart, make_body
-from midscribe.mobius import is_infinity
+from midscribe.mobius import apply_mobius, is_infinity
 from midscribe import packing
 from midscribe.cli import main
 from midscribe.combinatorics import build_complex, select_frame
@@ -23,10 +26,13 @@ from midscribe.errors import (DegenerateMarks, LayoutInconsistency,
                               NonConvergence)
 from midscribe.io import complex_to_dict, format_complex
 from midscribe.packing import (
+    _CIRCLE_PARAMS,
+    _LINE_PARAMS,
     TWO_PI,
     _AngleSums,
     _box_structure,
     _circle,
+    _line,
     _mapped_caps,
     koebe_config,
     layout_circles,
@@ -365,6 +371,63 @@ def test_large_complex_radii_lay_out_and_lift(name):
     lift_normalize(pattern, CANONICAL_MARKS)
 
 
+def assert_same_radii(P, frame):
+    """solve_radii gives the triplet oracle's log radii, pinned node and
+    residual bit for bit."""
+    got = solve_radii(P, frame)
+    want, pinned, residual = radius_oracle.solve_radii(P, frame)
+    assert got.pinned == pinned
+    assert list(got.log_radii) == list(want)
+    assert np.array_equal(bits(list(got.log_radii.values())),
+                          bits(list(want.values())))
+    assert bits(got.residual) == bits(residual)
+
+
+@pytest.mark.parametrize("name", SEED_NAMES + tuple(GENERATED) + ("hull240",))
+def test_radii_match_the_triplet_oracle(name):
+    if name == "hull240":
+        points = sphere_hull_points(240, 20261240)
+        P = build_complex(faces_from_coordinates(points), n_vertices=240)
+        assert_same_radii(P, select_frame(P))
+    else:
+        assert_same_radii(*complex_and_frame(name))
+
+
+def test_radii_match_the_triplet_oracle_on_the_bench_corpus(monkeypatch):
+    """The generated complexes of the solve benchmark at three seeds, each
+    on the frame the benchmark solves it on."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "bench"))
+    corpus = importlib.import_module("corpus")
+    for seed in (2801, 5, 17):
+        instances = corpus.build_corpus(seed, seed_names=())
+        assert len(instances) == len(corpus.GENERATED)
+        for inst in instances:
+            assert_same_radii(inst.P, inst.frame)
+
+
+def test_layout_reuses_the_box_structure_of_its_radii(monkeypatch):
+    """layout_circles takes the node structure solve_radii built for the
+    same (P, frame), and builds its own for radii that carry none."""
+    P, _, frame = get_seed("cube")
+    radii = solve_radii(P, frame)
+    built = []
+    box_structure = packing._box_structure
+
+    def counted(*args):
+        built.append(args)
+        return box_structure(*args)
+
+    monkeypatch.setattr(packing, "_box_structure", counted)
+    shared = layout_circles(P, frame, radii)
+    assert built == []
+    fresh = layout_circles(P, frame, dataclasses.replace(radii, box=None))
+    assert built == [(P, frame)]
+    assert shared.vertex_circles == fresh.vertex_circles
+    assert shared.face_circles == fresh.face_circles
+    assert shared.tangency == fresh.tangency
+
+
 def test_radius_solve_nonconvergence_is_typed(monkeypatch):
     P, _, frame = get_seed("dodecahedron")
     monkeypatch.setattr(packing, "RADIUS_MAX_ITERATIONS", 1)
@@ -515,3 +578,113 @@ def test_failing_caps_raise_the_first_error(circles):
     with pytest.raises(DegenerateMarks) as got:
         _mapped_caps(circles, M)
     assert str(got.value) == str(want.value)
+
+
+def caps_or_error(make):
+    """The rows [n, d] that make() returns, or its DegenerateMarks message."""
+    try:
+        return np.column_stack(make())
+    except DegenerateMarks as exc:
+        return str(exc)
+
+
+def assert_caps_match_the_oracle(circles, M, monkeypatch):
+    """_mapped_caps gives one cap at a time's rows or error: returns its
+    rows or message and the boundary parameters it took, as (circle index,
+    t). They are the oracle's where it makes every cap, or has one circle:
+    on an error the oracle stops at the failing circle."""
+    taken = []
+
+    def recorded(circle, t):
+        taken.append((next(k for k, c in enumerate(circles) if c is circle),
+                      t))
+        return BOUNDARY_POINT(circle, t)
+
+    monkeypatch.setattr(packing.Circle, "boundary_point", recorded)
+    got = caps_or_error(lambda: _mapped_caps(circles, M))
+    got_taken, taken[:] = sorted(taken), []
+    want = caps_or_error(lambda: np.array(
+        [lift_oracle.mapped_cap(circle, M) for circle in circles]).T)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(bits(got), bits(want))
+    if len(circles) == 1 or not isinstance(want, str):
+        assert got_taken == sorted(taken)
+    return got, got_taken
+
+
+BOUNDARY_POINT = packing.Circle.boundary_point
+
+
+def pole_at(z):
+    """z -> 1 / (z - pole): the Mobius map with its pole at z."""
+    return np.array([[0.0, 1.0], [1.0, -z]], dtype=complex)
+
+
+DISK = _circle(0.3 + 0.2j, 0.7)
+WALL = _line(0.5j, 1 + 1j, 2.0 + 0j)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("circle, t", [
+    (DISK, _CIRCLE_PARAMS[0]), (DISK, _CIRCLE_PARAMS[2]),
+    (WALL, _LINE_PARAMS[1])], ids=["disk-first", "disk-last", "line"])
+def test_boundary_point_on_the_pole_is_moved(monkeypatch, circle, t):
+    """A boundary point that maps to infinity is moved along the circle by
+    0.123, as one cap at a time moved it."""
+    M = pole_at(circle.boundary_point(t))
+    assert is_infinity(apply_mobius(M, circle.boundary_point(t)))
+    caps, taken = assert_caps_match_the_oracle(
+        [_circle(-1.0 + 0j, 0.2), circle], M, monkeypatch)
+    assert not isinstance(caps, str)
+    assert (1, t + 0.123) in taken and len(taken) == 7
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_boundary_points_past_the_bound_use_up_the_retries(monkeypatch):
+    """Every boundary point maps beyond 1e30 however often it is moved, so
+    all eight retries run; the lifts then span no plane. DISK has no usable
+    witness either, and whichever circle comes first decides the error."""
+    M = np.array([[1e31, 0.0], [0.0, 1.0]], dtype=complex)
+    unit = _circle(0j, 1.0)
+    for circles in ([unit], [unit, DISK]):
+        message, taken = assert_caps_match_the_oracle(circles, M, monkeypatch)
+        assert "do not span a unique plane" in message
+        assert len(taken) == 3 * 9 * len(circles)
+    tried = _CIRCLE_PARAMS[0]
+    for _ in range(8):
+        tried += 0.123
+    assert (0, tried) in taken
+    message, _ = assert_caps_match_the_oracle([DISK, unit], M, monkeypatch)
+    assert message == "no usable interior witness for a circle"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", ["disk-center", "line-first", "tiny-disk",
+                                  "none-left"])
+def test_unusable_first_witnesses_are_skipped(monkeypatch, case):
+    """Witnesses that map to infinity or beyond 1e12 are passed over for
+    the next one, or fail the circle when none is left, as one cap at a
+    time did."""
+    if case == "disk-center":  # the center maps to infinity
+        circles, M = [DISK], pole_at(DISK.center)
+    elif case == "line-first":
+        n = WALL.disk_side_normal()
+        circles = [DISK, WALL]
+        M = pole_at(WALL.point + n * 1.0 + WALL.direction * 0.1 * 1.0)
+    elif case == "tiny-disk":
+        # pole at the second witness; the first maps beyond 1e12 and the
+        # third is the first usable one
+        tiny = _circle(0.1 + 0.1j, 2.8e-12)
+        circles, M = [tiny], pole_at(tiny.center + 0.31 * tiny.radius)
+    else:  # every witness maps beyond 1e12
+        tiny = _circle(0.1 + 0.1j, 1e-13)
+        circles, M = [DISK, tiny], pole_at(tiny.center)
+    assert_caps_match_the_oracle(circles, M, monkeypatch)
+    if case in ("disk-center", "line-first"):
+        assert not isinstance(caps_or_error(lambda: _mapped_caps(circles, M)),
+                              str)
+    if case == "none-left":
+        assert (caps_or_error(lambda: _mapped_caps(circles, M))
+                == "no usable interior witness for a circle")

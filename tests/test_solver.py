@@ -25,6 +25,7 @@ from midscribe.bodies import BodyChart, make_body, make_path
 from midscribe.errors import (
     DegenerateConfiguration,
     DegenerateMarks,
+    DimensionMismatch,
     NoDecrease,
     SolverError,
     StepUnderflow,
@@ -275,7 +276,7 @@ def test_s_derivative_matches_central_difference(name, desc, marks):
             - system_at(s - h).residual(x)) / (2.0 * h)
     got = system.s_derivative(x, system.terms(x), path.start, path.end)
     assert np.max(np.abs(got - want)) < 1e-8
-    marked_rows = system.edge_rows[system.marked][:, [0, 1, 3]]
+    marked_rows = system.layout.edge_rows[system.layout.marked][:, [0, 1, 3]]
     assert np.any(got[marked_rows] != 0.0)
 
 
@@ -542,6 +543,72 @@ def test_p4_continuation_avoids_the_collapsed_edge():
     assert result.contact_graph_primal_ok and result.contact_graph_dual_ok
 
 
+def _random_ellipsoid_instances(count, v_max, seed):
+    """count instances (n, hull seed, a, b, marks): hulls of n random
+    points on the sphere, n from 12 to v_max, on ellipsoid:a,b with a and
+    b in [0.5, 2], at marks in [-2, 2]^2, all drawn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(12, v_max + 1))
+        hull_seed = int(rng.integers(2 ** 31))
+        a, b = (float(v) for v in rng.uniform(0.5, 2.0, size=2))
+        marks = tuple(complex(x, y)
+                      for x, y in rng.uniform(-2.0, 2.0, size=(3, 2)))
+        yield n, hull_seed, a, b, marks
+
+
+ELLIPSOID_SET = tuple(_random_ellipsoid_instances(32, 40, 1010))
+
+
+def _relative_error(positions, want):
+    return float(np.max(np.linalg.norm(positions - want, axis=1)
+                        / (1.0 + np.linalg.norm(want, axis=1))))
+
+
+def test_random_ellipsoid_instances_end_at_the_closed_form():
+    """Each run of the seeded set ends within 1e-9 of the exact answer, or
+    fails with a typed SolverError that names where it stopped."""
+    for n, hull_seed, a, b, marks in ELLIPSOID_SET:
+        P, frame = _hull(n, hull_seed)
+        path = make_path(make_body("ellipsoid:a=%r,b=%r" % (a, b)))
+        try:
+            cfg, report = continue_to_body(P, frame, marks, path)
+        except SolverError as exc:
+            assert "s=" in str(exc), (n, hull_seed, str(exc))
+            continue
+        positions, finite = cfg.affine_vertices()
+        assert report.converged and finite.all()
+        want = ellipsoid_closed_form(P, frame, marks, a, b)
+        assert _relative_error(positions, want) < 1e-9, (n, hull_seed)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_every_accepted_step_lies_on_the_exact_branch(monkeypatch, k):
+    """The blend at s of the ball and ellipsoid:a,b is the ellipsoid with
+    semi-axes (1 - s + s/a^2)^(-1/2) and (1 - s + s/b^2)^(-1/2), so each
+    accepted step's answer is known in closed form; each lies within 1e-9
+    of it. The steps are read where the deferred audit gets them."""
+    n, hull_seed, a, b, marks = ELLIPSOID_SET[k]
+    P, frame = _hull(n, hull_seed)
+    audited = []
+    monkeypatch.setattr(solver, "_worst_condition",
+                        lambda system, steps: audited.append(steps)
+                        or (float("nan"), 0))
+    _, report = continue_to_body(
+        P, frame, marks, make_path(make_body("ellipsoid:a=%r,b=%r" % (a, b))))
+    report.rank_deficiency
+    steps, = audited
+    assert len(steps) == len(report.step_history) > 2
+    for (s, _, _), (body, marked_points, x) in zip(report.step_history, steps):
+        system = ConstraintSystem(P, frame, marked_points, body)
+        positions, finite = system.unpack(x).affine_vertices()
+        assert finite.all()
+        want = ellipsoid_closed_form(P, frame, marks,
+                                     (1.0 - s + s / a ** 2) ** -0.5,
+                                     (1.0 - s + s / b ** 2) ** -0.5)
+        assert _relative_error(positions, want) < 1e-9, s
+
+
 REUSE_CASES = SEED_NAMES + ("hull12", "prism8")
 
 
@@ -561,24 +628,63 @@ def _ellipsoid_solution(name):
 @pytest.mark.parametrize("name", REUSE_CASES)
 def test_continue_from_pattern_matches_continue_to_body(name):
     """One planar packing serves every choice of marks: continuing from a
-    shared layout, after it has already served other marks, gives the same
-    bits as solving the packing afresh."""
+    shared packing and its system layout, after they have already served
+    other marks, gives the same bits and steps as solving the packing
+    afresh on a fresh ConstraintSystem."""
     P, frame, cfg_a = _ellipsoid_solution(name)
     _, report_a = continue_to_body(P, frame, CANONICAL_MARKS,
                                    _ellipsoid_path())
     planar = layout_circles(P, frame, solve_radii(P, frame))
+    assert planar.system_layout is None
     try:
         continue_from_pattern(planar, (0.4 + 0.3j, 1.6 + 0j, -0.5 + 1.1j),
                               _ellipsoid_path())
     except SolverError:
         pass
+    layout = planar.system_layout
+    assert isinstance(layout, solver.SystemLayout)
     cfg_b, report_b = continue_from_pattern(planar, CANONICAL_MARKS,
                                             _ellipsoid_path())
+    assert planar.system_layout is layout
     for part in ("normals", "offsets", "vertices4", "tangents",
                  "marked_points"):
-        assert np.array_equal(getattr(cfg_a, part), getattr(cfg_b, part))
+        assert np.array_equal(getattr(cfg_a, part).view(np.int64),
+                              getattr(cfg_b, part).view(np.int64))
     assert cfg_a.marked_edges == cfg_b.marked_edges
+    assert report_a.step_history == report_b.step_history
     assert repr(report_a) == repr(report_b)
+
+
+def test_systems_on_one_layout_keep_their_own_jacobian():
+    """Two systems share a layout but not their Jacobian's data; each still
+    gives what a system with a layout of its own gives."""
+    P, frame = complex_and_frame("hull12")
+    layout = solver.SystemLayout(P, frame)
+    rng = np.random.default_rng(3)
+    systems = [ConstraintSystem(P, frame, rng.normal(size=(3, 3)),
+                                make_body(desc), layout)
+               for desc in ("ball", "ellipsoid:a=1.2,b=1.0")]
+    x = rng.normal(size=layout.n_unknowns)
+    J0 = systems[0].jacobian(x)
+    before = J0.data.copy()
+    J1 = systems[1].jacobian(x)
+    assert J1 is not J0 and not np.array_equal(J1.data, before)
+    assert np.array_equal(J0.data, before)
+    for system in systems:
+        alone = ConstraintSystem(P, frame, system.marked_points, system.body)
+        assert system.layout is layout and alone.layout is not layout
+        assert np.array_equal(system.residual(x), alone.residual(x))
+        got, want = system.jacobian(x), alone.jacobian(x)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
+def test_layout_of_another_complex_is_refused():
+    P, frame = complex_and_frame("cube")
+    other, other_frame = complex_and_frame("hull12")
+    with pytest.raises(DimensionMismatch, match="layout"):
+        ConstraintSystem(P, frame, np.eye(3), make_body("ball"),
+                         solver.SystemLayout(other, other_frame))
 
 
 def _guard_outcomes(system, x):
@@ -596,7 +702,7 @@ def _guard_outcomes(system, x):
 
 @pytest.mark.parametrize("name", REUSE_CASES)
 def test_degeneracy_guard_matches_face_loop(monkeypatch, name):
-    """The padded face table gives the loop's face sizes bit for bit, and
+    """The face pair list gives the loop's face sizes bit for bit, and
     the same first failing face and message at every threshold."""
     P, frame, cfg = _ellipsoid_solution(name)
     system = ConstraintSystem(P, frame, cfg.marked_points,
@@ -604,12 +710,33 @@ def test_degeneracy_guard_matches_face_loop(monkeypatch, name):
     x = system.pack(cfg)
     T = system.tangents(x)
     sizes = solver_oracle.face_circle_sizes(P, T)
-    assert np.array_equal(_face_circle_sizes(T, system.face_edges), sizes)
+    assert np.array_equal(_face_circle_sizes(T, system.layout), sizes)
     for limit in [0.0] + sorted(set(sizes.tolist())):
         monkeypatch.setattr(solver, "MIN_FACE_CIRCLE_SIZE", limit)
         outcomes = _guard_outcomes(system, x)
         assert outcomes[0] == outcomes[1]
         assert (outcomes[0] is None) == (limit < sizes.min())
+
+
+@pytest.mark.parametrize("name", SEED_NAMES + (
+    "hull12", "hull20", "prism8", "antiprism15", "hull60", "hull120",
+    "hull240"))
+def test_face_pair_sizes_match_the_padded_table(name):
+    """Over each face's pairs i < j the face sizes equal, bit for bit, the
+    maxima over the padded (F, k, k) table of differences they replaced,
+    at the ball's tangent points and at random ones."""
+    if name == "hull240":
+        P, frame = _hull(240, 20261240)
+    else:
+        P, frame = complex_and_frame(name)
+    layout = solver.SystemLayout(P, frame)
+    planar = layout_circles(P, frame, solve_radii(P, frame))
+    ball = koebe_config(lift_normalize(planar, CANONICAL_MARKS)).tangents
+    noise = np.random.default_rng(7).normal(size=ball.shape)
+    for T in (ball, noise):
+        assert np.array_equal(
+            _face_circle_sizes(T, layout).view(np.int64),
+            solver_oracle.padded_face_circle_sizes(P, T).view(np.int64))
 
 
 @pytest.mark.parametrize("name", REUSE_CASES)

@@ -1,7 +1,8 @@
 """``midscribe sweep``: shared per-process state, the pool path, failures.
 
-A sweep builds the complex, the body, its path and the planar ball packing
-once per process and continues every grid cell from that packing. The
+A sweep builds the complex, the body, its path, the planar ball packing
+and the packing's system layout once per process and continues every grid
+cell from that packing. The
 per-cell reference below is the sweep cell as it was before that reuse: it
 rebuilds everything in every cell. The sweep's CSV must match it byte for
 byte.
@@ -19,7 +20,8 @@ from midscribe.cli import main
 from midscribe.combinatorics import build_complex, select_frame
 from midscribe.errors import InputError, SolverError
 from midscribe.io import sweep_csv_text
-from midscribe.solver import continue_to_body
+from midscribe.packing import layout_circles, solve_radii
+from midscribe.solver import continue_from_pattern, continue_to_body
 from midscribe.verify import check_convexity, check_midscription
 from test_solver import count_condition_calls
 
@@ -84,6 +86,59 @@ def test_in_process_sweep_builds_once_and_matches_reference(tmp_path,
     assert counts == {"build_complex": 1, "make_path": 1, "solve_radii": 1}
     assert cli._SWEEP is None
     assert out.read_text() == reference_csv(ELLIPSOID)
+
+
+def test_in_process_sweep_builds_the_system_layout_once(tmp_path,
+                                                       monkeypatch):
+    """The cells continue from one planar packing, which carries one system
+    layout: a k x k sweep builds it once and one ConstraintSystem per
+    cell, and writes the bytes of the per-cell rebuild."""
+    monkeypatch.setenv("MIDSCRIBE_THREADS", "1")
+    builds = {"layout": 0, "system": 0}
+    layout_init = solver.SystemLayout.__init__
+    system_init = solver.ConstraintSystem.__init__
+
+    def counted_layout(self, *args):
+        builds["layout"] += 1
+        layout_init(self, *args)
+
+    def counted_system(self, *args):
+        builds["system"] += 1
+        system_init(self, *args)
+
+    monkeypatch.setattr(solver.SystemLayout, "__init__", counted_layout)
+    monkeypatch.setattr(solver.ConstraintSystem, "__init__", counted_system)
+    out = tmp_path / "sweep.csv"
+    assert run_sweep(out, ELLIPSOID, grid=4) == 0
+    assert builds == {"layout": 1, "system": 16}
+    assert out.read_text() == reference_csv(ELLIPSOID, grid=4)
+
+
+def test_threads_continuing_from_one_pattern_match_sequential():
+    """Two threads continuing from one planar packing, and so from one
+    system layout, get the sequential runs' results bit for bit."""
+    P, _, frame = get_seed("cube")
+    path = make_path(make_body(ELLIPSOID))
+    marks = [(0j, 1 + 0j, complex(x, y))
+             for x in (-1.5, 0.2, 1.3) for y in (-1.0, 0.7)]
+
+    def outcome(planar, z):
+        try:
+            cfg, report = continue_from_pattern(planar, z, path)
+        except SolverError as exc:
+            return repr(exc)
+        return ([getattr(cfg, part).tobytes() for part in
+                 ("normals", "offsets", "vertices4", "tangents",
+                  "marked_points")], report.step_history,
+                report.steps_rejected, report.iterations)
+
+    sequential = [outcome(layout_circles(P, frame, solve_radii(P, frame)), z)
+                  for z in marks]
+    planar = layout_circles(P, frame, solve_radii(P, frame))
+    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(lambda z: outcome(planar, z), marks))
+    assert isinstance(planar.system_layout, solver.SystemLayout)
+    assert threaded == sequential
 
 
 def test_pool_sweep_matches_in_process(tmp_path, monkeypatch):
