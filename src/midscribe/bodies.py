@@ -35,6 +35,10 @@ RAY_NEWTON_ITERATIONS = 60
 # which reaches 1e-14*hi in at most 47 halvings, so the cap only stops a
 # bisection that cannot converge.
 CHART_BISECTION_ITERATIONS = 100
+# Newton steps per chord in _root_estimates. A ball or ellipsoid blend's
+# chord is certified at the bracket's seed and takes none; a p = 4 blend's
+# takes about four.
+CHART_NEWTON_STEPS = 8
 # The support-point ascent of ConvexBody.supports: steps allowed per row,
 # and halvings of one step before a row counts as at its maximum.
 SUPPORT_ITERATIONS = 60
@@ -567,19 +571,28 @@ def _bisect_polish(body: ConvexBody, origins, dirs, lo, hi) -> np.ndarray:
     else:
         raise RootNotFound("bisection did not converge in %d steps"
                            % CHART_BISECTION_ITERATIONS)
-    t = 0.5 * (lo + hi)
-    for _ in range(2):
-        X = origins + t[:, None] * dirs
-        slope = _rowdot(body.gradients(X), dirs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(slope != 0, t - body.values(X) / slope, t)
+    return _newton_polish(body, origins, dirs, 0.5 * (lo + hi))
+
+
+def _newton_polish(body: ConvexBody, origins, dirs, t,
+                   values=None) -> np.ndarray:
+    """Two Newton steps on F(o + t d) from t, a step skipped at a zero
+    slope; values, when given, are the gauge at the start points."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            X = origins + t[:, None] * dirs
+            slope = _rowdot(body.gradients(X), dirs)
+            f = body.values(X) if values is None else values
+            t = np.where(slope != 0, t - f / slope, t)
+            values = None
     return t
 
 
-def _bisect_chords(body: ConvexBody, origins, dirs, lo, hi,
+def _bisect_chords(body: ConvexBody, origin, dirs, lo, hi,
                    seed) -> np.ndarray:
     """The roots of _bisect_polish, bit for bit, for the few chords of a
-    chart inverse, in a few values calls instead of one per halving.
+    chart inverse from one point origin (3,), in a few values calls instead
+    of one per halving.
 
     _verified_bisection halves each wide row (the test of _wide) until it
     is narrow, steered by _root_estimates from seed in the first round and
@@ -587,25 +600,24 @@ def _bisect_chords(body: ConvexBody, origins, dirs, lo, hi,
     halvings raises the same RootNotFound as _bisect_polish, which then
     polishes the narrow brackets.
     """
-    origins = np.broadcast_to(origins, dirs.shape)
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     wide = np.flatnonzero(_wide(lo, hi))
-    o, d = origins[wide], dirs[wide]
+    d = dirs[wide]
     seeds = [np.asarray(seed, dtype=float)[wide]]
 
     def estimate(rows, l, h):
         t0 = seeds.pop()[rows] if seeds else h
-        return _root_estimates(body, o[rows], d[rows], l, h, t0)
+        return _root_estimates(body, origin, d[rows], l, h, t0)
 
     lo[wide], hi[wide] = _verified_bisection(
-        lambda rows, mids: body.values(o[rows] + mids[:, None] * d[rows]) < 0,
+        lambda rows, mids: body.values(origin + mids[:, None] * d[rows]) < 0,
         lo[wide], hi[wide], estimate, CHART_BISECTION_ITERATIONS - 1,
         lambda l, h, mid: h - l <= 1e-14 * max(1.0, h))
     if _wide(lo, hi).any():
         raise RootNotFound("bisection did not converge in %d steps"
                            % CHART_BISECTION_ITERATIONS)
     # every bracket is narrow, so this only polishes
-    return _bisect_polish(body, origins, dirs, lo, hi)
+    return _bisect_polish(body, origin, dirs, lo, hi)
 
 
 def _wide(lo, hi):
@@ -680,25 +692,73 @@ def _verified_bisection(below, lo, hi, estimate, budget, narrow):
     return lo, hi
 
 
-def _root_estimates(body: ConvexBody, origins, dirs, lo, hi,
-                    t0) -> np.ndarray:
-    """Estimates of the roots of F(o + t d) in brackets [lo, hi]: at most 8
-    Newton steps from t0, all rows together, until every step is at most
-    1e-12 t; a non-finite step keeps t. The estimates are clipped into
-    [lo, hi]. They only steer _bisect_chords' verified bisection, which
-    checks each halving they predict, so an estimate may be poor but never
-    costs a bit.
+def _root_estimates(body: ConvexBody, origin, dirs, lo, hi, t0,
+                    f0=None) -> np.ndarray:
+    """Newton on f(t) = F(origin + t d) from t0, row by row, each step
+    clipped into the row's bracket [lo, hi]; origin is one point (3,) and
+    f0, when given, the gauge at the start points. A row stops once a step
+    moves t by at most 1e-8 t, when its step is not finite (t stays), or
+    after CHART_NEWTON_STEPS steps, so its result depends on that row
+    alone. Newton converges quadratically on these convex chords, so the
+    step after one of 1e-8 t would be near rounding.
+
+    BodyChart.inverse takes the result as its root wherever
+    _certified_chords confirms it; elsewhere it only steers
+    _bisect_chords' verified bisection, which checks each halving it
+    predicts, so an estimate may be poor but never costs a bit.
     """
-    t = t0
+    t, f = np.array(t0, dtype=float), f0
+    todo = np.arange(len(t))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(8):
-            X = origins + t[:, None] * dirs
-            step = body.values(X) / _rowdot(body.gradients(X), dirs)
-            step = np.where(np.isfinite(step), step, 0.0)
-            t = t - step
-            if np.all(np.abs(step) <= 1e-12 * t):
+        for _ in range(CHART_NEWTON_STEPS):
+            if not todo.size:
                 break
-    return np.minimum(np.maximum(t, lo), hi)
+            X = origin + t[todo, None] * dirs[todo]
+            f = body.values(X) if f is None else f
+            step = f / _rowdot(body.gradients(X), dirs[todo])
+            f = None
+            old = t[todo]
+            new = np.where(np.isfinite(step), np.minimum(
+                np.maximum(old - step, lo[todo]), hi[todo]), old)
+            t[todo] = new
+            todo = todo[np.abs(new - old) > 1e-8 * new]
+    return t
+
+
+def _certified_chords(body: ConvexBody, dirs, lo, hi, t):
+    """(closed, mids, values) for the chords N + t d from root estimates t
+    in their brackets [lo, hi]: a chord closes when the gauge changes sign
+    across the narrow bisection bracket that holds its estimate; mids are
+    those brackets' midpoints and values the gauge there, where the polish
+    of _bisect_polish starts.
+
+    Bisecting [lo, hi] n times gives the brackets [lo + k w, lo + (k + 1) w]
+    with w = (hi - lo) 2^-n; n is the first level at which w is at most
+    1e-14 max(1, hi), found exactly from the exponents of both, and k is
+    read off the estimate. One values call takes the gauge at both ends
+    and at the midpoint: F < 0 at the lower end and F >= 0 at the upper
+    one close the row. f(t) = F(N + t d) is convex with f(0) = 0 and
+    f'(0) < 0, so its one positive root lies in that bracket. When hi = 1,
+    as on every body between the planes z = -1 and z = 1, the bisection's
+    midpoints are exact, so wherever its computed signs change only once
+    (every root farther than F's rounding from a midpoint of the bisection)
+    it ends in this bracket, and the polished root is the one
+    _bisect_chords gives, bit for bit.
+    """
+    span = hi - lo
+    m_span, e_span = np.frexp(span)
+    m_bound, e_bound = np.frexp(1e-14 * np.maximum(1.0, hi))
+    n = np.maximum(e_span - e_bound + (m_span > m_bound), 0)
+    width = np.ldexp(span, -n)
+    k = np.minimum(np.maximum(np.ceil((t - lo) / width) - 1.0, 0.0),
+                   np.ldexp(1.0, n) - 1.0)
+    ends = np.empty((3, len(t)))
+    ends[0] = lo + k * width
+    ends[1] = ends[0] + width
+    ends[2] = 0.5 * (ends[0] + ends[1])
+    f = body.values((_CHORD_ORIGIN + ends[..., None] * dirs).reshape(-1, 3))
+    f = f.reshape(3, -1)
+    return (f[0] < 0) & (f[1] >= 0), ends[2], f[2]
 
 
 def _chord_seeds(lo, hi, f_lo, f_hi) -> np.ndarray:
@@ -759,10 +819,21 @@ class BodyChart:
 
         Infinity maps to N. Each chord N + t (x, y, -2) is bracketed by
         doubling hi from 1 until F >= 0, then halving lo from hi/2 until
-        F < 0; the gauge values at the bracket's ends seed each root
-        (_chord_seeds), and _bisect_chords then bisects every chord in a
-        few batched rounds of predicted and verified halvings and polishes
-        the roots.
+        F < 0, and its root t is the one a bisection of that bracket to
+        width 1e-14 max(1, hi), polished by two Newton steps, would give.
+        The gauge values at the bracket's ends seed the root (_chord_seeds:
+        the root itself on every ball and ellipsoid blend), and one values
+        call certifies the narrow bisection bracket that holds the seed by
+        the gauge's signs at its ends (_certified_chords). Rows it leaves
+        open, such as those of a p = 4 blend, take Newton inside their
+        bracket from there (_root_estimates) and a second certificate.
+        Certified rows are polished from their bracket's midpoint as
+        _bisect_polish does, so the roots are the bisection's bit for bit
+        on every chord with hi = 1, except where F's rounding straddles a
+        midpoint of the bisection.
+        A row still open goes to _bisect_chords, which bisects it bit for
+        bit as a lockstep bisection would, in a few batched rounds of
+        predicted and verified halvings.
         """
         zs = [complex(z) for z in zs]
         out = np.tile(NORTH_POLE, (len(zs), 1))
@@ -793,9 +864,27 @@ class BodyChart:
             lo[todo] /= 2.0
         else:
             raise RootNotFound("cannot bracket the chord intersection")
-        t = _bisect_chords(body, _CHORD_ORIGIN, d, lo, hi,
-                           _chord_seeds(lo, hi, f_lo, f_hi))
-        out[rows] = _CHORD_ORIGIN + t[:, None] * d
+        t = _chord_seeds(lo, hi, f_lo, f_hi)
+        closed, mids, f_mid = _certified_chords(body, d, lo, hi, t)
+        todo = np.flatnonzero(~closed)
+        if todo.size:
+            # Newton starts from the bracket's midpoint, whose gauge value
+            # the certificate took
+            t[todo] = _root_estimates(body, _CHORD_ORIGIN, d[todo], lo[todo],
+                                      hi[todo], mids[todo], f_mid[todo])
+            newly, mids[todo], f_mid[todo] = _certified_chords(
+                body, d[todo], lo[todo], hi[todo], t[todo])
+            closed[todo] = newly
+            todo = todo[~newly]
+        if not todo.size:
+            roots = _newton_polish(body, _CHORD_ORIGIN, d, mids, f_mid)
+        else:
+            roots = np.empty(len(d))
+            roots[closed] = _newton_polish(body, _CHORD_ORIGIN, d[closed],
+                                           mids[closed], f_mid[closed])
+            roots[todo] = _bisect_chords(body, _CHORD_ORIGIN, d[todo],
+                                         lo[todo], hi[todo], t[todo])
+        out[rows] = _CHORD_ORIGIN + roots[:, None] * d
         return out
 
 

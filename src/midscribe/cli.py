@@ -59,9 +59,14 @@ class _Parser(argparse.ArgumentParser):
 _BARE_I = re.compile(r"(?<![0-9a-zA-Z_.])i\b")
 # The chart's chord point N + t (x, y, -2) has height 1 - 2 t, which
 # resolves the chord parameter t ~ 4 / |z|^2 of a mark z only while that is
-# well above eps: at |z| = 1e7 a mark is pinned about 3e-4 off, and at 1e8
-# t is 4e-16. So a mark, or a corner of a sweep's grid box, must be smaller.
-MAX_MARK = 1e8
+# well above eps. Rounding 1 - 2 t alone moves forward(inverse(z)) by up to
+# about 7e-18 |z|^3 on the ball, and from about 2e7 on the root t drowns in
+# the gauge's rounding near N. So a mark, or a corner of a sweep's grid
+# box, must be below 1e7: the largest power of ten at which the chart
+# round-trips z within 1e-10 |z|^2 on the ball, the tested ellipsoids and
+# p = 4 bodies, and their blends. A semi-axis a < 1 shrinks t by about a^2,
+# so a narrower ellipsoid loses more.
+MAX_MARK = 1e7
 
 
 def parse_marks(text: str) -> tuple[complex, complex, complex]:

@@ -473,36 +473,46 @@ def _propagate(P, box, r, centers, tangency):
     u = (c_L - c_v)/(r_v - i r_L) normalized: the edge tangency is
     c_v + r_v u, the far vertex center c_v + (r_v + r_w) u, and the right
     face center t + i r_R u.
+
+    Each pass takes the darts in edge order, the two of an edge in turn,
+    and a dart whose vertex and left face are placed places whichever of
+    the three is missing; passes repeat until one places nothing. A dart
+    whose vertex or left face is a wall never places anything, and one that
+    has placed its three never places anything again, so a pass walks only
+    the darts still waiting for their vertex or left face: every circle is
+    placed by the same dart, in the same pass, as by walking them all.
     """
     walls = {("v", box.v_left), ("v", box.v_right),
              ("f", box.f0), ("f", box.g_top)}
-
-    def finite(node):
-        return node not in walls
+    waiting = []
+    for e, (a, b) in enumerate(P.edges):
+        for (v, w) in ((a, b), (b, a)):
+            nv, nL = ("v", v), ("f", P.face_of_dart[(v, w)])
+            if nv not in walls and nL not in walls:
+                waiting.append((e, nv, nL, ("v", w),
+                                ("f", P.face_of_dart[(w, v)])))
 
     for _ in range(P.n_edges + 2):
         progress = False
-        for e, (a, b) in enumerate(P.edges):
-            for (v, w) in ((a, b), (b, a)):
-                L = P.face_of_dart[(v, w)]
-                R = P.face_of_dart[(w, v)]
-                nv, nL, nw, nR = ("v", v), ("f", L), ("v", w), ("f", R)
-                if not (finite(nv) and finite(nL)):
-                    continue
-                if nv not in centers or nL not in centers:
-                    continue
-                u = (centers[nL] - centers[nv]) / complex(r[nv], -r[nL])
-                u /= abs(u)
-                t = centers[nv] + r[nv] * u
-                if e not in tangency:
-                    tangency[e] = t
-                    progress = True
-                if finite(nw) and nw not in centers:
-                    centers[nw] = centers[nv] + (r[nv] + r[nw]) * u
-                    progress = True
-                if finite(nR) and nR not in centers:
-                    centers[nR] = t + 1j * r[nR] * u
-                    progress = True
+        still = []
+        for dart in waiting:
+            e, nv, nL, nw, nR = dart
+            if nv not in centers or nL not in centers:
+                still.append(dart)
+                continue
+            u = (centers[nL] - centers[nv]) / complex(r[nv], -r[nL])
+            u /= abs(u)
+            t = centers[nv] + r[nv] * u
+            if e not in tangency:
+                tangency[e] = t
+                progress = True
+            if nw not in walls and nw not in centers:
+                centers[nw] = centers[nv] + (r[nv] + r[nw]) * u
+                progress = True
+            if nR not in walls and nR not in centers:
+                centers[nR] = t + 1j * r[nR] * u
+                progress = True
+        waiting = still
         if not progress:
             break
     missing = [u for u in box.nodes if u not in centers]

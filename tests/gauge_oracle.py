@@ -7,9 +7,13 @@ per-point gauge formulas of Ball, Ellipsoid, Superellipsoid and GaugeBlend
 (scalar_value, scalar_gradient, scalar_hessian), the point-at-a-time chord
 inverse (chart_inverse) and the per-edge line search (line_minimum, run
 over every edge by tangency). The tests require the batched code to equal
-them bit for bit. bisected_line_minimum is the line search the Newton
-certificate replaced, a least-squares point and bisection of the slope on
-every line; the certified minima must agree with it to rounding.
+them bit for bit. bisected_chart_inverse is the chord inverse its sign
+certificate replaced, bisection of every chord; the certified inverse
+gives its roots bit for bit wherever the gauge's rounding does not
+straddle a midpoint of the bisection. bisected_line_minimum is the line
+search the Newton certificate replaced, a least-squares point and
+bisection of the slope on every line; the certified minima must agree
+with it to rounding.
 bisect_polish and bisect_slopes are the lockstep bisections, one gauge
 call per halving, that the predicted-and-verified
 bodies._verified_bisection replaced: in the chart inverse
@@ -22,8 +26,9 @@ import math
 
 import numpy as np
 
-from midscribe.bodies import (CHART_BISECTION_ITERATIONS, Ball, Ellipsoid,
-                              GaugeBlend, Superellipsoid, _rowdot)
+from midscribe.bodies import (CHART_BISECTION_ITERATIONS, CHART_NEWTON_STEPS,
+                              Ball, Ellipsoid, GaugeBlend, Superellipsoid,
+                              _rowdot)
 from midscribe.errors import RootNotFound
 from midscribe.verify import LINE_BISECTIONS
 
@@ -81,17 +86,79 @@ def _ellipsoid_m(body):
 
 def chart_inverse(body, z):
     """Boundary point over one chart coordinate z, one chord point at a
-    time: double hi, halve lo, bisect, two Newton steps."""
+    time, as BodyChart.inverse places it: double hi, halve lo, seed the
+    root from the bracket, and certify the narrow bisection bracket that
+    holds the seed by the gauge's signs at its ends; if that fails, Newton
+    from its midpoint and certify again; if that fails too, bisect as
+    bisected_chart_inverse does. A certified root is polished from its
+    bracket's midpoint."""
     if cmath.isinf(z):
         return np.array([0.0, 0.0, 1.0])
+    point, g, d = _chord(body, z)
+    lo, hi, f_lo, f_hi = _chord_bracket(g)
+    closed, mid, f_mid = _certified_chord(g, lo, hi,
+                                          _chord_seed(lo, hi, f_lo, f_hi))
+    if not closed:
+        t, f = mid, f_mid
+        for _ in range(CHART_NEWTON_STEPS):
+            q = point(t)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = (scalar_value(body, q) if f is None else f) / (
+                    scalar_gradient(body, q) @ d)
+            f = None
+            new = min(max(t - step, lo), hi) if math.isfinite(step) else t
+            moved = abs(new - t) > 1e-8 * new
+            t = new
+            if not moved:
+                break
+        closed, mid, f_mid = _certified_chord(g, lo, hi, t)
+        if not closed:
+            return point(_bisected_chord(body, point, g, d, lo, hi))
+    return point(_polish(body, point, d, mid, f_mid))
+
+
+def _certified_chord(g, lo, hi, t):
+    """(closed, midpoint, g there) of the bracket [lo + k w, lo + (k + 1) w]
+    holding t, w = (hi - lo) 2^-n at the first n where w <= 1e-14 max(1,
+    hi): closed where g < 0 at its lower end and g >= 0 at its upper one."""
+    span = hi - lo
+    m_span, e_span = math.frexp(span)
+    m_bound, e_bound = math.frexp(1e-14 * max(1.0, hi))
+    n = max(e_span - e_bound + (m_span > m_bound), 0)
+    width = math.ldexp(span, -n)
+    k = min(max(float(math.ceil((t - lo) / width)) - 1.0, 0.0),
+            math.ldexp(1.0, n) - 1.0)
+    left = lo + k * width
+    right = left + width
+    mid = 0.5 * (left + right)
+    return g(left) < 0 and g(right) >= 0, mid, g(mid)
+
+
+def bisected_chart_inverse(body, z):
+    """Boundary point over one chart coordinate z, one chord point at a
+    time, as BodyChart.inverse placed it before its Newton certificate:
+    double hi, halve lo, bisect, two Newton steps."""
+    if cmath.isinf(z):
+        return np.array([0.0, 0.0, 1.0])
+    point, g, d = _chord(body, z)
+    lo, hi, _, _ = _chord_bracket(g)
+    return point(_bisected_chord(body, point, g, d, lo, hi))
+
+
+def _chord(body, z):
+    """(point(t), the gauge g(t) at it, the direction d) of the chord
+    N + t (Re z, Im z, -2)."""
     x, y = z.real, z.imag
 
     def point(t):
         return np.array([t * x, t * y, 1.0 - 2.0 * t])
 
-    def g(t):
-        return scalar_value(body, point(t))
+    return point, lambda t: scalar_value(body, point(t)), np.array([x, y, -2.0])
 
+
+def _chord_bracket(g):
+    """(lo, hi, g(lo), g(hi)): hi doubled from 1 until g >= 0, then lo
+    halved from hi / 2 until g < 0."""
     hi = 1.0
     for _ in range(200):
         if g(hi) >= 0:
@@ -106,6 +173,24 @@ def chart_inverse(body, z):
         lo /= 2.0
     else:
         raise RootNotFound("cannot bracket the chord intersection")
+    return lo, hi, g(lo), g(hi)
+
+
+def _chord_seed(lo, hi, f_lo, f_hi):
+    """The other root of a t^2 + b t through (lo, f_lo) and (hi, f_hi),
+    clipped into [lo, hi]; hi where it is not finite."""
+    slope_lo = f_lo / lo
+    a = (f_hi / hi - slope_lo) / (hi - lo)
+    try:
+        seed = (a * lo - slope_lo) / a
+    except ZeroDivisionError:
+        return hi
+    return min(max(seed, lo), hi) if math.isfinite(seed) else hi
+
+
+def _bisected_chord(body, point, g, d, lo, hi):
+    """Bisect [lo, hi] until hi - lo <= 1e-14 max(1, hi), then two Newton
+    steps from the midpoint, a step skipped at a zero slope."""
     for _ in range(CHART_BISECTION_ITERATIONS):
         if not hi - lo > 1e-14 * max(1.0, hi):
             break
@@ -117,13 +202,19 @@ def chart_inverse(body, z):
     else:
         raise RootNotFound("chord bisection did not converge in %d steps"
                            % CHART_BISECTION_ITERATIONS)
-    t = 0.5 * (lo + hi)
+    return _polish(body, point, d, 0.5 * (lo + hi))
+
+
+def _polish(body, point, d, t, f=None):
+    """Two Newton steps from t, a step skipped at a zero slope; f, when
+    given, is the gauge at t."""
     for _ in range(2):
         q = point(t)
-        dg = scalar_gradient(body, q) @ np.array([x, y, -2.0])
+        dg = scalar_gradient(body, q) @ d
         if dg != 0:
-            t -= scalar_value(body, q) / dg
-    return point(t)
+            t -= (scalar_value(body, q) if f is None else f) / dg
+        f = None
+    return t
 
 
 def bisect_polish(body, origins, dirs, lo, hi):

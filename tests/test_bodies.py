@@ -14,6 +14,7 @@ import gauge_oracle
 from midscribe import bodies
 from midscribe.bodies import (Ball, BodyChart, BodyPath, ConvexBody,
                               make_body, make_path, ray_roots, validate_body)
+from midscribe.cli import MAX_MARK
 from midscribe.errors import (MalformedDescriptor, NotStrictlyConvex,
                               PathConvexityFailure, PoleViolation,
                               RootNotFound)
@@ -158,6 +159,22 @@ def test_chart_round_trip_all_bodies(descriptor):
     for z, q in zip(zs, chart.inverse(zs)):
         assert abs(body.value(q)) < 1e-12
         assert abs(chart.forward(q) - z) < 1e-10 * max(1.0, abs(z) ** 2)
+
+
+@pytest.mark.parametrize(
+    "body", [make_body(d) for d in DESCRIPTORS]
+    + [make_path(make_body(d)).eval(s) for d in DESCRIPTORS
+       for s in (0.1, 0.37, 0.71, 0.999)],
+    ids=lambda body: body.descriptor)
+def test_chart_round_trip_just_below_max_mark(body):
+    # the largest marks the CLI accepts still round-trip; from about 2e7 on
+    # they do not (2e7 on the ball comes back 5.4e4 off)
+    radius = 0.999 * MAX_MARK
+    zs = [radius * cmath.exp(2j * math.pi * k / 64) for k in range(64)]
+    chart = BodyChart(body)
+    for z, q in zip(zs, chart.inverse(zs)):
+        assert abs(body.value(q)) < 1e-12
+        assert abs(chart.forward(q) - z) < 1e-10 * abs(z) ** 2
 
 
 CHART_POINTS = (0j, 1e-9 + 0j, 1e6 + 1e6j, -1 - 0j, complex(-1.0, -0.0),
@@ -373,8 +390,19 @@ def test_make_path_rejects_invalid_end(end):
     assert str(new.value) == str(old.value)
 
 
+def open_certificate(m):
+    """Leave every chord of BodyChart.inverse to the bisection fallback."""
+    def never(body, dirs, lo, hi, t):
+        points = bodies._CHORD_ORIGIN + t[:, None] * dirs
+        return np.zeros(len(t), dtype=bool), t, body.values(points)
+
+    m.setattr(bodies, "_certified_chords", never)
+
+
 def test_chart_bisection_is_bounded(monkeypatch):
+    # the ellipsoid's chords are all certified, so the fallback is forced
     chart = BodyChart(make_body("ellipsoid:a=1.2,b=1.0"))
+    open_certificate(monkeypatch)
     monkeypatch.setattr(bodies, "CHART_BISECTION_ITERATIONS", 5)
     with pytest.raises(RootNotFound, match="did not converge in 5 steps"):
         chart.inverse([0.3 - 0.7j])
@@ -394,11 +422,14 @@ BLENDS = [make_path(make_body(d)).eval(s)
 
 
 def lockstep_chart_inverse(body, zs, monkeypatch):
-    """BodyChart.inverse with the lockstep bisection it replaced."""
-    def lockstep(body, origins, dirs, lo, hi, seed):
-        return gauge_oracle.bisect_polish(body, origins, dirs, lo, hi)
+    """BodyChart.inverse before its bracket certificate and its verified
+    bisection: every chord bisected in lockstep, one values call per
+    halving."""
+    def lockstep(body, origin, dirs, lo, hi, seed):
+        return gauge_oracle.bisect_polish(body, origin, dirs, lo, hi)
 
     with monkeypatch.context() as m:
+        open_certificate(m)
         m.setattr(bodies, "_bisect_chords", lockstep)
         return BodyChart(body).inverse(zs)
 
@@ -410,7 +441,9 @@ def assert_bitwise_equal(got, want):
 
 @pytest.mark.parametrize("body", BLENDS, ids=lambda body: body.descriptor)
 def test_bisect_chords_matches_lockstep_oracle(body, monkeypatch):
+    # with the certificate forced open, every chord takes the fallback
     want = lockstep_chart_inverse(body, BISECTION_ZS, monkeypatch)
+    open_certificate(monkeypatch)
     chart = BodyChart(body)
     assert_bitwise_equal(chart.inverse(BISECTION_ZS), want)
     triples = [chart.inverse(BISECTION_ZS[k:k + 3])
@@ -447,7 +480,7 @@ class CountingValues(ConvexBody):
 def test_bisect_chords_survives_bad_estimates(estimate, monkeypatch):
     # every kept decision is a real gauge sign, so a useless estimate costs
     # rounds (one values call each) but neither a bit nor the step cap
-    def bad(body, origins, dirs, lo, hi, t0):
+    def bad(body, origin, dirs, lo, hi, t0, f0=None):
         return {"lo": lo, "hi": hi, "nan": np.full(len(lo), math.nan)}[estimate]
 
     bisect = bodies._bisect_chords
@@ -461,6 +494,7 @@ def test_bisect_chords_survives_bad_estimates(estimate, monkeypatch):
         body = make_path(make_body(d)).eval(0.37)
         want = lockstep_chart_inverse(body, BISECTION_ZS, monkeypatch)
         with monkeypatch.context() as m:
+            open_certificate(m)
             m.setattr(bodies, "_root_estimates", bad)
             m.setattr(bodies, "_bisect_chords", spy)
             counted = CountingValues(body)
@@ -592,40 +626,97 @@ def test_ray_bisection_matches_lockstep_oracle(body, monkeypatch):
         assert_bitwise_equal(g, w)
 
 
-@pytest.mark.parametrize("marks", [(0j, 1 + 0j, 1j), (0.3, -1.2 + 0.5j, 2j)])
+THREE_MARKS = [(0j, 1 + 0j, 1j), (0.3, -1.2 + 0.5j, 2j)]
+
+
+@pytest.mark.parametrize("marks", THREE_MARKS)
 def test_three_mark_inverse_gauge_call_budget(marks):
-    # doubling hi and halving lo (2), one Newton step from the bracket's
-    # seed (1), one or two verified rounds of halvings and the two polish
-    # steps: 6 and 7 values calls, 3 gradients calls; Newton from hi took
-    # 19-22 gauge calls, and halving one step per call about 50
+    # doubling hi and halving lo (2 or 3 values calls), the certificate of
+    # the bisection bracket holding the bracket's seed, which is the root
+    # (1 values), and the two polish steps, the first from the value the
+    # certificate took (2 gradients, 1 values): 4 and 5 values calls, 2
+    # gradients calls. The verified bisection took 6 and 7 values calls
+    # and 3 gradients calls, Newton from hi 19-22 gauge calls, and halving
+    # one step per call about 50
     counted = CountingValues(make_path(make_body("ellipsoid:a=1.2,b=1.0"))
                              .eval(0.37))
     BodyChart(counted).inverse(marks)
-    assert counted.values_calls <= 7
-    assert counted.values_calls + counted.gradients_calls <= 10
+    assert counted.values_calls <= 5
+    assert counted.gradients_calls <= 2
+
+
+@pytest.mark.parametrize("marks, budget", zip(THREE_MARKS, (14, 17)))
+def test_three_mark_inverse_gauge_call_budget_on_a_quartic_blend(marks,
+                                                                  budget):
+    # the quadratic seed is not the root of a p = 4 blend, so the first
+    # certificate fails and Newton takes 4 or 5 steps from its bracket's
+    # midpoint, the first without a values call, before the second
+    # certificate and the polish: 14 and 17 gauge calls, against 17 and 20
+    # by the verified bisection
+    counted = CountingValues(
+        make_path(make_body("superellipsoid:p=4,a=1,b=1")).eval(0.37))
+    BodyChart(counted).inverse(marks)
+    assert counted.values_calls + counted.gradients_calls <= budget
 
 
 @pytest.mark.parametrize("desc", ["ball", "ellipsoid:a=1.2,b=1.0",
                                   "ellipsoid:a=0.9,b=1.1"])
 def test_quadric_chord_seeds_are_exact(desc, monkeypatch):
     # a ball or ellipsoid blend is quadratic along every chord, so the seed
-    # fitted through the bracket is its root and Newton stops after one
-    # step (one gradients call). The far point 1e6 + 1e6i is left out: its
-    # root t ~ 1e-12 is below the gauge's rounding near N, so no estimate
-    # meets the 1e-12 t step test there
+    # fitted through the bracket is its root to rounding, and the
+    # certificate closes the chord there without a Newton step; only a
+    # root within rounding of an end of its bisection bracket (at most 4
+    # of 409 chords here) goes on to Newton. The far point 1e6 + 1e6i is
+    # left out: its root t ~ 1e-12 is below the gauge's rounding near N
     zs = [z for z in BISECTION_ZS if abs(z) < 1e3]
-    estimate = bodies._root_estimates
-    steps = []
+    a, b = (1.0, 1.0) if desc == "ball" else (
+        float(v.split("=")[1]) for v in desc.split(":")[1].split(","))
+    seeds, closed = [], []
+    seed, certified = bodies._chord_seeds, bodies._certified_chords
+    monkeypatch.setattr(bodies, "_chord_seeds",
+                        lambda *args: seeds.append(seed(*args)) or seeds[-1])
 
-    def spy(body, *args):
-        before = body.gradients_calls
-        t = estimate(body, *args)
-        steps.append(body.gradients_calls - before)
-        return t
+    def first(*args):
+        out = certified(*args)
+        if not closed:
+            closed.append(out[0])
+        return out
 
-    monkeypatch.setattr(bodies, "_root_estimates", spy)
+    monkeypatch.setattr(bodies, "_certified_chords", first)
+    x, y = np.array([z.real for z in zs]), np.array([z.imag for z in zs])
     for s in (0.1, 0.37, 0.71, 0.999):
-        counted = CountingValues(make_path(make_body(desc)).eval(s))
-        steps.clear()
-        BodyChart(counted).inverse(zs)
-        assert steps[0] == 1
+        seeds.clear()
+        closed.clear()
+        BodyChart(make_path(make_body(desc)).eval(s)).inverse(zs)
+        root = 4.0 / ((1 - s + s / a ** 2) * x * x
+                      + (1 - s + s / b ** 2) * y * y + 4.0)
+        assert np.all(np.abs(seeds[0] - root) <= 8 * bodies.EPS * root)
+        assert np.count_nonzero(~closed[0]) <= 4
+
+
+@pytest.mark.parametrize("body", [make_body(d) for d in DESCRIPTORS] + BLENDS,
+                         ids=lambda body: body.descriptor)
+def test_certified_chart_inverse_matches_bisection(body, monkeypatch):
+    # the certified bracket is the one the bisection ends in wherever F's
+    # rounding does not straddle one of its midpoints, which holds on
+    # every row here: the roots equal the bisection's bit for bit. The
+    # fallback bisects at most 3 of these 409 chords on a ball or
+    # ellipsoid blend, and up to 31 on p = 4 bodies and their blends near
+    # s = 1, whose quadratic seed can lie left of the gauge's minimum along
+    # the chord, where Newton cannot start
+    finite = [z for z in CHART_POINTS if not cmath.isinf(z)]
+    bisected = np.array([gauge_oracle.bisected_chart_inverse(body, z)
+                         for z in finite])
+    assert_bitwise_equal(BodyChart(body).inverse(finite), bisected)
+    want = lockstep_chart_inverse(body, BISECTION_ZS, monkeypatch)
+    bisect = bodies._bisect_chords
+    fallback = []
+
+    def counted(body, origin, dirs, *args):
+        fallback.append(len(dirs))
+        return bisect(body, origin, dirs, *args)
+
+    monkeypatch.setattr(bodies, "_bisect_chords", counted)
+    assert_bitwise_equal(BodyChart(body).inverse(BISECTION_ZS), want)
+    quartic = "superellipsoid" in body.descriptor
+    assert sum(fallback) <= (31 if quartic else 3)

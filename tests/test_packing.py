@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import layout_oracle
 import lift_oracle
 import radius_oracle
 from conftest import CANONICAL_MARKS, ball_solution, get_seed
@@ -404,6 +405,39 @@ def test_radii_match_the_triplet_oracle_on_the_bench_corpus(monkeypatch):
         assert len(instances) == len(corpus.GENERATED)
         for inst in instances:
             assert_same_radii(inst.P, inst.frame)
+
+
+@pytest.mark.parametrize("name", SEED_NAMES + tuple(GENERATED) + ("hull240",))
+def test_propagate_matches_the_full_sweep_oracle(name, monkeypatch):
+    """The dart sweep that skips darts with nothing left to place places
+    every circle and tangency point of the sweep over all darts, in the
+    same order and bit for bit."""
+    if name == "hull240":
+        P = build_complex(faces_from_coordinates(
+            sphere_hull_points(240, 20261240)), n_vertices=240)
+        frame = select_frame(P)
+    else:
+        P, frame = complex_and_frame(name)
+    radii = solve_radii(P, frame)
+    placed = []
+
+    def recorded(propagate):
+        def run(P, box, r, centers, tangency):
+            propagate(P, box, r, centers, tangency)
+            placed.append((list(centers), list(centers.values()),
+                           list(tangency), list(tangency.values())))
+        return run
+
+    for propagate in (packing._propagate, layout_oracle.propagate):
+        monkeypatch.setattr(packing, "_propagate", recorded(propagate))
+        layout_circles(P, frame, radii)
+    got, want = placed
+    for g, w in zip(got, want):
+        if isinstance(g[0], complex):
+            assert np.array_equal(bits(np.array(g).view(float)),
+                                  bits(np.array(w).view(float)))
+        else:
+            assert g == w
 
 
 def test_layout_reuses_the_box_structure_of_its_radii(monkeypatch):
