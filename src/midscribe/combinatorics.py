@@ -14,6 +14,8 @@ import json
 import operator
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     MalformedSpec,
     NonPolyhedral,
@@ -42,6 +44,9 @@ class PolyhedralComplex:
     edge_faces: tuple[tuple[int, int], ...] = field(repr=False)
     # vertex -> incident faces in cyclic order, counterclockwise from outside
     vertex_faces: tuple[tuple[int, ...], ...] = field(repr=False)
+    # (build, *args) -> build(self, *args), filled by derived
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def n_edges(self) -> int:
@@ -83,6 +88,24 @@ class PolyhedralComplex:
             u = _predecessor_in_cycle(self.faces[f], v)
             out.append(self.edge_index[(v, u)])
         return tuple(out)
+
+
+def derived(P: PolyhedralComplex, build, *args):
+    """build(P, *args), a pure function of P and hashable args, built once
+    per complex object and shared by every solve and check of P. Arrays in
+    it, down to the items of its attributes, are made read-only. Threads
+    racing to build it all get the value stored first."""
+    key = (build,) + args
+    try:
+        return P._derived[key]
+    except KeyError:
+        value = build(P, *args)
+    parts = vars(value).values() if hasattr(value, "__dict__") else [value]
+    for part in parts:
+        for array in part if isinstance(part, (tuple, list)) else [part]:
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+    return P._derived.setdefault(key, value)
 
 
 def _predecessor_in_cycle(cyc: tuple[int, ...], v: int) -> int:

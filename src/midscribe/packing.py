@@ -12,8 +12,8 @@ Every interior node u must close up a full angle 2*pi out of the kite pieces
 one wall close up pi instead (the wall supplies the missing half turn). In
 log radii those angle sums are the gradient of a convex functional
 (Bobenko-Springborn), so the radii are its critical point, found by damped
-sparse Newton with one radius pinned; the Laplacian's sparsity pattern is
-built once per solve and only its values are refilled at each step. Then the
+sparse Newton with one radius pinned; the complex owns the Laplacian's
+sparsity pattern, and each solve refills only its own values. Then the
 circles are placed row by row and propagated across darts, lifted to the unit
 sphere, and normalized by the Mobius transformation pinning the three frame
 tangencies to the marks. The lift maps every circle's sample points at once,
@@ -23,14 +23,14 @@ in arrays that round as the scalar Mobius map does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse, special
 from scipy.sparse import linalg as spla
 
 from .bodies import _rowdot
-from .combinatorics import Frame, PolyhedralComplex
+from .combinatorics import Frame, PolyhedralComplex, derived
 from .config import Configuration
 from .errors import (
     DegenerateMarks,
@@ -60,11 +60,9 @@ class _BoxStructure:
 
     Nodes are ("v", vertex_id) or ("f", face_id). v_left is the head of e1's
     dart on f0 (the x=0 wall), v_right its tail (the x=x_R wall), g_top the
-    face across e1 (the y=h wall).
+    face across e1 (the y=h wall). P owns it (combinatorics.derived).
     """
 
-    P: PolyhedralComplex
-    frame: Frame
     f0: int
     g_top: int
     v_left: int
@@ -102,9 +100,8 @@ def _box_structure(P: PolyhedralComplex, frame: Frame) -> _BoxStructure:
                                       "cannot be a polyhedron" % (u, n_wall))
         targets[u] = TWO_PI - math.pi * n_wall
         neighbors[u] = tuple(w for w in inc if w not in walls)
-    return _BoxStructure(P=P, frame=frame, f0=f0, g_top=g_top, v_left=v_left,
-                         v_right=v_right, nodes=nodes, targets=targets,
-                         neighbors=neighbors)
+    return _BoxStructure(f0=f0, g_top=g_top, v_left=v_left, v_right=v_right,
+                         nodes=nodes, targets=targets, neighbors=neighbors)
 
 
 # ---------------------------------------------------------------------------
@@ -112,17 +109,12 @@ def _box_structure(P: PolyhedralComplex, frame: Frame) -> _BoxStructure:
 
 @dataclass
 class RadiusAssignment:
-    """Converged packing radii on the finite nodes, with their angle targets.
-
-    box is the node structure of the (P, frame) they were solved for, which
-    layout_circles reuses.
-    """
+    """Converged packing radii on the finite nodes, with their angle targets."""
 
     log_radii: dict
     targets: dict
     pinned: tuple
     residual: float
-    box: _BoxStructure | None = field(default=None, repr=False, compare=False)
 
     def radius(self, node) -> float:
         return math.exp(self.log_radii[node])
@@ -153,11 +145,14 @@ class _AngleSums:
     theta_u = sum_w 2 atan(exp(x_w - x_u)) is the gradient of a convex
     functional (Bobenko-Springborn) whose Hessian is the graph Laplacian with
     weights 1/cosh(x_w - x_u); with the pinned node removed it is positive
-    definite. Index arrays are built once, with one (u, w) pair per finite
-    neighbor w of u, so each edge appears twice.
+    definite. Index arrays hold one (u, w) pair per finite neighbor w of u,
+    so each edge appears twice. P owns them (combinatorics.derived).
     """
 
-    def __init__(self, box: _BoxStructure, pinned):
+    def __init__(self, P: PolyhedralComplex, frame: Frame):
+        box = self.box = derived(P, _box_structure, frame)
+        pinned = self.pinned = next(  # the first interior node, if any
+            (u for u in box.nodes if box.targets[u] == TWO_PI), box.nodes[0])
         n = len(box.nodes)
         index = {u: i for i, u in enumerate(box.nodes)}
         self.target = np.array([box.targets[u] for u in box.nodes])
@@ -176,14 +171,9 @@ class _AngleSums:
         # and row; no entry repeats, so refilling data in this order gives
         # the matrix the (row, col) triplets would
         self._order = np.lexsort((rows, cols))
-        n_free = n - 1
-        self._laplacian = sparse.csc_matrix(
-            (np.zeros(len(rows)), rows[self._order].astype(np.intc),
-             np.searchsorted(cols[self._order],
-                             np.arange(n_free + 1)).astype(np.intc)),
-            shape=(n_free, n_free))
-        # computed here and cached, so spsolve's checks return at once
-        self._laplacian.has_canonical_format
+        self._indices = rows[self._order].astype(np.intc)
+        self._indptr = np.searchsorted(cols[self._order],
+                                       np.arange(n)).astype(np.intc)
         # Each kite angle 2 atan(exp(d)) is written pi/2 + atan(sinh(d)),
         # whose varying part is odd in d, so the rounding errors of the two
         # kites of an edge cancel exactly. Summed the other way they drift
@@ -198,15 +188,21 @@ class _AngleSums:
         return (np.bincount(self.u, weights=kite, minlength=len(x))
                 + self.quarter_turns * HALF_PI)
 
-    def laplacian(self, x):
+    def matrix(self):
+        """A reduced Laplacian on the shared pattern, with data of its own."""
+        n_free = len(self._indptr) - 1
+        return sparse.csc_matrix((np.zeros(len(self._indices)), self._indices,
+                                  self._indptr), shape=(n_free, n_free))
+
+    def laplacian(self, x, L):
         """d(theta - target)/dx = -L, as L with the pinned row and column
-        removed: the one CSC matrix __init__ built, its data refilled, so
-        the next call overwrites it."""
+        removed, written into the data of L, a matrix(), so the next call
+        overwrites it."""
         weight = 1.0 / np.cosh(x[self.w] - x[self.u])
         degree = np.bincount(self.u, weights=weight, minlength=len(x))
-        self._laplacian.data[:] = np.concatenate(
+        L.data[:] = np.concatenate(
             [-weight[self.off], degree[self.free]])[self._order]
-        return self._laplacian
+        return L
 
     def energy(self, x):
         """(E, sum of |terms|) for the convex E whose gradient is
@@ -228,10 +224,8 @@ def solve_radii(P: PolyhedralComplex, frame: Frame) -> RadiusAssignment:
     from damped Newton on the convex functional of _AngleSums, which stops
     once every angle sum is within RADIUS_TOL of its target.
     """
-    box = _box_structure(P, frame)
-    interior = [u for u in box.nodes if box.targets[u] == TWO_PI]
-    pinned = interior[0] if interior else box.nodes[0]
-    sums = _AngleSums(box, pinned)
+    sums = derived(P, _AngleSums, frame)
+    box, L = sums.box, sums.matrix()
 
     x = np.zeros(len(box.nodes))
     F = sums.residual(x)
@@ -243,7 +237,7 @@ def solve_radii(P: PolyhedralComplex, frame: Frame) -> RadiusAssignment:
             raise NonConvergence("radius solve: residual %.3e after %d "
                                  "iterations" % (worst, iterations))
         step = np.zeros_like(x)
-        step[sums.free] = spla.spsolve(sums.laplacian(x), F[sums.free])
+        step[sums.free] = spla.spsolve(sums.laplacian(x, L), F[sums.free])
         iterations += 1
         if not np.all(np.isfinite(step)):
             raise NonConvergence("radius solve: non-finite Newton step at "
@@ -253,7 +247,7 @@ def solve_radii(P: PolyhedralComplex, frame: Frame) -> RadiusAssignment:
         worst = float(np.max(np.abs(F)))
     return RadiusAssignment(
         log_radii={u: float(x[i]) for i, u in enumerate(box.nodes)},
-        targets=dict(box.targets), pinned=pinned, residual=worst, box=box)
+        targets=dict(box.targets), pinned=sums.pinned, residual=worst)
 
 
 def _line_search(sums: _AngleSums, x, step, F, energy, iteration):
@@ -334,8 +328,6 @@ class CirclePattern:
 
     The tangency of the first frame edge is the point at infinity; the four
     incident objects (f0, the face across e1, and e1's endpoints) are lines.
-    system_layout is the solver's SystemLayout of (P, frame), left here by
-    the first continuation from this pattern for the later ones to share.
     """
 
     P: PolyhedralComplex
@@ -345,17 +337,13 @@ class CirclePattern:
     frame: Frame
     box_width: float
     box_height: float
-    system_layout: object = field(default=None, repr=False, compare=False)
 
 
 def layout_circles(P: PolyhedralComplex, frame: Frame,
                    radii: RadiusAssignment) -> CirclePattern:
-    """Place the packing in the box picture and validate every contact.
-    The node structure comes from radii where solve_radii left it for this
-    (P, frame)."""
-    box = radii.box
-    if box is None or box.P is not P or box.frame != frame:
-        box = _box_structure(P, frame)
+    """Place the packing in the box picture and validate every contact, on
+    the node structure that P owns for frame."""
+    box = derived(P, _box_structure, frame)
     r = {u: radii.radius(u) for u in box.nodes}
     f0, g_top, v_left, v_right = box.f0, box.g_top, box.v_left, box.v_right
 

@@ -12,11 +12,11 @@ Which row and column each of these occupies depends on (P, frame) alone, so
 a SystemLayout holds that index layout, and ConstraintSystem evaluates the
 residual and Jacobian as array expressions over it, with one batched gauge
 call per quantity. A continuation builds one system and swaps the body and
-the marked points in at every step. Its layout comes with the planar
-packing it starts from: the first continuation from a CirclePattern builds
-it, and every later one from that pattern, such as each cell of a sweep,
-reuses it. newton_refine and the restarts of rigidity_probe, the empirical
-uniqueness check, are Newton solves too.
+the marked points in at every step. The layout is owned by the complex
+(combinatorics.derived): the first system of (P, frame) builds it, and
+every later one, in any continuation, sweep cell or thread, shares it.
+newton_refine and the restarts of rigidity_probe, the empirical uniqueness
+check, are Newton solves too.
 
 The continuation follows one solution branch from the ball's Koebe
 configuration along the gauge homotopy F_s (Allgower and Georg, Introduction
@@ -64,7 +64,7 @@ from scipy.spatial.distance import pdist
 from . import packing
 from .bodies import (NORTH_POLE, BodyChart, BodyPath, ConvexBody, _cross,
                      _rowdot)
-from .combinatorics import Frame, PolyhedralComplex
+from .combinatorics import Frame, PolyhedralComplex, derived
 from .config import STEP_REJECT_REASONS, Configuration, SolveReport
 from .errors import (
     DegenerateConfiguration,
@@ -124,8 +124,8 @@ _ONE = np.ones(1)
 class SystemLayout:
     """Where every unknown, equation and Jacobian entry of the tangency
     system sits for one (P, frame): all that ConstraintSystem derives from
-    (P, frame) alone. It is built once and never changed, so any number of
-    systems, in any threads, can share it.
+    (P, frame) alone. P owns it (combinatorics.derived), so every system of
+    (P, frame), in any thread, shares it.
 
     - unknowns x: [n_f, d_f] per face (4F), the 4-vector X_v per vertex
       (4V), then the tangent point p_e of each free edge in edge order.
@@ -152,7 +152,6 @@ class SystemLayout:
 
     def __init__(self, P: PolyhedralComplex, frame: Frame):
         self.P = P
-        self.frame = frame
         F, V, E = P.n_faces, P.n_vertices, P.n_edges
         self.vert_off = 4 * F
         self.marked = np.array(frame.edges, dtype=int)
@@ -257,17 +256,17 @@ class ConstraintSystem:
     """Square residual/Jacobian of the tangency system for one (P, frame),
     at one body and three marked points.
 
-    layout is the SystemLayout of (P, frame), built here when none is
-    given; n_unknowns is its count. The system's own Jacobian is one CSC
-    matrix over the layout's pattern, flagged canonical where the pattern
-    is, so splu neither casts nor rescans it; jacobian(x) writes the values
-    at x into its data. body and marked_points (three points, in frame edge
+    layout is the SystemLayout of (P, frame), which P owns; n_unknowns is
+    its count. The system's own Jacobian is one CSC matrix over the
+    layout's pattern, flagged canonical where the pattern is, so splu
+    neither casts nor rescans it; jacobian(x) writes the values at x into
+    its data. body and marked_points (three points, in frame edge
     order) are plain attributes; assigning new ones keeps the layout and
     the matrix.
     """
 
     def __init__(self, P: PolyhedralComplex, frame: Frame, marked_points,
-                 body: ConvexBody, layout: SystemLayout | None = None):
+                 body: ConvexBody):
         self.P = P
         self.frame = frame
         self.body = body
@@ -275,12 +274,7 @@ class ConstraintSystem:
         if self.marked_points.shape != (3, 3):
             raise DimensionMismatch("need three marked points, got shape %r"
                                     % (self.marked_points.shape,))
-        if layout is None:
-            layout = SystemLayout(P, frame)
-        elif layout.P is not P or layout.frame != frame:
-            raise DimensionMismatch("the layout is not that of this complex "
-                                    "and frame")
-        self.layout = layout
+        layout = self.layout = derived(P, SystemLayout, frame)
         n = self.n_unknowns = layout.n_unknowns
         self._jacobian = sp.csc_matrix(
             (np.zeros(len(layout.indices)), layout.indices, layout.indptr),
@@ -680,9 +674,7 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
     tangent points are the chart images on the blended body, so the marks
     move continuously with s; they are computed once per s, so a retried s
     reuses them. One ConstraintSystem serves the whole run; each step swaps
-    its body and marked points. Its layout is the pattern's: the first
-    continuation from planar builds the SystemLayout of (P, frame) and
-    leaves it in planar.system_layout, and later ones share it. The first
+    its body and marked points, on the SystemLayout that P owns. The first
     try goes from s = 0 to s = 1 in one step under _newton_core's
     contraction test (THETA_MAX);
     accepted, it is the run's one step (1.0, 1.0, iterations), and
@@ -701,9 +693,6 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
 
     P, frame = planar.P, planar.frame
     cfg0 = packing.koebe_config(packing.lift_normalize(planar, z))
-    layout = planar.system_layout
-    if layout is None:
-        layout = planar.system_layout = SystemLayout(P, frame)
     marks = {}
 
     def marks_at(s, body):
@@ -717,7 +706,7 @@ def continue_from_pattern(planar: packing.CirclePattern, marks_z,
     total_iters = 0
 
     body0 = path.eval(0.0)
-    system = ConstraintSystem(P, frame, marks_at(0.0, body0), body0, layout)
+    system = ConstraintSystem(P, frame, marks_at(0.0, body0), body0)
     x, iters, res, terms = _newton_core(system, system.pack(cfg0), tol,
                                         NEWTON_MAX_ITERATIONS)
     total_iters += iters

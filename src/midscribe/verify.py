@@ -61,7 +61,7 @@ import numpy as np
 
 from .bodies import (ROUNDING, ConvexBody, _cross, _rowdot,
                      _verified_bisection)
-from .combinatorics import PolyhedralComplex
+from .combinatorics import PolyhedralComplex, derived
 from .config import EPS_INFINITY, Configuration
 from .errors import DegenerateConfiguration, NotMidscribed
 
@@ -278,7 +278,7 @@ def _minimizer_estimates(body: ConvexBody, Q, U, lo, hi, t0) -> np.ndarray:
 
 
 def _on_face(P: PolyhedralComplex) -> np.ndarray:
-    """(F, V) mask of the vertices on each face."""
+    """(F, V) mask of the vertices on each face; P owns it (derived)."""
     on = np.zeros((P.n_faces, P.n_vertices), dtype=bool)
     for f, cycle in enumerate(P.faces):
         on[f, list(cycle)] = True
@@ -304,7 +304,7 @@ def _midscription(cfg, body, P):
     incidence residuals, the line minima and the convexity class. Returns
     the report as a function of tol, and the line minimizers (E, 3)."""
     v4 = cfg.vertices4 / np.linalg.norm(cfg.vertices4, axis=1, keepdims=True)
-    on = _on_face(P)
+    on = derived(P, _on_face)
     R = np.abs(_rowdot(cfg.normals[:, None, :], v4[None, :, 1:])
                - cfg.offsets[:, None] * v4[None, :, 0])
     # fmax: a nan residual is skipped, not propagated into the maxima
@@ -315,7 +315,7 @@ def _midscription(cfg, body, P):
                    "finite": bool(abs(v4[v, 0]) > EPS_INFINITY)}
                   for v in range(P.n_vertices)]
 
-    f, g = np.array(P.edge_faces, dtype=int).reshape(-1, 2).T
+    f, g = derived(P, _contact_graph, True)[0].T
     line_min, minimizers = _line_minima(body, cfg.normals[f], cfg.offsets[f],
                                         cfg.normals[g], cfg.offsets[g],
                                         cfg.tangents)
@@ -361,7 +361,7 @@ def check_convexity(cfg: Configuration, P: PolyhedralComplex,
                 "worst_pair": None}
         return ("projective-degenerate", info) if detailed else "projective-degenerate"
     X = v4[:, 1:] / v4[:, :1]
-    on = _on_face(P)
+    on = derived(P, _on_face)
     S = _rowdot(cfg.normals[:, None, :], X[None]) - cfg.offsets[:, None]
     ok = not np.any(np.abs(S[on]) > 1e-7) and bool(np.all(S[~on] < -SIDE_TOL))
     # the first off-face pair in face-major order with the least margin;
@@ -382,11 +382,13 @@ def check_convexity(cfg: Configuration, P: PolyhedralComplex,
 # ---------------------------------------------------------------------------
 # K-disk packings
 
-def _contact_graph(ends, n):
-    """The pairs and triangles of the contact graph on n disks whose edges
-    are the rows of ends (E, 2): the non-adjacent pairs (m, 2), each as
-    i < j, the triangles' disks (t, 3) and the triangles' edges (t, 3),
-    found from one (n, n) table of edge ids."""
+def _contact_graph(P: PolyhedralComplex, dual: bool):
+    """The contact graph of the face disks (dual) or vertex disks, which P
+    owns (derived): the ends of its edges (E, 2), P's edge_faces or edges;
+    the non-adjacent pairs (m, 2), each as i < j; the triangles' disks (t,
+    3) and edges (t, 3), found from one (n, n) table of edge ids."""
+    ends = np.array(P.edge_faces if dual else P.edges).reshape(-1, 2)
+    n = P.n_faces if dual else P.n_vertices
     edge = np.full((n, n), -1)
     edge[ends[:, 0], ends[:, 1]] = edge[ends[:, 1], ends[:, 0]] = np.arange(
         len(ends))
@@ -395,7 +397,7 @@ def _contact_graph(ends, n):
     lo, hi = ends.min(axis=1), ends.max(axis=1)
     e, k = np.nonzero((edge[lo] >= 0) & (edge[hi] >= 0))
     e, k = e[k > hi[e]], k[k > hi[e]]
-    return (np.column_stack([i[apart], j[apart]]),
+    return (ends, np.column_stack([i[apart], j[apart]]),
             np.column_stack([lo[e], hi[e], k]),
             np.column_stack([e, edge[lo[e], k], edge[hi[e], k]]))
 
@@ -519,8 +521,7 @@ def _face_packing(cfg, body, P, minimizers) -> DiskPacking:
     phi > 0 there)."""
     size = np.linalg.norm(cfg.normals, axis=1)
     N, d = cfg.normals / size[:, None], cfg.offsets / size
-    ends = np.array(P.edge_faces, dtype=int).reshape(-1, 2)
-    pairs, triangles, sides = _contact_graph(ends, P.n_faces)
+    ends, pairs, triangles, sides = derived(P, _contact_graph, True)
     margins, certified, exact = _cap_margins(body, N[pairs], d[pairs])
     # grad F = a n_f + b n_g exactly when it has no component along the
     # edge line, and then (1 - c^2) (a, b) = (G . n_f - c G . n_g,
@@ -552,8 +553,7 @@ def _visibility_packing(cfg, body, P, minimizers) -> DiskPacking:
     if not finite.all():
         raise DegenerateConfiguration("%s: vertex %d is at infinity" % (
             KDISK_STAGE, np.flatnonzero(~finite)[0]))
-    ends = np.array(P.edges, dtype=int).reshape(-1, 2)
-    pairs, _, triangles = _contact_graph(ends, P.n_vertices)
+    ends, pairs, _, triangles = derived(P, _contact_graph, False)
     A = positions[pairs[:, 0]]
     margins, certified, exact = _segment_margins(
         body, A, positions[pairs[:, 1]] - A)
@@ -595,7 +595,7 @@ def _require_midscribed(cfg, P, report: VerifyReport) -> None:
                - cfg.offsets[:, None] * v4[None, :, 0])
     terms = (_rowdot(np.abs(cfg.normals)[:, None, :], np.abs(v4[None, :, 1:]))
              + np.abs(cfg.offsets)[:, None] * np.abs(v4[None, :, 0]))
-    off = ~_on_face(P)
+    off = ~derived(P, _on_face)
     separated = not np.any(R[off] <= ROUNDING * terms[off])
     if not (separated and report.max_tangency_residual < CONTACT_TOL
             and report.max_incidence_residual < CONTACT_TOL):

@@ -326,8 +326,9 @@ def complex_and_frame(name):
 
 def test_angle_sums_derivatives_by_finite_differences():
     P, _, frame = get_seed("dodecahedron")
-    box = _box_structure(P, frame)
-    sums = _AngleSums(box, solve_radii(P, frame).pinned)
+    sums = _AngleSums(P, frame)
+    box = sums.box
+    assert sums.pinned == solve_radii(P, frame).pinned
     x = np.random.default_rng(5).uniform(-1.0, 1.0, len(box.nodes))
     x[~sums.free] = 0.0
     F = sums.residual(x)
@@ -336,7 +337,7 @@ def test_angle_sums_derivatives_by_finite_differences():
              for i, u in enumerate(box.nodes)}
     assert np.allclose(F, [theta[u] - box.targets[u] for u in box.nodes],
                        rtol=0.0, atol=1e-14)
-    L = sums.laplacian(x).toarray()
+    L = sums.laplacian(x, sums.matrix()).toarray()
     assert np.allclose(L, L.T, rtol=0.0, atol=0.0)
     h = 1e-6
     for j, i in enumerate(np.flatnonzero(sums.free)):
@@ -442,21 +443,25 @@ def test_propagate_matches_the_full_sweep_oracle(name, monkeypatch):
 
 def test_layout_reuses_the_box_structure_of_its_radii(monkeypatch):
     """layout_circles takes the node structure solve_radii built for the
-    same (P, frame), and builds its own for radii that carry none."""
-    P, _, frame = get_seed("cube")
-    radii = solve_radii(P, frame)
+    same (P, frame), which P owns; an equal complex builds its own, and
+    lays out the same circles from the same radii."""
+    faces = get_seed("cube")[0].faces
+    P = build_complex(faces)
+    frame = select_frame(P)
     built = []
     box_structure = packing._box_structure
 
-    def counted(*args):
-        built.append(args)
-        return box_structure(*args)
+    def counted(Q, frame):
+        built.append(Q)
+        return box_structure(Q, frame)
 
     monkeypatch.setattr(packing, "_box_structure", counted)
+    radii = solve_radii(P, frame)
     shared = layout_circles(P, frame, radii)
-    assert built == []
-    fresh = layout_circles(P, frame, dataclasses.replace(radii, box=None))
-    assert built == [(P, frame)]
+    assert len(built) == 1 and built[0] is P
+    other = build_complex(faces)
+    fresh = layout_circles(other, frame, radii)
+    assert len(built) == 2 and built[1] is other
     assert shared.vertex_circles == fresh.vertex_circles
     assert shared.face_circles == fresh.face_circles
     assert shared.tangency == fresh.tangency

@@ -25,7 +25,6 @@ from midscribe.bodies import BodyChart, make_body, make_path
 from midscribe.errors import (
     DegenerateConfiguration,
     DegenerateMarks,
-    DimensionMismatch,
     NoDecrease,
     SolverError,
     StepUnderflow,
@@ -625,27 +624,46 @@ def _ellipsoid_solution(name):
     return P, frame, cfg
 
 
+def count_layout_builds(monkeypatch):
+    """Wrap SystemLayout.__init__; returns the list of the complexes it
+    builds layouts of, in order."""
+    built = []
+    layout_init = solver.SystemLayout.__init__
+
+    def counted(self, P, frame):
+        built.append(P)
+        layout_init(self, P, frame)
+
+    monkeypatch.setattr(solver.SystemLayout, "__init__", counted)
+    return built
+
+
+def equal_complex(P):
+    """A new complex with the faces of P, owning nothing P has derived."""
+    return build_complex(P.faces, n_vertices=P.n_vertices)
+
+
 @pytest.mark.parametrize("name", REUSE_CASES)
-def test_continue_from_pattern_matches_continue_to_body(name):
+def test_continue_from_pattern_matches_continue_to_body(monkeypatch, name):
     """One planar packing serves every choice of marks: continuing from a
-    shared packing and its system layout, after they have already served
-    other marks, gives the same bits and steps as solving the packing
-    afresh on a fresh ConstraintSystem."""
-    P, frame, cfg_a = _ellipsoid_solution(name)
-    _, report_a = continue_to_body(P, frame, CANONICAL_MARKS,
-                                   _ellipsoid_path())
+    shared packing, on the system layout its complex built for earlier
+    solves, after both have served other marks, gives the same bits and
+    steps as solving afresh on an equal complex, which builds its own."""
+    P, frame, _ = _ellipsoid_solution(name)
+    built = count_layout_builds(monkeypatch)
+    fresh = equal_complex(P)
+    cfg_a, report_a = continue_to_body(fresh, frame, CANONICAL_MARKS,
+                                       _ellipsoid_path())
+    assert len(built) == 1 and built[0] is fresh
     planar = layout_circles(P, frame, solve_radii(P, frame))
-    assert planar.system_layout is None
     try:
         continue_from_pattern(planar, (0.4 + 0.3j, 1.6 + 0j, -0.5 + 1.1j),
                               _ellipsoid_path())
     except SolverError:
         pass
-    layout = planar.system_layout
-    assert isinstance(layout, solver.SystemLayout)
     cfg_b, report_b = continue_from_pattern(planar, CANONICAL_MARKS,
                                             _ellipsoid_path())
-    assert planar.system_layout is layout
+    assert len(built) == 1
     for part in ("normals", "offsets", "vertices4", "tangents",
                  "marked_points"):
         assert np.array_equal(getattr(cfg_a, part).view(np.int64),
@@ -656,14 +674,15 @@ def test_continue_from_pattern_matches_continue_to_body(name):
 
 
 def test_systems_on_one_layout_keep_their_own_jacobian():
-    """Two systems share a layout but not their Jacobian's data; each still
-    gives what a system with a layout of its own gives."""
+    """Two systems of one complex share its layout but not their
+    Jacobian's data; each still gives what a system on an equal complex,
+    with a layout of its own, gives."""
     P, frame = complex_and_frame("hull12")
-    layout = solver.SystemLayout(P, frame)
     rng = np.random.default_rng(3)
     systems = [ConstraintSystem(P, frame, rng.normal(size=(3, 3)),
-                                make_body(desc), layout)
+                                make_body(desc))
                for desc in ("ball", "ellipsoid:a=1.2,b=1.0")]
+    layout = systems[0].layout
     x = rng.normal(size=layout.n_unknowns)
     J0 = systems[0].jacobian(x)
     before = J0.data.copy()
@@ -671,20 +690,13 @@ def test_systems_on_one_layout_keep_their_own_jacobian():
     assert J1 is not J0 and not np.array_equal(J1.data, before)
     assert np.array_equal(J0.data, before)
     for system in systems:
-        alone = ConstraintSystem(P, frame, system.marked_points, system.body)
+        alone = ConstraintSystem(equal_complex(P), frame,
+                                 system.marked_points, system.body)
         assert system.layout is layout and alone.layout is not layout
         assert np.array_equal(system.residual(x), alone.residual(x))
         got, want = system.jacobian(x), alone.jacobian(x)
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, part), getattr(want, part))
-
-
-def test_layout_of_another_complex_is_refused():
-    P, frame = complex_and_frame("cube")
-    other, other_frame = complex_and_frame("hull12")
-    with pytest.raises(DimensionMismatch, match="layout"):
-        ConstraintSystem(P, frame, np.eye(3), make_body("ball"),
-                         solver.SystemLayout(other, other_frame))
 
 
 def _guard_outcomes(system, x):

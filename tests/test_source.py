@@ -69,3 +69,33 @@ def test_verify_solves_no_least_squares():
     # the edge lines' points come in closed form; a dense solve per edge
     # was most of the line search
     assert "lstsq" not in (SRC / "verify.py").read_text()
+
+
+def test_derived_structures_are_built_only_by_their_builders():
+    # SystemLayout, the box structure and the contact graphs depend on the
+    # complex (and frame) alone; called outside a builder passed to
+    # combinatorics.derived, they would be rebuilt on every solve or check
+    # instead of once per complex
+    owned = {"SystemLayout", "_box_structure", "_contact_graph"}
+    trees, _ = _trees_and_reads()
+    builders = {node.args[1].id for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "derived"}
+    assert owned <= builders
+
+    def calls_outside_builders(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside or node.name in builders
+        if isinstance(node, ast.Call) and not inside:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            if name in owned:
+                yield name, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from calls_outside_builders(child, inside)
+
+    found = [call for tree in trees
+             for call in calls_outside_builders(tree, False)]
+    assert found == []

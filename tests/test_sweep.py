@@ -1,8 +1,8 @@
 """``midscribe sweep``: shared per-process state, the pool path, failures.
 
-A sweep builds the complex, the body, its path, the planar ball packing
-and the packing's system layout once per process and continues every grid
-cell from that packing. The
+A sweep builds the complex, the body, its path and the planar ball packing
+once per process, and continues every grid cell from that packing, on the
+system layout the complex owns. The
 per-cell reference below is the sweep cell as it was before that reuse: it
 rebuilds everything in every cell. The sweep's CSV must match it byte for
 byte.
@@ -90,9 +90,10 @@ def test_in_process_sweep_builds_once_and_matches_reference(tmp_path,
 
 def test_in_process_sweep_builds_the_system_layout_once(tmp_path,
                                                        monkeypatch):
-    """The cells continue from one planar packing, which carries one system
-    layout: a k x k sweep builds it once and one ConstraintSystem per
-    cell, and writes the bytes of the per-cell rebuild."""
+    """The cells continue from one planar packing, on the one system
+    layout its complex owns: a k x k sweep builds that layout once and one
+    ConstraintSystem per cell, and writes the bytes of the per-cell
+    rebuild."""
     monkeypatch.setenv("MIDSCRIBE_THREADS", "1")
     builds = {"layout": 0, "system": 0}
     layout_init = solver.SystemLayout.__init__
@@ -115,8 +116,10 @@ def test_in_process_sweep_builds_the_system_layout_once(tmp_path,
 
 
 def test_threads_continuing_from_one_pattern_match_sequential():
-    """Two threads continuing from one planar packing, and so from one
-    system layout, get the sequential runs' results bit for bit."""
+    """Two threads continuing from one planar packing, and so racing to
+    build, then sharing, the system layout its new complex owns, get the
+    bits of sequential runs that each solve on an equal complex of their
+    own."""
     P, _, frame = get_seed("cube")
     path = make_path(make_body(ELLIPSOID))
     marks = [(0j, 1 + 0j, complex(x, y))
@@ -132,12 +135,15 @@ def test_threads_continuing_from_one_pattern_match_sequential():
                   "marked_points")], report.step_history,
                 report.steps_rejected, report.iterations)
 
-    sequential = [outcome(layout_circles(P, frame, solve_radii(P, frame)), z)
-                  for z in marks]
-    planar = layout_circles(P, frame, solve_radii(P, frame))
+    def solved(z):
+        Q = build_complex(P.faces, n_vertices=P.n_vertices)
+        return outcome(layout_circles(Q, frame, solve_radii(Q, frame)), z)
+
+    sequential = [solved(z) for z in marks]
+    Q = build_complex(P.faces, n_vertices=P.n_vertices)
+    planar = layout_circles(Q, frame, solve_radii(Q, frame))
     with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
         threaded = list(pool.map(lambda z: outcome(planar, z), marks))
-    assert isinstance(planar.system_layout, solver.SystemLayout)
     assert threaded == sequential
 
 
