@@ -18,8 +18,8 @@ from .combinatorics import (DimensionReport, Frame, PolyhedralComplex,
                             load_complex_file, parse_complex_json, parse_off,
                             select_frame)
 from .config import EPS_INFINITY, Configuration, SolveReport
-from .packing import (Circle, CirclePattern, SphericalPattern, koebe_config,
-                      layout_circles, lift_normalize,
+from .packing import (Circle, CirclePattern, SphericalPattern, ball_packing,
+                      koebe_config, layout_circles, lift_normalize,
                       planar_pattern_residuals, solve_radii,
                       spherical_pattern_residuals)
 from .seeds import SEED_NAMES, seed_complex, seed_coordinates
@@ -34,12 +34,12 @@ __all__ = [
     "Configuration", "ConstraintSystem", "ConvexBody", "DimensionReport",
     "DiskPacking", "EPS_INFINITY", "Ellipsoid", "Frame", "GaugeBlend",
     "PolyhedralComplex", "RigidityReport", "SEED_NAMES", "SolveReport",
-    "SphericalPattern", "Superellipsoid", "VerifyReport", "build_complex",
-    "check_convexity", "check_midscription", "continue_from_pattern",
-    "continue_to_body", "dimension_audit", "dual_complex", "errors",
-    "extract_kdisk_packings", "koebe_config", "layout_circles",
-    "lift_normalize", "load_complex_file", "make_body", "make_path",
-    "newton_refine", "parse_complex_json", "parse_off",
+    "SphericalPattern", "Superellipsoid", "VerifyReport", "ball_packing",
+    "build_complex", "check_convexity", "check_midscription",
+    "continue_from_pattern", "continue_to_body", "dimension_audit",
+    "dual_complex", "errors", "extract_kdisk_packings", "koebe_config",
+    "layout_circles", "lift_normalize", "load_complex_file", "make_body",
+    "make_path", "newton_refine", "parse_complex_json", "parse_off",
     "planar_pattern_residuals", "rigidity_probe", "seed_complex",
     "seed_coordinates", "select_frame", "solve_radii",
     "spherical_pattern_residuals", "validate_body", "verify_configuration",

@@ -22,11 +22,11 @@ import numpy as np
 from . import io as formats
 from . import seeds
 from .bodies import BodyPath, make_body, make_path
-from .combinatorics import (PolyhedralComplex, build_complex,
+from .combinatorics import (Frame, PolyhedralComplex, build_complex,
                             load_complex_file, select_frame)
 from .errors import InputError, MalformedSpec, NotMidscribed, SolverError, StepUnderflow
-from .packing import CirclePattern, layout_circles, lift_normalize, solve_radii
-from .solver import continue_from_pattern, continue_to_body, rigidity_probe
+from .packing import ball_packing, lift_normalize
+from .solver import continue_to_body, rigidity_probe
 from .verify import check_convexity, check_midscription, verify_configuration
 
 
@@ -150,9 +150,7 @@ def cmd_pack(args) -> int:
     P = _load_complex(args.complex)
     frame = _get_frame(P, args)
     marks_z = parse_marks(args.marks)
-    radii = solve_radii(P, frame)
-    planar = layout_circles(P, frame, radii)
-    spherical = lift_normalize(planar, marks_z)
+    spherical = lift_normalize(ball_packing(P, frame), marks_z)
     manifest = _manifest(args, "pack")
     manifest.wall_time_s = time.monotonic() - t0
     out = args.out or "pattern.json"
@@ -249,14 +247,14 @@ def cmd_verify(args) -> int:
 
 @dataclass
 class _SweepSetup:
-    """What every cell of one sweep shares: the complex, the body's path and
-    the planar ball packing. path and planar are None when the body, its
-    path or the packing raised an input or solver error; every cell then
-    fails."""
+    """What every cell of one sweep shares: the complex, whose planar ball
+    packing for frame the set-up builds, and the body's path. path is None
+    when the body, its path or the packing raised an input or solver error;
+    every cell then fails."""
 
     P: PolyhedralComplex
+    frame: Frame
     path: BodyPath | None
-    planar: CirclePattern | None
 
 
 _SWEEP: _SweepSetup | None = None  # this process's sweep, set by _sweep_setup
@@ -269,22 +267,22 @@ def _sweep_setup(faces, n_vertices, frame_spec, body_desc) -> None:
     frame = select_frame(P, frame_spec[0], frame_spec[1])
     try:
         path = make_path(make_body(body_desc))
-        planar = layout_circles(P, frame, solve_radii(P, frame))
+        ball_packing(P, frame)
     except (InputError, SolverError):
-        path = planar = None
-    _SWEEP = _SweepSetup(P, path, planar)
+        path = None
+    _SWEEP = _SweepSetup(P, frame, path)
 
 
 def _sweep_worker(task):
-    """One sweep cell: continue from the shared packing to the marks
+    """One sweep cell: continue from the complex's packing to the marks
     (z1, z2, z3), then classify. Reads the state _sweep_setup left."""
     z1, z2, z3, tol = task
     setup = _SWEEP
-    if setup.planar is None:
+    if setup.path is None:
         return (z1, z2, z3, "failed", float("nan"))
     try:
-        cfg, _report = continue_from_pattern(setup.planar, (z1, z2, z3),
-                                             setup.path, tol=tol)
+        cfg, _report = continue_to_body(setup.P, setup.frame, (z1, z2, z3),
+                                        setup.path, tol=tol)
         cls, info = check_convexity(cfg, setup.P, detailed=True)
         if info["marginal"] and cls in ("convex", "nonconvex"):
             cls += "-marginal"

@@ -70,24 +70,8 @@ class PolyhedralComplex:
         k = len(cyc)
         return tuple((cyc[i], cyc[(i + 1) % k]) for i in range(k))
 
-    def edge_vertices(self, e: int) -> tuple[int, int]:
-        return self.edges[e]
-
     def faces_of_edge(self, e: int) -> tuple[int, int]:
         return self.edge_faces[e]
-
-    def edges_of_vertex(self, v: int) -> tuple[int, ...]:
-        """Edge ids at v, in the same cyclic order as vertex_faces[v].
-
-        The edge at position i is the one shared by faces i and i+1 of the
-        vertex's face cycle.
-        """
-        cycle = self.vertex_faces[v]
-        out = []
-        for f in cycle:
-            u = _predecessor_in_cycle(self.faces[f], v)
-            out.append(self.edge_index[(v, u)])
-        return tuple(out)
 
 
 def derived(P: PolyhedralComplex, build, *args):

@@ -14,16 +14,19 @@ log radii those angle sums are the gradient of a convex functional
 (Bobenko-Springborn), so the radii are its critical point, found by damped
 sparse Newton with one radius pinned; the complex owns the Laplacian's
 sparsity pattern, and each solve refills only its own values. Then the
-circles are placed row by row and propagated across darts, lifted to the unit
-sphere, and normalized by the Mobius transformation pinning the three frame
-tangencies to the marks. The lift maps every circle's sample points at once,
-in arrays that round as the scalar Mobius map does.
+circles are placed row by row and propagated across darts. Radii and planar
+circles depend on (P, frame) alone, so P owns that packing (ball_packing):
+the first solve of P builds it, and every solve lifts it to the unit sphere
+on its own marks, normalized by the Mobius transformation pinning the three
+frame tangencies to them. The lift maps every circle's sample points at
+once, in arrays that round as the scalar Mobius map does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from scipy import sparse, special
@@ -322,18 +325,20 @@ def _line(point: complex, direction: complex, witness: complex) -> Circle:
                   direction=direction / abs(direction), witness=witness)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CirclePattern:
     """Planar pattern: one circle per vertex and face, one point per edge.
 
     The tangency of the first frame edge is the point at infinity; the four
     incident objects (f0, the face across e1, and e1's endpoints) are lines.
+    The pattern of (P, frame) is P's own (ball_packing), shared by every
+    solve of P, so it is frozen and its three mappings are read-only.
     """
 
     P: PolyhedralComplex
-    vertex_circles: dict
-    face_circles: dict
-    tangency: dict
+    vertex_circles: MappingProxyType
+    face_circles: MappingProxyType
+    tangency: MappingProxyType
     frame: Frame
     box_width: float
     box_height: float
@@ -411,6 +416,17 @@ def layout_circles(P: PolyhedralComplex, frame: Frame,
                                 width, height)
     _validate_planar(pattern, LAYOUT_TOL * scale)
     return pattern
+
+
+def ball_packing(P: PolyhedralComplex, frame: Frame) -> CirclePattern:
+    """The planar ball packing of (P, frame), which P owns: it depends on
+    neither the marks nor the body, so the first solve of P lays it out and
+    every later one shares it. A build that raises is not kept."""
+    return derived(P, _ball_packing, frame)
+
+
+def _ball_packing(P: PolyhedralComplex, frame: Frame) -> CirclePattern:
+    return layout_circles(P, frame, solve_radii(P, frame))
 
 
 def _stack_wall(P, box, r, centers, tangency, v_wall, x_wall):
@@ -522,8 +538,9 @@ def _assemble_pattern(P, box, r, centers, tangency, frame, width, height):
     face_circles[box.f0] = _line(0j, 1 + 0j, complex(0.5 * width, -1.0))
     face_circles[box.g_top] = _line(complex(0.0, height), 1 + 0j,
                                     complex(0.5 * width, height + 1.0))
-    return CirclePattern(P=P, vertex_circles=vertex_circles,
-                         face_circles=face_circles, tangency=dict(tangency),
+    return CirclePattern(P=P, vertex_circles=MappingProxyType(vertex_circles),
+                         face_circles=MappingProxyType(face_circles),
+                         tangency=MappingProxyType(tangency),
                          frame=frame, box_width=width, box_height=height)
 
 
@@ -703,18 +720,12 @@ def spherical_pattern_residuals(pat: SphericalPattern):
     """Worst-case residuals of a spherical pattern, keyed by kind, over the
     edges' four caps (vertices a, b and faces fa, fb) and tangency points,
     as arrays over all edges; a nan residual reads nan."""
-    P = pat.P
-    V = P.n_vertices
     caps = np.concatenate([pat.vertex_caps, pat.face_caps])
     n, d = caps[:, :3], caps[:, 3]
     # sin of each cap's angular radius, with Python's ** as a scalar
     root = np.array([math.sqrt(max(0.0, 1.0 - dk ** 2)) for dk in d.tolist()])
     T = pat.tangency
-    a, b = np.array(P.edges).reshape(-1, 2).T
-    fa, fb = V + np.array(P.edge_faces).reshape(-1, 2).T
-    ends = np.stack([a, b, fa, fb], axis=1)
-    i, j = np.array([a, fa]), np.array([b, fb])
-    v, f = np.array([a, a, b, b]), np.array([fa, fb, fa, fb])
+    ends, i, j, v, f = derived(pat.P, _edge_caps)
 
     def worst(r):
         return float(np.max(np.abs(r), initial=0.0))
@@ -724,6 +735,18 @@ def spherical_pattern_residuals(pat: SphericalPattern):
                              - (d[i] * d[j] - root[i] * root[j])),
             "orthogonal": worst(_rowdot(n[v], n[f]) - d[v] * d[f]),
             "unit_norm": worst(_rowdot(T, T) - 1.0)}
+
+
+def _edge_caps(P: PolyhedralComplex):
+    """Cap rows of each edge for spherical_pattern_residuals, which P owns
+    (derived): its four caps (E, 4), the tangent pairs (vertex, vertex) and
+    (face, face) as i, j (2, E), and the orthogonal vertex-face pairs as v,
+    f (4, E). Face caps follow the V vertex caps."""
+    a, b = np.array(P.edges).reshape(-1, 2).T
+    fa, fb = P.n_vertices + np.array(P.edge_faces).reshape(-1, 2).T
+    return (np.stack([a, b, fa, fb], axis=1), np.array([a, fa]),
+            np.array([b, fb]), np.array([a, a, b, b]),
+            np.array([fa, fb, fa, fb]))
 
 
 def koebe_config(pattern: SphericalPattern) -> Configuration:

@@ -12,9 +12,10 @@ Which row and column each of these occupies depends on (P, frame) alone, so
 a SystemLayout holds that index layout, and ConstraintSystem evaluates the
 residual and Jacobian as array expressions over it, with one batched gauge
 call per quantity. A continuation builds one system and swaps the body and
-the marked points in at every step. The layout is owned by the complex
-(combinatorics.derived): the first system of (P, frame) builds it, and
-every later one, in any continuation, sweep cell or thread, shares it.
+the marked points in at every step. The complex owns the layout and the
+planar ball packing the continuation starts from (combinatorics.derived):
+the first solve of (P, frame) builds them, and every later one, in any
+continuation, sweep cell or thread, shares them.
 newton_refine and the restarts of rigidity_probe, the empirical uniqueness
 check, are Newton solves too.
 
@@ -355,19 +356,6 @@ class ConstraintSystem:
                                edge[layout.edge_rows >= 0],
                                np.einsum("ij,ij->i", X, X) - 1.0])
 
-    def row_labels(self):
-        layout = self.layout
-        labels = [("face_gauge", f) for f in range(self.P.n_faces)]
-        labels += [("flag", v, f) for v, f in zip(layout.flag_v.tolist(),
-                                                  layout.flag_f.tolist())]
-        for e, (f, g) in enumerate(layout.edge_faces.tolist()):
-            edge = (("edge_plane", e, f), ("edge_plane", e, g),
-                    ("edge_gauge", e), ("edge_tangency", e))
-            labels += [label for label, row in zip(edge, layout.edge_rows[e])
-                       if row >= 0]
-        labels += [("vertex_norm", v) for v in range(self.P.n_vertices)]
-        return labels
-
     def jacobian(self, x: np.ndarray, terms=None) -> sp.csc_matrix:
         """The Jacobian at x, in the CSC matrix that __init__ built: the
         linear entries are one gather, coef * z[source], and each other
@@ -656,24 +644,26 @@ def continue_to_body(P: PolyhedralComplex, frame: Frame, marks_z,
                      path: BodyPath, tol: float = 1e-11):
     """Track the configuration from the ball packing to the end of the path.
 
-    Solves the radii and lays out the planar packing of (P, frame), then
-    runs continue_from_pattern on it. Returns (Configuration, SolveReport).
+    Runs continue_from_pattern on the planar packing of (P, frame), which P
+    owns (packing.ball_packing): the first solve of P builds it, every
+    later one reuses it. Returns (Configuration, SolveReport).
     """
-    planar = packing.layout_circles(P, frame, packing.solve_radii(P, frame))
-    return continue_from_pattern(planar, marks_z, path, tol)
+    return continue_from_pattern(packing.ball_packing(P, frame), marks_z,
+                                 path, tol)
 
 
 def continue_from_pattern(planar: packing.CirclePattern, marks_z,
                           path: BodyPath, tol: float = 1e-11):
     """Track the configuration from a planar ball packing to the end of path.
 
-    planar is the laid-out packing of (P, frame) and carries both. The
-    normalized packing is unique up to a Mobius map, so one planar layout
-    serves every choice of marks: marks_z, three distinct chart coordinates,
-    enter only through the lift to the sphere. At every step s the pinned
-    tangent points are the chart images on the blended body, so the marks
-    move continuously with s; they are computed once per s, so a retried s
-    reuses them. One ConstraintSystem serves the whole run; each step swaps
+    planar is the laid-out packing of (P, frame) and carries both; P owns
+    it (packing.ball_packing), and it is only read here. The normalized
+    packing is unique up to a Mobius map, so one planar layout serves every
+    choice of marks: marks_z, three distinct chart coordinates, enter only
+    through the lift to the sphere, which is checked on every solve. At
+    every step s the pinned tangent points are the chart images on the
+    blended body, so the marks move continuously with s; they are computed
+    once per s, so a retried s reuses them. One ConstraintSystem serves the whole run; each step swaps
     its body and marked points, on the SystemLayout that P owns. The first
     try goes from s = 0 to s = 1 in one step under _newton_core's
     contraction test (THETA_MAX);

@@ -302,7 +302,9 @@ def check_midscription(cfg: Configuration, body: ConvexBody,
 def _midscription(cfg, body, P):
     """The work of check_midscription that does not depend on tol: the
     incidence residuals, the line minima and the convexity class. Returns
-    the report as a function of tol, and the line minimizers (E, 3)."""
+    the report as a function of tol, the line minimizers (E, 3), the unit
+    vertex 4-vectors v4 and the (F, V) incidence residuals R, which the
+    packings' precondition reads too."""
     v4 = cfg.vertices4 / np.linalg.norm(cfg.vertices4, axis=1, keepdims=True)
     on = derived(P, _on_face)
     R = np.abs(_rowdot(cfg.normals[:, None, :], v4[None, :, 1:])
@@ -328,7 +330,7 @@ def _midscription(cfg, body, P):
                 for e in range(P.n_edges)]
     # fmax: a nan minimum is skipped, as by the running max it replaces
     max_tan = float(np.fmax.reduce(np.abs(line_min), initial=0.0))
-    convexity = check_convexity(cfg, P)
+    convexity = _convexity(cfg, P, v4)
 
     def report(tol):
         return VerifyReport(max_tangency_residual=max_tan,
@@ -339,7 +341,7 @@ def _midscription(cfg, body, P):
                             contact_graph_primal_ok=None,
                             contact_graph_dual_ok=None,
                             per_edge=per_edge, per_vertex=per_vertex, tol=tol)
-    return report, minimizers
+    return report, minimizers, v4, R
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +358,11 @@ def check_convexity(cfg: Configuration, P: PolyhedralComplex,
     classifications within 10x SIDE_TOL of the convex/nonconvex boundary.
     """
     v4 = cfg.vertices4 / np.linalg.norm(cfg.vertices4, axis=1, keepdims=True)
+    return _convexity(cfg, P, v4, detailed)
+
+
+def _convexity(cfg, P, v4, detailed=False):
+    """check_convexity on the unit vertex 4-vectors v4 of cfg."""
     if np.any(np.abs(v4[:, 0]) <= EPS_INFINITY):
         info = {"min_side_distance": math.nan, "marginal": False,
                 "worst_pair": None}
@@ -578,21 +585,18 @@ def extract_kdisk_packings(cfg: Configuration, body: ConvexBody,
     precondition, and DegenerateConfiguration naming the vertex when one
     lies at infinity.
     """
-    midscription, minimizers = _midscription(cfg, body, P)
-    _require_midscribed(cfg, P, midscription(CONTACT_TOL))
+    midscription, minimizers, v4, R = _midscription(cfg, body, P)
+    _require_midscribed(cfg, P, midscription(CONTACT_TOL), v4, R)
     return _packings(cfg, body, P, minimizers)
 
 
-def _require_midscribed(cfg, P, report: VerifyReport) -> None:
+def _require_midscribed(cfg, P, report: VerifyReport, v4, R) -> None:
     """The precondition of the certificates: tangency and incidence below
     CONTACT_TOL, and every vertex off each face plane it does not lie on
     by more than the incidence residual's rounding bound, ROUNDING times
     its terms. An absolute tolerance there would reject correct
     configurations: the 480-vertex ellipsoid witness has a vertex 1e-7
-    from a face plane it is not on."""
-    v4 = cfg.vertices4 / np.linalg.norm(cfg.vertices4, axis=1, keepdims=True)
-    R = np.abs(_rowdot(cfg.normals[:, None, :], v4[None, :, 1:])
-               - cfg.offsets[:, None] * v4[None, :, 0])
+    from a face plane it is not on. v4 and R are _midscription's."""
     terms = (_rowdot(np.abs(cfg.normals)[:, None, :], np.abs(v4[None, :, 1:]))
              + np.abs(cfg.offsets)[:, None] * np.abs(v4[None, :, 0]))
     off = ~derived(P, _on_face)
@@ -622,11 +626,11 @@ def verify_configuration(cfg: Configuration, body: ConvexBody,
     contact flags stay None. The line minima are computed once and serve
     the report at tol, the packings' precondition and their certificates.
     """
-    midscription, minimizers = _midscription(cfg, body, P)
+    midscription, minimizers, v4, R = _midscription(cfg, body, P)
     report = midscription(tol)
     if with_packings and report.convexity == "convex":
         try:
-            _require_midscribed(cfg, P, report)
+            _require_midscribed(cfg, P, report, v4, R)
             face_packing, visibility_packing = _packings(cfg, body, P,
                                                          minimizers)
         except (NotMidscribed, DegenerateConfiguration):

@@ -30,6 +30,8 @@ plain bisection, and ``per_disk_trace``, which traces one vertex disk at a
 time with it; ``select_pairs``, the pair loop of ``_trace_packing`` with
 one adjacency lookup per ordered disk pair; and ``_golden_pairs``, the
 golden-section refinement of the margins that ``_refine_pairs`` replaced.
+``edges_of_vertex``, the edges around a vertex in the order of its face
+cycle, was a method of the complex that only these tracers read.
 """
 
 import math
@@ -271,6 +273,17 @@ def _horizon_gap(body, gfun, w_dir, m_dir, warm):
     return alpha, at(alpha)[1]
 
 
+def edges_of_vertex(P, v):
+    """Edge ids at v, in the same cyclic order as P.vertex_faces[v]: the
+    edge at position i is the one shared by faces i and i+1 of the
+    vertex's face cycle."""
+    out = []
+    for f in P.vertex_faces[v]:
+        cyc = P.faces[f]
+        out.append(P.edge_index[(v, cyc[cyc.index(v) - 1])])
+    return tuple(out)
+
+
 def _vertex_visibility(cfg, P, v, positions, finite):
     """Visibility function, reference direction and apex data for vertex v."""
     if finite[v]:
@@ -286,8 +299,8 @@ def _vertex_visibility(cfg, P, v, positions, finite):
     v4 = cfg.vertices4[v] / np.linalg.norm(cfg.vertices4[v])
     u = v4[1:] / np.linalg.norm(v4[1:])
     sign = 0.0
-    for e in P.edges_of_vertex(v):
-        a, b = P.edge_vertices(e)
+    for e in edges_of_vertex(P, v):
+        a, b = P.edges[e]
         other = b if a == v else a
         if finite[other]:
             sign = math.copysign(1.0, float((cfg.tangents[e] - positions[other]) @ u))
@@ -411,7 +424,7 @@ def scalar_kdisk_packings(cfg, body, P, n_samples=N_BOUNDARY_SAMPLES):
     for e in range(P.n_edges):
         f, g = P.faces_of_edge(e)
         face_adj[(min(f, g), max(f, g))] = cfg.tangents[e]
-        v, w = P.edge_vertices(e)
+        v, w = P.edges[e]
         vert_adj[(min(v, w), max(v, w))] = cfg.tangents[e]
 
     def face_margin(j, x):
@@ -1028,8 +1041,8 @@ def _vertex_apex(cfg, P, v, positions, finite):
     v4 = cfg.vertices4[v] / np.linalg.norm(cfg.vertices4[v])
     u = v4[1:] / np.linalg.norm(v4[1:])
     sign = 0.0
-    for e in P.edges_of_vertex(v):
-        a, b = P.edge_vertices(e)
+    for e in edges_of_vertex(P, v):
+        a, b = P.edges[e]
         other = b if a == v else a
         if finite[other]:
             sign = math.copysign(1.0, float((cfg.tangents[e] - positions[other]) @ u))

@@ -6,6 +6,10 @@ time, with scalar gauge calls per edge. Tests require the layout-based
 ``ConstraintSystem`` to reproduce its residual, its CSR Jacobian, its row
 labels and its packing exactly.
 
+``layout_row_labels`` names the rows of the solver's system from its
+layout, as ``ConstraintSystem.row_labels`` did before it left the package,
+which had no other reader.
+
 ``blockwise_jacobian`` is the solver's Jacobian as it was written before its
 linear entries were gathered in one step: one array expression per block of
 nonzeros. The solver's matrix must equal it bit for bit.
@@ -275,6 +279,22 @@ def blockwise_jacobian(system, x: np.ndarray) -> sp.csc_matrix:
                           (np.concatenate([r.ravel() for r in rows]),
                            np.concatenate([c.ravel() for c in cols]))),
                          shape=(n, n)).tocsc()
+
+
+def layout_row_labels(system):
+    """The label of each row of a solver.ConstraintSystem, read off its
+    SystemLayout."""
+    layout = system.layout
+    labels = [("face_gauge", f) for f in range(system.P.n_faces)]
+    labels += [("flag", v, f) for v, f in zip(layout.flag_v.tolist(),
+                                              layout.flag_f.tolist())]
+    for e, (f, g) in enumerate(layout.edge_faces.tolist()):
+        edge = (("edge_plane", e, f), ("edge_plane", e, g),
+                ("edge_gauge", e), ("edge_tangency", e))
+        labels += [label for label, row in zip(edge, layout.edge_rows[e])
+                   if row >= 0]
+    labels += [("vertex_norm", v) for v in range(system.P.n_vertices)]
+    return labels
 
 
 def face_circle_sizes(P: PolyhedralComplex, T: np.ndarray) -> np.ndarray:

@@ -47,7 +47,7 @@ def test_incidence_tables_consistent(name):
     for e in range(P.n_edges):
         f, g = P.faces_of_edge(e)
         assert f != g
-        u, v = P.edge_vertices(e)
+        u, v = P.edges[e]
         assert u != v
         for face in (f, g):
             boundary = P.boundary_edges(face)
@@ -59,7 +59,7 @@ def test_incidence_tables_consistent(name):
         for i in range(len(ring)):
             a, b = ring[i], ring[(i + 1) % len(ring)]
             shared = set(P.boundary_edges(a)) & set(P.boundary_edges(b))
-            assert any(v in P.edge_vertices(e) for e in shared)
+            assert any(v in P.edges[e] for e in shared)
 
 
 def test_build_complex_rejects_open_surface():

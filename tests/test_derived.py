@@ -1,11 +1,13 @@
-"""What a complex derives once and shares: the solver's index layout, the
-radius solve's node structure and angle-sum arrays, and the verifier's face
-masks and contact graphs (combinatorics.derived).
+"""What a complex derives once and shares: the planar ball packing, the
+solver's index layout, the radius solve's node structure and angle-sum
+arrays, the lift check's edge cap rows, and the verifier's face masks and
+contact graphs (combinatorics.derived).
 
 Every count below is taken on complexes built inside the test, never on one
 cached by a fixture, since a cached complex may already own its structures.
 """
 import concurrent.futures
+import dataclasses
 import sys
 
 import numpy as np
@@ -15,6 +17,7 @@ from conftest import CANONICAL_MARKS
 from midscribe import packing, solver, verify
 from midscribe.bodies import make_body, make_path
 from midscribe.combinatorics import PolyhedralComplex, build_complex
+from midscribe.errors import NonConvergence
 from midscribe.packing import solve_radii
 from midscribe.solver import continue_to_body
 from midscribe.verify import verify_configuration
@@ -55,6 +58,7 @@ def count_builds(monkeypatch):
     counted_init(solver.SystemLayout, "SystemLayout")
     counted_init(packing._AngleSums, "_AngleSums")
     counted_function(packing, "_box_structure")
+    counted_function(packing, "_edge_caps")
     counted_function(verify, "_on_face")
     counted_function(verify, "_contact_graph")
     return built
@@ -89,7 +93,7 @@ def test_each_structure_is_built_once_per_complex(monkeypatch):
     Q = build_complex(P.faces, n_vertices=P.n_vertices)
     assert Q == P and solve_and_verify(Q, frame) == first
     once = [("_AngleSums", (frame,)), ("_box_structure", (frame,)),
-            ("SystemLayout", (frame,)), ("_on_face", ()),
+            ("_edge_caps", ()), ("SystemLayout", (frame,)), ("_on_face", ()),
             ("_contact_graph", (True,)), ("_contact_graph", (False,))]
     assert [(name, args) for name, _, args in built] == 2 * once
     assert all(complex_ is P for _, complex_, _ in built[:len(once)])
@@ -155,10 +159,105 @@ def test_writing_into_a_derived_array_raises():
     assert sorted(map(repr, P._derived)) == sorted(map(repr, [
         (solver.SystemLayout, frame), (packing._AngleSums, frame),
         (packing._box_structure, frame), (verify._on_face,),
-        (verify._contact_graph, True), (verify._contact_graph, False)]))
+        (verify._contact_graph, True), (verify._contact_graph, False),
+        (packing._ball_packing, frame), (packing._edge_caps,)]))
     for (build, *_), value in P._derived.items():
         arrays = list(_arrays(value, set()))
-        assert arrays or build is packing._box_structure, build
+        # the packing's circles are frozen values in read-only mappings
+        assert arrays or build in (packing._box_structure,
+                                   packing._ball_packing), build
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
+
+
+def count_packings(monkeypatch):
+    """Wrap solve_radii and layout_circles; returns the list of the
+    complexes each was called on, in order."""
+    calls = []
+    for name in ("solve_radii", "layout_circles"):
+        build = getattr(packing, name)
+
+        def counted(P, *args, build=build, name=name):
+            calls.append((name, P))
+            return build(P, *args)
+        monkeypatch.setattr(packing, name, counted)
+    return calls
+
+
+def pattern_bits(pattern):
+    """Every circle, tangency point and box size of a planar pattern, by
+    repr, which tells floats apart bit for bit."""
+    return repr([sorted(pattern.vertex_circles.items()),
+                 sorted(pattern.face_circles.items()),
+                 sorted(pattern.tangency.items()),
+                 pattern.box_width, pattern.box_height])
+
+
+def solutions(P, frame):
+    """continue_to_body on each of BODIES at two mark sets: the solutions'
+    bytes and step histories, or the error of a failed solve."""
+    out = []
+    for desc in BODIES:
+        path = make_path(make_body(desc))
+        for z in (CANONICAL_MARKS, MARKS[3]):
+            try:
+                cfg, report = continue_to_body(P, frame, z, path)
+            except solver.SolverError as exc:
+                out.append(repr(exc))
+                continue
+            out.append([getattr(cfg, part).tobytes() for part in
+                        ("normals", "offsets", "vertices4", "tangents")]
+                       + [report.step_history, report.iterations])
+    return out
+
+
+@pytest.mark.parametrize("name", ["cube", "pentagonal_prism"])
+def test_the_ball_packing_is_built_once_per_complex(monkeypatch, name):
+    """Four solves of one complex, on two bodies at two mark sets each,
+    run the radius solve and the layout once; an equal complex builds its
+    own packing, with the same bits and the same solutions."""
+    calls = count_packings(monkeypatch)
+    P, frame = fresh_complex(name)
+    first = solutions(P, frame)
+    Q = build_complex(P.faces, n_vertices=P.n_vertices)
+    assert solutions(Q, frame) == first
+    assert calls == [("solve_radii", P), ("layout_circles", P),
+                     ("solve_radii", Q), ("layout_circles", Q)]
+    mine, theirs = packing.ball_packing(P, frame), packing.ball_packing(Q,
+                                                                       frame)
+    assert mine is not theirs and mine.P is P and theirs.P is Q
+    assert pattern_bits(mine) == pattern_bits(theirs)
+    assert len(calls) == 4  # the two reads above built nothing
+
+
+def test_a_failed_packing_is_not_kept(monkeypatch):
+    """A radius solve that cannot converge fails the solve and leaves the
+    complex without a packing; once it can, the same complex solves to
+    the bits of a new one."""
+    P, frame = fresh_complex("cube")
+    with monkeypatch.context() as patch:
+        patch.setattr(packing, "RADIUS_MAX_ITERATIONS", 1)
+        with pytest.raises(NonConvergence, match="radius solve"):
+            continue_to_body(P, frame, CANONICAL_MARKS,
+                             make_path(make_body(BODIES[0])))
+        assert (packing._ball_packing, frame) not in P._derived
+    assert solutions(P, frame) == solutions(*fresh_complex("cube"))
+
+
+def test_writing_into_the_shared_packing_raises():
+    """The packing a complex owns is frozen, and its mappings read-only."""
+    P, frame = fresh_complex("cube")
+    pattern = packing.ball_packing(P, frame)
+    assert pattern is packing.ball_packing(P, frame)
+    for mapping in (pattern.vertex_circles, pattern.face_circles,
+                    pattern.tangency):
+        with pytest.raises(TypeError):
+            mapping[0] = mapping[1]
+        with pytest.raises((TypeError, AttributeError)):
+            mapping.pop(0)
+    for field in dataclasses.fields(pattern):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pattern, field.name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pattern.vertex_circles[0].radius = 2.0

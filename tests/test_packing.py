@@ -92,7 +92,7 @@ def test_radius_targets_are_pi_or_two_pi(planar):
 def test_layout_geometry(planar):
     P, _, _, pat = planar
     for e in range(P.n_edges):
-        u, v = P.edge_vertices(e)
+        u, v = P.edges[e]
         f, g = P.faces_of_edge(e)
         cu, cv = pat.vertex_circles[u], pat.vertex_circles[v]
         cf, cg = pat.face_circles[f], pat.face_circles[g]
@@ -162,7 +162,7 @@ def test_spherical_caps_through_tangency_points():
     for e in range(P.n_edges):
         t = sph.tangency[e]
         assert abs(np.linalg.norm(t) - 1) < 1e-12
-        u, v = P.edge_vertices(e)
+        u, v = P.edges[e]
         f, g = P.faces_of_edge(e)
         for cap in (sph.vertex_caps[u], sph.vertex_caps[v],
                     sph.face_caps[f], sph.face_caps[g]):

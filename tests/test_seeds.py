@@ -42,7 +42,7 @@ def test_feet_lie_on_their_edges(name):
     P, X, _ = get_seed(name)
     feet = perpendicular_feet(P, X)
     for e in range(P.n_edges):
-        u, v = P.edge_vertices(e)
+        u, v = P.edges[e]
         d = X[v] - X[u]
         t = float((feet[e] - X[u]) @ d) / float(d @ d)
         assert -1e-12 < t < 1 + 1e-12

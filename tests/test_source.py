@@ -84,18 +84,26 @@ def test_derived_structures_are_built_only_by_their_builders():
                 and node.func.id == "derived"}
     assert owned <= builders
 
-    def calls_outside_builders(node, inside):
+    def calls_outside(node, names, allowed, inside=False):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            inside = inside or node.name in builders
+            inside = inside or node.name in allowed
         if isinstance(node, ast.Call) and not inside:
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(
                 func, "attr", None)
-            if name in owned:
+            if name in names:
                 yield name, node.lineno
         for child in ast.iter_child_nodes(node):
-            yield from calls_outside_builders(child, inside)
+            yield from calls_outside(child, names, allowed, inside)
 
     found = [call for tree in trees
-             for call in calls_outside_builders(tree, False)]
+             for call in calls_outside(tree, owned, builders)]
+    assert found == []
+    # the radius solve and the layout make the planar ball packing, which
+    # depends on (P, frame) alone: run anywhere but in its builder, they
+    # would lay it out again on every solve
+    assert "_ball_packing" in builders
+    found = [call for tree in trees
+             for call in calls_outside(tree, {"solve_radii", "layout_circles"},
+                                       {"_ball_packing"})]
     assert found == []

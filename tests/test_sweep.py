@@ -1,8 +1,8 @@
 """``midscribe sweep``: shared per-process state, the pool path, failures.
 
-A sweep builds the complex, the body, its path and the planar ball packing
-once per process, and continues every grid cell from that packing, on the
-system layout the complex owns. The
+A sweep builds the complex, the body and its path once per process, and
+continues every grid cell from the planar ball packing and on the system
+layout that the complex owns, each built once. The
 per-cell reference below is the sweep cell as it was before that reuse: it
 rebuilds everything in every cell. The sweep's CSV must match it byte for
 byte.
@@ -14,7 +14,7 @@ import pytest
 
 import midscribe.cli as cli
 from conftest import get_seed
-from midscribe import solver
+from midscribe import packing, solver
 from midscribe.bodies import make_body, make_path
 from midscribe.cli import main
 from midscribe.combinatorics import build_complex, select_frame
@@ -66,24 +66,27 @@ def run_sweep(out, body_desc, grid=3):
                  "--marks", "0,1,i", "--grid", str(grid), "--out", str(out)])
 
 
-def counting(monkeypatch, name, counts):
-    original = getattr(cli, name)
+def counting(monkeypatch, module, name, counts):
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         counts[name] = counts.get(name, 0) + 1
         return original(*args, **kwargs)
-    monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(module, name, counted)
 
 
 def test_in_process_sweep_builds_once_and_matches_reference(tmp_path,
                                                             monkeypatch):
     monkeypatch.setenv("MIDSCRIBE_THREADS", "1")
     counts = {}
-    for name in ("build_complex", "make_path", "solve_radii"):
-        counting(monkeypatch, name, counts)
+    for module, name in ((cli, "build_complex"), (cli, "make_path"),
+                         (packing, "solve_radii"),
+                         (packing, "layout_circles")):
+        counting(monkeypatch, module, name, counts)
     out = tmp_path / "sweep.csv"
     assert run_sweep(out, ELLIPSOID) == 0
-    assert counts == {"build_complex": 1, "make_path": 1, "solve_radii": 1}
+    assert counts == {"build_complex": 1, "make_path": 1, "solve_radii": 1,
+                      "layout_circles": 1}
     assert cli._SWEEP is None
     assert out.read_text() == reference_csv(ELLIPSOID)
 
@@ -179,6 +182,18 @@ def test_sweep_invalid_body_fails_every_cell(tmp_path, monkeypatch, threads):
     assert len(lines) == 1 + 9
     assert all(line.split(",")[3] == "failed" for line in lines[1:])
     assert text == reference_csv("torus:r=2")
+
+
+def test_sweep_whose_packing_fails_fails_every_cell(tmp_path, monkeypatch):
+    """A radius solve that cannot converge fails the set-up's packing, and
+    then every cell, as it fails every per-cell rebuild."""
+    monkeypatch.setattr(packing, "RADIUS_MAX_ITERATIONS", 1)
+    monkeypatch.setenv("MIDSCRIBE_THREADS", "1")
+    out = tmp_path / "sweep.csv"
+    assert run_sweep(out, ELLIPSOID) == 0
+    lines = out.read_text().strip().splitlines()
+    assert all(line.split(",")[3] == "failed" for line in lines[1:])
+    assert out.read_text() == reference_csv(ELLIPSOID)
 
 
 def test_sweep_reads_guard_constants_at_call_time(tmp_path, monkeypatch):

@@ -61,7 +61,7 @@ def test_tangency_is_a_line_property():
     # the report flags the mismatch distance but still passes
     P, _, cfg = closed_form_config("tetrahedron")
     moved = cfg.copy()
-    u, v = P.edge_vertices(0)
+    u, v = P.edges[0]
     positions, _ = cfg.affine_vertices()
     d = positions[v] - positions[u]
     d /= np.linalg.norm(d)
