@@ -30,10 +30,10 @@ NORTH_POLE = np.array([0.0, 0.0, 1.0])
 # N + t (x, y, -2) rounds exactly like (t x, t y, 1 - 2 t), zero signs included
 _CHORD_ORIGIN = np.array([-0.0, -0.0, 1.0])
 RAY_NEWTON_ITERATIONS = 60
-# Bisections allowed in _bisect_polish and in the chart's
-# _verified_bisection. Their brackets have hi >= 1 and width at most hi,
-# which reaches 1e-14*hi in at most 47 halvings, so the cap only stops a
-# bisection that cannot converge.
+# Bisections allowed in _bisect_polish. Its brackets, of rays and of the
+# chords a chart inverse's certificates leave open, have hi >= 1 and width
+# at most hi, which reaches 1e-14*hi in at most 47 halvings, so the cap only
+# stops a bisection that cannot converge.
 CHART_BISECTION_ITERATIONS = 100
 # Newton steps per chord in _root_estimates. A ball or ellipsoid blend's
 # chord is certified at the bracket's seed and takes none; a p = 4 blend's
@@ -547,10 +547,8 @@ def _bisect_rays(body: ConvexBody, origins, dirs) -> np.ndarray:
 def _bisect_polish(body: ConvexBody, origins, dirs, lo, hi) -> np.ndarray:
     """Roots t of F(o + t d) in brackets [lo, hi], F < 0 at lo, by bisection
     and two Newton polish steps, all rows in lockstep: one values call per
-    halving, for many rows such as the rays of a mesh. The few chords of a
-    chart inverse are bisected by _bisect_chords and only polished here:
-    its _verified_bisection walks each row's halvings in plain floats,
-    which makes fewer gauge calls but costs more per row than this loop.
+    halving. It takes the rays of a mesh and of ray_roots' fallback, and
+    the few chords a chart inverse's certificates leave open.
 
     origins is one point (3,) or one per row. A row is bisected until
     hi - lo <= 1e-14 max(1, hi); Newton then starts from the midpoint and
@@ -561,7 +559,7 @@ def _bisect_polish(body: ConvexBody, origins, dirs, lo, hi) -> np.ndarray:
     """
     for _ in range(CHART_BISECTION_ITERATIONS):
         # a row once narrow keeps its bracket, so it stays narrow
-        wide = _wide(lo, hi)
+        wide = hi - lo > 1e-14 * np.maximum(1.0, hi)
         if not wide.any():
             break
         mid = 0.5 * (lo + hi)
@@ -588,124 +586,19 @@ def _newton_polish(body: ConvexBody, origins, dirs, t,
     return t
 
 
-def _bisect_chords(body: ConvexBody, origin, dirs, lo, hi,
-                   seed) -> np.ndarray:
-    """The roots of _bisect_polish, bit for bit, for the few chords of a
-    chart inverse from one point origin (3,), in a few values calls instead
-    of one per halving.
-
-    _verified_bisection halves each wide row (the test of _wide) until it
-    is narrow, steered by _root_estimates from seed in the first round and
-    from hi after it. A row still wide after CHART_BISECTION_ITERATIONS - 1
-    halvings raises the same RootNotFound as _bisect_polish, which then
-    polishes the narrow brackets.
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    wide = np.flatnonzero(_wide(lo, hi))
-    d = dirs[wide]
-    seeds = [np.asarray(seed, dtype=float)[wide]]
-
-    def estimate(rows, l, h):
-        t0 = seeds.pop()[rows] if seeds else h
-        return _root_estimates(body, origin, d[rows], l, h, t0)
-
-    lo[wide], hi[wide] = _verified_bisection(
-        lambda rows, mids: body.values(origin + mids[:, None] * d[rows]) < 0,
-        lo[wide], hi[wide], estimate, CHART_BISECTION_ITERATIONS - 1,
-        lambda l, h, mid: h - l <= 1e-14 * max(1.0, h))
-    if _wide(lo, hi).any():
-        raise RootNotFound("bisection did not converge in %d steps"
-                           % CHART_BISECTION_ITERATIONS)
-    # every bracket is narrow, so this only polishes
-    return _bisect_polish(body, origin, dirs, lo, hi)
-
-
-def _wide(lo, hi):
-    """Brackets still wider than 1e-14 max(1, hi)."""
-    return hi - lo > 1e-14 * np.maximum(1.0, hi)
-
-
-def _verified_bisection(below, lo, hi, estimate, budget, narrow):
-    """The brackets (lo, hi) of a lockstep bisection, bit for bit, in a few
-    batched sign calls instead of one per halving.
-
-    The lockstep bisection halves every open row at once: mid = 0.5 (lo +
-    hi), then lo = mid where below(rows, mids) holds (one batched call,
-    an (m,) bool array), else hi = mid. Every row is halved at least once
-    and closes once narrow(lo, hi, mid) holds after a halving; a row that
-    uses up its budget of halvings keeps its bracket.
-
-    Here each round calls estimate(rows, lo, hi) once, for every open row
-    a guess of where below turns False, and walks the halvings each
-    bracket would take if it turned exactly there, in plain floats: they
-    round like numpy and cost far less than a numpy call per halving. One
-    below call checks all rows' midpoints. A row keeps its halvings, with
-    the real signs, up to and including the first that below contradicts;
-    its later midpoints halve a bracket bisection never reaches and are
-    dropped. So every kept halving is the lockstep one, and a poor
-    estimate (nan, infinite or outside the bracket) costs rounds, not bits.
-
-    narrow must imply hi - lo <= 1e-14 (1 + max(|lo|, |hi|)) over the
-    round's starting bracket, which holds every later one; it is called
-    only where that cheaper bound holds.
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    left = np.full(len(lo), budget)
-    todo = np.arange(len(lo) if budget > 0 else 0)
-    while todo.size:
-        brackets = list(zip(lo[todo].tolist(), hi[todo].tolist()))
-        est = estimate(todo, lo[todo], hi[todo]).tolist()
-        caps, walks = [], []
-        for (l, h), t, n in zip(brackets, est, left[todo].tolist()):
-            cap = 1e-14 * (1.0 + max(abs(l), abs(h)))
-            walk = []
-            for _ in range(n):
-                mid = 0.5 * (l + h)
-                walk.append(mid)
-                if mid < t:
-                    l = mid
-                else:
-                    h = mid
-                if h - l <= cap and narrow(l, h, mid):
-                    break
-            caps.append(cap)
-            walks.append(walk)
-        signs = below(np.repeat(todo, [len(walk) for walk in walks]),
-                      np.concatenate(walks)).tolist()
-        new, used, closed = [], [], []
-        end = 0
-        for (l, h), t, cap, walk in zip(brackets, est, caps, walks):
-            start, end = end, end + len(walk)
-            for kept, (mid, b) in enumerate(zip(walk, signs[start:end]), 1):
-                if b:
-                    l = mid
-                else:
-                    h = mid
-                if b != (mid < t):
-                    break
-            new.append((l, h))
-            used.append(kept)
-            closed.append(h - l <= cap and narrow(l, h, mid))
-        lo[todo], hi[todo] = np.array(new).T
-        left[todo] -= used
-        todo = todo[(left[todo] > 0) & ~np.array(closed)]
-    return lo, hi
-
-
 def _root_estimates(body: ConvexBody, origin, dirs, lo, hi, t0,
-                    f0=None) -> np.ndarray:
+                    f0) -> np.ndarray:
     """Newton on f(t) = F(origin + t d) from t0, row by row, each step
     clipped into the row's bracket [lo, hi]; origin is one point (3,) and
-    f0, when given, the gauge at the start points. A row stops once a step
-    moves t by at most 1e-8 t, when its step is not finite (t stays), or
-    after CHART_NEWTON_STEPS steps, so its result depends on that row
-    alone. Newton converges quadratically on these convex chords, so the
-    step after one of 1e-8 t would be near rounding.
+    f0 the gauge at the start points. A row stops once a step moves t by
+    at most 1e-8 t, when its step is not finite (t stays), or after
+    CHART_NEWTON_STEPS steps, so its result depends on that row alone.
+    Newton converges quadratically on these convex chords, so the step
+    after one of 1e-8 t would be near rounding.
 
     BodyChart.inverse takes the result as its root wherever
-    _certified_chords confirms it; elsewhere it only steers
-    _bisect_chords' verified bisection, which checks each halving it
-    predicts, so an estimate may be poor but never costs a bit.
+    _certified_chords confirms it, and bisects the other chords with
+    _bisect_polish, so an estimate may be poor but never costs a bit.
     """
     t, f = np.array(t0, dtype=float), f0
     todo = np.arange(len(t))
@@ -743,7 +636,7 @@ def _certified_chords(body: ConvexBody, dirs, lo, hi, t):
     midpoints are exact, so wherever its computed signs change only once
     (every root farther than F's rounding from a midpoint of the bisection)
     it ends in this bracket, and the polished root is the one
-    _bisect_chords gives, bit for bit.
+    _bisect_polish gives, bit for bit.
     """
     span = hi - lo
     m_span, e_span = np.frexp(span)
@@ -830,10 +723,10 @@ class BodyChart:
         Certified rows are polished from their bracket's midpoint as
         _bisect_polish does, so the roots are the bisection's bit for bit
         on every chord with hi = 1, except where F's rounding straddles a
-        midpoint of the bisection.
-        A row still open goes to _bisect_chords, which bisects it bit for
-        bit as a lockstep bisection would, in a few batched rounds of
-        predicted and verified halvings.
+        midpoint of the bisection. A row still open, such as a p = 4
+        blend's whose seed lies left of F's minimum along the chord, is
+        that bisection itself (_bisect_polish), one values call per
+        halving.
         """
         zs = [complex(z) for z in zs]
         out = np.tile(NORTH_POLE, (len(zs), 1))
@@ -882,8 +775,8 @@ class BodyChart:
             roots = np.empty(len(d))
             roots[closed] = _newton_polish(body, _CHORD_ORIGIN, d[closed],
                                            mids[closed], f_mid[closed])
-            roots[todo] = _bisect_chords(body, _CHORD_ORIGIN, d[todo],
-                                         lo[todo], hi[todo], t[todo])
+            roots[todo] = _bisect_polish(body, _CHORD_ORIGIN, d[todo],
+                                         lo[todo], hi[todo])
         out[rows] = _CHORD_ORIGIN + roots[:, None] * d
         return out
 

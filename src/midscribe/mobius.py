@@ -4,8 +4,8 @@ Transformations are 2x2 complex matrices acting by (az+b)/(cz+d), with the
 point at infinity represented as a complex number with an infinite part.
 The lift is the inverse of the ball's chord-from-N chart: it identifies the
 extended plane with the unit sphere, sending infinity to the north pole.
-apply_mobius and lift_to_sphere act on one point; their _array forms act on
-arrays of points and give the same bits.
+apply_mobius_array and lift_to_sphere_array act on arrays of points and
+give the bits of the one-point maps in tests/lift_oracle.py.
 """
 
 from __future__ import annotations
@@ -58,39 +58,20 @@ def mobius_through(sources, targets) -> np.ndarray:
     return M / np.max(np.abs(M))
 
 
-def apply_mobius(M: np.ndarray, z: complex) -> complex:
-    a, b = M[0]
-    c, d = M[1]
-    if is_infinity(z):
-        return a / c if c != 0 else INFINITY
-    num = a * z + b
-    den = c * z + d
-    if den == 0:
-        return INFINITY
-    return num / den
-
-
-def lift_to_sphere(z: complex) -> np.ndarray:
-    """Point of the unit sphere over z; infinity lifts to the north pole."""
-    if is_infinity(z):
-        return np.array([0.0, 0.0, 1.0])
-    s = z.real * z.real + z.imag * z.imag + 4.0
-    return np.array([4.0 * z.real / s, 4.0 * z.imag / s, 1.0 - 8.0 / s])
-
-
 def is_infinity_array(z: np.ndarray) -> np.ndarray:
     """is_infinity per point of the complex array z."""
     return np.isinf(z.real) | np.isinf(z.imag)
 
 
 def apply_mobius_array(M: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """apply_mobius on every point of the complex array z, bit for bit.
+    """The Mobius map (az + b)/(cz + d) of M on every point of the complex
+    array z.
 
-    numpy's array complex multiply rounds differently from the scalar one
-    apply_mobius uses, so az + b and cz + d are written out in real
-    arithmetic, in the scalar's order; numpy's complex division of arrays
-    rounds as its scalar division does. Points that map to infinity come
-    back as INFINITY, with no division by zero.
+    numpy's array complex multiply rounds differently from its scalar
+    one, so az + b and cz + d are written out in real arithmetic, in the
+    scalar's order, to give the one-point map's bits; numpy's complex
+    division of arrays rounds as its scalar division does. Points that map
+    to infinity come back as INFINITY, with no division by zero.
     """
     (a, b), (c, d) = M
     z = np.asarray(z, dtype=complex)
@@ -111,8 +92,8 @@ def apply_mobius_array(M: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def lift_to_sphere_array(w: np.ndarray) -> np.ndarray:
-    """lift_to_sphere on every point of the complex array w, bit for bit:
-    shape w.shape + (3,)."""
+    """Points of the unit sphere over the complex array w, shape w.shape +
+    (3,); infinity lifts to the north pole."""
     at_infinity = is_infinity_array(w)
     wr = np.where(at_infinity, 0.0, w.real)
     wi = np.where(at_infinity, 0.0, w.imag)

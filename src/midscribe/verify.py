@@ -16,9 +16,10 @@ the slope changes sign within 1e-14 (1 + |t|) of it, so by strict
 convexity the line's one minimizer lies there (a safeguarded Newton, as in
 Brent, Algorithms for Minimization without Derivatives, ch. 4). Only the
 lines the certificate leaves open, such as contacts of fourth order, are
-bracketed by doubling and bisected by bodies._verified_bisection, the
-engine the chart inverse also uses. Incidence and convexity are array
-expressions over all face-vertex pairs.
+bracketed by doubling and bisected by _bisect_slopes, which predicts each
+row's halvings from an estimate of its minimizer and checks a whole round
+in one gradients call. Incidence and convexity are array expressions over
+all face-vertex pairs.
 
 The K-disk packings are decided without tracing a disk, by convex
 separation (Rockafellar, Convex Analysis, sections 11 and 13), every pair
@@ -59,8 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import (ROUNDING, ConvexBody, _cross, _rowdot,
-                     _verified_bisection)
+from .bodies import ROUNDING, ConvexBody, _cross, _rowdot
 from .combinatorics import PolyhedralComplex, derived
 from .config import EPS_INFINITY, Configuration
 from .errors import DegenerateConfiguration, NotMidscribed
@@ -253,15 +253,59 @@ def _bisect_slopes(body: ConvexBody, Q, U, lo, hi, t0):
     The lockstep bisection halves every open row at once: mid = 0.5 (lo +
     hi), then lo = mid if the slope at mid is < 0, else hi = mid, until hi -
     lo < 1e-14 (1 + |mid|); a row still open after LINE_BISECTIONS
-    halvings keeps its bracket. bodies._verified_bisection makes the same
-    halvings, steered by one estimate of each row's minimizer
-    (_minimizer_estimates, from the guesses t0) in every round.
+    halvings keeps its bracket.
+
+    Here each round walks, in plain floats, the halvings every open row's
+    bracket would take if its slope changed sign exactly at the row's
+    estimate (_minimizer_estimates, from the guesses t0): they round like
+    numpy and cost far less than a numpy call per halving. One gradients
+    call checks all rows' midpoints. A row keeps its halvings, with the
+    real signs, up to and including the first that the slope contradicts;
+    its later midpoints halve a bracket the bisection never reaches and are
+    dropped. So every kept halving is the lockstep one, and a poor estimate
+    (nan, infinite or outside the bracket) costs rounds, not bits.
     """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     est = _minimizer_estimates(body, Q, U, lo, hi, t0)
-    return _verified_bisection(
-        lambda rows, mids: _line_slopes(body, Q[rows], U[rows], mids) < 0,
-        lo, hi, lambda rows, l, h: est[rows], LINE_BISECTIONS,
-        lambda l, h, mid: h - l < 1e-14 * (1.0 + abs(mid)))
+    left = np.full(len(lo), LINE_BISECTIONS)
+    todo = np.flatnonzero(left > 0)
+    while todo.size:
+        brackets = list(zip(lo[todo].tolist(), hi[todo].tolist()))
+        guesses = est[todo].tolist()
+        walks = []
+        for (l, h), t, n in zip(brackets, guesses, left[todo].tolist()):
+            walk = []
+            for _ in range(n):
+                mid = 0.5 * (l + h)
+                walk.append(mid)
+                if mid < t:
+                    l = mid
+                else:
+                    h = mid
+                if h - l < 1e-14 * (1.0 + abs(mid)):
+                    break
+            walks.append(walk)
+        rows = np.repeat(todo, [len(walk) for walk in walks])
+        signs = (_line_slopes(body, Q[rows], U[rows], np.concatenate(walks))
+                 < 0).tolist()
+        new, used, closed = [], [], []
+        end = 0
+        for (l, h), t, walk in zip(brackets, guesses, walks):
+            start, end = end, end + len(walk)
+            for kept, (mid, b) in enumerate(zip(walk, signs[start:end]), 1):
+                if b:
+                    l = mid
+                else:
+                    h = mid
+                if b != (mid < t):
+                    break
+            new.append((l, h))
+            used.append(kept)
+            closed.append(h - l < 1e-14 * (1.0 + abs(mid)))
+        lo[todo], hi[todo] = np.array(new).T
+        left[todo] -= used
+        todo = todo[(left[todo] > 0) & ~np.array(closed)]
+    return lo, hi
 
 
 def _minimizer_estimates(body: ConvexBody, Q, U, lo, hi, t0) -> np.ndarray:
@@ -269,8 +313,7 @@ def _minimizer_estimates(body: ConvexBody, Q, U, lo, hi, t0) -> np.ndarray:
     hi]: two curvature-guarded Newton steps on the slope from the guesses
     t0, each clipped into the bracket. At a converged configuration the
     guess is within about 1e-11 of the minimizer. The estimates only steer
-    _bisect_slopes' verified bisection, which checks each halving they
-    predict."""
+    _bisect_slopes, which checks each halving they predict."""
     t = t0
     for _ in range(2):
         t = np.minimum(np.maximum(_line_newton(body, Q, U, t), lo), hi)

@@ -15,10 +15,11 @@ search the Newton certificate replaced, a least-squares point and
 bisection of the slope on every line; the certified minima must agree
 with it to rounding.
 bisect_polish and bisect_slopes are the lockstep bisections, one gauge
-call per halving, that the predicted-and-verified
-bodies._verified_bisection replaced: in the chart inverse
-(bodies._bisect_chords) and in the fallback of the line minima
-(verify._bisect_slopes).
+call per halving: bisect_polish is the reference of
+bodies._bisect_polish, which bisects the rays and the chords the chart
+inverse's certificates leave open, and bisect_slopes the one whose
+halvings verify._bisect_slopes predicts and checks in a few batched calls
+in the fallback of the line minima.
 """
 
 import cmath

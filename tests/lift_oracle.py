@@ -1,6 +1,8 @@
 """Per-cap reference for the sphere lift of ``midscribe.packing``.
 
-This is the lift as it was before its caps were batched: ``mapped_cap``
+``apply_mobius`` and ``lift_to_sphere`` are the Mobius map and the sphere
+lift of one point, whose bits the array maps of ``midscribe.mobius`` give.
+The rest is the lift as it was before its caps were batched: ``mapped_cap``
 lifts three boundary points and an interior witness of one circle's image
 and solves that cap's plane with its own SVD in ``cap_through_points``;
 ``lift_normalize`` makes the vertex caps, then the face caps, one at a time;
@@ -15,9 +17,29 @@ from collections import namedtuple
 import numpy as np
 
 from midscribe.errors import DegenerateMarks
-from midscribe.mobius import (apply_mobius, is_infinity, lift_to_sphere,
-                              mobius_through)
+from midscribe.mobius import INFINITY, is_infinity, mobius_through
 from midscribe.packing import _CIRCLE_PARAMS, _LINE_PARAMS, SphericalPattern
+
+
+def apply_mobius(M: np.ndarray, z: complex) -> complex:
+    """The Mobius map (az + b)/(cz + d) of M at one point z."""
+    a, b = M[0]
+    c, d = M[1]
+    if is_infinity(z):
+        return a / c if c != 0 else INFINITY
+    num = a * z + b
+    den = c * z + d
+    if den == 0:
+        return INFINITY
+    return num / den
+
+
+def lift_to_sphere(z: complex) -> np.ndarray:
+    """Point of the unit sphere over z; infinity lifts to the north pole."""
+    if is_infinity(z):
+        return np.array([0.0, 0.0, 1.0])
+    s = z.real * z.real + z.imag * z.imag + 4.0
+    return np.array([4.0 * z.real / s, 4.0 * z.imag / s, 1.0 - 8.0 / s])
 
 
 # one cap of a pattern's rows, with d a Python float as the loop below needs

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gauge_oracle
-from midscribe import bodies
+from midscribe import bodies, verify
 from midscribe.bodies import (Ball, BodyChart, BodyPath, ConvexBody,
                               make_body, make_path, ray_roots, validate_body)
 from midscribe.cli import MAX_MARK
@@ -422,15 +422,11 @@ BLENDS = [make_path(make_body(d)).eval(s)
 
 
 def lockstep_chart_inverse(body, zs, monkeypatch):
-    """BodyChart.inverse before its bracket certificate and its verified
-    bisection: every chord bisected in lockstep, one values call per
-    halving."""
-    def lockstep(body, origin, dirs, lo, hi, seed):
-        return gauge_oracle.bisect_polish(body, origin, dirs, lo, hi)
-
+    """BodyChart.inverse before its bracket certificate: every chord
+    bisected in lockstep by the oracle, one values call per halving."""
     with monkeypatch.context() as m:
         open_certificate(m)
-        m.setattr(bodies, "_bisect_chords", lockstep)
+        m.setattr(bodies, "_bisect_polish", gauge_oracle.bisect_polish)
         return BodyChart(body).inverse(zs)
 
 
@@ -476,43 +472,16 @@ class CountingValues(ConvexBody):
         return self.body.descriptor
 
 
-@pytest.mark.parametrize("estimate", ["lo", "hi", "nan"])
-def test_bisect_chords_survives_bad_estimates(estimate, monkeypatch):
-    # every kept decision is a real gauge sign, so a useless estimate costs
-    # rounds (one values call each) but neither a bit nor the step cap
-    def bad(body, origin, dirs, lo, hi, t0, f0=None):
-        return {"lo": lo, "hi": hi, "nan": np.full(len(lo), math.nan)}[estimate]
-
-    bisect = bodies._bisect_chords
-    before = []
-
-    def spy(body, *args):
-        before.append(body.values_calls)
-        return bisect(body, *args)
-
-    for d in ("ellipsoid:a=1.2,b=1.0", "superellipsoid:p=4,a=1.1,b=0.9"):
-        body = make_path(make_body(d)).eval(0.37)
-        want = lockstep_chart_inverse(body, BISECTION_ZS, monkeypatch)
-        with monkeypatch.context() as m:
-            open_certificate(m)
-            m.setattr(bodies, "_root_estimates", bad)
-            m.setattr(bodies, "_bisect_chords", spy)
-            counted = CountingValues(body)
-            got = BodyChart(counted).inverse(BISECTION_ZS)
-            m.setattr(bodies, "_bisect_chords", bisect)
-            triples = [BodyChart(body).inverse(BISECTION_ZS[k:k + 3])
-                       for k in range(0, 60, 3)]
-        assert_bitwise_equal(got, want)
-        assert_bitwise_equal(np.concatenate(triples), want[:60])
-        rounds = counted.values_calls - before.pop() - 2  # 2 polish steps
-        assert 1 <= rounds <= bodies.CHART_BISECTION_ITERATIONS - 1
-
-
 class SlopeAlongX(ConvexBody):
     """gradients(X) = X: along Q + t (1, 0, 0) with Q = (-r, 0, 0) the slope
-    is t - r, which is < 0 exactly where t < r."""
+    is t - r, which is < 0 exactly where t < r. Counts its gradients
+    calls."""
+
+    def __init__(self):
+        self.gradients_calls = 0
 
     def gradients(self, X):
+        self.gradients_calls += 1
         return np.asarray(X, dtype=float)
 
     @property
@@ -520,30 +489,11 @@ class SlopeAlongX(ConvexBody):
         return "slope-along-x"
 
 
-NARROW = {"chord": lambda l, h, mid: h - l <= 1e-14 * max(1.0, h),
-          "slope": lambda l, h, mid: h - l < 1e-14 * (1.0 + abs(mid))}
-
-
-def lockstep_chords(roots, lo, hi, budget):
-    """_bisect_polish's lockstep loop on the signs t < roots: every wide
-    row halved at once, at most budget times; a row still wide keeps its
-    bracket."""
-    for _ in range(budget):
-        wide = hi - lo > 1e-14 * np.maximum(1.0, hi)
-        if not wide.any():
-            break
-        mid = 0.5 * (lo + hi)
-        inside = mid < roots
-        lo = np.where(wide & inside, mid, lo)
-        hi = np.where(wide & ~inside, mid, hi)
-    return lo, hi
-
-
-def synthetic_brackets(rule):
+def synthetic_brackets():
     """(lo, hi, roots) of rows whose sign changes at roots: random rows, a
-    root at lo, one at the first midpoint and one above hi, and a bracket
-    1e20 wide that no budget closes; for the slope rule also a row narrow
-    on entry, which is still halved once."""
+    root at lo, one at the first midpoint and one above hi, a bracket 1e20
+    wide that no budget closes, and a row narrow on entry, which is still
+    halved once."""
     rng = np.random.default_rng(20261022)
     lo = rng.uniform(-3.0, 2.0, 12)
     hi = lo + rng.uniform(1e-3, 4.0, 12)
@@ -552,59 +502,51 @@ def synthetic_brackets(rule):
     roots[1] = 0.5 * (lo[1] + hi[1])
     roots[2] = hi[2] + 1.0
     lo[3] = -1e20
-    if rule == "slope":
-        lo[4], hi[4], roots[4] = 0.3, 0.3 + 1e-15, 0.3 + 4e-16
+    lo[4], hi[4], roots[4] = 0.3, 0.3 + 1e-15, 0.3 + 4e-16
     return lo, hi, roots
 
 
 @pytest.mark.parametrize("budget", ["0", "1", "full"])
 @pytest.mark.parametrize("estimate", ["exact", "nan", "inf", "-inf",
                                       "outside"])
-@pytest.mark.parametrize("rule", ["chord", "slope"])
+@pytest.mark.parametrize("rule", ["slope"])
 def test_verified_bisection_matches_lockstep(rule, estimate, budget,
                                              monkeypatch):
-    # every kept halving is a real sign, so any estimate gives the lockstep
-    # brackets bit for bit; an exact one takes one round
-    lo, hi, roots = synthetic_brackets(rule)
-    full = {"chord": bodies.CHART_BISECTION_ITERATIONS - 1,
-            "slope": gauge_oracle.LINE_BISECTIONS}[rule]
-    budget = {"0": 0, "1": 1, "full": full}[budget]
+    # verify._bisect_slopes keeps only halvings the slope's real signs
+    # confirm, so any estimate gives the lockstep brackets bit for bit; an
+    # exact one takes one round (one gradients call)
+    lo, hi, roots = synthetic_brackets()
+    budget = {"0": 0, "1": 1, "full": verify.LINE_BISECTIONS}[budget]
     guesses = {"exact": roots, "nan": np.full(len(lo), math.nan),
                "inf": np.full(len(lo), math.inf),
                "-inf": np.full(len(lo), -math.inf),
                "outside": np.where(np.arange(len(lo)) % 2, hi + 1.0,
                                    lo - 1.0)}[estimate]
-    calls = []
+    Q = np.zeros((len(lo), 3))
+    Q[:, 0] = -roots
+    U = np.tile([1.0, 0.0, 0.0], (len(lo), 1))
+    estimates = []
 
-    def below(rows, mids):
-        calls.append("below")
-        return mids < roots[rows]
+    def guess(body, Q, U, l, h, t0):
+        estimates.append(len(l))
+        return guesses
 
-    def guess(rows, l, h):
-        calls.append("estimate")
-        return guesses[rows]
-
-    got = bodies._verified_bisection(below, lo, hi, guess, budget,
-                                     NARROW[rule])
-    if rule == "chord":
-        want = lockstep_chords(roots, lo, hi, budget)
-    else:
-        monkeypatch.setattr(gauge_oracle, "LINE_BISECTIONS", budget)
-        Q = np.zeros((len(lo), 3))
-        Q[:, 0] = -roots
-        U = np.tile([1.0, 0.0, 0.0], (len(lo), 1))
-        want = gauge_oracle.bisect_slopes(SlopeAlongX(), Q, U, lo, hi, None)
+    monkeypatch.setattr(verify, "_minimizer_estimates", guess)
+    monkeypatch.setattr(verify, "LINE_BISECTIONS", budget)
+    monkeypatch.setattr(gauge_oracle, "LINE_BISECTIONS", budget)
+    body = SlopeAlongX()
+    got = verify._bisect_slopes(body, Q, U, lo, hi, None)
+    want = gauge_oracle.bisect_slopes(SlopeAlongX(), Q, U, lo, hi, None)
     for g, w in zip(got, want):
         assert_bitwise_equal(g, w)
-    assert calls == ["estimate", "below"] * (len(calls) // 2)
+    assert estimates == [len(lo)]
     if budget == 0:
-        assert calls == []
+        assert body.gradients_calls == 0
     elif estimate == "exact":
-        assert calls == ["estimate", "below"]
+        assert body.gradients_calls == 1
     if budget:
         assert got[1][3] - got[0][3] > 1e-14  # 1e20 wide stays open
-        if rule == "slope":
-            assert got[1][4] - got[0][4] < hi[4] - lo[4]
+        assert got[1][4] - got[0][4] < hi[4] - lo[4]
 
 
 @pytest.mark.parametrize("body", bodies_under_test(),
@@ -709,14 +651,14 @@ def test_certified_chart_inverse_matches_bisection(body, monkeypatch):
                          for z in finite])
     assert_bitwise_equal(BodyChart(body).inverse(finite), bisected)
     want = lockstep_chart_inverse(body, BISECTION_ZS, monkeypatch)
-    bisect = bodies._bisect_chords
+    bisect = bodies._bisect_polish
     fallback = []
 
     def counted(body, origin, dirs, *args):
         fallback.append(len(dirs))
         return bisect(body, origin, dirs, *args)
 
-    monkeypatch.setattr(bodies, "_bisect_chords", counted)
+    monkeypatch.setattr(bodies, "_bisect_polish", counted)
     assert_bitwise_equal(BodyChart(body).inverse(BISECTION_ZS), want)
     quartic = "superellipsoid" in body.descriptor
     assert sum(fallback) <= (31 if quartic else 3)

@@ -5,12 +5,11 @@ import pytest
 import lift_oracle
 from midscribe.bodies import Ball, BodyChart
 from midscribe.errors import DegenerateMarks
+from lift_oracle import apply_mobius, lift_to_sphere
 from midscribe.mobius import (
     INFINITY,
-    apply_mobius,
     cap_through_points,
     is_infinity,
-    lift_to_sphere,
     mobius_through,
 )
 

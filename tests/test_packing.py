@@ -19,7 +19,7 @@ import radius_oracle
 from conftest import CANONICAL_MARKS, ball_solution, get_seed
 from solver_oracle import assemble_residual
 from midscribe.bodies import BodyChart, make_body
-from midscribe.mobius import apply_mobius, is_infinity
+from midscribe.mobius import is_infinity
 from midscribe import packing
 from midscribe.cli import main
 from midscribe.combinatorics import build_complex, select_frame
@@ -673,7 +673,7 @@ def test_boundary_point_on_the_pole_is_moved(monkeypatch, circle, t):
     """A boundary point that maps to infinity is moved along the circle by
     0.123, as one cap at a time moved it."""
     M = pole_at(circle.boundary_point(t))
-    assert is_infinity(apply_mobius(M, circle.boundary_point(t)))
+    assert is_infinity(lift_oracle.apply_mobius(M, circle.boundary_point(t)))
     caps, taken = assert_caps_match_the_oracle(
         [_circle(-1.0 + 0j, 0.2), circle], M, monkeypatch)
     assert not isinstance(caps, str)

@@ -1,9 +1,13 @@
 """Guards on the source tree itself."""
 import ast
+import importlib.util
 import pathlib
 import re
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "midscribe"
+from midscribe import bodies, solver
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "midscribe"
 
 
 def _trees_and_reads():
@@ -107,3 +111,23 @@ def test_derived_structures_are_built_only_by_their_builders():
              for call in calls_outside(tree, {"solve_radii", "layout_circles"},
                                        {"_ball_packing"})]
     assert found == []
+
+
+def test_bench_traced_attributes_exist():
+    # bench/tracing.py patches what TRACED names, proxies the solver's np
+    # and spla, and its CountingBody delegates value, gradient and hessian;
+    # an attribute deleted from src/ would fail every traced run, deep in
+    # the benchmark, instead of here with its name
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(getattr(owner, "__name__", owner), attr)
+               for owner, attr, _ in tracing.TRACED
+               if attr not in vars(owner)]
+    missing += [(module.__name__, attr)
+                for module, attrs in ((solver, ("np", "spla")),
+                                      (bodies.ConvexBody,
+                                       ("value", "gradient", "hessian")))
+                for attr in attrs if not hasattr(module, attr)]
+    assert missing == []
