@@ -16,10 +16,11 @@ the slope changes sign within 1e-14 (1 + |t|) of it, so by strict
 convexity the line's one minimizer lies there (a safeguarded Newton, as in
 Brent, Algorithms for Minimization without Derivatives, ch. 4). Only the
 lines the certificate leaves open, such as contacts of fourth order, are
-bracketed by doubling and bisected by _bisect_slopes, which predicts each
-row's halvings from an estimate of its minimizer and checks a whole round
-in one gradients call. Incidence and convexity are array expressions over
-all face-vertex pairs.
+bracketed by doubling and bisected by _bisect_slopes, all open rows
+halved in lockstep, one gradients call per halving. This search,
+_minimizers, is the verifier's one line minimizer: the vertex segments of
+the packings below take it too. Incidence and convexity are array
+expressions over all face-vertex pairs.
 
 The K-disk packings are decided without tracing a disk, by convex
 separation (Rockafellar, Convex Analysis, sections 11 and 13), every pair
@@ -29,8 +30,9 @@ of every packing in a few batched gauge calls:
   the segment [v, w] misses the interior of K. If it does, a plane
   separates it from K; pushed to support K at X, it shows X visible from
   both. If it does not, no supporting plane has both ends on its far side.
-  So a non-adjacent pair is disjoint once one point of [v, w] has F < 0,
-  and an adjacent pair touches exactly when its edge line, tangent by the
+  So a non-adjacent pair is disjoint once one point of [v, w] has F < 0
+  (a few samples are tried, then the minimum of F along the segment), and
+  an adjacent pair touches exactly when its edge line, tangent by the
   midscription check, touches K strictly inside the segment.
 - The face disks, K cut by n . x >= d, of faces f and g meet exactly when
   phi(l) = h_K(l n_f + (1 - l) n_g) - (l d_f + (1 - l) d_g) >= 0 on
@@ -71,8 +73,8 @@ SIDE_TOL = 1e-9
 # are decided
 CONTACT_TOL = 1e-7
 KDISK_STAGE = "K-disk extraction"
-# Halvings of a slope bracket in _bisect_slopes; a row still open after them
-# keeps its bracket.
+# Halvings of a slope bracket in _bisect_slopes, on a line that Newton leaves
+# open; a row still open after them keeps its bracket.
 LINE_BISECTIONS = 100
 # The points of a vertex segment [v, w], v + t (w - v), and the l of a face
 # pair's phi that are tried before a pair gets its exact minimum, in order:
@@ -150,14 +152,13 @@ def _line_minima(body: ConvexBody, n_f, d_f, n_g, d_g, guesses):
       n_f x n_g: Q = (d_f (n_g x W) + d_g (W x n_f)) / |W|^2, plus the same
       formula applied once to the plane residuals of Q, which takes lines
       whose planes meet at a small angle to rounding;
-    - two curvature-guarded Newton steps on the slope, from the guesses
-      projected onto the lines;
-    - the certificate of _certified: the slope changes sign across the
-      Newton point t, so the minimizer is within 1e-14 (1 + |t|) of it.
-
-    A row the certificate leaves open (a contact of higher order, where
-    Newton converges only linearly, a poor guess, a constant slope or a
-    non-finite row) takes _bisected_minimizers from its projected guess.
+    - _minimizers from the guesses projected onto the lines: two
+      curvature-guarded Newton steps on the slope and the certificate of
+      _certified, that the slope changes sign across the Newton point t,
+      so the minimizer is within 1e-14 (1 + |t|) of it. A row the
+      certificate leaves open (a contact of higher order, where Newton
+      converges only linearly, a poor guess, a constant slope or a
+      non-finite row) takes _bisected_minimizers from its guess.
     """
     W = _cross(n_f, n_g)
     w2 = _rowdot(W, W)
@@ -174,14 +175,7 @@ def _line_minima(body: ConvexBody, n_f, d_f, n_g, d_g, guesses):
 
     t0 = _rowdot(np.asarray(guesses, dtype=float)[live] - Q, U)
     t0[~np.isfinite(t0)] = 0.0
-    t = t0
-    for _ in range(2):
-        t = _line_newton(body, Q, U, t)
-    ok = _certified(body, Q, U, t)
-    rows = np.flatnonzero(~ok)
-    if rows.size:
-        t[rows], ok[rows] = _bisected_minimizers(body, Q[rows], U[rows],
-                                                 t0[rows])
+    t, ok = _minimizers(body, Q, U, t0)
     rows = np.flatnonzero(ok)
     M = Q[rows] + t[rows, None] * U[rows]
     values[live[rows]] = body.values(M)
@@ -189,12 +183,32 @@ def _line_minima(body: ConvexBody, n_f, d_f, n_g, d_g, guesses):
     return values, minimizers
 
 
+def _minimizers(body: ConvexBody, Q, U, t0):
+    """The minimizers t of the gauge along the lines Q + t U, and whether
+    each was found: two curvature-guarded Newton steps on the slope from
+    the guesses t0, the certificate of _certified, and _bisected_minimizers
+    from t0 on the rows it leaves open. A Newton step at a flat contact can
+    leap so far that the gauge overflows; such rows fail the certificate
+    and are bisected, so the overflow is not reported."""
+    t = t0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            t = _line_newton(body, Q, U, t)
+        ok = _certified(body, Q, U, t)
+    rows = np.flatnonzero(~ok)
+    if rows.size:
+        t[rows], ok[rows] = _bisected_minimizers(body, Q[rows], U[rows],
+                                                 t0[rows])
+    return t, ok
+
+
 def _certified(body: ConvexBody, Q, U, t) -> np.ndarray:
     """Whether the slope along each line Q + t U is < 0 at t - delta and >
     0 at t + delta, delta = 1e-14 (1 + |t|), the width at which
     _bisect_slopes stops: the slope of a strictly convex function
     increases, so then its one zero, the minimizer, lies between. One
-    gradients call for both sides of every row; a nan slope fails."""
+    gradients call for both sides of every row; a nan slope fails, as at
+    an infinite t."""
     delta = 1e-14 * (1.0 + np.abs(t))
     slopes = _line_slopes(body, np.vstack([Q, Q]), np.vstack([U, U]),
                           np.concatenate([t - delta, t + delta]))
@@ -203,9 +217,11 @@ def _certified(body: ConvexBody, Q, U, t) -> np.ndarray:
 
 def _bisected_minimizers(body: ConvexBody, Q, U, t0):
     """The minimizers t along the lines Q + t U by bisection of the slope,
-    and whether each row's bracket was placed: the slope is bracketed by
-    doubling around the guesses t0, bisected by _bisect_slopes, then
-    polished by two Newton steps where the curvature is positive."""
+    and whether each row's bracket was placed (a row that is not gets nan):
+    the slope is bracketed by doubling around the guesses t0, bisected by
+    _bisect_slopes, then polished by two Newton steps where the curvature
+    is positive. _minimizers sends it the rows, of edge lines or of vertex
+    segments, whose Newton point the certificate leaves open."""
     ok = np.ones(len(t0), dtype=bool)
     ends = []
     for side in (-1.0, 1.0):  # lo, where the slope is < 0, then hi
@@ -221,8 +237,7 @@ def _bisected_minimizers(body: ConvexBody, Q, U, t0):
         ends.append(end)
     rows = np.flatnonzero(ok)
     Q, U = Q[rows], U[rows]
-    lo, hi = _bisect_slopes(body, Q, U, ends[0][rows], ends[1][rows],
-                            t0[rows])
+    lo, hi = _bisect_slopes(body, Q, U, ends[0][rows], ends[1][rows])
     t = 0.5 * (lo + hi)
     for _ in range(2):
         t = _line_newton(body, Q, U, t)
@@ -245,79 +260,23 @@ def _line_newton(body: ConvexBody, Q, U, t) -> np.ndarray:
         return np.where(curv > 0, t - _line_slopes(body, Q, U, t) / curv, t)
 
 
-def _bisect_slopes(body: ConvexBody, Q, U, lo, hi, t0):
-    """The brackets of the lockstep bisection of the slope along each line
-    Q + t U, bit for bit, in a few gradients calls instead of one per
-    halving.
-
-    The lockstep bisection halves every open row at once: mid = 0.5 (lo +
-    hi), then lo = mid if the slope at mid is < 0, else hi = mid, until hi -
-    lo < 1e-14 (1 + |mid|); a row still open after LINE_BISECTIONS
-    halvings keeps its bracket.
-
-    Here each round walks, in plain floats, the halvings every open row's
-    bracket would take if its slope changed sign exactly at the row's
-    estimate (_minimizer_estimates, from the guesses t0): they round like
-    numpy and cost far less than a numpy call per halving. One gradients
-    call checks all rows' midpoints. A row keeps its halvings, with the
-    real signs, up to and including the first that the slope contradicts;
-    its later midpoints halve a bracket the bisection never reaches and are
-    dropped. So every kept halving is the lockstep one, and a poor estimate
-    (nan, infinite or outside the bracket) costs rounds, not bits.
-    """
+def _bisect_slopes(body: ConvexBody, Q, U, lo, hi):
+    """The brackets of the slope's sign change along each line Q + t U,
+    all open rows halved in lockstep, one gradients call per halving: mid
+    = 0.5 (lo + hi), then lo = mid where the slope at mid is < 0, else hi =
+    mid. A row closes once hi - lo < 1e-14 (1 + |mid|); a row still open
+    after LINE_BISECTIONS halvings keeps its bracket."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    est = _minimizer_estimates(body, Q, U, lo, hi, t0)
-    left = np.full(len(lo), LINE_BISECTIONS)
-    todo = np.flatnonzero(left > 0)
-    while todo.size:
-        brackets = list(zip(lo[todo].tolist(), hi[todo].tolist()))
-        guesses = est[todo].tolist()
-        walks = []
-        for (l, h), t, n in zip(brackets, guesses, left[todo].tolist()):
-            walk = []
-            for _ in range(n):
-                mid = 0.5 * (l + h)
-                walk.append(mid)
-                if mid < t:
-                    l = mid
-                else:
-                    h = mid
-                if h - l < 1e-14 * (1.0 + abs(mid)):
-                    break
-            walks.append(walk)
-        rows = np.repeat(todo, [len(walk) for walk in walks])
-        signs = (_line_slopes(body, Q[rows], U[rows], np.concatenate(walks))
-                 < 0).tolist()
-        new, used, closed = [], [], []
-        end = 0
-        for (l, h), t, walk in zip(brackets, guesses, walks):
-            start, end = end, end + len(walk)
-            for kept, (mid, b) in enumerate(zip(walk, signs[start:end]), 1):
-                if b:
-                    l = mid
-                else:
-                    h = mid
-                if b != (mid < t):
-                    break
-            new.append((l, h))
-            used.append(kept)
-            closed.append(h - l < 1e-14 * (1.0 + abs(mid)))
-        lo[todo], hi[todo] = np.array(new).T
-        left[todo] -= used
-        todo = todo[(left[todo] > 0) & ~np.array(closed)]
+    todo = np.arange(len(lo))
+    for _ in range(LINE_BISECTIONS):
+        if not todo.size:
+            break
+        mid = 0.5 * (lo[todo] + hi[todo])
+        below = _line_slopes(body, Q[todo], U[todo], mid) < 0
+        lo[todo] = np.where(below, mid, lo[todo])
+        hi[todo] = np.where(below, hi[todo], mid)
+        todo = todo[~(hi[todo] - lo[todo] < 1e-14 * (1.0 + np.abs(mid)))]
     return lo, hi
-
-
-def _minimizer_estimates(body: ConvexBody, Q, U, lo, hi, t0) -> np.ndarray:
-    """Estimates of the minimizers along the lines Q + t U in brackets [lo,
-    hi]: two curvature-guarded Newton steps on the slope from the guesses
-    t0, each clipped into the bracket. At a converged configuration the
-    guess is within about 1e-11 of the minimizer. The estimates only steer
-    _bisect_slopes, which checks each halving they predict."""
-    t = t0
-    for _ in range(2):
-        t = np.minimum(np.maximum(_line_newton(body, Q, U, t), lo), hi)
-    return t
 
 
 def _on_face(P: PolyhedralComplex) -> np.ndarray:
@@ -479,10 +438,11 @@ def _segment_margins(body: ConvexBody, A, D):
     took the exact minimum.
 
     The points t in SEGMENT_SAMPLES are tried in turn, each on the rows
-    still open. A row none certifies gets the minimum of F over [0, 1] by
-    the slope bisection of the edge lines (_bisect_slopes), estimated from
-    its best sample: F is convex along the segment, and a slope that does
-    not change sign closes the bracket at the end where F is least.
+    still open. A row none certifies gets the minimizer of F along its
+    whole line from its best sample, by _minimizers as for the edge lines,
+    and F is evaluated at that t clipped to [0, 1]: F is convex along the
+    line, so that is the segment's minimum. A row whose minimizer is not
+    found is evaluated at its best sample again and stays uncertified.
     """
     value = np.full(len(A), math.inf)
     best = np.zeros(len(A))
@@ -498,10 +458,9 @@ def _segment_margins(body: ConvexBody, A, D):
         rows = rows[~ok]
     if rows.size:
         Q, U = A[rows], D[rows]
-        lo, hi = _bisect_slopes(body, Q, U, np.zeros(rows.size),
-                                np.ones(rows.size), best[rows])
-        F, certified[rows] = _gauge_certificates(
-            body, Q + (0.5 * (lo + hi))[:, None] * U)
+        t, found = _minimizers(body, Q, U, best[rows])
+        t = np.where(found, np.clip(t, 0.0, 1.0), best[rows])
+        F, certified[rows] = _gauge_certificates(body, Q + t[:, None] * U)
         value[rows] = np.fmin(value[rows], F)
     return value, certified, rows.size
 

@@ -17,9 +17,9 @@ with it to rounding.
 bisect_polish and bisect_slopes are the lockstep bisections, one gauge
 call per halving: bisect_polish is the reference of
 bodies._bisect_polish, which bisects the rays and the chords the chart
-inverse's certificates leave open, and bisect_slopes the one whose
-halvings verify._bisect_slopes predicts and checks in a few batched calls
-in the fallback of the line minima.
+inverse's certificates leave open, and bisect_slopes that of
+verify._bisect_slopes, which bisects the lines and segments the Newton
+certificate of the line minima leaves open.
 """
 
 import cmath
@@ -250,12 +250,12 @@ def bisect_polish(body, origins, dirs, lo, hi):
     return t
 
 
-def bisect_slopes(body, Q, U, lo, hi, t0):
+def bisect_slopes(body, Q, U, lo, hi):
     """Brackets of the slope's sign change along each line Q + t U, all
     rows in lockstep, one gradients call per halving: mid = 0.5 (lo + hi),
     lo = mid where the slope at mid is < 0, else hi = mid; a row stops once
     hi - lo < 1e-14 (1 + |mid|), or keeps its bracket after LINE_BISECTIONS
-    halvings. The guesses t0 are not used."""
+    halvings."""
     lo, hi = lo.copy(), hi.copy()
     todo = np.arange(len(lo))
     for _ in range(LINE_BISECTIONS):

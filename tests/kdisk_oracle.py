@@ -32,6 +32,9 @@ one adjacency lookup per ordered disk pair; and ``_golden_pairs``, the
 golden-section refinement of the margins that ``_refine_pairs`` replaced.
 ``edges_of_vertex``, the edges around a vertex in the order of its face
 cycle, was a method of the complex that only these tracers read.
+``bisected_segment_margins`` is the vertex segments' certificate as
+verify.py first computed it, by slope bisection on [0, 1] where the
+edge lines' Newton certificate now finds each segment's minimum.
 """
 
 import math
@@ -39,10 +42,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import gauge_oracle
 from midscribe.bodies import ConvexBody, _rowdot, _unit_orthogonals, ray_roots
 from midscribe.errors import (DegenerateConfiguration, NotMidscribed,
                               NotStrictlyConvex)
-from midscribe.verify import check_midscription
+from midscribe.verify import (SEGMENT_SAMPLES, _gauge_certificates,
+                              check_midscription)
 
 CONTACT_TOL = 1e-7
 CONTACT_POSITION_TOL = 1e-4
@@ -1263,3 +1268,36 @@ def _trace_packings(cfg, body, P):
                                         np.array(P.edges).reshape(-1, 2),
                                         tangents)
     return face_packing, visibility_packing
+
+
+def bisected_segment_margins(body, A, D):
+    """verify._segment_margins before its rows took the edge lines' Newton
+    certificate, and the t where each row's least F was found. The points
+    t in SEGMENT_SAMPLES are tried in turn, each on the rows still open. A
+    row none certifies is bisected on [0, 1] by the lockstep bisection of
+    the slope (gauge_oracle.bisect_slopes), and F and its certificate are
+    taken at the final bracket's midpoint: F is convex along the segment,
+    and a slope that does not change sign closes the bracket at the end
+    where F is least."""
+    value = np.full(len(A), math.inf)
+    best = np.zeros(len(A))
+    certified = np.zeros(len(A), dtype=bool)
+    rows = np.arange(len(A))
+    for t in SEGMENT_SAMPLES:
+        if not rows.size:
+            break
+        F, ok = _gauge_certificates(body, A[rows] + t * D[rows])
+        best[rows[F < value[rows]]] = t
+        value[rows] = np.fmin(value[rows], F)
+        certified[rows[ok]] = True
+        rows = rows[~ok]
+    if rows.size:
+        Q, U = A[rows], D[rows]
+        lo, hi = gauge_oracle.bisect_slopes(body, Q, U, np.zeros(rows.size),
+                                            np.ones(rows.size))
+        t = 0.5 * (lo + hi)
+        F, certified[rows] = _gauge_certificates(body, Q + t[:, None] * U)
+        lower = F < value[rows]
+        best[rows[lower]] = t[lower]
+        value[rows] = np.fmin(value[rows], F)
+    return value, certified, rows.size, best

@@ -507,43 +507,22 @@ def synthetic_brackets():
 
 
 @pytest.mark.parametrize("budget", ["0", "1", "full"])
-@pytest.mark.parametrize("estimate", ["exact", "nan", "inf", "-inf",
-                                      "outside"])
-@pytest.mark.parametrize("rule", ["slope"])
-def test_verified_bisection_matches_lockstep(rule, estimate, budget,
-                                             monkeypatch):
-    # verify._bisect_slopes keeps only halvings the slope's real signs
-    # confirm, so any estimate gives the lockstep brackets bit for bit; an
-    # exact one takes one round (one gradients call)
+def test_verified_bisection_matches_lockstep(budget, monkeypatch):
+    # verify._bisect_slopes gives the lockstep brackets bit for bit, with
+    # one gradients call per halving: the 1e20-wide row takes them all
     lo, hi, roots = synthetic_brackets()
     budget = {"0": 0, "1": 1, "full": verify.LINE_BISECTIONS}[budget]
-    guesses = {"exact": roots, "nan": np.full(len(lo), math.nan),
-               "inf": np.full(len(lo), math.inf),
-               "-inf": np.full(len(lo), -math.inf),
-               "outside": np.where(np.arange(len(lo)) % 2, hi + 1.0,
-                                   lo - 1.0)}[estimate]
     Q = np.zeros((len(lo), 3))
     Q[:, 0] = -roots
     U = np.tile([1.0, 0.0, 0.0], (len(lo), 1))
-    estimates = []
-
-    def guess(body, Q, U, l, h, t0):
-        estimates.append(len(l))
-        return guesses
-
-    monkeypatch.setattr(verify, "_minimizer_estimates", guess)
     monkeypatch.setattr(verify, "LINE_BISECTIONS", budget)
     monkeypatch.setattr(gauge_oracle, "LINE_BISECTIONS", budget)
     body = SlopeAlongX()
-    got = verify._bisect_slopes(body, Q, U, lo, hi, None)
-    want = gauge_oracle.bisect_slopes(SlopeAlongX(), Q, U, lo, hi, None)
+    got = verify._bisect_slopes(body, Q, U, lo, hi)
+    want = gauge_oracle.bisect_slopes(SlopeAlongX(), Q, U, lo, hi)
     for g, w in zip(got, want):
         assert_bitwise_equal(g, w)
-    assert estimates == [len(lo)]
-    if budget == 0:
-        assert body.gradients_calls == 0
-    elif estimate == "exact":
-        assert body.gradients_calls == 1
+    assert body.gradients_calls == budget
     if budget:
         assert got[1][3] - got[0][3] > 1e-14  # 1e20 wide stays open
         assert got[1][4] - got[0][4] < hi[4] - lo[4]

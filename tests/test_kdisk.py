@@ -351,12 +351,21 @@ class _CountingBall(ConvexBody):
         return "ball"
 
 
-def test_gauge_calls_per_verification_stay_bounded():
+def test_gauge_calls_per_verification_stay_bounded(monkeypatch):
     # a clock-free guard on the certificates, which must not grow with the
-    # complex: cube/ball takes 32 batched calls and hull60, with 1,710
-    # vertex pairs and 6,670 face pairs, 39, 12 of them in the line minima
+    # complex: cube/ball takes 26 batched calls and hull60, with 1,770
+    # vertex pairs and 6,670 face pairs, 33, 6 of them in the line minima
     # of each; a loop over pairs, disks or edges would pass the bound at
-    # hull60. The boundary tracer took 249 on cube/ball.
+    # hull60. The boundary tracer took 249 on cube/ball. Newton certifies
+    # every edge line and every segment no sample certifies, so no row is
+    # bisected.
+    bisected = []
+    bisect = verify._bisect_slopes
+
+    def spy(body, Q, U, lo, hi):
+        bisected.append(len(lo))
+        return bisect(body, Q, U, lo, hi)
+    monkeypatch.setattr(verify, "_bisect_slopes", spy)
     for name in ("cube/ball", "hull60"):
         P, cfg, _ = _refinement_case(name)
         body = _CountingBall()
@@ -364,6 +373,7 @@ def test_gauge_calls_per_verification_stay_bounded():
         assert report.passed and report.contact_graph_primal_ok, name
         assert report.contact_graph_dual_ok, name
         assert body.calls <= 60, name
+        assert bisected == [], name
 
 
 def test_ray_solves_per_verification_stay_bounded(monkeypatch):
@@ -765,6 +775,49 @@ def test_exact_minima_of_pairs_that_meet(name):
                       .min() for e in ends])
     assert exact == P.n_edges and not certified.any()
     assert np.all(value > 0) and np.all(value <= dense + 1e-15)
+
+
+@pytest.mark.parametrize("name", ["cube/ellipsoid", "hull12",
+                                  "hull60/0.01i", "hull120"])
+def test_segment_margins_match_bisection_oracle(name):
+    # The segments no sample certifies take the minimum of F along their
+    # line by the edge lines' Newton certificate, where the oracle bisects
+    # the slope on [0, 1]: on the non-adjacent pairs and on the edge
+    # segments scaled by 1 +- 1e-9, both give the same flags and count,
+    # and values within the certificate's rounding bound at the oracle's
+    # point.
+    if name == "hull60/0.01i":
+        P, cfg, body = _hull_on(60, 20261060, "ball", (0j, 1 + 0j, 0.01j))
+    else:
+        P, cfg, body = _refinement_case(name)
+    positions = cfg.affine_vertices()[0]
+    _, pairs, _, _ = verify._contact_graph(P, False)
+    cases = [(positions, pairs)] + [(positions * scale, np.array(P.edges))
+                                    for scale in (1.0 + 1e-9, 1.0 - 1e-9)]
+    for X, ends in cases:
+        A, D = X[ends[:, 0]], X[ends[:, 1]] - X[ends[:, 0]]
+        value, certified, exact = verify._segment_margins(body, A, D)
+        want, want_certified, want_exact, t = (
+            kdisk_oracle.bisected_segment_margins(body, A, D))
+        assert exact == want_exact
+        assert np.array_equal(certified, want_certified)
+        M = A + t[:, None] * D
+        G = body.gradients(M)
+        bound = bodies.ROUNDING * (2.0 + np.abs(want) + np.sqrt(
+            _rowdot(M, M) * _rowdot(G, G)))
+        assert np.all(np.abs(value - want) <= bound)
+
+
+def test_segment_minimum_beyond_an_end_is_taken_at_that_end():
+    # The lines of these segments are least at t = 3 and t = -2, outside
+    # [0, 1], and no sample dips into the ball, so each segment's minimum
+    # is F at its nearer end, exactly.
+    A = np.array([[3.0, 1.0, 0.0], [0.0, 2.0, -2.0]])
+    D = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    value, certified, exact = verify._segment_margins(BALL, A, D)
+    assert exact == 2 and not certified.any()
+    assert np.array_equal(value, BALL.values(A + np.array([[1.0], [0.0]])
+                                             * D))
 
 
 def test_vertex_at_infinity_fails_typed():
