@@ -225,10 +225,22 @@ def cmd_verify(args) -> int:
             data = json.load(fh)
         except ValueError as exc:
             raise MalformedSpec("config %s is not JSON: %s" % (args.config, exc))
-    cfg, P_embedded = formats.configuration_from_dict(data)
-    P = _load_complex(args.complex) if args.complex else P_embedded
+    cfg, P = formats.configuration_from_dict(data)
+    if args.complex:
+        P, embedded = _load_complex(args.complex), P
+        shapes = [(Q.n_faces, Q.n_vertices, Q.n_edges) for Q in (P, embedded)]
+        if shapes[0] != shapes[1]:
+            raise MalformedSpec("complex %s has (faces, vertices, edges) = %r, "
+                                "the configuration %r" % (args.complex, *shapes))
     if args.body is None:
-        args.body = (data.get("manifest") or {}).get("body") or "ball"
+        recorded = data.get("manifest", {})
+        if not isinstance(recorded, dict):
+            raise MalformedSpec("config %s: manifest is not a JSON object"
+                                % args.config)
+        args.body = recorded.get("body", "ball")
+        if not isinstance(args.body, str):
+            raise MalformedSpec("config %s: manifest body %r is not a string"
+                                % (args.config, args.body))
     body = make_body(args.body)
     report = verify_configuration(cfg, body, P, tol=args.tol)
     manifest = _manifest(args, "verify", tol=args.tol)

@@ -30,7 +30,8 @@ class PolyhedralComplex:
 
     Vertices are 0..n_vertices-1. Edges are indexed 0..n_edges-1 in
     lexicographic order of their sorted vertex pairs, which keeps every
-    derived ordering deterministic.
+    derived ordering deterministic. Only build_complex constructs one, so
+    the solver and the packing rely on its checks without repeating them.
     """
 
     faces: tuple[tuple[int, ...], ...]
@@ -136,7 +137,7 @@ def build_complex(face_lists, n_vertices: int | None = None) -> PolyhedralComple
     top = used[-1] + 1
     if n_vertices is None:
         n_vertices = top
-    if top > n_vertices or used != list(range(top)) or top != n_vertices:
+    if used != list(range(top)) or top != n_vertices:
         raise MalformedSpec("vertex ids must be exactly 0..n-1 with every id used")
 
     face_of_dart = {}
@@ -251,7 +252,7 @@ class Frame:
     """A face f0 with three consecutive boundary edges, the normalization anchor.
 
     darts[i] is edge edges[i] as the ordered vertex pair traversing f0's
-    boundary, so darts chain head-to-tail.
+    boundary, so darts chain head-to-tail. Only select_frame constructs one.
     """
 
     face: int
@@ -274,12 +275,8 @@ def select_frame(P: PolyhedralComplex, face: int = 0,
         if e not in boundary:
             raise NotIncident("edge %d is not on the boundary of face %d" % (e, face))
     k = len(boundary)
-    start = None
-    for i in range(k):
-        if (boundary[i], boundary[(i + 1) % k], boundary[(i + 2) % k]) == edges:
-            start = i
-            break
-    if start is None:
+    start = boundary.index(edges[0])
+    if tuple(boundary[(start + j) % k] for j in range(3)) != edges:
         raise NotSequential("edges %r are not consecutive on face %d in this order"
                             % (edges, face))
     darts = P.boundary_darts(face)

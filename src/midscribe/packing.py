@@ -97,10 +97,9 @@ def _box_structure(P: PolyhedralComplex, frame: Frame) -> _BoxStructure:
     targets, neighbors = {}, {}
     for u in nodes:
         inc = incident(u)
+        # one at most: two would make a face meet f0 in two vertices that
+        # are not their common edge, which build_complex rejects
         n_wall = sum(1 for w in inc if w in walls)
-        if n_wall > 1:
-            raise LayoutInconsistency("node %r touches %d walls; the complex "
-                                      "cannot be a polyhedron" % (u, n_wall))
         targets[u] = TWO_PI - math.pi * n_wall
         neighbors[u] = tuple(w for w in inc if w not in walls)
     return _BoxStructure(f0=f0, g_top=g_top, v_left=v_left, v_right=v_right,
@@ -355,16 +354,13 @@ def layout_circles(P: PolyhedralComplex, frame: Frame,
     centers: dict = {}
     tangency: dict = {}
 
-    # bottom row: f0's boundary from the left wall to the right wall
+    # bottom row: f0's boundary after its dart (v_right, v_left) of e1
     cyc = P.faces[f0]
     i = cyc.index(v_left)
     seq = cyc[i:] + cyc[:i]          # [v_left, w_1, ..., w_m, v_right]
-    if seq[-1] != v_right:
-        raise LayoutInconsistency("frame dart does not close f0's cycle")
-    bottom = list(seq[1:-1])
     x = 0.0
     prev = v_left
-    for w in bottom:
+    for w in seq[1:-1]:
         tangency[P.edge_index[(prev, w)]] = complex(x, 0.0)
         x += r[("v", w)]
         centers[("v", w)] = complex(x, 0.0)
@@ -390,12 +386,10 @@ def layout_circles(P: PolyhedralComplex, frame: Frame,
                                   "%.17g vs %.17g" % (height_left, height_right))
     height = 0.5 * (height_left + height_right)
 
-    # top row: g_top's boundary, laid right to left
+    # top row, right to left: g_top's boundary after its dart (v_left, v_right)
     cyc = P.faces[g_top]
     i = cyc.index(v_right)
     seq = cyc[i:] + cyc[:i]          # [v_right, u_1, ..., u_k, v_left]
-    if seq[-1] != v_left:
-        raise LayoutInconsistency("frame dart does not close g_top's cycle")
     x = width
     prev = v_right
     for u in seq[1:-1]:
@@ -406,8 +400,7 @@ def layout_circles(P: PolyhedralComplex, frame: Frame,
         prev = u
     tangency[P.edge_index[(prev, v_left)]] = complex(x, height)
     if abs(x) > LAYOUT_TOL * scale:
-        raise LayoutInconsistency("top row does not close onto the left wall "
-                                  "(gap %.3e)" % x)
+        raise LayoutInconsistency("top row misses the left wall by %.3e" % x)
 
     _propagate(P, box, r, centers, tangency)
     tangency[frame.edges[0]] = INFINITY
@@ -460,13 +453,10 @@ def _stack_wall(P, box, r, centers, tangency, v_wall, x_wall):
 
 
 def _shared_wall_edge(P, v_wall, f1, f2):
-    """The edge at v_wall shared by two consecutive faces of its cycle."""
-    shared = set(P.boundary_edges(f1)) & set(P.boundary_edges(f2))
-    for e in shared:
-        if v_wall in P.edges[e]:
-            return e
-    raise LayoutInconsistency("faces %d and %d share no edge at vertex %d"
-                              % (f1, f2, v_wall))
+    """The edge at v_wall shared by two consecutive faces of its cycle,
+    which _face_cycle steps across from one to the other."""
+    return next(e for e in P.boundary_edges(f1)
+                if v_wall in P.edges[e] and e in P.boundary_edges(f2))
 
 
 def _propagate(P, box, r, centers, tangency):

@@ -6,7 +6,7 @@ vertex-on-plane for every flag, the two plane memberships plus boundary
 membership plus normal-orthogonality for every edge tangent point, and unit
 vertex 4-vectors. The three marked tangent points are substituted as
 constants, which removes 9 unknowns and 3 boundary equations and makes the
-system exactly square.
+system exactly square, as V - E + F = 2 (build_complex requires it).
 
 Which row and column each of these occupies depends on (P, frame) alone, so
 a SystemLayout holds that index layout, and ConstraintSystem evaluates the
@@ -90,10 +90,8 @@ DS_MIN = 1e-4
 # the first try, straight from s = 0 to s = 1, is rejected once an LU
 # direction is longer than this times the one before it
 THETA_MAX = 0.5
-# an accepted solution with two tangent points this close, or a face whose
-# tangent points all lie this close, aborts the continuation
+# tangent points this close in an accepted solution abort the continuation
 MIN_TANGENT_SEPARATION = 1e-6
-MIN_FACE_CIRCLE_SIZE = 1e-6
 # and so does an edge whose two unit face normals have a cross product this
 # short, two face planes about to coincide; the least on converged answers
 # up to 480 vertices is 1.7e-4
@@ -146,9 +144,6 @@ class SystemLayout:
       positions, their sources in z = [x, marked_points.ravel(), 1.0] and
       their coefficients; the other blocks of _jacobian_pattern get their
       data positions.
-    - face_pairs: (2, n_pairs) edge ids, the pairs i < j of each face's
-      boundary edges, face after face; face_starts: where each face's pairs
-      begin.
     """
 
     def __init__(self, P: PolyhedralComplex, frame: Frame):
@@ -173,18 +168,6 @@ class SystemLayout:
         self.edge_rows = np.where(has_row, F + len(self.flag_v) - 1
                                   + np.cumsum(has_row).reshape(has_row.shape),
                                   -1)
-        n_rows = F + len(self.flag_v) + int(np.count_nonzero(has_row)) + V
-        if n_rows != self.n_unknowns:
-            raise DimensionMismatch("system is not square: %d rows, %d unknowns"
-                                    % (n_rows, self.n_unknowns))
-        pairs, starts = [], []
-        for f in range(F):
-            b = P.boundary_edges(f)
-            starts.append(len(pairs))
-            pairs += [(b[i], b[j]) for i in range(len(b))
-                      for j in range(i + 1, len(b))]
-        self.face_pairs = np.array(pairs, dtype=int).T
-        self.face_starts = np.array(starts, dtype=int)
 
         pattern = self._jacobian_pattern()
         blocks = [np.broadcast_arrays(r, c) for r, c, _ in pattern]
@@ -581,29 +564,16 @@ def newton_refine(cfg: Configuration, body: ConvexBody, P: PolyhedralComplex,
     return system.unpack(x), report
 
 
-def _face_circle_sizes(T: np.ndarray, layout: SystemLayout) -> np.ndarray:
-    """Largest distance between two tangent points of each face, over its
-    pairs of boundary edges in layout.face_pairs."""
-    a, b = layout.face_pairs
-    D = T[a] - T[b]
-    return np.maximum.reduceat(np.sqrt(np.sum(D * D, axis=-1)),
-                               layout.face_starts)
-
-
 def _degeneracy_guard(system: ConstraintSystem, x: np.ndarray, s: float):
-    """Abort rather than accept collapsing tangencies, face circles or
-    edges: an edge whose two face planes (nearly) coincide has no line."""
+    """Abort rather than accept collapsing tangencies or edges: an edge
+    whose two face planes (nearly) coincide has no line. A face circle's
+    size is the distance of two of its (finite) tangent points, so the
+    first test catches a collapsing one."""
     T = system.tangents(x)
     dmin = float(pdist(T).min())
     if dmin <= MIN_TANGENT_SEPARATION:
         raise DegenerateConfiguration(
             "tangent points %.3e apart at s=%.6f" % (dmin, s))
-    sizes = _face_circle_sizes(T, system.layout)
-    small = np.flatnonzero(sizes <= MIN_FACE_CIRCLE_SIZE)
-    if small.size:
-        f = int(small[0])
-        raise DegenerateConfiguration(
-            "face %d circle of size %.3e at s=%.6f" % (f, sizes[f], s))
     N = system._views(x)[0]
     f, g = system.layout.edge_faces.T
     C = _cross(N[f], N[g])

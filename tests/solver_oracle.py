@@ -16,10 +16,10 @@ nonzeros. The solver's matrix must equal it bit for bit.
 
 ``degeneracy_guard`` is the continuation's collapse check as loops over
 faces, one ``pdist`` per face, and over edges, one cross product per edge;
-the solver's array version must give the same face sizes and raise the
-same error. ``padded_face_circle_sizes`` is the face sizes as the solver
-took them over a padded table of every face's edge pairs, before its list
-of each face's pairs i < j; the two must agree bit for bit.
+the solver's array version must raise the same error. The loop still tests
+every face circle, at the tangent-point threshold, which the solver no
+longer does: a face's size is the distance of two of its tangent points,
+so the tangent-point test has already raised wherever the face test would.
 
 ``continue_from_pattern`` and ``newton_refine`` are the solver's entry
 points with the condition audit run eagerly, as it was before it was
@@ -303,22 +303,10 @@ def face_circle_sizes(P: PolyhedralComplex, T: np.ndarray) -> np.ndarray:
                      for f in range(P.n_faces)])
 
 
-def padded_face_circle_sizes(P: PolyhedralComplex,
-                             T: np.ndarray) -> np.ndarray:
-    """Largest distance between two tangent points of each face, as the
-    solver took it before its pair list: over all k x k differences of a
-    padded (F, k) table of boundary edges, k the longest boundary, shorter
-    faces padded with their own first edge."""
-    bounds = [P.boundary_edges(f) for f in range(P.n_faces)]
-    k = max(len(b) for b in bounds)
-    B = T[np.array([b + b[:1] * (k - len(b)) for b in bounds], dtype=int)]
-    D = B[:, :, None, :] - B[:, None, :, :]
-    return np.sqrt(np.sum(D * D, axis=-1)).max(axis=(1, 2))
-
-
 def degeneracy_guard(system, x, s):
-    """Abort rather than accept collapsing tangencies or face circles; the
-    thresholds are read from solver at call time, as the solver reads them."""
+    """Abort rather than accept collapsing tangencies, face circles or
+    edges; the thresholds are read from solver at call time, as the solver
+    reads them, and a face circle's is MIN_TANGENT_SEPARATION."""
     P = system.P
     T = system.tangents(x)
     dmin = float(pdist(T).min())
@@ -327,7 +315,7 @@ def degeneracy_guard(system, x, s):
             "tangent points %.3e apart at s=%.6f" % (dmin, s))
     for f in range(P.n_faces):
         size = float(pdist(T[list(P.boundary_edges(f))]).max())
-        if size <= solver.MIN_FACE_CIRCLE_SIZE:
+        if size <= solver.MIN_TANGENT_SEPARATION:
             raise DegenerateConfiguration(
                 "face %d circle of size %.3e at s=%.6f" % (f, size, s))
     N = system.unpack(x).normals

@@ -204,6 +204,54 @@ def test_cli_midscribe_verify_round_trip(tmp_path):
                    "--body", "ellipsoid:a=1.2,b=1.0") == 4
 
 
+def _cube_config(tmp_path, **extra):
+    """A file holding the cube's ball configuration, with extra keys."""
+    P, _, _ = get_seed("cube")
+    payload = configuration_to_dict(ball_solution("cube"), P)
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(dict(payload, **extra)))
+    return str(path)
+
+
+@pytest.mark.parametrize("manifest", [
+    [1, 2], "ball", 3, None, {"body": 7}, {"body": ["ball"]}, {"body": {}},
+    {"body": None}],
+    ids=["list", "string", "number", "null", "body-number", "body-list",
+         "body-object", "body-null"])
+def test_cli_verify_rejects_a_malformed_manifest(tmp_path, capsys, manifest):
+    """Without --body, verify reads the body from the manifest: one that is
+    not an object, or whose body is not a string, is an input error."""
+    config = _cube_config(tmp_path, manifest=manifest)
+    assert run_cli("verify", config) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+    # --body overrides the manifest, which is then not read
+    assert run_cli("verify", config, "--body", "ball") == 0
+
+
+def test_cli_verify_reads_a_manifest_without_a_body(tmp_path):
+    # no manifest, or none with a body: the ball
+    for extra in ({}, {"manifest": {}}, {"manifest": {"body": "ball"}}):
+        assert run_cli("verify", _cube_config(tmp_path, **extra)) == 0
+    config = _cube_config(tmp_path, manifest={"body": "ellipsoid:a=1.2,b=1"})
+    assert run_cli("verify", config) == 4
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("tetrahedron", (4, 4, 6)), ("dodecahedron", (12, 20, 30)),
+    ("octahedron", (8, 6, 12)), ("triangular_prism", (5, 6, 9))])
+def test_cli_verify_rejects_a_complex_of_another_shape(tmp_path, capsys,
+                                                       name, shape):
+    """--complex must have the configuration's face, vertex and edge
+    counts; the error names both."""
+    config = _cube_config(tmp_path)
+    assert run_cli("verify", config, "--complex", name) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+    assert "%r" % (shape,) in err and "(6, 8, 12)" in err
+    assert run_cli("verify", config, "--complex", "cube") == 0
+
+
 def test_cli_midscribe_rigidity_block(tmp_path):
     report_path = tmp_path / "r.json"
     code = run_cli("midscribe", "--complex", "tetrahedron",

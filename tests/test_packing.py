@@ -20,9 +20,9 @@ from conftest import CANONICAL_MARKS, ball_solution, get_seed
 from solver_oracle import assemble_residual
 from midscribe.bodies import BodyChart, make_body
 from midscribe.mobius import is_infinity
-from midscribe import packing
+from midscribe import packing, solver
 from midscribe.cli import main
-from midscribe.combinatorics import build_complex, select_frame
+from midscribe.combinatorics import build_complex, dual_complex, select_frame
 from midscribe.errors import (DegenerateMarks, LayoutInconsistency,
                               NonConvergence)
 from midscribe.io import complex_to_dict, format_complex
@@ -322,6 +322,46 @@ def complex_and_frame(name):
     points = GENERATED[name]()
     P = build_complex(faces_from_coordinates(points), n_vertices=len(points))
     return P, select_frame(P)
+
+
+@pytest.mark.parametrize("name, dual", [
+    pytest.param(name, dual, id=name + "-dual" * dual)
+    for name in SEED_NAMES for dual in (False, True)] + [
+    pytest.param(name, False, id=name)
+    for name in ("hull12", "hull20", "prism8", "antiprism15")])
+def test_every_frame_meets_what_the_layout_assumes(name, dual):
+    """What build_complex and select_frame imply, and the layout and the
+    solver no longer test, holds at every frame (every face, every
+    starting edge): e1's dart (v_right, v_left) on f0 and its opposite on
+    the face g_top across e1 close both rows, every node touches at most
+    one wall, consecutive faces around each vertex share an edge at it,
+    and the tangency system is square."""
+    P, _ = complex_and_frame(name)
+    if dual:
+        P = dual_complex(P)
+    for v, cycle in enumerate(P.vertex_faces):
+        for f1, f2 in zip(cycle, cycle[1:] + cycle[:1]):
+            shared = [e for e in P.boundary_edges(f1)
+                      if e in P.boundary_edges(f2) and v in P.edges[e]]
+            assert shared == [packing._shared_wall_edge(P, v, f1, f2)]
+    n_frames = 0
+    for face, boundary in enumerate(map(P.boundary_edges, range(P.n_faces))):
+        for i in range(len(boundary)):
+            frame = select_frame(P, face, (boundary + boundary)[i:i + 3])
+            v_right, v_left = frame.darts[0]
+            box = _box_structure(P, frame)
+            for f, start, end in ((face, v_left, v_right),
+                                  (box.g_top, v_right, v_left)):
+                cyc = P.faces[f]
+                assert cyc[cyc.index(start) - 1] == end
+            assert set(box.targets.values()) <= {TWO_PI, math.pi}
+            layout = solver.SystemLayout(P, frame)
+            n_rows = (P.n_faces + len(layout.flag_v)
+                      + int(np.count_nonzero(layout.edge_rows >= 0))
+                      + P.n_vertices)
+            assert n_rows == layout.n_unknowns
+            n_frames += 1
+    assert n_frames == 2 * P.n_edges
 
 
 def test_angle_sums_derivatives_by_finite_differences():

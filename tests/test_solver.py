@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial.distance import pdist
 
 import solver_oracle
 from conftest import (CANONICAL_MARKS, ball_solution, closed_form_config,
@@ -31,8 +32,7 @@ from midscribe.errors import (
 )
 from midscribe.combinatorics import build_complex, select_frame
 from midscribe.seeds import SEED_NAMES, faces_from_coordinates
-from midscribe.solver import (ConstraintSystem, _degeneracy_guard,
-                              _face_circle_sizes)
+from midscribe.solver import ConstraintSystem, _degeneracy_guard
 from test_packing import complex_and_frame, sphere_hull_points
 
 BODY_CYCLE = (
@@ -239,10 +239,9 @@ def test_continuation_step_underflow_diagnostics(monkeypatch):
 
 
 @pytest.mark.parametrize("constant, message", [
-    ("MIN_FACE_CIRCLE_SIZE", r"face \d+ circle"),
     ("MIN_TANGENT_SEPARATION", "tangent points"),
     ("MIN_EDGE_SINE", r"edge \d+ between faces \d+ and \d+"),
-], ids=["face_circle", "tangent_points", "edge_sine"])
+], ids=["tangent_points", "edge_sine"])
 def test_continuation_degeneracy_guard(monkeypatch, constant, message):
     P, _, frame = get_seed("cube")
     monkeypatch.setattr(solver, constant, 10.0)
@@ -714,41 +713,56 @@ def _guard_outcomes(system, x):
 
 @pytest.mark.parametrize("name", REUSE_CASES)
 def test_degeneracy_guard_matches_face_loop(monkeypatch, name):
-    """The face pair list gives the loop's face sizes bit for bit, and
-    the same first failing face and message at every threshold."""
+    """With no face test of its own, the guard matches the loop's, which
+    tests every face circle at the tangent-point threshold, at every
+    threshold: at and around the closest pair and at every face size. No
+    face test fires, as a face's size is the distance of two of its
+    tangent points."""
     P, frame, cfg = _ellipsoid_solution(name)
     system = ConstraintSystem(P, frame, cfg.marked_points,
                               _ellipsoid_path().end)
     x = system.pack(cfg)
     T = system.tangents(x)
+    dmin = float(pdist(T).min())
     sizes = solver_oracle.face_circle_sizes(P, T)
-    assert np.array_equal(_face_circle_sizes(T, system.layout), sizes)
-    for limit in [0.0] + sorted(set(sizes.tolist())):
-        monkeypatch.setattr(solver, "MIN_FACE_CIRCLE_SIZE", limit)
+    assert dmin <= sizes.min()
+    limits = [0.0, np.nextafter(dmin, 0.0), dmin] + sorted(set(sizes.tolist()))
+    for limit in limits:
+        monkeypatch.setattr(solver, "MIN_TANGENT_SEPARATION", limit)
         outcomes = _guard_outcomes(system, x)
         assert outcomes[0] == outcomes[1]
-        assert (outcomes[0] is None) == (limit < sizes.min())
+        assert (outcomes[0] is None) == (limit < dmin)
+        assert outcomes[0] is None or "tangent points" in outcomes[0]
 
 
 @pytest.mark.parametrize("name", SEED_NAMES + (
     "hull12", "hull20", "prism8", "antiprism15", "hull60", "hull120",
     "hull240"))
-def test_face_pair_sizes_match_the_padded_table(name):
-    """Over each face's pairs i < j the face sizes equal, bit for bit, the
-    maxima over the padded (F, k, k) table of differences they replaced,
-    at the ball's tangent points and at random ones."""
+def test_face_sizes_are_tangent_point_distances(name):
+    """Each distance of two tangent points of a face, as numpy's
+    sqrt(sum(D * D)) over its pairs gave the face sizes before the face
+    test was deleted, equals bit for bit its entry of pdist(T), which the
+    tangent-point test reads, at the ball's tangent points and at random
+    ones. So a face at or below MIN_TANGENT_SEPARATION always had a pair
+    there too, and the deleted test never raised first."""
     if name == "hull240":
         P, frame = _hull(240, 20261240)
     else:
         P, frame = complex_and_frame(name)
-    layout = solver.SystemLayout(P, frame)
     planar = layout_circles(P, frame, solve_radii(P, frame))
     ball = koebe_config(lift_normalize(planar, CANONICAL_MARKS)).tangents
     noise = np.random.default_rng(7).normal(size=ball.shape)
+    a, b = np.array([pair for f in range(P.n_faces)
+                     for pair in itertools.combinations(
+                         sorted(P.boundary_edges(f)), 2)]).T
+    E = P.n_edges
+    # the position of pair (i, j), i < j, in pdist's condensed order
+    entry = E * a - a * (a + 1) // 2 + (b - a - 1)
     for T in (ball, noise):
-        assert np.array_equal(
-            _face_circle_sizes(T, layout).view(np.int64),
-            solver_oracle.padded_face_circle_sizes(P, T).view(np.int64))
+        D = T[a] - T[b]
+        sizes = np.sqrt(np.sum(D * D, axis=-1))
+        assert np.array_equal(sizes.view(np.int64),
+                              pdist(T)[entry].view(np.int64))
 
 
 @pytest.mark.parametrize("name", REUSE_CASES)

@@ -75,6 +75,21 @@ def test_verify_solves_no_least_squares():
     assert "lstsq" not in (SRC / "verify.py").read_text()
 
 
+def _calls_outside(node, names, allowed, inside=False):
+    """(name, line) of each call of one of names that no function or class
+    named in allowed encloses."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        inside = inside or node.name in allowed
+    if isinstance(node, ast.Call) and not inside:
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(
+            func, "attr", None)
+        if name in names:
+            yield name, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _calls_outside(child, names, allowed, inside)
+
+
 def test_derived_structures_are_built_only_by_their_builders():
     # SystemLayout, the box structure and the contact graphs depend on the
     # complex (and frame) alone; called outside a builder passed to
@@ -87,30 +102,31 @@ def test_derived_structures_are_built_only_by_their_builders():
                 and isinstance(node.func, ast.Name)
                 and node.func.id == "derived"}
     assert owned <= builders
-
-    def calls_outside(node, names, allowed, inside=False):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            inside = inside or node.name in allowed
-        if isinstance(node, ast.Call) and not inside:
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(
-                func, "attr", None)
-            if name in names:
-                yield name, node.lineno
-        for child in ast.iter_child_nodes(node):
-            yield from calls_outside(child, names, allowed, inside)
-
     found = [call for tree in trees
-             for call in calls_outside(tree, owned, builders)]
+             for call in _calls_outside(tree, owned, builders)]
     assert found == []
     # the radius solve and the layout make the planar ball packing, which
     # depends on (P, frame) alone: run anywhere but in its builder, they
     # would lay it out again on every solve
     assert "_ball_packing" in builders
     found = [call for tree in trees
-             for call in calls_outside(tree, {"solve_radii", "layout_circles"},
-                                       {"_ball_packing"})]
+             for call in _calls_outside(tree, {"solve_radii", "layout_circles"},
+                                        {"_ball_packing"})]
     assert found == []
+
+
+def test_complexes_and_frames_are_built_only_by_their_validators():
+    # the solver and the packing rely on build_complex's checks (Euler's
+    # relation, degree >= 3, 3-connectivity) and on select_frame's without
+    # repeating them; a complex or frame built elsewhere could skip them
+    trees, _ = _trees_and_reads()
+    for cls, validator in (("PolyhedralComplex", "build_complex"),
+                           ("Frame", "select_frame")):
+        found = [call for tree in trees
+                 for call in _calls_outside(tree, {cls}, {validator})]
+        assert found == []
+        assert any(call for tree in trees
+                   for call in _calls_outside(tree, {cls}, set()))
 
 
 def test_bench_traced_attributes_exist():

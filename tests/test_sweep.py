@@ -197,8 +197,8 @@ def test_sweep_whose_packing_fails_fails_every_cell(tmp_path, monkeypatch):
 
 
 def test_sweep_reads_guard_constants_at_call_time(tmp_path, monkeypatch):
-    """A face-circle threshold no face can pass fails every cell."""
-    monkeypatch.setattr(solver, "MIN_FACE_CIRCLE_SIZE", 10.0)
+    """A tangent-point separation no solution can pass fails every cell."""
+    monkeypatch.setattr(solver, "MIN_TANGENT_SEPARATION", 10.0)
     monkeypatch.setenv("MIDSCRIBE_THREADS", "1")
     out = tmp_path / "sweep.csv"
     assert run_sweep(out, ELLIPSOID, grid=2) == 0
